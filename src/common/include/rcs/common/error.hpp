@@ -13,9 +13,10 @@
 
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <variant>
+
+#include "rcs/common/strf.hpp"
 
 namespace rcs {
 
@@ -63,13 +64,20 @@ class SimError : public Error {
   using Error::Error;
 };
 
-/// Throw LogicError when a precondition does not hold.
-// Takes a string_view so the (almost always satisfied) check never
-// materializes a std::string: the message is only built on failure. With the
-// const std::string& signature every hot-path ensure() paid one heap
-// allocation just to pass its literal.
-inline void ensure(bool condition, std::string_view message) {
-  if (!condition) throw LogicError(std::string(message));
+namespace detail {
+template <typename... Parts>
+[[noreturn, gnu::cold, gnu::noinline]] void ensure_failed(const Parts&... parts) {
+  throw LogicError(strf(parts...));
+}
+}  // namespace detail
+
+/// Throw LogicError when a precondition does not hold. The message is the
+/// concatenation of `parts` (as strf formats them), built only on failure:
+/// the parts are passed by reference, so a passing check never formats or
+/// allocates, however many parts its message has.
+template <typename... Parts>
+inline void ensure(bool condition, const Parts&... parts) {
+  if (!condition) [[unlikely]] detail::ensure_failed(parts...);
 }
 
 // ---------------------------------------------------------------------------

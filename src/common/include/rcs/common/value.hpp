@@ -98,8 +98,14 @@ class Value {
   [[nodiscard]] std::size_t size() const;  // list or map element count
 
   // --- Codec -----------------------------------------------------------
+  /// Lists and maps nest at most this deep in a decoded Value.
+  static constexpr int kMaxDecodeDepth = 128;
+
   void encode(ByteWriter& w) const;
   [[nodiscard]] Bytes encode() const;
+  /// Decoding fails closed: malformed or hostile input (truncation, a bad
+  /// tag, an element count the input cannot hold, nesting beyond
+  /// kMaxDecodeDepth) throws ValueError, never allocates unboundedly.
   [[nodiscard]] static Value decode(ByteReader& r);
   [[nodiscard]] static Value decode(const Bytes& data);
   /// Encoded size in bytes; used for network traffic accounting.
@@ -117,6 +123,7 @@ class Value {
                                std::string, Bytes, ValueList, ValueMap>;
 
   [[noreturn]] void type_mismatch(Type expected) const;
+  [[nodiscard]] static Value decode(ByteReader& r, int depth);
 
   Storage data_{nullptr};
 };

@@ -164,7 +164,13 @@ Bytes Value::encode() const {
   return w.take();
 }
 
-Value Value::decode(ByteReader& r) {
+Value Value::decode(ByteReader& r) { return decode(r, 0); }
+
+Value Value::decode(ByteReader& r, int depth) {
+  if (depth > kMaxDecodeDepth) {
+    throw ValueError(strf("Value::decode: nesting deeper than ",
+                          kMaxDecodeDepth));
+  }
   const auto tag = r.read_u8();
   if (tag > static_cast<std::uint8_t>(Type::kMap)) {
     throw ValueError(strf("Value::decode: bad type tag ", int(tag)));
@@ -189,9 +195,15 @@ Value Value::decode(ByteReader& r) {
       return Value(r.read_bytes());
     case Type::kList: {
       const auto n = r.read_varint();
+      // Every element takes at least its tag byte, so a count beyond the
+      // bytes left is a lie; refuse it before reserving anything.
+      if (n > r.remaining()) {
+        throw ValueError(strf("Value::decode: list of ", n, " elements in ",
+                              r.remaining(), " bytes"));
+      }
       ValueList l;
       l.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) l.push_back(decode(r));
+      for (std::uint64_t i = 0; i < n; ++i) l.push_back(decode(r, depth + 1));
       return Value(std::move(l));
     }
     case Type::kMap: {
@@ -199,7 +211,7 @@ Value Value::decode(ByteReader& r) {
       ValueMap m;
       for (std::uint64_t i = 0; i < n; ++i) {
         auto key = r.read_string();
-        m.emplace(std::move(key), decode(r));
+        m.emplace(std::move(key), decode(r, depth + 1));
       }
       return Value(std::move(m));
     }

@@ -20,26 +20,56 @@ void Component::set_property(const std::string& key, Value value) {
 
 Value Component::invoke(const std::string& service, const std::string& op,
                         const Value& args) {
+  if (state_ == LifecycleState::kStarted &&
+      info_->find_service(service) == nullptr) {
+    throw ComponentError(strf("component '", name_, "' (", type_name(),
+                              ") does not provide service '", service, "'"));
+  }
+  return dispatch(service, op, args);
+}
+
+Value Component::dispatch(const std::string& service, const std::string& op,
+                          const Value& args) {
   if (state_ != LifecycleState::kStarted) {
     throw ComponentError(strf("invoke on stopped component '", name_, "' (",
                               type_name(), "), service '", service, "'"));
   }
-  if (info_->find_service(service) == nullptr) {
-    throw ComponentError(strf("component '", name_, "' (", type_name(),
-                              ") does not provide service '", service, "'"));
-  }
   return on_invoke(service, op, args);
 }
 
-Value Component::call(const std::string& reference, const std::string& op,
+Value Component::call(std::string_view reference, const std::string& op,
                       const Value& args) {
-  ensure(composite_ != nullptr,
-         strf("component '", name_, "' is not inside a composite"));
-  return composite_->call_reference(*this, reference, op, args);
+  ensure(composite_ != nullptr, "component '", name_,
+         "' is not inside a composite");
+  const Binding* slot = binding(reference);
+  if (slot == nullptr) {
+    throw ComponentError(strf(composite_->name(), ": '", name_, "' (",
+                              type_name(), ") has no reference '", reference,
+                              "'"));
+  }
+  if (slot->target == nullptr) {
+    throw ComponentError(strf(composite_->name(),
+                              ": call through unwired reference ", name_, ".",
+                              reference));
+  }
+  return slot->target->dispatch(slot->service, op, args);
 }
 
-bool Component::wired(const std::string& reference) const {
-  return composite_ != nullptr && composite_->is_wired(name_, reference);
+bool Component::wired(std::string_view reference) const {
+  const Binding* slot = composite_ != nullptr ? binding(reference) : nullptr;
+  return slot != nullptr && slot->target != nullptr;
+}
+
+Component::Binding* Component::binding(std::string_view reference) {
+  const auto& references = info_->references;
+  for (std::size_t i = 0; i < references.size(); ++i) {
+    if (references[i].name == reference) return &bindings_[i];
+  }
+  return nullptr;
+}
+
+const Component::Binding* Component::binding(std::string_view reference) const {
+  return const_cast<Component*>(this)->binding(reference);
 }
 
 ComponentTypeInfo LambdaComponent::make_type(std::string type_name,

@@ -1,5 +1,8 @@
 #include "rcs/component/composite.hpp"
 
+#include <algorithm>
+#include <tuple>
+
 #include "rcs/common/logging.hpp"
 #include "rcs/common/strf.hpp"
 #include "rcs/component/package.hpp"
@@ -28,12 +31,12 @@ Component& Composite::add(const std::string& type_name,
   }
   const ComponentTypeInfo& info = registry().info(type_name);
   auto component = info.factory();
-  ensure(component != nullptr,
-         strf("factory for '", type_name, "' returned null"));
+  ensure(component != nullptr, "factory for '", type_name, "' returned null");
   component->name_ = instance_name;
   component->info_ = &info;
   component->composite_ = this;
   component->properties_ = info.default_properties;
+  component->bindings_.resize(info.references.size());
   Component& ref = *component;
   children_.emplace(instance_name, std::move(component));
   log().trace("comp", name_, ": add ", instance_name, " : ", type_name);
@@ -48,11 +51,12 @@ void Composite::remove(const std::string& instance_name) {
   }
   // A component with any attached wire (either side) may not be removed;
   // scripts must disconnect first, exactly as the paper's FScript examples do.
-  for (const auto& [key, wire] : wires_) {
-    if (key.first == instance_name || wire.to_component == instance_name) {
+  for (const auto& wire : wires()) {
+    if (wire.from_component == instance_name ||
+        wire.to_component == instance_name) {
       throw ComponentError(strf(name_, ": cannot remove wired component '",
-                                instance_name, "' (", key.first, ".",
-                                key.second, " -> ", wire.to_component, ".",
+                                instance_name, "' (", wire.from_component, ".",
+                                wire.reference, " -> ", wire.to_component, ".",
                                 wire.service, ")"));
     }
   }
@@ -103,24 +107,26 @@ void Composite::wire(const std::string& from, const std::string& reference,
         ref_spec->interface_name, ") -> ", to, ".", service, " (",
         svc_spec->interface_name, ")"));
   }
-  const auto key = std::make_pair(from, reference);
-  if (wires_.contains(key)) {
+  Component::Binding& slot =
+      from_c.bindings_[ref_spec - from_c.info().references.data()];
+  if (slot.target != nullptr) {
     throw ComponentError(strf(name_, ": reference ", from, ".", reference,
                               " is already wired"));
   }
-  wires_.emplace(key, Wire{to, service});
+  slot = {&to_c, service};
   log().trace("comp", name_, ": wire ", from, ".", reference, " -> ", to, ".",
               service);
 }
 
 void Composite::unwire(const std::string& from, const std::string& reference) {
-  const auto key = std::make_pair(from, reference);
-  const auto it = wires_.find(key);
-  if (it == wires_.end()) {
+  const auto it = children_.find(from);
+  Component::Binding* slot =
+      it == children_.end() ? nullptr : it->second->binding(reference);
+  if (slot == nullptr || slot->target == nullptr) {
     throw ComponentError(strf(name_, ": reference ", from, ".", reference,
                               " is not wired"));
   }
-  wires_.erase(it);
+  *slot = {};
   log().trace("comp", name_, ": unwire ", from, ".", reference);
 }
 
@@ -163,16 +169,28 @@ std::vector<std::string> Composite::children() const {
 
 std::vector<WireInfo> Composite::wires() const {
   std::vector<WireInfo> result;
-  result.reserve(wires_.size());
-  for (const auto& [key, wire] : wires_) {
-    result.push_back(WireInfo{key.first, key.second, wire.to_component, wire.service});
+  for (const auto& [name, component] : children_) {
+    const auto& references = component->info().references;
+    for (std::size_t i = 0; i < references.size(); ++i) {
+      const Component::Binding& slot = component->bindings_[i];
+      if (slot.target == nullptr) continue;
+      result.push_back(WireInfo{name, references[i].name, slot.target->name(),
+                                slot.service});
+    }
   }
+  // (from, reference) order; a type declares its references in any order.
+  std::sort(result.begin(), result.end(),
+            [](const WireInfo& a, const WireInfo& b) {
+              return std::tie(a.from_component, a.reference) <
+                     std::tie(b.from_component, b.reference);
+            });
   return result;
 }
 
 bool Composite::is_wired(const std::string& from,
                          const std::string& reference) const {
-  return wires_.contains(std::make_pair(from, reference));
+  const auto it = children_.find(from);
+  return it != children_.end() && it->second->wired(reference);
 }
 
 Status Composite::validate() const {
@@ -186,21 +204,22 @@ Status Composite::validate() const {
       }
     }
   }
-  for (const auto& [key, wire] : wires_) {
-    const auto from_it = children_.find(key.first);
+  for (const auto& wire : wires()) {
+    const auto from_it = children_.find(wire.from_component);
     const auto to_it = children_.find(wire.to_component);
     if (from_it == children_.end() || to_it == children_.end()) {
       return {ErrorCode::kInternal,
-              strf("dangling wire ", key.first, ".", key.second, " -> ",
-                   wire.to_component, ".", wire.service)};
+              strf("dangling wire ", wire.from_component, ".", wire.reference,
+                   " -> ", wire.to_component, ".", wire.service)};
     }
-    const PortSpec* ref_spec = from_it->second->info().find_reference(key.second);
+    const PortSpec* ref_spec =
+        from_it->second->info().find_reference(wire.reference);
     const PortSpec* svc_spec = to_it->second->info().find_service(wire.service);
     if (ref_spec == nullptr || svc_spec == nullptr ||
         ref_spec->interface_name != svc_spec->interface_name) {
       return {ErrorCode::kInternal,
-              strf("ill-typed wire ", key.first, ".", key.second, " -> ",
-                   wire.to_component, ".", wire.service)};
+              strf("ill-typed wire ", wire.from_component, ".", wire.reference,
+                   " -> ", wire.to_component, ".", wire.service)};
     }
   }
   return Status::ok();
@@ -210,22 +229,6 @@ Value Composite::invoke(const std::string& instance_name,
                         const std::string& service, const std::string& op,
                         const Value& args) {
   return child(instance_name).invoke(service, op, args);
-}
-
-Value Composite::call_reference(const Component& from,
-                                const std::string& reference,
-                                const std::string& op, const Value& args) {
-  if (from.info().find_reference(reference) == nullptr) {
-    throw ComponentError(strf(name_, ": '", from.name(), "' (",
-                              from.type_name(), ") has no reference '",
-                              reference, "'"));
-  }
-  const auto it = wires_.find(std::make_pair(from.name(), reference));
-  if (it == wires_.end()) {
-    throw ComponentError(strf(name_, ": call through unwired reference ",
-                              from.name(), ".", reference));
-  }
-  return child(it->second.to_component).invoke(it->second.service, op, args);
 }
 
 }  // namespace rcs::comp

@@ -4,12 +4,14 @@
 // It exposes its services through dynamic invocation
 // (invoke(service, op, args) -> Value) and reaches other components only
 // through its references (call(reference, op, args)), which the composite
-// resolves through the current wire set. This indirection is the paper's key
-// enabler: a reconfiguration script can replace the component at the other
-// end of a wire between two requests, and the caller never notices.
+// binds to their targets when it makes a wire. This indirection is the
+// paper's key enabler: a reconfiguration script can replace the component at
+// the other end of a wire between two requests, and the caller never notices.
 #pragma once
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "rcs/common/value.hpp"
 #include "rcs/component/ports.hpp"
@@ -63,22 +65,40 @@ class Component {
   virtual void on_stop() {}
   virtual void on_property_changed(const std::string& /*key*/) {}
 
-  /// Call through one of this component's references; resolved by the
-  /// composite against the current wires.
-  Value call(const std::string& reference, const std::string& op,
+  /// Call through one of this component's references: one hop to the
+  /// component the composite bound it to when the wire was made.
+  Value call(std::string_view reference, const std::string& op,
              const Value& args = {});
 
   /// True if the reference is currently wired (for optional references).
-  [[nodiscard]] bool wired(const std::string& reference) const;
+  [[nodiscard]] bool wired(std::string_view reference) const;
 
  private:
   friend class Composite;
+
+  /// Where one reference is wired. Composite::wire fills the slot (after
+  /// checking the target declares the service) and unwire clears it, so the
+  /// slots are the composite's wire set.
+  struct Binding {
+    Component* target{nullptr};
+    std::string service;
+  };
+
+  /// The slot of a declared reference, or null if the type has none by that
+  /// name.
+  [[nodiscard]] Binding* binding(std::string_view reference);
+  [[nodiscard]] const Binding* binding(std::string_view reference) const;
+
+  /// invoke() once the service is known to be declared.
+  Value dispatch(const std::string& service, const std::string& op,
+                 const Value& args);
 
   std::string name_;
   const ComponentTypeInfo* info_{nullptr};
   Composite* composite_{nullptr};
   LifecycleState state_{LifecycleState::kStopped};
   Value properties_{Value::map()};
+  std::vector<Binding> bindings_;  // indexed like info().references
 };
 
 /// A component implemented by a single std::function — handy for tests and

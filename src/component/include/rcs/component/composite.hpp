@@ -67,7 +67,8 @@ class Composite {
 
   /// Connect from.reference -> to.service. Both components must exist, the
   /// ports must be declared, interfaces must match, and the reference must
-  /// not already be wired.
+  /// not already be wired. Binds the reference to `to` directly, so a call
+  /// through it does no lookup.
   void wire(const std::string& from, const std::string& reference,
             const std::string& to, const std::string& service);
   /// Disconnect a reference. Throws if it is not wired.
@@ -98,23 +99,11 @@ class Composite {
                const std::string& op, const Value& args);
 
  private:
-  friend class Component;
-
-  /// Resolve `from_component.reference` through the wire set and invoke the
-  /// target service. Called by Component::call.
-  Value call_reference(const Component& from, const std::string& reference,
-                       const std::string& op, const Value& args);
-
-  struct Wire {
-    std::string to_component;
-    std::string service;
-  };
-
   std::string name_;
   Env env_;
+  // The wires live in the children: each component's per-reference binding
+  // slots (see Component::call).
   std::map<std::string, std::unique_ptr<Component>> children_;
-  // (component name, reference name) -> wire target
-  std::map<std::pair<std::string, std::string>, Wire> wires_;
 };
 
 }  // namespace rcs::comp

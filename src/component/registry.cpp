@@ -26,8 +26,8 @@ ComponentRegistry& ComponentRegistry::instance() {
 
 void ComponentRegistry::register_type(ComponentTypeInfo info) {
   ensure(!info.type_name.empty(), "register_type: empty type name");
-  ensure(static_cast<bool>(info.factory),
-         strf("register_type: type '", info.type_name, "' has no factory"));
+  ensure(static_cast<bool>(info.factory), "register_type: type '",
+         info.type_name, "' has no factory");
   const std::lock_guard<std::mutex> lock(*mutex_);
   // Idempotent re-registration keeps tests simple (register_components() may
   // be called from several fixtures); the first registration wins.

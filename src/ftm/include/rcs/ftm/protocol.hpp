@@ -105,12 +105,26 @@ class ProtocolKernel : public comp::Component {
 
  private:
   /// One in-flight request (client-originated or forwarded by the leader).
+  /// Built in place in pending_ and never copied: the slots point into view.
   struct Ctx {
+    Ctx() = default;
+    Ctx(const Ctx&) = delete;
+    Ctx& operator=(const Ctx&) = delete;
+
     std::string key;
     std::int64_t client{-1};
     std::uint64_t id{0};
-    Value request;
-    Value result;
+    /// The map the bricks get as their ctx argument, built once by
+    /// init_view: key, client, id, request, result, forwarded, role,
+    /// peer_alive, expect, attempt (and trace when traced). The slots below
+    /// point into it; result, expect and attempt are written when they
+    /// change, role and peer_alive by brick_view before each brick call.
+    Value view;
+    Value* result_slot{nullptr};
+    Value* role_slot{nullptr};
+    Value* peer_alive_slot{nullptr};
+    Value* expect_slot{nullptr};
+    Value* attempt_slot{nullptr};
     int phase{0};  // 0=before 1=proceed 2=after 3=done
     /// End-to-end trace id minted by the client and carried through protocol
     /// messages (0 = untraced). Virtual time the current phase started.
@@ -125,6 +139,12 @@ class ProtocolKernel : public comp::Component {
     /// peer messages are needed, and who already answered.
     int expect_remaining{1};
     std::vector<std::int64_t> acked_peers;
+
+    void set_expect(std::string kind) {
+      *expect_slot = kind;
+      expect = std::move(kind);
+    }
+    void bump_attempt() { *attempt_slot = ++attempt; }
   };
 
   // Entry points.
@@ -144,7 +164,10 @@ class ProtocolKernel : public comp::Component {
   // Takes the key BY VALUE: callers pass ctx.key, which lives inside
   // the map entry being erased.
   void finish_and_erase(std::string key);
-  [[nodiscard]] Value ctx_view(const Ctx& ctx) const;
+  /// Build ctx.view (once, with ctx at its final address in pending_).
+  void init_view(Ctx& ctx, Value request) const;
+  /// ctx.view with role and peer_alive brought up to date.
+  const Value& brick_view(Ctx& ctx) const;
   [[nodiscard]] const char* phase_reference(int phase) const;
 
   // Peer group / failover. The replica group is the "peers" property (list

@@ -14,7 +14,7 @@ namespace rcs::ftm {
 
 namespace {
 std::string request_key(std::int64_t client, std::uint64_t id) {
-  return strf("c", client, ":", id);
+  return "c" + std::to_string(client) + ":" + std::to_string(id);
 }
 }  // namespace
 
@@ -86,16 +86,16 @@ void ProtocolKernel::on_peer_retry(const std::string& key) {
   if (!ctx.waiting || ctx.expect.empty()) return;
   // Re-run the waiting phase: the brick re-sends its peer message (a lost
   // checkpoint/exec request) or decides to give up (ctx carries "attempt").
-  ++ctx.attempt;
+  ctx.bump_attempt();
   log().debug("ftm", composite()->name(), ": retrying ", ctx.key, " phase ",
               ctx.phase, " (attempt ", ctx.attempt, ")");
   ctx.waiting = false;
   static constexpr const char* kPhaseOps[] = {"before", "process", "after"};
   const Value status =
-      call(phase_reference(ctx.phase), kPhaseOps[ctx.phase], ctx_view(ctx));
+      call(phase_reference(ctx.phase), kPhaseOps[ctx.phase], brick_view(ctx));
   const std::string& verdict = status.at("status").as_string();
   if (verdict == "done") {
-    if (status.has("result")) ctx.result = status.at("result");
+    if (status.has("result")) *ctx.result_slot = status.at("result");
     advance_phase(ctx);
     advance(ctx);
   } else {
@@ -262,20 +262,20 @@ void ProtocolKernel::start_request(const Value& payload, bool forwarded) {
     return;
   }
 
-  Ctx ctx;
+  auto [it, inserted] = pending_.try_emplace(key);
+  ensure(inserted, "duplicate pending ctx");
+  Ctx& ctx = it->second;
   ctx.key = key;
   ctx.client = client;
   ctx.id = id;
-  ctx.request = payload.at("request");
   ctx.forwarded = forwarded;
   if (tracer_ != nullptr && tracer_->enabled()) {
     ctx.trace =
         static_cast<std::uint64_t>(payload.get_or("trace", Value(0)).as_int());
     ctx.phase_start = host()->sim().now();
   }
-  auto [it, inserted] = pending_.emplace(key, std::move(ctx));
-  ensure(inserted, "duplicate pending ctx");
-  advance(it->second);
+  init_view(ctx, payload.at("request"));
+  advance(ctx);
 }
 
 // ---------------------------------------------------------------------------
@@ -291,13 +291,13 @@ const char* ProtocolKernel::phase_reference(int phase) const {
   }
 }
 
-Value ProtocolKernel::ctx_view(const Ctx& ctx) const {
-  Value view = Value::map();
-  view.set("key", ctx.key)
+void ProtocolKernel::init_view(Ctx& ctx, Value request) const {
+  ctx.view = Value::map();
+  ctx.view.set("key", ctx.key)
       .set("client", ctx.client)
       .set("id", static_cast<std::int64_t>(ctx.id))
-      .set("request", ctx.request)
-      .set("result", ctx.result)
+      .set("request", std::move(request))
+      .set("result", Value{})
       .set("forwarded", ctx.forwarded)
       .set("role", to_string(role_))
       .set("peer_alive", any_peer_alive())
@@ -305,18 +305,29 @@ Value ProtocolKernel::ctx_view(const Ctx& ctx) const {
       .set("attempt", ctx.attempt);
   // The trace id rides along only when one exists, so the untraced hot path
   // builds the exact same view it always did.
-  if (ctx.trace != 0) view.set("trace", static_cast<std::int64_t>(ctx.trace));
-  return view;
+  if (ctx.trace != 0) ctx.view.set("trace", static_cast<std::int64_t>(ctx.trace));
+  ValueMap& slots = ctx.view.as_map();
+  ctx.result_slot = &slots.at("result");
+  ctx.role_slot = &slots.at("role");
+  ctx.peer_alive_slot = &slots.at("peer_alive");
+  ctx.expect_slot = &slots.at("expect");
+  ctx.attempt_slot = &slots.at("attempt");
+}
+
+const Value& ProtocolKernel::brick_view(Ctx& ctx) const {
+  *ctx.role_slot = to_string(role_);
+  *ctx.peer_alive_slot = any_peer_alive();
+  return ctx.view;
 }
 
 void ProtocolKernel::advance(Ctx& ctx) {
   while (ctx.phase < 3) {
     static constexpr const char* kPhaseOps[] = {"before", "process", "after"};
     const Value status =
-        call(phase_reference(ctx.phase), kPhaseOps[ctx.phase], ctx_view(ctx));
+        call(phase_reference(ctx.phase), kPhaseOps[ctx.phase], brick_view(ctx));
     const std::string& verdict = status.at("status").as_string();
     if (verdict == "done") {
-      if (status.has("result")) ctx.result = status.at("result");
+      if (status.has("result")) *ctx.result_slot = status.at("result");
       advance_phase(ctx);
       continue;
     }
@@ -329,11 +340,11 @@ void ProtocolKernel::advance(Ctx& ctx) {
 void ProtocolKernel::apply_brick_status(Ctx& ctx, const Value& status) {
   const std::string& verdict = status.at("status").as_string();
   if (verdict == "wait") {
-    if (status.has("result")) ctx.result = status.at("result");
+    if (status.has("result")) *ctx.result_slot = status.at("result");
     ctx.waiting = true;
     // With an "expect" kind the context waits for a peer message; without
     // one it waits for an explicit control.resume (e.g. a compute timer).
-    ctx.expect = status.get_or("expect", Value("")).as_string();
+    ctx.set_expect(status.get_or("expect", Value("")).as_string());
     ctx.expect_remaining =
         static_cast<int>(status.get_or("expect_count", Value(1)).as_int());
     ctx.acked_peers.clear();
@@ -354,13 +365,13 @@ void ProtocolKernel::apply_brick_status(Ctx& ctx, const Value& status) {
       const Value message = stashed->second;
       stash_.erase(stashed);
       Value args = Value::map();
-      args.set("ctx", ctx_view(ctx)).set("message", message);
+      args.set("ctx", brick_view(ctx)).set("message", message);
       ctx.waiting = false;
       const Value next =
           call(phase_reference(ctx.phase), "on_peer", args);
       const std::string& v = next.at("status").as_string();
       if (v == "done") {
-        if (next.has("result")) ctx.result = next.at("result");
+        if (next.has("result")) *ctx.result_slot = next.at("result");
         advance_phase(ctx);
         advance(ctx);
       } else {
@@ -370,7 +381,7 @@ void ProtocolKernel::apply_brick_status(Ctx& ctx, const Value& status) {
     return;
   }
   if (verdict == "again") {
-    if (status.has("result")) ctx.result = status.at("result");
+    if (status.has("result")) *ctx.result_slot = status.at("result");
     advance(ctx);
     return;
   }
@@ -383,7 +394,7 @@ void ProtocolKernel::apply_brick_status(Ctx& ctx, const Value& status) {
 
 void ProtocolKernel::complete(Ctx& ctx) {
   Value reply = Value::map();
-  reply.set("id", static_cast<std::int64_t>(ctx.id)).set("result", ctx.result);
+  reply.set("id", static_cast<std::int64_t>(ctx.id)).set("result", *ctx.result_slot);
   call("replyLog", "record", Value::map().set("key", ctx.key).set("reply", reply));
   if (!ctx.forwarded && host() != nullptr) {
     host()->send(HostId{static_cast<std::uint32_t>(ctx.client)}, msg::kReply,
@@ -462,11 +473,11 @@ void ProtocolKernel::handle_peer_message(const Value& payload) {
     cancel_peer_retry(ctx);
     ctx.waiting = false;
     Value args = Value::map();
-    args.set("ctx", ctx_view(ctx)).set("message", payload);
+    args.set("ctx", brick_view(ctx)).set("message", payload);
     const Value status = call(phase_reference(ctx.phase), "on_peer", args);
     const std::string& verdict = status.at("status").as_string();
     if (verdict == "done") {
-      if (status.has("result")) ctx.result = status.at("result");
+      if (status.has("result")) *ctx.result_slot = status.at("result");
       advance_phase(ctx);
       advance(ctx);
     } else {
@@ -535,13 +546,13 @@ void ProtocolKernel::set_role(Role role) {
 void ProtocolKernel::rerun_waiting_phase(Ctx& ctx) {
   cancel_peer_retry(ctx);
   ctx.waiting = false;
-  ++ctx.attempt;
+  ctx.bump_attempt();
   static constexpr const char* kPhaseOps[] = {"before", "process", "after"};
   const Value status =
-      call(phase_reference(ctx.phase), kPhaseOps[ctx.phase], ctx_view(ctx));
+      call(phase_reference(ctx.phase), kPhaseOps[ctx.phase], brick_view(ctx));
   const std::string& verdict = status.at("status").as_string();
   if (verdict == "done") {
-    if (status.has("result")) ctx.result = status.at("result");
+    if (status.has("result")) *ctx.result_slot = status.at("result");
     advance_phase(ctx);
     advance(ctx);
   } else {
@@ -674,7 +685,7 @@ Value ProtocolKernel::dispatch_control(const std::string& op, const Value& args)
     }
     cancel_peer_retry(ctx);
     ctx.waiting = false;
-    if (args.has("result")) ctx.result = args.at("result");
+    if (args.has("result")) *ctx.result_slot = args.at("result");
     advance_phase(ctx);
     advance(ctx);
     return {};
@@ -736,7 +747,7 @@ Value ProtocolKernel::dispatch_control(const std::string& op, const Value& args)
     } else {
       out.set("found", true)
           .set("phase", it->second.phase)
-          .set("result", it->second.result);
+          .set("result", *it->second.result_slot);
     }
     return out;
   }

@@ -121,7 +121,7 @@ void ClientFleet::fire(Member& member) {
   } else {
     request = Value::map()
                   .set("op", "put")
-                  .set("key", strf("aux", member.sent % 5))
+                  .set("key", "aux" + std::to_string(member.sent % 5))
                   .set("value", static_cast<std::int64_t>(member.sent));
   }
 

@@ -1,45 +1,10 @@
 // Value::encoded_size() contract: byte-identical to encode().size() for every
 // Value shape, and allocation-free — it prices every simulated message
 // (Network::send), so it must not serialize.
-//
-// The allocation check replaces the global operator new/delete pair with a
-// counting forwarder; replacement is program-wide, which is exactly what we
-// want: ANY heap activity inside encoded_size() trips the counter.
-// GCC flags the malloc/free pairing inside the replaced operators as a
-// mismatched allocation when it inlines them into std containers; the pairing
-// is intentional and correct (new forwards to malloc, delete to free).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "../alloc_counter.hpp"
 #include "rcs/common/value.hpp"
-
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rcs {
 namespace {
@@ -81,9 +46,9 @@ TEST(EncodedSize, MatchesEncodeAcrossAllShapes) {
 TEST(EncodedSize, PerformsZeroHeapAllocations) {
   const auto shapes = all_shapes();
   std::size_t total = 0;
-  const std::size_t before = g_allocations.load();
+  const std::size_t before = test::allocations();
   for (const Value& v : shapes) total += v.encoded_size();
-  EXPECT_EQ(g_allocations.load(), before)
+  EXPECT_EQ(test::allocations(), before)
       << "encoded_size allocated on the heap";
   EXPECT_GT(total, 16384u);  // the big string alone guarantees this
 }

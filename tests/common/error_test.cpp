@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../alloc_counter.hpp"
+
 namespace rcs {
 namespace {
 
@@ -19,6 +21,27 @@ TEST(Error, EnsurePassesOnTrue) {
 
 TEST(Error, EnsureThrowsLogicErrorOnFalse) {
   EXPECT_THROW(ensure(false, "broken invariant"), LogicError);
+}
+
+TEST(Error, FailingEnsureFormatsItsParts) {
+  const std::string name = "kernel";
+  try {
+    ensure(false, "component '", name, "' has ", 3, " refs");
+    FAIL() << "ensure(false, ...) did not throw";
+  } catch (const LogicError& e) {
+    EXPECT_STREQ(e.what(), "component 'kernel' has 3 refs");
+  }
+}
+
+TEST(Error, PassingEnsureNeverAllocates) {
+  // A long std::string part: formatting it would have to allocate.
+  const std::string name(64, 'x');
+  volatile bool holds = true;  // opaque, so the check is really made
+  const std::size_t before = test::allocations();
+  for (int i = 0; i < 100; ++i) {
+    ensure(holds, "component '", name, "' is not inside a composite");
+  }
+  EXPECT_EQ(test::allocations(), before);
 }
 
 TEST(Status, DefaultIsOk) {

@@ -145,6 +145,36 @@ TEST(Value, DecodeRejectsTruncation) {
   EXPECT_THROW((void)Value::decode(encoded), ValueError);
 }
 
+TEST(Value, DecodeRejectsListCountBeyondInput) {
+  // A list header claiming 2^62 elements, in 10 bytes: tag + 9-byte varint.
+  ByteWriter w;
+  w.write_u8(static_cast<std::uint8_t>(Value::Type::kList));
+  w.write_varint(std::uint64_t{1} << 62);
+  const Bytes hostile = w.take();
+  ASSERT_EQ(hostile.size(), 10u);
+  EXPECT_THROW((void)Value::decode(hostile), ValueError);
+}
+
+TEST(Value, DecodeRejectsDeepNesting) {
+  // 100k one-element lists, one inside the other, around a null.
+  Bytes hostile;
+  for (int i = 0; i < 100'000; ++i) {
+    hostile.push_back(static_cast<std::uint8_t>(Value::Type::kList));
+    hostile.push_back(1);
+  }
+  hostile.push_back(static_cast<std::uint8_t>(Value::Type::kNull));
+  EXPECT_THROW((void)Value::decode(hostile), ValueError);
+}
+
+TEST(Value, DecodeAcceptsNestingUpToTheLimit) {
+  Value v;
+  for (int i = 0; i < Value::kMaxDecodeDepth; ++i) {
+    v = Value::map().set("m", std::move(v));
+  }
+  EXPECT_EQ(Value::decode(v.encode()), v);
+  EXPECT_THROW((void)Value::decode(Value(ValueList{v}).encode()), ValueError);
+}
+
 TEST(Value, EncodedSizeMatchesEncodeLength) {
   Value v = Value::map();
   v.set("k", Value(ValueList{Value(1), Value(2), Value(3)}));

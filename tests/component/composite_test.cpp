@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
+#include "../alloc_counter.hpp"
 #include "test_types.hpp"
 
 namespace rcs::comp {
@@ -222,6 +224,137 @@ TEST_F(CompositeFixture, ValidateDetectsUnwiredRequiredReferenceOfStarted) {
 
 TEST_F(CompositeFixture, ValidateOkOnEmptyComposite) {
   EXPECT_TRUE(root.validate().is_ok());
+}
+
+// --- Bound references -------------------------------------------------------
+// Composite::wire binds a reference to its target component; a call is one
+// hop through that binding. These pin what the binding must keep from the
+// name-resolved wire set it replaced.
+
+/// Calls through the reference named by its args (declared or not).
+class Dialer : public Component {
+ public:
+  static ComponentTypeInfo type_info() {
+    ComponentTypeInfo info;
+    info.type_name = "test.dialer";
+    info.services = {{"svc", "I.Echo"}};
+    // Declared out of name order, so wires() has to sort them.
+    info.references = {{"zeta", "I.Echo", /*required=*/false},
+                       {"alpha", "I.Echo", /*required=*/false}};
+    info.factory = [] { return std::make_unique<Dialer>(); };
+    return info;
+  }
+
+ protected:
+  Value on_invoke(const std::string&, const std::string& op,
+                  const Value& args) override {
+    return call(args.as_string(), op);
+  }
+};
+
+std::string error_of(const std::function<void()>& action) {
+  try {
+    action();
+  } catch (const ComponentError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST_F(CompositeFixture, RemoveAndReAddUnderTheSameNameReachesTheNewInstance) {
+  root.add("test.forwarder", "fwd");
+  root.add("test.echo", "echo");
+  root.wire("fwd", "next", "echo", "svc");
+  root.start("echo");
+  root.start("fwd");
+  EXPECT_TRUE(root.invoke("fwd", "svc", "x", {}).is_map());
+
+  root.stop("echo");
+  root.unwire("fwd", "next");
+  root.remove("echo");
+  root.add("test.upper", "echo");
+  root.wire("fwd", "next", "echo", "svc");
+  root.start("echo");
+  EXPECT_EQ(root.invoke("fwd", "svc", "x", {}).as_string(), "upper:x");
+}
+
+TEST_F(CompositeFixture, CallIntoStoppedTargetThrows) {
+  root.add("test.forwarder", "fwd");
+  root.add("test.echo", "echo");
+  root.wire("fwd", "next", "echo", "svc");
+  root.start("fwd");
+  EXPECT_EQ(error_of([&] { root.invoke("fwd", "svc", "x", {}); }),
+            "invoke on stopped component 'echo' (test.echo), service 'svc'");
+  root.start("echo");
+  root.stop("echo");
+  EXPECT_THROW(root.invoke("fwd", "svc", "x", {}), ComponentError);
+}
+
+TEST_F(CompositeFixture, UnwiredAndUndeclaredReferencesKeepTheirMessages) {
+  registry.register_type(Dialer::type_info());
+  root.add("test.dialer", "dialer");
+  root.start("dialer");
+  EXPECT_EQ(error_of([&] { root.invoke("dialer", "svc", "x", Value("alpha")); }),
+            "root: call through unwired reference dialer.alpha");
+  EXPECT_EQ(error_of([&] { root.invoke("dialer", "svc", "x", Value("nope")); }),
+            "root: 'dialer' (test.dialer) has no reference 'nope'");
+
+  root.add("test.forwarder", "fwd");
+  root.add("test.echo", "echo");
+  root.wire("fwd", "next", "echo", "svc");
+  root.start("echo");
+  root.start("fwd");
+  root.unwire("fwd", "next");
+  EXPECT_EQ(error_of([&] { root.invoke("fwd", "svc", "x", {}); }),
+            "root: call through unwired reference fwd.next");
+}
+
+TEST_F(CompositeFixture, WiresListInFromThenReferenceOrder) {
+  registry.register_type(Dialer::type_info());
+  root.add("test.dialer", "dialer");
+  root.add("test.forwarder", "fwd");
+  root.add("test.echo", "echo");
+  root.add("test.upper", "upper");
+  root.wire("fwd", "next", "upper", "svc");
+  root.wire("dialer", "zeta", "upper", "svc");
+  root.wire("dialer", "alpha", "echo", "svc");
+  EXPECT_EQ(root.wires(), (std::vector<WireInfo>{
+                              {"dialer", "alpha", "echo", "svc"},
+                              {"dialer", "zeta", "upper", "svc"},
+                              {"fwd", "next", "upper", "svc"},
+                          }));
+  EXPECT_TRUE(root.is_wired("dialer", "zeta"));
+  EXPECT_FALSE(root.is_wired("dialer", "nope"));
+  EXPECT_FALSE(root.is_wired("ghost", "zeta"));
+  EXPECT_THROW(root.remove("upper"), ComponentError);  // wired as target
+}
+
+TEST_F(CompositeFixture, CallThroughBoundWireMakesNoHeapAllocation) {
+  // The allocation gate of the request path's component layer: a call from
+  // a started component through a bound wire into a LambdaComponent that
+  // returns null allocates nothing (strings built up front, outside the
+  // counted window).
+  registry.register_type(LambdaComponent::make_type(
+      "test.null", {{"svc", "I.Echo"}}, {},
+      [](const std::string&, const std::string&, const Value&) {
+        return Value{};
+      }));
+  root.add("test.forwarder", "fwd");
+  root.add("test.null", "sink");
+  root.wire("fwd", "next", "sink", "svc");
+  root.start("sink");
+  root.start("fwd");
+  const std::string fwd = "fwd";
+  const std::string svc = "svc";
+  const std::string op = "a-long-operation-name-beyond-sso";
+  const Value args;
+  int nulls = 0;
+  const std::size_t before = test::allocations();
+  for (int i = 0; i < 100; ++i) {
+    nulls += root.invoke(fwd, svc, op, args).is_null() ? 1 : 0;
+  }
+  EXPECT_EQ(test::allocations(), before);
+  EXPECT_EQ(nulls, 100);
 }
 
 TEST_F(CompositeFixture, ChildLookupFailureThrows) {

@@ -148,6 +148,23 @@ TEST_F(InterpreterFixture, FailedScriptRollsBackEverything) {
   EXPECT_EQ(root.invoke("fwd", "svc", "x", Value(1)).at("op").as_string(), "x");
 }
 
+TEST_F(InterpreterFixture, FailedRewireRollsBackToTheOldTarget) {
+  deploy_pipeline();
+  const auto before = snapshot();
+  EXPECT_THROW(Interpreter::run_source(R"(
+    add("test.upper", "upper");
+    start("upper");
+    unwire("fwd", "next");
+    wire("fwd", "next", "upper", "svc");
+    require false;
+  )",
+                                       root),
+               ScriptException);
+  EXPECT_EQ(snapshot(), before);
+  // The rolled-back binding reaches echo again, not the removed upper.
+  EXPECT_EQ(root.invoke("fwd", "svc", "x", Value(1)).at("op").as_string(), "x");
+}
+
 TEST_F(InterpreterFixture, RequireFailureMidScriptRollsBack) {
   deploy_pipeline();
   const auto before = snapshot();
