@@ -11,10 +11,12 @@
 // encoding (used for checkpoints and for sizing simulated network traffic).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <initializer_list>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -25,7 +27,58 @@ namespace rcs {
 class Value;
 
 using ValueList = std::vector<Value>;
-using ValueMap = std::map<std::string, Value>;
+
+/// String-keyed map of Values: one key-sorted vector, so a map costs one heap
+/// allocation however many entries it holds, and a copy costs one more.
+/// Iteration is in byte-lexicographic key order, exactly as std::map's, which
+/// keeps encodings and digests canonical. Inserting keys in ascending order
+/// (literal set chains, copies, decode) appends in O(1).
+///
+/// Unlike std::map, any insert or erase invalidates references, pointers and
+/// iterators into the map (the entries move). Do not hold one across a set,
+/// operator[] of a new key, emplace or erase on the same map. Keys reached
+/// through iterators must not be modified.
+class ValueMap {
+ public:
+  using value_type = std::pair<std::string, Value>;
+  using iterator = std::vector<value_type>::iterator;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  ValueMap() = default;
+  /// As with std::map, the first of two equal keys wins.
+  ValueMap(std::initializer_list<value_type> entries);
+
+  [[nodiscard]] iterator begin() { return entries_.begin(); }
+  [[nodiscard]] iterator end() { return entries_.end(); }
+  [[nodiscard]] const_iterator begin() const { return entries_.begin(); }
+  [[nodiscard]] const_iterator end() const { return entries_.end(); }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
+  void clear() { entries_.clear(); }
+  void reserve(std::size_t n) { entries_.reserve(n); }
+
+  [[nodiscard]] iterator find(std::string_view key);
+  [[nodiscard]] const_iterator find(std::string_view key) const;
+  [[nodiscard]] bool contains(std::string_view key) const;
+  /// Throws ValueError if the key is missing.
+  [[nodiscard]] Value& at(std::string_view key);
+  [[nodiscard]] const Value& at(std::string_view key) const;
+  /// The entry for key, inserted as null if missing.
+  Value& operator[](std::string_view key);
+  /// Inserts unless the key is present; either way returns its entry.
+  std::pair<iterator, bool> emplace(std::string key, Value value);
+  /// Number of entries removed (0 or 1).
+  std::size_t erase(std::string_view key);
+
+  friend bool operator==(const ValueMap& a, const ValueMap& b);
+
+ private:
+  /// First entry whose key is not less than key.
+  [[nodiscard]] iterator lower_bound(std::string_view key);
+  iterator insert_at(iterator pos, std::string key, Value value);
+
+  std::vector<value_type> entries_;
+};
 
 class Value {
  public:
@@ -84,13 +137,20 @@ class Value {
   [[nodiscard]] ValueMap& as_map();
 
   // --- Map helpers -----------------------------------------------------
-  [[nodiscard]] bool has(const std::string& key) const;
+  // A member reference stays valid only until the next insert into or erase
+  // from the same map (see ValueMap).
+  [[nodiscard]] bool has(std::string_view key) const;
   /// Member lookup; throws ValueError if not a map or key missing.
-  [[nodiscard]] const Value& at(const std::string& key) const;
+  [[nodiscard]] const Value& at(std::string_view key) const;
   /// Member lookup with default for missing keys (still throws if not map).
-  [[nodiscard]] Value get_or(const std::string& key, Value fallback) const;
+  [[nodiscard]] Value get_or(std::string_view key, Value fallback) const;
   /// Insert/overwrite a member. A null Value silently becomes a map first.
-  Value& set(const std::string& key, Value v);
+  Value& set(std::string_view key, Value v) &;
+  /// On a temporary, so that `return Value::map().set(...)` moves the map
+  /// out instead of copying it.
+  Value&& set(std::string_view key, Value v) && {
+    return std::move(set(key, std::move(v)));
+  }
 
   // --- List helpers ----------------------------------------------------
   Value& push_back(Value v);
@@ -127,5 +187,59 @@ class Value {
 
   Storage data_{nullptr};
 };
+
+// ValueMap members that touch entries need Value complete.
+
+inline ValueMap::iterator ValueMap::lower_bound(std::string_view key) {
+  // Appending in key order is the common case: skip the search.
+  if (entries_.empty() || std::string_view(entries_.back().first) < key) {
+    return entries_.end();
+  }
+  return std::lower_bound(entries_.begin(), entries_.end(), key,
+                          [](const value_type& e, std::string_view k) {
+                            return std::string_view(e.first) < k;
+                          });
+}
+
+inline ValueMap::iterator ValueMap::find(std::string_view key) {
+  const auto it = lower_bound(key);
+  return it != entries_.end() && it->first == key ? it : entries_.end();
+}
+
+inline ValueMap::const_iterator ValueMap::find(std::string_view key) const {
+  return const_cast<ValueMap*>(this)->find(key);
+}
+
+inline bool ValueMap::contains(std::string_view key) const {
+  return find(key) != end();
+}
+
+inline ValueMap::iterator ValueMap::insert_at(iterator pos, std::string key,
+                                              Value value) {
+  // A status directive, a call's args or a reply fits the first block.
+  if (entries_.capacity() == 0) {
+    entries_.reserve(4);
+    pos = entries_.begin();
+  }
+  return entries_.emplace(pos, std::move(key), std::move(value));
+}
+
+inline Value& ValueMap::operator[](std::string_view key) {
+  const auto it = lower_bound(key);
+  if (it != entries_.end() && it->first == key) return it->second;
+  // The key is copied before the entries move: it may view one of them.
+  return insert_at(it, std::string(key), Value{})->second;
+}
+
+inline std::pair<ValueMap::iterator, bool> ValueMap::emplace(std::string key,
+                                                            Value value) {
+  const auto it = lower_bound(key);
+  if (it != entries_.end() && it->first == key) return {it, false};
+  return {insert_at(it, std::move(key), std::move(value)), true};
+}
+
+inline bool operator==(const ValueMap& a, const ValueMap& b) {
+  return a.entries_ == b.entries_;
+}
 
 }  // namespace rcs

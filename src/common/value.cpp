@@ -8,6 +8,28 @@
 
 namespace rcs {
 
+ValueMap::ValueMap(std::initializer_list<value_type> entries) {
+  entries_.reserve(entries.size());
+  for (const auto& [k, v] : entries) emplace(k, v);
+}
+
+Value& ValueMap::at(std::string_view key) {
+  const auto it = find(key);
+  if (it == end()) throw ValueError(strf("ValueMap::at: missing key '", key, "'"));
+  return it->second;
+}
+
+const Value& ValueMap::at(std::string_view key) const {
+  return const_cast<ValueMap*>(this)->at(key);
+}
+
+std::size_t ValueMap::erase(std::string_view key) {
+  const auto it = find(key);
+  if (it == end()) return 0;
+  entries_.erase(it);
+  return 1;
+}
+
 const char* Value::type_name(Type t) {
   switch (t) {
     case Type::kNull: return "null";
@@ -73,11 +95,11 @@ ValueMap& Value::as_map() {
   return std::get<ValueMap>(data_);
 }
 
-bool Value::has(const std::string& key) const {
+bool Value::has(std::string_view key) const {
   return is_map() && as_map().contains(key);
 }
 
-const Value& Value::at(const std::string& key) const {
+const Value& Value::at(std::string_view key) const {
   const auto& m = as_map();
   const auto it = m.find(key);
   if (it == m.end()) {
@@ -86,13 +108,13 @@ const Value& Value::at(const std::string& key) const {
   return it->second;
 }
 
-Value Value::get_or(const std::string& key, Value fallback) const {
+Value Value::get_or(std::string_view key, Value fallback) const {
   const auto& m = as_map();
   const auto it = m.find(key);
   return it == m.end() ? std::move(fallback) : it->second;
 }
 
-Value& Value::set(const std::string& key, Value v) {
+Value& Value::set(std::string_view key, Value v) & {
   if (is_null()) data_ = ValueMap{};
   as_map()[key] = std::move(v);
   return *this;
@@ -208,9 +230,21 @@ Value Value::decode(ByteReader& r, int depth) {
     }
     case Type::kMap: {
       const auto n = r.read_varint();
+      // Every entry takes at least a key-length byte and a tag byte.
+      if (n > r.remaining() / 2) {
+        throw ValueError(strf("Value::decode: map of ", n, " entries in ",
+                              r.remaining(), " bytes"));
+      }
       ValueMap m;
+      m.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i) {
         auto key = r.read_string();
+        // encode() writes keys strictly ascending; demanding the same keeps
+        // every encoding canonical and every insert an O(1) append.
+        if (!m.empty() && key <= std::prev(m.end())->first) {
+          throw ValueError(strf("Value::decode: map key '", key,
+                                "' out of order"));
+        }
         m.emplace(std::move(key), decode(r, depth + 1));
       }
       return Value(std::move(m));

@@ -306,6 +306,9 @@ void ProtocolKernel::init_view(Ctx& ctx, Value request) const {
   // The trace id rides along only when one exists, so the untraced hot path
   // builds the exact same view it always did.
   if (ctx.trace != 0) ctx.view.set("trace", static_cast<std::int64_t>(ctx.trace));
+  // The slots point into the map's entry vector, which an insert or erase
+  // moves. Every key, "trace" included, is in before they are taken, and the
+  // view only has existing entries overwritten from here on.
   ValueMap& slots = ctx.view.as_map();
   ctx.result_slot = &slots.at("result");
   ctx.role_slot = &slots.at("role");

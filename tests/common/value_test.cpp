@@ -155,6 +155,36 @@ TEST(Value, DecodeRejectsListCountBeyondInput) {
   EXPECT_THROW((void)Value::decode(hostile), ValueError);
 }
 
+TEST(Value, DecodeRejectsMapCountBeyondInput) {
+  // A map header claiming 2^62 entries, in 10 bytes: tag + 9-byte varint.
+  ByteWriter w;
+  w.write_u8(static_cast<std::uint8_t>(Value::Type::kMap));
+  w.write_varint(std::uint64_t{1} << 62);
+  const Bytes hostile = w.take();
+  ASSERT_EQ(hostile.size(), 10u);
+  EXPECT_THROW((void)Value::decode(hostile), ValueError);
+}
+
+// A map encoding with the given keys in the given order, each mapped to null.
+Bytes raw_map(const std::vector<std::string>& keys) {
+  ByteWriter w;
+  w.write_u8(static_cast<std::uint8_t>(Value::Type::kMap));
+  w.write_varint(keys.size());
+  for (const auto& k : keys) {
+    w.write_string(k);
+    w.write_u8(static_cast<std::uint8_t>(Value::Type::kNull));
+  }
+  return w.take();
+}
+
+TEST(Value, DecodeRequiresStrictlyAscendingMapKeys) {
+  EXPECT_EQ(Value::decode(raw_map({"a", "ab", "b"})),
+            Value::map().set("b", {}).set("a", {}).set("ab", {}));
+  EXPECT_THROW((void)Value::decode(raw_map({"b", "a"})), ValueError);
+  EXPECT_THROW((void)Value::decode(raw_map({"a", "b", "b"})), ValueError);
+  EXPECT_THROW((void)Value::decode(raw_map({"", ""})), ValueError);
+}
+
 TEST(Value, DecodeRejectsDeepNesting) {
   // 100k one-element lists, one inside the other, around a null.
   Bytes hostile;

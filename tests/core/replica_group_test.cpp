@@ -42,6 +42,35 @@ TEST_F(GroupFixture, ThreeReplicaPbrServesAndCheckpointsToAllBackups) {
   EXPECT_EQ(system.agent(2).runtime().kernel().counters().checkpoints_applied, 3u);
 }
 
+TEST_F(GroupFixture, TracedPbrRequestSurvivesALostCheckpointToOneBackup) {
+  // The kernel's ctx view carries the "trace" key and is written in place
+  // through slot pointers while the request waits for both acks and retries
+  // the lost checkpoint once; the sanitizer build checks those writes.
+  system.sim().tracer().set_enabled(true);
+  ASSERT_TRUE(system.deploy_and_wait(FtmConfig::pbr()).ok);
+  auto& primary = system.agent(0).runtime().kernel();
+  const auto sent_before = primary.counters().checkpoints_sent.value();
+
+  auto& link = system.sim().network().link(system.replica(0).id(),
+                                           system.replica(2).id());
+  link.drop_rate = 1.0;
+  Value reply;
+  system.client().send(kv_incr(), [&](const Value& r) { reply = r; });
+  system.sim().run_for(50 * sim::kMillisecond);  // checkpoint sent and lost
+  link.drop_rate = 0.0;
+  system.sim().run_for(2 * sim::kSecond);
+
+  ASSERT_TRUE(reply.is_map());
+  ASSERT_FALSE(reply.has("error")) << reply.to_string();
+  EXPECT_EQ(reply.at("result").at("value").as_int(), 1);
+  EXPECT_EQ(primary.counters().checkpoints_sent.value() - sent_before, 2u)
+      << "one retry after the lost checkpoint";
+  EXPECT_EQ(system.agent(2).runtime().kernel().counters().checkpoints_applied.value(), 1u);
+  EXPECT_EQ(primary.in_flight(), 0u);
+  EXPECT_EQ(system.client().stats().retries, 0u);
+  EXPECT_GT(system.sim().tracer().recorded(), 0u);
+}
+
 TEST_F(GroupFixture, CascadedFailoverByRank) {
   // The paper's duplex tolerates ONE crash; a 3-replica group tolerates two,
   // promoting deterministically by lowest live host id.
