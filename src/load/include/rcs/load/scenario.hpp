@@ -53,8 +53,6 @@ struct AdaptScenarioOptions {
   /// Pending-event depth hint passed to EventLoop::reserve() before the
   /// scenario starts (clients, detectors, checkpoint + monitoring timers).
   std::size_t queue_depth_hint{4096};
-  /// Worker threads for the simulation's partition windows (0 = serial).
-  int threads{0};
 };
 
 struct AdaptScenarioResult {
@@ -80,8 +78,6 @@ struct AdaptScenarioResult {
   std::size_t peak_queue_depth{0};
   /// Timer-wheel traffic counters for load_runner's stderr summary.
   sim::EventLoop::WheelStats wheel{};
-  /// Parallel-window accounting (all-zero for unpartitioned serial runs).
-  sim::Simulation::ParallelStats parallel{};
   bool passed{false};
 };
 

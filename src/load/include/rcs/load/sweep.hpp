@@ -49,10 +49,6 @@ struct SweepOptions {
   /// ramp: roughly one in-flight timer set per client plus detector and
   /// checkpoint timers, with headroom for the saturated tail of the ramp.
   std::size_t queue_depth_hint{4096};
-  /// Worker threads for the simulation's partition windows (0 = serial).
-  /// The ramp deploys a single partition, so results are byte-identical at
-  /// any thread count; threaded runs exercise the pool (e.g. under TSan).
-  int threads{0};
 };
 
 struct SweepPoint {
@@ -85,8 +81,6 @@ struct SweepResult {
   std::size_t peak_queue_depth{0};
   /// Timer-wheel traffic counters for load_runner's stderr summary.
   sim::EventLoop::WheelStats wheel{};
-  /// Parallel-window accounting (all-zero for unpartitioned serial runs).
-  sim::Simulation::ParallelStats parallel{};
 
   [[nodiscard]] double knee_offered_rps() const {
     return knee_index < 0 ? 0.0

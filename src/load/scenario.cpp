@@ -49,7 +49,6 @@ AdaptScenarioResult run_adapt_scenario(const AdaptScenarioOptions& options) {
   sys.thresholds.utilization_high = 0.5;
   sys.thresholds.utilization_low = 0.15;
   core::ResilientSystem system(sys);
-  system.sim().set_threads(options.threads);
   system.sim().loop().reserve(options.queue_depth_hint);
   if (options.record_trace) system.sim().tracer().set_enabled(true);
 
@@ -173,7 +172,6 @@ AdaptScenarioResult run_adapt_scenario(const AdaptScenarioOptions& options) {
   result.events = sim.loop().processed();
   result.peak_queue_depth = sim.loop().peak_pending();
   result.wheel = sim.loop().wheel_stats();
-  result.parallel = sim.parallel_stats();
   result.passed = result.report.ok();
   if (options.record_trace) {
     result.trace_json = sim.tracer().export_chrome_json();

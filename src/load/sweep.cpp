@@ -55,7 +55,6 @@ SweepResult run_sweep(const SweepOptions& options) {
   sys.replica_bandwidth_bps = options.replica_bandwidth_bps;
   sys.start_monitoring = false;  // the sweep measures, it does not adapt
   core::ResilientSystem system(sys);
-  system.sim().set_threads(options.threads);
   system.sim().loop().reserve(options.queue_depth_hint);
   for (std::size_t i = 0; i < system.replica_count(); ++i) {
     system.replica(i).capacity().cpu_speed = options.cpu_speed;
@@ -157,7 +156,6 @@ SweepResult run_sweep(const SweepOptions& options) {
   result.events = sim.loop().processed();
   result.peak_queue_depth = sim.loop().peak_pending();
   result.wheel = sim.loop().wheel_stats();
-  result.parallel = sim.parallel_stats();
   return result;
 }
 

@@ -401,38 +401,6 @@ std::size_t EventLoop::run_until(Time t) {
   return n;
 }
 
-Time EventLoop::next_event_bound() const {
-  if (live_ == 0) return kNoEvent;
-  // Mid-drain state (scratch entries, a primed direct_ slot) only exists
-  // inside pop_and_run; between runs the conservative answer is "now".
-  if (draining_ || direct_ != kNil) return now_;
-  // The first nonempty bucket scanning levels 0..3 from the cursor's index
-  // is the earliest wheel-wide (the advance_to_next_instant invariant: every
-  // occupied slot sits at or after the cursor's index, so lower levels hold
-  // nothing earlier). Level 0 gives the exact instant; a higher level's
-  // bucket start is a valid lower bound.
-  for (int level = 0; level < kLevels; ++level) {
-    if (nonempty_[static_cast<std::size_t>(level)] == 0) continue;
-    const int slot = next_occupied(
-        level, static_cast<std::uint32_t>(static_cast<std::uint64_t>(cur_) >>
-                                          (level * kSlotBits)) &
-                   kSlotMask);
-    if (slot < 0) continue;
-    const std::uint64_t span = 1ull << ((level + 1) * kSlotBits);
-    Time bound = static_cast<Time>(
-        (static_cast<std::uint64_t>(cur_) & ~(span - 1)) |
-        (static_cast<std::uint64_t>(slot) << (level * kSlotBits)));
-    if (!overflow_.empty()) bound = std::min(bound, overflow_.front().at);
-    // A bucket's start (or a cancelled overflow leftover) can precede the
-    // clock; nothing pending is actually in the past.
-    return std::max(bound, now_);
-  }
-  // Wheel empty: everything pending waits in the overflow heap. The front
-  // may be a cancelled leftover, but a stale (earlier) timestamp is still a
-  // lower bound.
-  return overflow_.empty() ? kNoEvent : std::max(overflow_.front().at, now_);
-}
-
 void EventLoop::reserve(std::size_t n) {
   slots_.reserve(n);
   scratch_.reserve(n);

@@ -8,18 +8,13 @@
 
 namespace rcs::sim {
 
-// Host-targeted fault events run on the target host's own wheel: under a
-// partitioned run the host's state is then only ever mutated by the
-// partition that owns it, and the event interleaves with the host's workload
-// exactly as in the serial simulation.
-
 void FaultInjector::crash_at(HostId host, Time t) {
-  sim_.loop_for(host).schedule_at(
+  sim_.schedule_at(
       t, [this, host] { sim_.host(host).crash(); }, "fault.crash");
 }
 
 void FaultInjector::restart_at(HostId host, Time t) {
-  sim_.loop_for(host).schedule_at(
+  sim_.schedule_at(
       t,
       [this, host] {
         Host& h = sim_.host(host);
@@ -29,7 +24,7 @@ void FaultInjector::restart_at(HostId host, Time t) {
 }
 
 void FaultInjector::transient_at(HostId host, Time t, int count) {
-  sim_.loop_for(host).schedule_at(
+  sim_.schedule_at(
       t,
       [this, host, count] {
         Host& h = sim_.host(host);
@@ -40,7 +35,7 @@ void FaultInjector::transient_at(HostId host, Time t, int count) {
 }
 
 void FaultInjector::permanent_at(HostId host, Time t, bool on) {
-  sim_.loop_for(host).schedule_at(
+  sim_.schedule_at(
       t,
       [this, host, on] {
         Host& h = sim_.host(host);

@@ -15,16 +15,9 @@
 // vector indexed by host id. Entries are stored in a deque, so references
 // handed out by link() stay valid forever (as they did with std::map).
 //
-// Parallel execution (conservative DES): when the owning Simulation runs
-// more than one host partition, every per-link quantity a sender touches is
-// directional — stats and transmitter-free times live in per-direction slots
-// written only by the sending side's partition, and the global byte counter
-// is striped per partition — so concurrent windows never write shared
-// memory. Cross-partition sends inside a window are not scheduled directly:
-// they are appended to the sending partition's outbox and merged at the
-// window barrier in (timestamp, seq, partition) order, which makes delivery
-// order a function of the partition assignment alone, never of thread count
-// or OS scheduling.
+// Every delivered copy is one event on the Simulation's timer wheel, and every
+// random draw (loss, jitter, reordering, duplication) comes from its one rng
+// stream, so delivery order is a function of the seed alone.
 #pragma once
 
 #include <cstdint>
@@ -103,9 +96,7 @@ class Network {
 
   /// Parameters of the (symmetric) link between two hosts. Creates the link
   /// with default parameters on first access; the reference stays valid for
-  /// the lifetime of the Network. While a multi-partition window is running
-  /// the table is frozen: touching a link that was never materialized throws
-  /// instead of racing a rehash.
+  /// the lifetime of the Network.
   LinkParams& link(HostId a, HostId b);
   [[nodiscard]] const LinkParams& link(HostId a, HostId b) const;
 
@@ -116,11 +107,11 @@ class Network {
 
   /// Cumulative stats of a link / a host. Pure observers: an untouched link
   /// or host reads as all-zero without materializing an entry. link_stats
-  /// returns a merged snapshot of both directions by value — refetch after
+  /// counts both directions and returns a snapshot by value — refetch after
   /// running events rather than holding it across a run.
   [[nodiscard]] LinkStats link_stats(HostId a, HostId b) const;
   [[nodiscard]] const HostTraffic& traffic(HostId h) const;
-  [[nodiscard]] std::uint64_t total_bytes() const;
+  [[nodiscard]] std::uint64_t total_bytes() const { return total_bytes_; }
 
   /// Zero the cumulative per-link and per-host accounting (e.g. between
   /// measurement phases). Byte counters observed by the monitoring engine
@@ -128,92 +119,18 @@ class Network {
   /// and transmitter backlogs are untouched.
   void reset_stats();
 
-  // --- Conservative parallel execution (driven by Simulation) -------------
-
-  /// One cross-partition delivery captured during a window, merged at the
-  /// barrier in (at, seq, partition) order. seq is a per-source-partition
-  /// send counter, so the triple is unique and the merge is a strict total
-  /// order independent of thread count.
-  struct PendingDelivery {
-    Time at{0};
-    std::uint64_t seq{0};
-    std::uint32_t partition{0};
-    Message message;
-  };
-
-  /// Size the per-partition outboxes and byte-counter stripes. Called by
-  /// Simulation whenever the partition count grows; setup-time only.
-  void ensure_partitions(int partitions);
-
-  /// Enter windowed execution with `partitions` concurrent partitions.
-  /// With more than one partition this pre-sizes the per-host traffic table
-  /// and freezes the link table (structural growth would race lookups).
-  void begin_parallel(int partitions);
-  void end_parallel();
-
-  /// Conservative lookahead: the minimum configured latency over every
-  /// materialized cross-partition link. Only materialized links matter —
-  /// touching an unmaterialized link during a frozen window throws before
-  /// any message can travel it, so nothing else bounds the window. Returns
-  /// kMaxDuration when no materialized cross link exists.
-  [[nodiscard]] Duration cross_partition_lookahead() const;
-  static constexpr Duration kMaxDuration = INT64_MAX;
-
-  /// One materialized link, for topology-driven partition assignment.
-  struct LinkInfo {
-    HostId a;
-    HostId b;
-    Duration latency{0};
-  };
-  /// Every materialized link, in materialization order (deterministic).
-  [[nodiscard]] std::vector<LinkInfo> materialized_links() const;
-
-  /// Whether any partition outbox holds a captured delivery. Called at a
-  /// round barrier while every partition is quiescent (the caller's
-  /// synchronization makes the outbox writes visible).
-  [[nodiscard]] bool has_pending_outbox() const;
-
-  /// Result of a window-boundary merge: deliveries scheduled, the earliest
-  /// timestamp among them (kMaxDuration when count == 0), and how many
-  /// partition outboxes contributed (the merge depth).
-  struct MergeResult {
-    std::size_t count{0};
-    Time min_at{kMaxDuration};
-    std::size_t outboxes{0};
-  };
-
-  /// Drain every partition outbox into the destination loops, ordered by
-  /// (at, seq, partition): each outbox is sorted in place, then a
-  /// preallocated k-way cursor merge schedules deliveries directly — no
-  /// global collect-and-sort. Runs on the coordinating thread at a window
-  /// barrier while all workers are quiescent.
-  MergeResult merge_window();
-
  private:
-  /// All per-link state: parameters, per-direction stats, and the
-  /// per-direction time at which the transmitter becomes free again.
-  /// Sending while the transmitter is busy queues behind earlier frames, so
-  /// sustained overload shows up as growing latency (and the saturation
-  /// probes measure something physical). Direction slot 0 is low-id ->
-  /// high-id traffic, slot 1 the reverse; a slot is only ever written by the
-  /// partition that owns the sending host, which is what keeps concurrent
-  /// windows race-free on a cross-partition link.
+  /// All per-link state: parameters, stats, and the per-direction time at
+  /// which the transmitter becomes free again. Sending while the
+  /// transmitter is busy queues behind earlier frames, so sustained overload
+  /// shows up as growing latency (and the saturation probes measure
+  /// something physical).
   struct LinkEntry {
     std::uint64_t key{0};
     LinkParams params;
-    LinkStats stats[2];
+    LinkStats stats;
+    /// [0]: low-id -> high-id direction, [1]: the reverse.
     Time tx_free[2]{0, 0};
-  };
-
-  /// Per-partition cross-window outbox, padded to its own cache line.
-  struct alignas(64) Outbox {
-    std::vector<PendingDelivery> entries;
-    std::uint64_t next_seq{0};
-  };
-
-  /// Per-partition stripe of the global byte counter.
-  struct alignas(64) ByteStripe {
-    std::uint64_t bytes{0};
   };
 
   /// Undirected link key: (min(a,b) << 32) | max(a,b).
@@ -230,7 +147,7 @@ class Network {
 
   /// Receiver-side accounting + dispatch of one delivered copy.
   void deliver_copy(const Message& message);
-  /// Schedule one delivered copy on the destination host's loop at `at`.
+  /// Schedule one delivered copy at `at`.
   void schedule_delivery(Time at, Message message, bool duplicate);
 
   Simulation& sim_;
@@ -243,16 +160,7 @@ class Network {
   std::deque<LinkEntry> entries_;
   /// Dense per-host accounting, indexed by host id.
   std::vector<HostTraffic> traffic_;
-  /// Global byte counter, striped per partition (single stripe when serial).
-  std::vector<ByteStripe> byte_stripes_{1};
-  std::vector<Outbox> outboxes_;
-  /// Cursor per nonempty outbox during a k-way merge (outbox index, next
-  /// entry position); reused across merges so a merge never allocates.
-  std::vector<std::pair<std::size_t, std::size_t>> merge_cursors_;
-  /// True between begin_parallel/end_parallel with >= 2 partitions: route
-  /// cross-partition sends into outboxes and reject link materialization.
-  bool windowed_{false};
-  bool frozen_{false};
+  std::uint64_t total_bytes_{0};
 };
 
 }  // namespace rcs::sim

@@ -6,29 +6,11 @@
 // run_for(). Constructing a Simulation installs its virtual clock as the
 // logging time source; destruction restores the previous source.
 //
-// Parallel execution (conservative DES): hosts can be assigned to partitions
-// (set_partition — per FTM group by default in multi-group deployments), and
-// each partition owns its own timer wheel and rng stream. run_until then
-// advances every partition in lockstep windows no longer than the minimum
-// cross-partition link latency (the conservative lookahead), executing the
-// partitions on a worker pool (set_threads) and merging cross-partition
-// deliveries deterministically at each window barrier. Everything that can
-// influence event order is a function of the partition assignment and the
-// seed — never of the thread count — so a partitioned run emits identical
-// bytes with --threads 1 and --threads 8, and an unpartitioned simulation is
-// bit-for-bit the serial simulation it always was.
-//
-// Determinism contract and caveats:
-//  - Assign partitions at setup time, before scheduling workload: a host's
-//    timers live on its partition's wheel.
-//  - Materialize every link (Network::link) a partitioned run will use; the
-//    link table is frozen during multi-partition windows.
-//  - Per-partition rng streams are derived from the seed and the partition
-//    index, so repartitioning changes the random sequence (but any thread
-//    count replays it identically).
-//  - Host state, link params and the fsim/tracer planes are single-writer
-//    per partition; cross-partition fault windows (partition_at /
-//    degrade_link_at across partitions) require a serial run.
+// Execution is one single-threaded timer wheel (EventLoop) and one seeded rng
+// stream: the same seed replays the same run byte for byte. Several
+// Simulations may run side by side on different threads (chaos_runner
+// --jobs); they share only the process-wide, lock-guarded registries
+// (message-type interner, component types, log sinks).
 #pragma once
 
 #include <memory>
@@ -45,16 +27,7 @@
 #include "rcs/sim/network.hpp"
 #include "rcs/sim/time.hpp"
 
-#include <deque>
-
 namespace rcs::sim {
-
-class ParallelRuntime;
-/// Out-of-line deleter so Simulation's unique_ptr member compiles in TUs
-/// where ParallelRuntime is incomplete (it lives in parallel.cpp).
-struct ParallelRuntimeDeleter {
-  void operator()(ParallelRuntime* runtime) const;
-};
 
 class Simulation {
  public:
@@ -72,140 +45,24 @@ class Simulation {
 
   Network& network() { return network_; }
 
-  // --- Partitioned parallel execution -------------------------------------
-  /// Assign `host` to a partition (default: every host in partition 0, which
-  /// is the serial simulation). Call at setup time, before scheduling the
-  /// host's workload; partitions must form a dense range starting at 0.
-  void set_partition(HostId host, int partition);
-
-  /// Topology-driven partition auto-assignment: cluster hosts joined by
-  /// sub-lookahead links (greedy threshold over the materialized link
-  /// table), bin-pack the clusters into at most `max_partitions` partitions
-  /// balanced by host count, and apply the assignment via set_partition.
-  /// Accepts the largest latency threshold that yields between 2 and
-  /// host_count-1 clusters, so a topology with no latency gap (uniform
-  /// links) is left unpartitioned. Returns the resulting partition count
-  /// (1 = no assignment made). Deterministic: depends only on the
-  /// materialized links and host ids, never on map/hash order.
-  int auto_partition(int max_partitions);
-
-  [[nodiscard]] int partition_of(HostId host) const {
-    const auto i = static_cast<std::size_t>(host.value());
-    return i < partitions_.size() ? partitions_[i] : 0;
-  }
-  [[nodiscard]] int partition_count() const { return partition_count_; }
-
-  /// Worker threads driving partition windows (0 = fully serial in the
-  /// calling thread; >= 1 runs windows on a pool even for one partition, so
-  /// a threaded run exercises real cross-thread handoffs under TSan).
-  void set_threads(int threads);
-  [[nodiscard]] int threads() const { return threads_; }
-
-  /// Partition executing on the calling thread (0 outside worker windows).
-  [[nodiscard]] int current_partition() const {
-    return partition_count_ == 1 ? 0 : current_partition_slow();
-  }
-
-  EventLoop& loop_of(int partition) {
-    return partition == 0
-               ? loop_
-               : extra_loops_[static_cast<std::size_t>(partition) - 1];
-  }
-  [[nodiscard]] const EventLoop& loop_of(int partition) const {
-    return partition == 0
-               ? loop_
-               : extra_loops_[static_cast<std::size_t>(partition) - 1];
-  }
-  /// The timer wheel that owns `host`'s timers and deliveries.
-  EventLoop& loop_for(HostId host) { return loop_of(partition_of(host)); }
-
-  Rng& rng_of(int partition) {
-    return partition == 0 ? rng_
-                          : extra_rngs_[static_cast<std::size_t>(partition) - 1];
-  }
-
-  /// Adaptive lookahead windows (default on): when consecutive window
-  /// barriers merge zero cross-partition deliveries, the driver widens the
-  /// rendezvous to cover several lookahead-sized rounds in one worker
-  /// release (multiplier doubling up to a cap, narrowing back to 1 on the
-  /// first nonempty merge), and jumps quiet stretches straight to the
-  /// earliest pending event (grid-aligned). The schedule is a pure function
-  /// of counted merge history, so counted output stays byte-identical to an
-  /// adaptive-off run at any thread count; only rendezvous grouping (wake
-  /// counts, wall clock) changes.
-  void set_adaptive_windows(bool on) { adaptive_windows_ = on; }
-  [[nodiscard]] bool adaptive_windows() const { return adaptive_windows_; }
-
-  /// Window accounting of parallel runs. makespan_events sums, over every
-  /// window, the busiest partition's event count: total/makespan is the
-  /// throughput speedup a perfectly parallel execution of this run could
-  /// reach (the critical-path bound), independent of host core count.
-  /// windows counts executed lookahead-sized rounds; widened_windows the
-  /// subset executed beyond the first round of a fused rendezvous;
-  /// idle_jumps the grid-aligned skips over quiet stretches. All of them
-  /// are thread-count independent.
-  struct ParallelStats {
-    std::uint64_t windows{0};
-    std::uint64_t widened_windows{0};
-    std::uint64_t idle_jumps{0};
-    std::uint64_t merged_deliveries{0};
-    std::uint64_t parallel_events{0};
-    std::uint64_t makespan_events{0};
-
-    [[nodiscard]] double critical_path_speedup() const {
-      return makespan_events == 0
-                 ? 1.0
-                 : static_cast<double>(parallel_events) /
-                       static_cast<double>(makespan_events);
-    }
-  };
-  [[nodiscard]] const ParallelStats& parallel_stats() const { return pstats_; }
-
-  /// Coordination-cost accounting of the fused barrier. rendezvous counts
-  /// coordinator round trips (each covering >= 1 window); merge_entries /
-  /// merge_outboxes the k-way merge traffic. wakes/parks count actual
-  /// futex-style transitions — timing-dependent, so they belong in stderr
-  /// summaries and --barrier-stats output, never in cmp-gated stdout.
-  struct BarrierStats {
-    std::uint64_t rendezvous{0};
-    std::uint64_t wakes{0};
-    std::uint64_t parks{0};
-    std::uint64_t merge_entries{0};
-    std::uint64_t merge_outboxes{0};
-  };
-  [[nodiscard]] const BarrierStats& barrier_stats() const { return bstats_; }
-
   // --- Time ---------------------------------------------------------------
-  [[nodiscard]] Time now() const {
-    return partition_count_ == 1 ? loop_.now()
-                                 : loop_of(current_partition_slow()).now();
-  }
-  /// Partition 0's wheel (the only wheel of a serial simulation).
+  [[nodiscard]] Time now() const { return loop_.now(); }
   EventLoop& loop() { return loop_; }
 
   TimerId schedule_after(Duration delay, EventLoop::Action action,
                          std::string_view label = {}) {
-    return loop_of(current_partition())
-        .schedule_after(delay, std::move(action), label);
+    return loop_.schedule_after(delay, std::move(action), label);
   }
   TimerId schedule_at(Time at, EventLoop::Action action,
                       std::string_view label = {}) {
-    return loop_of(current_partition())
-        .schedule_at(at, std::move(action), label);
+    return loop_.schedule_at(at, std::move(action), label);
   }
 
-  /// Drain to empty (or max_events). Serial only: a partitioned simulation
-  /// has no global "empty" instant and must be driven by run_until/run_for.
-  std::size_t run(std::size_t max_events = 0);
-  std::size_t run_for(Duration d) { return run_until(now() + d); }
-  std::size_t run_until(Time t) {
-    if (partition_count_ == 1 && threads_ <= 0) return loop_.run_until(t);
-    return run_until_parallel(t);
-  }
+  std::size_t run(std::size_t max_events = 0) { return loop_.run(max_events); }
+  std::size_t run_for(Duration d) { return loop_.run_for(d); }
+  std::size_t run_until(Time t) { return loop_.run_until(t); }
 
-  Rng& rng() {
-    return partition_count_ == 1 ? rng_ : rng_of(current_partition_slow());
-  }
+  Rng& rng() { return rng_; }
 
   // --- Observability ------------------------------------------------------
   /// Per-simulation trace recorder. Disabled by default; enabling it makes
@@ -227,31 +84,17 @@ class Simulation {
   [[nodiscard]] const fsim::Registry& fsim() const { return fsim_; }
 
  private:
-  friend class ParallelRuntime;
-
   // Feeds scheduler activity into the metrics registry (event count plus a
-  // queue-depth histogram); lives here so EventLoop stays obs-agnostic. The
-  // serial simulation has one observer on the global series; a partitioned
-  // simulation gives every wheel its own per-partition series (written only
-  // by the owning worker) and folds the event totals into the global
-  // counter at each window barrier, in partition order — one deterministic
-  // stream regardless of thread count.
+  // queue-depth histogram); lives here so EventLoop stays obs-agnostic.
   class LoopObserver final : public EventLoop::Hook {
    public:
-    LoopObserver(obs::MetricsRegistry& metrics, std::string_view events_name,
-                 std::string_view depth_name);
+    explicit LoopObserver(obs::MetricsRegistry& metrics);
     void on_event(Time now, std::size_t queue_depth) override;
 
    private:
     obs::Counter events_;
     obs::Histogram queue_depth_;
   };
-
-  [[nodiscard]] int current_partition_slow() const;
-  std::size_t run_until_parallel(Time t);
-  /// Executed on a pool worker: run one partition's wheel to the window
-  /// horizon with the thread's execution context bound to (this, partition).
-  std::uint64_t run_partition_window(int partition, Time horizon);
 
   EventLoop loop_;
   Network network_;
@@ -261,31 +104,6 @@ class Simulation {
   fsim::Registry fsim_;
   LoopObserver loop_observer_;
   std::vector<std::unique_ptr<Host>> hosts_;
-
-  std::uint64_t seed_;
-  /// Partition index per host id; empty = everything in partition 0.
-  std::vector<int> partitions_;
-  int partition_count_{1};
-  int threads_{0};
-  bool in_parallel_run_{false};
-  bool adaptive_windows_{true};
-  /// Adaptive widening state: consecutive all-empty rendezvous merges and
-  /// the current window multiplier (1 = plain lookahead windows). Pure
-  /// functions of counted merge history — never of thread timing.
-  int empty_merge_streak_{0};
-  int window_multiplier_{1};
-  /// Wheels and rng streams of partitions >= 1 (partition 0 uses loop_ and
-  /// rng_); deques keep addresses stable as partitions are added.
-  std::deque<EventLoop> extra_loops_;
-  std::deque<Rng> extra_rngs_;
-  /// Per-partition observers, created when the simulation first partitions
-  /// (index == partition; partition 0's replaces loop_observer_ as the hook).
-  std::deque<LoopObserver> partition_observers_;
-  /// Handle on the global "sim.events" cell for barrier-time folding.
-  obs::Counter fold_events_;
-  ParallelStats pstats_;
-  BarrierStats bstats_;
-  std::unique_ptr<ParallelRuntime, ParallelRuntimeDeleter> runtime_;
 };
 
 }  // namespace rcs::sim

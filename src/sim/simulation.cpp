@@ -1,31 +1,14 @@
 #include "rcs/sim/simulation.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 #include "rcs/common/error.hpp"
 #include "rcs/common/logging.hpp"
 #include "rcs/common/strf.hpp"
 
 namespace rcs::sim {
 
-namespace {
-
-std::uint32_t uf_find(std::vector<std::uint32_t>& parent, std::uint32_t x) {
-  while (parent[x] != x) {
-    parent[x] = parent[parent[x]];
-    x = parent[x];
-  }
-  return x;
-}
-
-}  // namespace
-
-Simulation::LoopObserver::LoopObserver(obs::MetricsRegistry& metrics,
-                                       std::string_view events_name,
-                                       std::string_view depth_name)
-    : events_(metrics.counter(events_name)),
-      queue_depth_(metrics.histogram(depth_name)) {}
+Simulation::LoopObserver::LoopObserver(obs::MetricsRegistry& metrics)
+    : events_(metrics.counter("sim.events")),
+      queue_depth_(metrics.histogram("sim.queue_depth")) {}
 
 void Simulation::LoopObserver::on_event(Time /*now*/, std::size_t queue_depth) {
   ++events_;
@@ -33,16 +16,13 @@ void Simulation::LoopObserver::on_event(Time /*now*/, std::size_t queue_depth) {
 }
 
 Simulation::Simulation(std::uint64_t seed)
-    : network_(*this),
-      rng_(seed),
-      loop_observer_(metrics_, "sim.events", "sim.queue_depth"),
-      seed_(seed),
-      fold_events_(metrics_.counter("sim.events")) {
-  log().set_time_source(
-      [this] { return loop_of(current_partition()).now(); });
+    : network_(*this), rng_(seed), loop_observer_(metrics_) {
+  log().set_time_source([this] { return loop_.now(); });
   loop_.set_hook(&loop_observer_);
   fsim_.bind_metrics(&metrics_);
 }
+
+Simulation::~Simulation() { log().reset_time_source(); }
 
 Host& Simulation::add_host(std::string name) {
   const HostId id{static_cast<std::uint32_t>(hosts_.size())};
@@ -63,106 +43,6 @@ const Host& Simulation::host(HostId id) const {
     throw SimError(strf("Simulation::host: unknown host ", id));
   }
   return *hosts_[id.value()];
-}
-
-int Simulation::auto_partition(int max_partitions) {
-  ensure(!in_parallel_run_,
-         "Simulation::auto_partition: cannot repartition during a run");
-  ensure(partition_count_ == 1,
-         "Simulation::auto_partition: simulation is already partitioned");
-  const auto n = static_cast<std::uint32_t>(hosts_.size());
-  if (max_partitions < 2 || n < 3) return partition_count_;
-  const std::vector<Network::LinkInfo> links = network_.materialized_links();
-  if (links.empty()) return partition_count_;
-
-  // Candidate thresholds: the distinct configured latencies, slowest first.
-  // For each θ, hosts joined by a link faster than θ form one cluster; the
-  // first θ that yields a real cut (more than one cluster, but not the
-  // everything-is-an-island degenerate case) wins, which maximizes the
-  // resulting lookahead: every cross-partition link is at least θ slow.
-  std::vector<Duration> thetas;
-  thetas.reserve(links.size());
-  for (const Network::LinkInfo& l : links) thetas.push_back(l.latency);
-  std::sort(thetas.begin(), thetas.end(), std::greater<>());
-  thetas.erase(std::unique(thetas.begin(), thetas.end()), thetas.end());
-
-  std::vector<std::uint32_t> parent(n);
-  bool found = false;
-  for (const Duration theta : thetas) {
-    std::iota(parent.begin(), parent.end(), 0u);
-    for (const Network::LinkInfo& l : links) {
-      if (l.latency >= theta) continue;
-      const std::uint32_t ra = uf_find(parent, l.a.value());
-      const std::uint32_t rb = uf_find(parent, l.b.value());
-      if (ra != rb) parent[std::max(ra, rb)] = std::min(ra, rb);
-    }
-    std::uint32_t components = 0;
-    for (std::uint32_t h = 0; h < n; ++h) {
-      if (uf_find(parent, h) == h) ++components;
-    }
-    if (components >= 2 && components < n) {
-      found = true;
-      break;
-    }
-  }
-  if (!found) return partition_count_;
-
-  // Clusters ordered by (size desc, lowest member host id asc) — both pure
-  // functions of the link table — then bin-packed least-loaded-first into
-  // the partitions, so the assignment is reproducible across runs and
-  // balanced by host count.
-  struct Cluster {
-    std::uint32_t size{0};
-    std::uint32_t min_host{0};
-  };
-  std::vector<Cluster> clusters;
-  std::vector<std::uint32_t> cluster_of_root(n, UINT32_MAX);
-  std::vector<std::uint32_t> root_of_host(n);
-  for (std::uint32_t h = 0; h < n; ++h) {
-    const std::uint32_t root = uf_find(parent, h);
-    root_of_host[h] = root;
-    if (cluster_of_root[root] == UINT32_MAX) {
-      cluster_of_root[root] = static_cast<std::uint32_t>(clusters.size());
-      clusters.push_back({0, h});  // roots are minimal in their set
-    }
-    ++clusters[cluster_of_root[root]].size;
-  }
-  std::vector<std::uint32_t> order(clusters.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t x, std::uint32_t y) {
-              if (clusters[x].size != clusters[y].size) {
-                return clusters[x].size > clusters[y].size;
-              }
-              return clusters[x].min_host < clusters[y].min_host;
-            });
-  const auto bins = static_cast<std::uint32_t>(
-      std::min<std::size_t>(static_cast<std::size_t>(max_partitions),
-                            clusters.size()));
-  std::vector<std::uint32_t> bin_load(bins, 0);
-  std::vector<std::uint32_t> bin_of_cluster(clusters.size(), 0);
-  for (const std::uint32_t c : order) {
-    std::uint32_t best = 0;
-    for (std::uint32_t b = 1; b < bins; ++b) {
-      if (bin_load[b] < bin_load[best]) best = b;
-    }
-    bin_of_cluster[c] = best;
-    bin_load[best] += clusters[c].size;
-  }
-  for (std::uint32_t h = 0; h < n; ++h) {
-    set_partition(
-        HostId{h},
-        static_cast<int>(
-            bin_of_cluster[cluster_of_root[root_of_host[h]]]));
-  }
-  return partition_count_;
-}
-
-std::size_t Simulation::run(std::size_t max_events) {
-  ensure(partition_count_ == 1,
-         "Simulation::run: a partitioned simulation has no global idle "
-         "instant; drive it with run_until/run_for");
-  return loop_.run(max_events);
 }
 
 }  // namespace rcs::sim

@@ -96,6 +96,21 @@ TEST(EventLoop, RunUntilLeavesLaterEventsPending) {
   EXPECT_EQ(ran, 2);
 }
 
+TEST(EventLoop, RunUntilIncludesEventsAtTheHorizon) {
+  // run_until(t) runs everything due at t, including an event scheduled at
+  // t by another event at t; nothing is stranded for the next call.
+  EventLoop loop;
+  std::vector<int> order;
+  loop.schedule_at(100, [&] {
+    order.push_back(1);
+    loop.schedule_at(100, [&] { order.push_back(2); });
+  });
+  loop.run_until(100);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(loop.now(), 100);
+  EXPECT_TRUE(loop.empty());
+}
+
 TEST(EventLoop, RunForIsRelative) {
   EventLoop loop;
   int ran = 0;

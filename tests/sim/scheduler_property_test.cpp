@@ -274,10 +274,10 @@ TEST(SchedulerProperty, CancelHeavyInterleavings) {
 // ---------------------------------------------------------------------------
 // Partitioned-loops property: two timer wheels advanced in conservative
 // lookahead windows, with cross-loop handoffs deferred to a mailbox and
-// merged at each window barrier in (at, seq, source) order — exactly the
-// scheme Simulation's parallel driver uses — must fire the same events at
-// the same times, event for event, as one reference wheel that schedules
-// every handoff directly.
+// merged at each window barrier in (at, seq, source) order — the scheme of
+// a conservative parallel DES, driven here through EventLoop's public API
+// alone — must fire the same events at the same times, event for event, as
+// one reference wheel that schedules every handoff directly.
 //
 // Timestamp classes keep the comparison exact without an ordering oracle:
 // loop-0 local chains live on times ≡ 0 (mod 4), loop-1 local chains on

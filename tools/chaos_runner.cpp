@@ -21,7 +21,6 @@
 // re-validated by replay before it is printed.
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -32,6 +31,7 @@
 #include "rcs/common/logging.hpp"
 #include "rcs/core/chaos_campaign.hpp"
 #include "rcs/fsim/fsim.hpp"
+#include "runner_common.hpp"
 
 namespace {
 
@@ -39,67 +39,16 @@ using rcs::core::ChaosCampaignOptions;
 using rcs::core::ChaosCampaignResult;
 namespace fsim = rcs::fsim;
 
-/// Wall-clock throughput accounting, printed to stderr so stdout stays
-/// byte-identical for the determinism cmp gates.
-struct RunSummary {
-  std::uint64_t events{0};
-  std::size_t peak_queue_depth{0};
-  rcs::sim::EventLoop::WheelStats wheel{};
-  rcs::sim::Simulation::ParallelStats parallel{};
-  int max_partitions{1};
-  /// Merged fsim coverage of every reported campaign. Merged in plan order
-  /// (report_one), and merge() is order-insensitive anyway, so serial and
-  /// --jobs sweeps accumulate identical reports.
+/// The shared run summary plus the merged fsim coverage of every reported
+/// campaign. Merged in plan order (report_one), and merge() is
+/// order-insensitive anyway, so serial and --jobs sweeps accumulate
+/// identical reports.
+struct RunSummary : rcs::tools::RunSummary {
   fsim::CoverageReport coverage;
-  std::chrono::steady_clock::time_point start{std::chrono::steady_clock::now()};
 
   void add(const ChaosCampaignResult& result) {
-    events += result.events;
+    rcs::tools::RunSummary::add(result);
     coverage.merge(result.fsim);
-    peak_queue_depth = std::max(peak_queue_depth, result.peak_queue_depth);
-    wheel.cascaded_entries += result.wheel.cascaded_entries;
-    wheel.bucket_sorts += result.wheel.bucket_sorts;
-    wheel.overflow_migrated += result.wheel.overflow_migrated;
-    wheel.overflow_peak = std::max(wheel.overflow_peak,
-                                   result.wheel.overflow_peak);
-    parallel.windows += result.parallel.windows;
-    parallel.widened_windows += result.parallel.widened_windows;
-    parallel.idle_jumps += result.parallel.idle_jumps;
-    parallel.merged_deliveries += result.parallel.merged_deliveries;
-    parallel.parallel_events += result.parallel.parallel_events;
-    parallel.makespan_events += result.parallel.makespan_events;
-    max_partitions = std::max(max_partitions, result.partitions);
-  }
-  void print() const {
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    const double rate =
-        seconds > 0.0 ? static_cast<double>(events) / seconds : 0.0;
-    std::fprintf(stderr,
-                 "summary: %llu events processed, %.0f events/sec, "
-                 "peak queue depth %zu, wall %.2fs\n",
-                 static_cast<unsigned long long>(events), rate,
-                 peak_queue_depth, seconds);
-    std::fprintf(stderr,
-                 "wheel: %llu cascaded, %llu bucket sorts, "
-                 "%llu overflow migrations, overflow peak %zu\n",
-                 static_cast<unsigned long long>(wheel.cascaded_entries),
-                 static_cast<unsigned long long>(wheel.bucket_sorts),
-                 static_cast<unsigned long long>(wheel.overflow_migrated),
-                 wheel.overflow_peak);
-    if (parallel.windows != 0) {
-      std::fprintf(
-          stderr,
-          "parallel: %d partition(s), %llu windows (%llu widened, "
-          "%llu idle jumps), %llu merged deliveries, "
-          "critical-path speedup %.3f\n",
-          max_partitions, static_cast<unsigned long long>(parallel.windows),
-          static_cast<unsigned long long>(parallel.widened_windows),
-          static_cast<unsigned long long>(parallel.idle_jumps),
-          static_cast<unsigned long long>(parallel.merged_deliveries),
-          parallel.critical_path_speedup());
-    }
   }
 };
 
@@ -113,16 +62,6 @@ struct Args {
   int seeds{50};
   int transition_seeds{20};
   int jobs{1};
-  /// Simulation worker threads per campaign (0 = serial). Orthogonal to
-  /// --jobs: jobs parallelizes across campaigns, threads inside one.
-  int threads{0};
-  /// Topology-partition each campaign (repository vs. replica cluster) so
-  /// --threads runs real concurrent windows. Requires --fsim off: the fsim
-  /// registry's consult path is shared across partitions.
-  bool auto_partition{false};
-  /// Adaptive lookahead windows; "off" forces one rendezvous per window.
-  /// Counted output is identical either way — CI cmp-gates both settings.
-  bool adaptive{true};
   std::uint64_t base_seed{1};
   std::vector<std::string> ftms{"PBR", "LFR", "TR"};
   std::string delta{"both"};  // on | off | both
@@ -145,9 +84,8 @@ void usage() {
   std::puts(
       "usage: chaos_runner [--seeds N] [--transitions N] [--base-seed S]\n"
       "                    [--ftm A,B,..] [--delta on|off|both] [--jobs N]\n"
-      "                    [--threads N] [--auto-partition]\n"
-      "                    [--adaptive on|off] [--fsim GLOB|off]\n"
-      "                    [--coverage-out FILE] [--verbose]\n"
+      "                    [--fsim GLOB|off] [--coverage-out FILE]\n"
+      "                    [--verbose]\n"
       "       chaos_runner --replay SEED --ftm NAME --delta on|off\n"
       "                    [--transition-to NAME] [--trace-out FILE]\n"
       "                    [--metrics-out FILE] [--coverage-out FILE]\n"
@@ -214,34 +152,20 @@ bool parse_args(int argc, char** argv, Args& args) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    const auto next_num = [&]<typename T>(T& slot,
+                                          std::type_identity_t<T> min) {
+      const char* v = next();
+      return v != nullptr &&
+             rcs::tools::parse_number(arg.c_str(), v, slot, min);
+    };
     if (arg == "--seeds") {
-      const char* v = next();
-      if (!v) return false;
-      args.seeds = std::atoi(v);
+      if (!next_num(args.seeds, 0)) return false;
     } else if (arg == "--transitions") {
-      const char* v = next();
-      if (!v) return false;
-      args.transition_seeds = std::atoi(v);
+      if (!next_num(args.transition_seeds, 0)) return false;
     } else if (arg == "--jobs") {
-      const char* v = next();
-      if (!v) return false;
-      args.jobs = std::atoi(v);
-      if (args.jobs < 1) {
-        std::fprintf(stderr, "bad --jobs value: %s\n", v);
-        return false;
-      }
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return false;
-      args.threads = std::atoi(v);
-      if (args.threads < 0) {
-        std::fprintf(stderr, "bad --threads value: %s\n", v);
-        return false;
-      }
+      if (!next_num(args.jobs, 1)) return false;
     } else if (arg == "--base-seed") {
-      const char* v = next();
-      if (!v) return false;
-      args.base_seed = std::strtoull(v, nullptr, 10);
+      if (!next_num(args.base_seed, 0)) return false;
     } else if (arg == "--ftm") {
       const char* v = next();
       if (!v) return false;
@@ -252,10 +176,8 @@ bool parse_args(int argc, char** argv, Args& args) {
       if (!v) return false;
       args.delta = v;
     } else if (arg == "--replay") {
-      const char* v = next();
-      if (!v) return false;
+      if (!next_num(args.replay_seed, 0)) return false;
       args.has_replay = true;
-      args.replay_seed = std::strtoull(v, nullptr, 10);
     } else if (arg == "--transition-to") {
       const char* v = next();
       if (!v) return false;
@@ -276,16 +198,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = next();
       if (!v) return false;
       args.coverage_out = v;
-    } else if (arg == "--auto-partition") {
-      args.auto_partition = true;
-    } else if (arg == "--adaptive") {
-      const char* v = next();
-      if (!v) return false;
-      if (std::strcmp(v, "on") != 0 && std::strcmp(v, "off") != 0) {
-        std::fprintf(stderr, "bad --adaptive value: %s\n", v);
-        return false;
-      }
-      args.adaptive = std::strcmp(v, "on") == 0;
     } else if (arg == "--list-points") {
       args.list_points = true;
     } else if (arg == "--coverage-sweep") {
@@ -401,12 +313,6 @@ int run_sweep(const Args& args, RunSummary& summary) {
   bool fsim_on = true;
   std::vector<int> fsim_points;
   if (!resolve_fsim(args, fsim_on, fsim_points)) return 2;
-  if (args.auto_partition && fsim_on) {
-    std::fprintf(stderr,
-                 "--auto-partition requires --fsim off (the fault-simulation "
-                 "registry is shared across partitions)\n");
-    return 2;
-  }
 
   // The full campaign plan, in canonical (seed) order. --jobs executes it
   // out of order but always reports it in this order, so the output is
@@ -421,9 +327,6 @@ int run_sweep(const Args& args, RunSummary& summary) {
         options.delta_checkpoint = delta;
         options.fsim = fsim_on;
         options.fsim_points = fsim_points;
-        options.threads = args.threads;
-        options.auto_partition = args.auto_partition;
-        options.adaptive_windows = args.adaptive;
         plan.push_back(options);
       }
     }
@@ -446,9 +349,6 @@ int run_sweep(const Args& args, RunSummary& summary) {
     options.transition_to = spec.transition_to;
     options.fsim = fsim_on;
     options.fsim_points = fsim_points;
-    options.threads = args.threads;
-    options.auto_partition = args.auto_partition;
-    options.adaptive_windows = args.adaptive;
     plan.push_back(options);
   }
 
@@ -548,16 +448,7 @@ int run_replay(const Args& args, RunSummary& summary) {
   options.delta_checkpoint = args.delta != "off";
   options.transition_to = args.transition_to;
   options.record_trace = !args.trace_out.empty() || !args.metrics_out.empty();
-  options.threads = args.threads;
-  options.auto_partition = args.auto_partition;
-  options.adaptive_windows = args.adaptive;
   if (!resolve_fsim(args, options.fsim, options.fsim_points)) return 2;
-  if (options.auto_partition && options.fsim) {
-    std::fprintf(stderr,
-                 "--auto-partition requires --fsim off (the fault-simulation "
-                 "registry is shared across partitions)\n");
-    return 2;
-  }
   const auto result = rcs::core::run_campaign(options);
   summary.add(result);
   std::printf("%s", result.trace.c_str());
@@ -642,7 +533,6 @@ int run_coverage_sweep(const Args& args, RunSummary& summary) {
         options.delta_checkpoint = spec.delta;
         options.transition_to = spec.transition_to;
         options.fsim_points = fsim_points;
-        options.threads = args.threads;
         const auto result = rcs::core::run_campaign(options);
         ++campaigns;
         summary.add(result);

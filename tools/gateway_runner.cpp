@@ -30,6 +30,7 @@
 #include "rcs/gateway/server.hpp"
 #include "rcs/load/arrival.hpp"
 #include "rcs/load/scenario.hpp"
+#include "runner_common.hpp"
 
 namespace {
 
@@ -55,7 +56,6 @@ struct Args {
   // --- headless mode (mirrors load_runner --scenario adapt) ---
   std::size_t clients{30};
   double bandwidth_bps{12'500'000.0};
-  int threads{0};
   bool verbose{false};
 };
 
@@ -67,7 +67,7 @@ void usage() {
       "                      [--workers N] [--quantum-ms MS]\n"
       "                      [--snapshot-ms MS] [--verbose]\n"
       "       gateway_runner --headless [--seed S] [--clients N] [--rps R]\n"
-      "                      [--bandwidth BPS] [--threads N]");
+      "                      [--bandwidth BPS]");
 }
 
 bool parse_args(int argc, char** argv, Args& args) {
@@ -76,63 +76,48 @@ bool parse_args(int argc, char** argv, Args& args) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    const auto next_num = [&](double& slot) {
+    const auto next_num = [&]<typename T>(T& slot,
+                                          std::type_identity_t<T> min) {
       const char* v = next();
-      if (!v) return false;
-      slot = std::atof(v);
-      return true;
+      return v != nullptr &&
+             rcs::tools::parse_number(arg.c_str(), v, slot, min);
     };
     if (arg == "--headless") {
       args.headless = true;
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      args.seed = std::strtoull(v, nullptr, 10);
+      if (!next_num(args.seed, 0)) return false;
     } else if (arg == "--bind") {
       const char* v = next();
       if (!v) return false;
       args.bind = v;
     } else if (arg == "--port") {
-      const char* v = next();
-      if (!v) return false;
-      args.port = std::atoi(v);
+      if (!next_num(args.port, 0)) return false;
     } else if (arg == "--port-file") {
       const char* v = next();
       if (!v) return false;
       args.port_file = v;
     } else if (arg == "--speed") {
-      if (!next_num(args.speed)) return false;
+      if (!next_num(args.speed, 0.0)) return false;
     } else if (arg == "--duration") {
-      if (!next_num(args.duration_s)) return false;
+      if (!next_num(args.duration_s, 0.0)) return false;
     } else if (arg == "--fleet") {
-      const char* v = next();
-      if (!v) return false;
-      args.fleet = static_cast<std::size_t>(std::atoi(v));
+      if (!next_num(args.fleet, 0)) return false;
     } else if (arg == "--rps") {
-      if (!next_num(args.rps)) return false;
+      if (!next_num(args.rps, rcs::tools::kPositive)) return false;
     } else if (arg == "--console") {
       const char* v = next();
       if (!v) return false;
       args.console = v;
     } else if (arg == "--workers") {
-      const char* v = next();
-      if (!v) return false;
-      args.workers = std::atoi(v);
+      if (!next_num(args.workers, 1)) return false;
     } else if (arg == "--quantum-ms") {
-      if (!next_num(args.quantum_ms)) return false;
+      if (!next_num(args.quantum_ms, rcs::tools::kPositive)) return false;
     } else if (arg == "--snapshot-ms") {
-      if (!next_num(args.snapshot_ms)) return false;
+      if (!next_num(args.snapshot_ms, rcs::tools::kPositive)) return false;
     } else if (arg == "--clients") {
-      const char* v = next();
-      if (!v) return false;
-      args.clients = static_cast<std::size_t>(std::atoi(v));
+      if (!next_num(args.clients, 1)) return false;
     } else if (arg == "--bandwidth") {
-      if (!next_num(args.bandwidth_bps)) return false;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return false;
-      args.threads = std::atoi(v);
-      if (args.threads < 0) return false;
+      if (!next_num(args.bandwidth_bps, rcs::tools::kPositive)) return false;
     } else if (arg == "--verbose") {
       args.verbose = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -157,7 +142,6 @@ int run_headless(const Args& args) {
   if (args.bandwidth_bps != 12'500'000.0) {
     options.replica_bandwidth_bps = args.bandwidth_bps;
   }
-  options.threads = args.threads;
   const auto result = rcs::load::run_adapt_scenario(options);
   std::fputs(result.trace.c_str(), stdout);
   std::fprintf(stderr, "headless: %llu events, %s\n",

@@ -11,8 +11,6 @@
 // traffic and exits non-zero if any invariant is violated. Both modes are
 // bit-deterministic in --seed: the same command line yields byte-identical
 // output, which CI exploits with a cmp gate.
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -21,49 +19,11 @@
 #include "rcs/common/logging.hpp"
 #include "rcs/load/scenario.hpp"
 #include "rcs/load/sweep.hpp"
+#include "runner_common.hpp"
 
 namespace {
 
-/// Wall-clock throughput accounting, printed to stderr so stdout stays
-/// byte-identical for the determinism cmp gates.
-struct RunSummary {
-  std::uint64_t events{0};
-  std::size_t peak_queue_depth{0};
-  rcs::sim::EventLoop::WheelStats wheel{};
-  rcs::sim::Simulation::ParallelStats parallel{};
-  std::chrono::steady_clock::time_point start{std::chrono::steady_clock::now()};
-
-  void print() const {
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    const double rate =
-        seconds > 0.0 ? static_cast<double>(events) / seconds : 0.0;
-    std::fprintf(stderr,
-                 "summary: %llu events processed, %.0f events/sec, "
-                 "peak queue depth %zu, wall %.2fs\n",
-                 static_cast<unsigned long long>(events), rate,
-                 peak_queue_depth, seconds);
-    std::fprintf(stderr,
-                 "wheel: %llu cascaded, %llu bucket sorts, "
-                 "%llu overflow migrations, overflow peak %zu\n",
-                 static_cast<unsigned long long>(wheel.cascaded_entries),
-                 static_cast<unsigned long long>(wheel.bucket_sorts),
-                 static_cast<unsigned long long>(wheel.overflow_migrated),
-                 wheel.overflow_peak);
-    if (parallel.windows != 0) {
-      std::fprintf(
-          stderr,
-          "parallel: %llu windows (%llu widened, %llu idle jumps), "
-          "%llu merged deliveries, critical-path speedup %.3f\n",
-          static_cast<unsigned long long>(parallel.windows),
-          static_cast<unsigned long long>(parallel.widened_windows),
-          static_cast<unsigned long long>(parallel.idle_jumps),
-          static_cast<unsigned long long>(parallel.merged_deliveries),
-          parallel.critical_path_speedup());
-    }
-  }
-};
+using rcs::tools::RunSummary;
 
 struct Args {
   std::string scenario;  // empty: sweep mode
@@ -83,8 +43,6 @@ struct Args {
   std::string out;
   std::string trace_out;
   std::string metrics_out;
-  /// Simulation worker threads (0 = serial); output is byte-identical.
-  int threads{0};
   bool verbose{false};
 };
 
@@ -94,10 +52,9 @@ void usage() {
       "                   [--arrival open|closed|bursty] [--clients N]\n"
       "                   [--rps-from R] [--rps-to R] [--steps N]\n"
       "                   [--warmup SEC] [--window SEC] [--bandwidth BPS]\n"
-      "                   [--cpu-speed X] [--threads N] [--out FILE]\n"
-      "                   [--verbose]\n"
+      "                   [--cpu-speed X] [--out FILE] [--verbose]\n"
       "       load_runner --scenario adapt [--seed S] [--clients N]\n"
-      "                   [--rps R] [--bandwidth BPS] [--threads N]\n"
+      "                   [--rps R] [--bandwidth BPS]\n"
       "                   [--trace-out FILE] [--metrics-out FILE]");
 }
 
@@ -107,20 +64,18 @@ bool parse_args(int argc, char** argv, Args& args) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    const auto next_num = [&](double& slot) {
+    const auto next_num = [&]<typename T>(T& slot,
+                                          std::type_identity_t<T> min) {
       const char* v = next();
-      if (!v) return false;
-      slot = std::atof(v);
-      return true;
+      return v != nullptr &&
+             rcs::tools::parse_number(arg.c_str(), v, slot, min);
     };
     if (arg == "--scenario") {
       const char* v = next();
       if (!v) return false;
       args.scenario = v;
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      args.seed = std::strtoull(v, nullptr, 10);
+      if (!next_num(args.seed, 0)) return false;
     } else if (arg == "--ftm") {
       const char* v = next();
       if (!v) return false;
@@ -134,35 +89,23 @@ bool parse_args(int argc, char** argv, Args& args) {
       if (!v) return false;
       args.arrival = v;
     } else if (arg == "--clients") {
-      const char* v = next();
-      if (!v) return false;
-      args.clients = static_cast<std::size_t>(std::atoi(v));
+      if (!next_num(args.clients, 1)) return false;
     } else if (arg == "--steps") {
-      const char* v = next();
-      if (!v) return false;
-      args.steps = std::atoi(v);
+      if (!next_num(args.steps, 1)) return false;
     } else if (arg == "--rps-from") {
-      if (!next_num(args.rps_from)) return false;
+      if (!next_num(args.rps_from, rcs::tools::kPositive)) return false;
     } else if (arg == "--rps-to") {
-      if (!next_num(args.rps_to)) return false;
+      if (!next_num(args.rps_to, rcs::tools::kPositive)) return false;
     } else if (arg == "--rps") {
-      if (!next_num(args.rps)) return false;
+      if (!next_num(args.rps, rcs::tools::kPositive)) return false;
     } else if (arg == "--warmup") {
-      if (!next_num(args.warmup_s)) return false;
+      if (!next_num(args.warmup_s, 0.0)) return false;
     } else if (arg == "--window") {
-      if (!next_num(args.window_s)) return false;
+      if (!next_num(args.window_s, rcs::tools::kPositive)) return false;
     } else if (arg == "--bandwidth") {
-      if (!next_num(args.bandwidth_bps)) return false;
+      if (!next_num(args.bandwidth_bps, rcs::tools::kPositive)) return false;
     } else if (arg == "--cpu-speed") {
-      if (!next_num(args.cpu_speed)) return false;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return false;
-      args.threads = std::atoi(v);
-      if (args.threads < 0) {
-        std::fprintf(stderr, "bad --threads value: %s\n", v);
-        return false;
-      }
+      if (!next_num(args.cpu_speed, rcs::tools::kPositive)) return false;
     } else if (arg == "--out") {
       const char* v = next();
       if (!v) return false;
@@ -216,7 +159,6 @@ int run_sweep_mode(const Args& args, RunSummary& summary) {
       static_cast<rcs::sim::Duration>(args.window_s * rcs::sim::kSecond);
   options.replica_bandwidth_bps = args.bandwidth_bps;
   options.cpu_speed = args.cpu_speed;
-  options.threads = args.threads;
 
   std::fprintf(stderr,
                "sweep: %s/%s %zu client(s) %s arrivals, %.0f..%.0f rps in %d "
@@ -226,11 +168,7 @@ int run_sweep_mode(const Args& args, RunSummary& summary) {
                options.rps_to, options.steps, options.replica_bandwidth_bps,
                options.cpu_speed);
   const auto result = rcs::load::run_sweep(options);
-  summary.events += result.events;
-  summary.peak_queue_depth =
-      std::max(summary.peak_queue_depth, result.peak_queue_depth);
-  summary.wheel = result.wheel;
-  summary.parallel = result.parallel;
+  summary.add(result);
   const std::string json = result.to_json_lines();
   std::fputs(json.c_str(), stdout);
   if (!args.out.empty() && !dump_to(args.out, json, "sweep curve")) return 2;
@@ -256,13 +194,8 @@ int run_scenario_mode(const Args& args, RunSummary& summary) {
     options.replica_bandwidth_bps = args.bandwidth_bps;
   }
   options.record_trace = !args.trace_out.empty() || !args.metrics_out.empty();
-  options.threads = args.threads;
   const auto result = rcs::load::run_adapt_scenario(options);
-  summary.events += result.events;
-  summary.peak_queue_depth =
-      std::max(summary.peak_queue_depth, result.peak_queue_depth);
-  summary.wheel = result.wheel;
-  summary.parallel = result.parallel;
+  summary.add(result);
   std::fputs(result.trace.c_str(), stdout);
   if (!args.trace_out.empty() &&
       !dump_to(args.trace_out, result.trace_json, "trace")) {
