@@ -1,7 +1,6 @@
 #include "rcs/core/chaos_campaign.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "rcs/app/app_base.hpp"
 #include "rcs/common/logging.hpp"
@@ -32,19 +31,10 @@ Value kv_request(const std::string& op, const std::string& key) {
   return Value::map().set("op", op).set("key", key);
 }
 
-/// Issue one request and step the loop until its reply or `budget` elapses.
-std::optional<Value> drive(ResilientSystem& system, Value request,
-                           sim::Duration budget) {
-  std::optional<Value> reply;
-  system.client().send(std::move(request),
-                       [&reply](const Value& r) { reply = r; });
-  const sim::Time deadline = system.sim().now() + budget;
-  while (!reply && system.sim().now() < deadline) {
-    if (system.sim().loop().empty()) break;
-    system.sim().loop().step();
-  }
-  return reply;
-}
+/// Pending-event depth reserved before the run: campaigns peak well under
+/// 100 pending timers, so this keeps even a transition-heavy run
+/// allocation-free in the scheduler.
+constexpr std::size_t kQueueDepthHint = 256;
 
 ChaosCampaignResult execute(const ChaosCampaignOptions& options,
                             const sim::ChaosSchedule* forced) {
@@ -52,7 +42,7 @@ ChaosCampaignResult execute(const ChaosCampaignOptions& options,
   sys.seed = options.seed;
   sys.start_monitoring = false;  // campaigns adapt only on explicit request
   ResilientSystem system(sys);
-  system.sim().loop().reserve(options.queue_depth_hint);
+  system.sim().loop().reserve(kQueueDepthHint);
   // Tracing must switch on before deployment so the deploy spans and every
   // request span land in the rings; the run itself stays bit-identical
   // (recording never schedules events or draws randomness).
@@ -207,12 +197,12 @@ ChaosCampaignResult execute(const ChaosCampaignOptions& options,
   }
 
   // --- Post-quiescence probes: the healed system must answer promptly.
-  const auto probe = drive(system, kv_request("incr", "ctr"),
-                           15 * sim::kSecond);
+  const auto probe =
+      system.try_roundtrip(kv_request("incr", "ctr"), 15 * sim::kSecond);
   std::int64_t final_counter = 0;
   bool final_counter_valid = false;
-  const auto read = drive(system, kv_request("get", "ctr"),
-                          15 * sim::kSecond);
+  const auto read =
+      system.try_roundtrip(kv_request("get", "ctr"), 15 * sim::kSecond);
   if (read && read->is_map() && !read->has("error") && read->has("result")) {
     const Value& result = read->at("result");
     if (result.at("found").as_bool()) {

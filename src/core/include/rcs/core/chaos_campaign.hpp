@@ -45,10 +45,6 @@ struct ChaosCampaignOptions {
   /// Record structured spans (rcs::obs) for the whole run and export them in
   /// the result. Deterministic: same seed + options => byte-identical JSON.
   bool record_trace{false};
-  /// Pending-event depth hint passed to EventLoop::reserve() before the run;
-  /// chaos campaigns peak well under 100 pending timers, so the default
-  /// keeps even a transition-heavy run allocation-free in the scheduler.
-  std::size_t queue_depth_hint{256};
   /// Enable the fault-simulation registry for this run: the schedule draws
   /// kFsim episodes arming the points reachable from the deployed FTM(s),
   /// and the result carries the (point, state) coverage report.

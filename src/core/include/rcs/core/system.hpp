@@ -82,7 +82,11 @@ class ResilientSystem {
   /// In-place update of one brick of the current FTM (§3.2.1's FTM update).
   TransitionReport refresh_and_wait(const std::string& slot);
 
-  /// Issue one request and run until its reply (or `budget` elapses).
+  /// Issue one request and run until its reply; nullopt if `budget`
+  /// elapses (or the loop drains) first.
+  std::optional<Value> try_roundtrip(Value request,
+                                     sim::Duration budget = 10 * sim::kSecond);
+  /// try_roundtrip that throws when no reply arrives.
   Value roundtrip(Value request, sim::Duration budget = 10 * sim::kSecond);
 
  private:
@@ -103,6 +107,10 @@ class ResilientSystem {
   std::unique_ptr<MonitoringEngine> monitoring_;
   std::unique_ptr<ResilienceManager> manager_;
   ftm::AppSpec app_spec_;
+  /// try_roundtrip's reply slot, tagged with the call it belongs to, so a
+  /// reply that arrives after its call gave up is dropped.
+  std::optional<Value> roundtrip_reply_;
+  std::uint64_t roundtrip_calls_{0};
 };
 
 }  // namespace rcs::core

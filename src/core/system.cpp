@@ -1,5 +1,7 @@
 #include "rcs/core/system.hpp"
 
+#include <utility>
+
 #include "rcs/common/error.hpp"
 #include "rcs/common/logging.hpp"
 
@@ -122,20 +124,26 @@ TransitionReport ResilientSystem::refresh_and_wait(const std::string& slot) {
   return wait_for_report(report, 120 * sim::kSecond);
 }
 
-Value ResilientSystem::roundtrip(Value request, sim::Duration budget) {
-  Value reply;
-  bool got = false;
-  client_->send(std::move(request), [&](const Value& r) {
-    reply = r;
-    got = true;
+std::optional<Value> ResilientSystem::try_roundtrip(Value request,
+                                                    sim::Duration budget) {
+  const std::uint64_t call = ++roundtrip_calls_;
+  roundtrip_reply_.reset();
+  client_->send(std::move(request), [this, call](const Value& r) {
+    if (call == roundtrip_calls_) roundtrip_reply_ = r;
   });
   const sim::Time deadline = sim_.now() + budget;
-  while (!got && sim_.now() < deadline) {
+  while (!roundtrip_reply_ && sim_.now() < deadline) {
     if (sim_.loop().empty()) break;
     sim_.loop().step();
   }
-  ensure(got, "ResilientSystem::roundtrip: no reply within budget");
-  return reply;
+  return std::exchange(roundtrip_reply_, std::nullopt);
+}
+
+Value ResilientSystem::roundtrip(Value request, sim::Duration budget) {
+  auto reply = try_roundtrip(std::move(request), budget);
+  ensure(reply.has_value(),
+         "ResilientSystem::roundtrip: no reply within budget");
+  return std::move(*reply);
 }
 
 }  // namespace rcs::core

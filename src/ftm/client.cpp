@@ -15,16 +15,6 @@ double Client::Stats::mean_latency_ms() const {
   return sim::to_ms(latency.sum) / static_cast<double>(latency.count);
 }
 
-double Client::Stats::latency_quantile_ms(double q) const {
-  if (reservoir.empty()) return 0.0;
-  auto sorted = reservoir;
-  std::sort(sorted.begin(), sorted.end());
-  const double clamped = std::clamp(q, 0.0, 1.0);
-  const auto rank = static_cast<std::size_t>(
-      clamped * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sim::to_ms(sorted[rank]);
-}
-
 double Client::Stats::Snapshot::mean_latency_ms() const {
   if (latency.count == 0) return 0.0;
   return sim::to_ms(latency.sum) / static_cast<double>(latency.count);

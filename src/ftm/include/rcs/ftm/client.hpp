@@ -63,8 +63,6 @@ class Client {
     /// Exact sum of all ok latencies (windowed means: diff two snapshots).
     [[nodiscard]] sim::Duration latency_total() const { return latency.sum; }
     [[nodiscard]] double mean_latency_ms() const;
-    /// Nearest-rank quantile (q in [0,1]) in ms, from the reservoir.
-    [[nodiscard]] double latency_quantile_ms(double q) const;
 
     /// Fold `latency` into the summary; `rng` feeds the reservoir's
     /// replacement draw (callers pass a stream private to the client so the

@@ -50,9 +50,6 @@ struct AdaptScenarioOptions {
   sim::Duration drain{30 * sim::kSecond};
   /// Record Chrome-trace spans + metrics export in the result.
   bool record_trace{false};
-  /// Pending-event depth hint passed to EventLoop::reserve() before the
-  /// scenario starts (clients, detectors, checkpoint + monitoring timers).
-  std::size_t queue_depth_hint{4096};
 };
 
 struct AdaptScenarioResult {

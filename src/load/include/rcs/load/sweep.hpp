@@ -45,10 +45,6 @@ struct SweepOptions {
   /// Goodput fraction below which a step counts as past the knee.
   double goodput_floor{0.9};
   ftm::ClientOptions client{};
-  /// Pending-event depth hint passed to EventLoop::reserve() before the
-  /// ramp: roughly one in-flight timer set per client plus detector and
-  /// checkpoint timers, with headroom for the saturated tail of the ramp.
-  std::size_t queue_depth_hint{4096};
 };
 
 struct SweepPoint {

@@ -1,7 +1,5 @@
 #include "rcs/load/scenario.hpp"
 
-#include <optional>
-
 #include "rcs/app/app_base.hpp"
 #include "rcs/common/strf.hpp"
 #include "rcs/core/system.hpp"
@@ -11,20 +9,9 @@ namespace rcs::load {
 
 namespace {
 
-/// Issue one request through the system's own client (separate host, not a
-/// fleet member) and step until its reply.
-std::optional<Value> drive(core::ResilientSystem& system, Value request,
-                           sim::Duration budget) {
-  std::optional<Value> reply;
-  system.client().send(std::move(request),
-                       [&reply](const Value& r) { reply = r; });
-  const sim::Time deadline = system.sim().now() + budget;
-  while (!reply && system.sim().now() < deadline) {
-    if (system.sim().loop().empty()) break;
-    system.sim().loop().step();
-  }
-  return reply;
-}
+/// Pending-event depth reserved before the scenario starts (clients,
+/// detectors, checkpoint + monitoring timers).
+constexpr std::size_t kQueueDepthHint = 4096;
 
 }  // namespace
 
@@ -49,7 +36,7 @@ AdaptScenarioResult run_adapt_scenario(const AdaptScenarioOptions& options) {
   sys.thresholds.utilization_high = 0.5;
   sys.thresholds.utilization_low = 0.15;
   core::ResilientSystem system(sys);
-  system.sim().loop().reserve(options.queue_depth_hint);
+  system.sim().loop().reserve(kQueueDepthHint);
   if (options.record_trace) system.sim().tracer().set_enabled(true);
 
   // Full-state PBR: the heaviest per-request traffic profile, and the one
@@ -132,10 +119,8 @@ AdaptScenarioResult run_adapt_scenario(const AdaptScenarioOptions& options) {
   // (its requests are not part of the fleet history, so reads only).
   std::int64_t final_counter = 0;
   bool final_counter_valid = false;
-  const auto read =
-      drive(system,
-            Value::map().set("op", "get").set("key", "ctr"),
-            15 * sim::kSecond);
+  const auto read = system.try_roundtrip(
+      Value::map().set("op", "get").set("key", "ctr"), 15 * sim::kSecond);
   if (read && read->is_map() && !read->has("error") && read->has("result")) {
     const Value& value = read->at("result");
     if (value.at("found").as_bool()) final_counter = value.at("value").as_int();

@@ -11,6 +11,11 @@ namespace rcs::load {
 
 namespace {
 
+/// Pending-event depth reserved before the ramp: roughly one in-flight timer
+/// set per client plus detector and checkpoint timers, with headroom for the
+/// saturated tail of the ramp.
+constexpr std::size_t kQueueDepthHint = 4096;
+
 void append_json(std::string& out, const SweepPoint& p) {
   char line[512];
   std::snprintf(
@@ -55,7 +60,7 @@ SweepResult run_sweep(const SweepOptions& options) {
   sys.replica_bandwidth_bps = options.replica_bandwidth_bps;
   sys.start_monitoring = false;  // the sweep measures, it does not adapt
   core::ResilientSystem system(sys);
-  system.sim().loop().reserve(options.queue_depth_hint);
+  system.sim().loop().reserve(kQueueDepthHint);
   for (std::size_t i = 0; i < system.replica_count(); ++i) {
     system.replica(i).capacity().cpu_speed = options.cpu_speed;
   }

@@ -288,5 +288,18 @@ TEST_F(AdaptationFixture, PackageBytesScaleWithComponentsShipped) {
       << "differential packages carry only the new bricks";
 }
 
+TEST_F(AdaptationFixture, TryRoundtripDropsALateReply) {
+  system.deploy_and_wait(FtmConfig::pbr());
+  // A 1 us budget ends before any reply can cross the network.
+  EXPECT_FALSE(system.try_roundtrip(kv_incr("x"), 1).has_value());
+  // The incr's reply arrives during the next call and must not be taken
+  // for the get's reply.
+  const auto reply = system.try_roundtrip(kv_get("x"));
+  ASSERT_TRUE(reply.has_value());
+  const Value& result = reply->at("result");
+  ASSERT_TRUE(result.has("found"));
+  EXPECT_EQ(result.at("value").as_int(), 1);
+}
+
 }  // namespace
 }  // namespace rcs::core

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +38,7 @@ namespace {
 
 using rcs::core::ChaosCampaignOptions;
 using rcs::core::ChaosCampaignResult;
+using rcs::tools::write_file;
 namespace fsim = rcs::fsim;
 
 /// The shared run summary plus the merged fsim coverage of every reported
@@ -63,11 +65,10 @@ struct Args {
   int transition_seeds{20};
   int jobs{1};
   std::uint64_t base_seed{1};
-  std::vector<std::string> ftms{"PBR", "LFR", "TR"};
+  std::string ftm_csv{"PBR,LFR,TR"};
+  std::vector<std::string> ftms;  // ftm_csv split; front() is the replay FTM
   std::string delta{"both"};  // on | off | both
-  bool has_replay{false};
-  std::uint64_t replay_seed{0};
-  std::string replay_ftm{"PBR"};
+  std::optional<std::uint64_t> replay;
   std::string transition_to;
   bool demo_shrink{false};
   bool verbose{false};
@@ -80,20 +81,18 @@ struct Args {
   bool quick{false};  // coverage sweep: 1 seed per spec per round
 };
 
-void usage() {
-  std::puts(
-      "usage: chaos_runner [--seeds N] [--transitions N] [--base-seed S]\n"
-      "                    [--ftm A,B,..] [--delta on|off|both] [--jobs N]\n"
-      "                    [--fsim GLOB|off] [--coverage-out FILE]\n"
-      "                    [--verbose]\n"
-      "       chaos_runner --replay SEED --ftm NAME --delta on|off\n"
-      "                    [--transition-to NAME] [--trace-out FILE]\n"
-      "                    [--metrics-out FILE] [--coverage-out FILE]\n"
-      "       chaos_runner --coverage-sweep [--quick] [--base-seed S]\n"
-      "                    [--fsim GLOB] [--coverage-out FILE]\n"
-      "       chaos_runner --list-points\n"
-      "       chaos_runner --demo-shrink");
-}
+constexpr const char* kUsage =
+    "usage: chaos_runner [--seeds N] [--transitions N] [--base-seed S]\n"
+    "                    [--ftm A,B,..] [--delta on|off|both] [--jobs N]\n"
+    "                    [--fsim GLOB|off] [--coverage-out FILE]\n"
+    "                    [--verbose]\n"
+    "       chaos_runner --replay SEED --ftm NAME --delta on|off\n"
+    "                    [--transition-to NAME] [--trace-out FILE]\n"
+    "                    [--metrics-out FILE] [--coverage-out FILE]\n"
+    "       chaos_runner --coverage-sweep [--quick] [--base-seed S]\n"
+    "                    [--fsim GLOB] [--coverage-out FILE]\n"
+    "       chaos_runner --list-points\n"
+    "       chaos_runner --demo-shrink";
 
 /// Minimal glob: '*' any run, '?' any one char, everything else literal.
 bool glob_match(const char* pattern, const char* text) {
@@ -147,75 +146,28 @@ std::vector<std::string> split_csv(const std::string& csv) {
 }
 
 bool parse_args(int argc, char** argv, Args& args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const auto next_num = [&]<typename T>(T& slot,
-                                          std::type_identity_t<T> min) {
-      const char* v = next();
-      return v != nullptr &&
-             rcs::tools::parse_number(arg.c_str(), v, slot, min);
-    };
-    if (arg == "--seeds") {
-      if (!next_num(args.seeds, 0)) return false;
-    } else if (arg == "--transitions") {
-      if (!next_num(args.transition_seeds, 0)) return false;
-    } else if (arg == "--jobs") {
-      if (!next_num(args.jobs, 1)) return false;
-    } else if (arg == "--base-seed") {
-      if (!next_num(args.base_seed, 0)) return false;
-    } else if (arg == "--ftm") {
-      const char* v = next();
-      if (!v) return false;
-      args.ftms = split_csv(v);
-      args.replay_ftm = args.ftms.empty() ? "PBR" : args.ftms.front();
-    } else if (arg == "--delta") {
-      const char* v = next();
-      if (!v) return false;
-      args.delta = v;
-    } else if (arg == "--replay") {
-      if (!next_num(args.replay_seed, 0)) return false;
-      args.has_replay = true;
-    } else if (arg == "--transition-to") {
-      const char* v = next();
-      if (!v) return false;
-      args.transition_to = v;
-    } else if (arg == "--trace-out") {
-      const char* v = next();
-      if (!v) return false;
-      args.trace_out = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return false;
-      args.metrics_out = v;
-    } else if (arg == "--fsim") {
-      const char* v = next();
-      if (!v) return false;
-      args.fsim_glob = v;
-    } else if (arg == "--coverage-out") {
-      const char* v = next();
-      if (!v) return false;
-      args.coverage_out = v;
-    } else if (arg == "--list-points") {
-      args.list_points = true;
-    } else if (arg == "--coverage-sweep") {
-      args.coverage_sweep = true;
-    } else if (arg == "--quick") {
-      args.quick = true;
-    } else if (arg == "--demo-shrink") {
-      args.demo_shrink = true;
-    } else if (arg == "--verbose") {
-      args.verbose = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return false;
-    }
-  }
+  using rcs::tools::Flag;
+  const Flag flags[] = {
+      {"--seeds", &args.seeds, 0},
+      {"--transitions", &args.transition_seeds, 0},
+      {"--jobs", &args.jobs, 1},
+      {"--base-seed", &args.base_seed, 0},
+      {"--ftm", &args.ftm_csv},
+      {"--delta", &args.delta, {"on", "off", "both"}},
+      {"--replay", &args.replay, 0},
+      {"--transition-to", &args.transition_to},
+      {"--trace-out", &args.trace_out},
+      {"--metrics-out", &args.metrics_out},
+      {"--fsim", &args.fsim_glob},
+      {"--coverage-out", &args.coverage_out},
+      {"--list-points", &args.list_points},
+      {"--coverage-sweep", &args.coverage_sweep},
+      {"--quick", &args.quick},
+      {"--demo-shrink", &args.demo_shrink},
+      {"--verbose", &args.verbose},
+  };
+  if (!rcs::tools::parse_flags(argc, argv, flags, kUsage)) return false;
+  args.ftms = split_csv(args.ftm_csv);
   return true;
 }
 
@@ -244,11 +196,10 @@ void report_failure(const ChaosCampaignOptions& options,
   std::printf("replay: %s\n", replay_command(options).c_str());
 }
 
-/// Account and print one finished campaign; shared by the serial path and
-/// the --jobs merge so both emit byte-identical reports.
-int report_one(const ChaosCampaignOptions& options,
-               const ChaosCampaignResult& result, bool verbose,
-               int& campaigns, int& failures, RunSummary& summary) {
+/// Account and print one finished campaign.
+void report_one(const ChaosCampaignOptions& options,
+                const ChaosCampaignResult& result, bool verbose,
+                int& campaigns, int& failures, RunSummary& summary) {
   ++campaigns;
   summary.add(result);
   if (verbose || !result.passed) {
@@ -261,55 +212,13 @@ int report_one(const ChaosCampaignOptions& options,
   if (!result.passed) {
     ++failures;
     report_failure(options, result);
-    return 1;
-  }
-  return 0;
-}
-
-int run_one(const ChaosCampaignOptions& options, bool verbose,
-            int& campaigns, int& failures, RunSummary& summary) {
-  const auto result = rcs::core::run_campaign(options);
-  return report_one(options, result, verbose, campaigns, failures, summary);
-}
-
-bool dump_to(const std::string& path, const std::string& data,
-             const char* what) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for %s\n", path.c_str(), what);
-    return false;
-  }
-  const bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
-  std::fclose(f);
-  return ok;
-}
-
-/// Deterministic stdout footer shared by every sweep exit path, so the
-/// serial-vs-jobs cmp gate also covers the coverage accounting.
-void print_coverage_footer(const RunSummary& summary) {
-  std::printf("fsim coverage: %zu pair(s), %llu fire(s)\n",
-              summary.coverage.pair_count(),
-              static_cast<unsigned long long>(summary.coverage.fire_total()));
-  // One line per touched point, in catalogue (enum) order: makes "which
-  // points actually fired" legible without parsing the JSON report.
-  for (int i = 0; i < fsim::kPointCount; ++i) {
-    const auto p = static_cast<fsim::Point>(i);
-    const auto hits = summary.coverage.hits_of(p);
-    if (hits == 0) continue;
-    std::printf("  %-17s hits=%-6llu fires=%llu\n", fsim::to_string(p),
-                static_cast<unsigned long long>(hits),
-                static_cast<unsigned long long>(summary.coverage.fires_of(p)));
   }
 }
 
 int run_sweep(const Args& args, RunSummary& summary) {
   std::vector<bool> delta_modes;
-  if (args.delta == "on" || args.delta == "both") delta_modes.push_back(true);
-  if (args.delta == "off" || args.delta == "both") delta_modes.push_back(false);
-  if (delta_modes.empty()) {
-    std::fprintf(stderr, "bad --delta value: %s\n", args.delta.c_str());
-    return 2;
-  }
+  if (args.delta != "off") delta_modes.push_back(true);
+  if (args.delta != "on") delta_modes.push_back(false);
   bool fsim_on = true;
   std::vector<int> fsim_points;
   if (!resolve_fsim(args, fsim_on, fsim_points)) return 2;
@@ -352,6 +261,46 @@ int run_sweep(const Args& args, RunSummary& summary) {
     plan.push_back(options);
   }
 
+  std::printf("chaos sweep: %d seed(s) x {", args.seeds);
+  for (std::size_t i = 0; i < args.ftms.size(); ++i) {
+    std::printf("%s%s", i ? "," : "", args.ftms[i].c_str());
+  }
+  std::printf("} x {%s}\n", args.delta.c_str());
+
+  // --jobs N runs the whole plan up front, one Simulation per worker thread
+  // (campaigns are independent and each owns its whole world); --jobs 1
+  // runs each campaign inline in the report loop below, in slot 0, so a
+  // failing serial sweep stops at its first failure. The parallel sweep has
+  // already run the later campaigns, but its report cuts off at the same
+  // place, so the two modes print the same bytes either way.
+  const bool parallel = args.jobs > 1;
+  std::vector<ChaosCampaignResult> results(parallel ? plan.size() : 1);
+  std::vector<std::string> errors(results.size());
+  const auto run_into = [&](std::size_t i, std::size_t slot) {
+    try {
+      results[slot] = rcs::core::run_campaign(plan[i]);
+    } catch (const std::exception& e) {
+      errors[slot] = e.what();
+    }
+  };
+  if (parallel) {
+    std::atomic<std::size_t> cursor{0};
+    const auto worker = [&] {
+      for (;;) {
+        const std::size_t i = cursor.fetch_add(1);
+        if (i >= plan.size()) return;
+        run_into(i, i);
+      }
+    };
+    std::vector<std::thread> workers;
+    const auto worker_count = std::min<std::size_t>(
+        static_cast<std::size_t>(args.jobs),
+        std::max<std::size_t>(plan.size(), 1));
+    workers.reserve(worker_count);
+    for (std::size_t j = 0; j < worker_count; ++j) workers.emplace_back(worker);
+    for (auto& thread : workers) thread.join();
+  }
+
   int campaigns = 0;
   int failures = 0;
   const auto print_transition_header = [&] {
@@ -360,82 +309,42 @@ int run_sweep(const Args& args, RunSummary& summary) {
                   args.transition_seeds, std::size(kTransitions));
     }
   };
-
-  std::printf("chaos sweep: %d seed(s) x {", args.seeds);
-  for (std::size_t i = 0; i < args.ftms.size(); ++i) {
-    std::printf("%s%s", i ? "," : "", args.ftms[i].c_str());
-  }
-  std::printf("} x {%s}\n", args.delta.c_str());
-
-  if (args.jobs <= 1) {
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      if (i == transition_start) print_transition_header();
-      if (run_one(plan[i], args.verbose, campaigns, failures, summary)) {
-        std::printf("\n%d campaign(s), %d failure(s)\n", campaigns,
-                    failures);
-        print_coverage_footer(summary);
-        return 1;
-      }
-    }
-    if (plan.size() == transition_start) print_transition_header();
-    std::printf("\n%d campaign(s), %d failure(s) — all invariants held\n",
-                campaigns, failures);
-    print_coverage_footer(summary);
-    if (!args.coverage_out.empty() &&
-        !dump_to(args.coverage_out, summary.coverage.to_json(), "coverage")) {
-      return 2;
-    }
-    return 0;
-  }
-
-  // Parallel execution: one Simulation per worker thread (campaigns are
-  // independent and each owns its whole world), results merged in plan
-  // order. A failing serial sweep stops at the first failure; here the
-  // later campaigns have already run, but the report still cuts off at the
-  // first failure in canonical order, so the two modes print the same
-  // bytes either way.
-  std::vector<ChaosCampaignResult> results(plan.size());
-  std::vector<std::string> errors(plan.size());
-  std::atomic<std::size_t> cursor{0};
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t i = cursor.fetch_add(1);
-      if (i >= plan.size()) return;
-      try {
-        results[i] = rcs::core::run_campaign(plan[i]);
-      } catch (const std::exception& e) {
-        errors[i] = e.what();
-      }
-    }
-  };
-  std::vector<std::thread> workers;
-  const auto worker_count = std::min<std::size_t>(
-      static_cast<std::size_t>(args.jobs), std::max<std::size_t>(plan.size(), 1));
-  workers.reserve(worker_count);
-  for (std::size_t j = 0; j < worker_count; ++j) workers.emplace_back(worker);
-  for (auto& thread : workers) thread.join();
-
-  for (std::size_t i = 0; i < plan.size(); ++i) {
+  for (std::size_t i = 0; i < plan.size() && failures == 0; ++i) {
     if (i == transition_start) print_transition_header();
-    if (!errors[i].empty()) {
+    const std::size_t slot = parallel ? i : 0;
+    if (!parallel) run_into(i, slot);
+    if (!errors[slot].empty()) {
       std::fprintf(stderr, "campaign seed=%llu died: %s\n",
                    static_cast<unsigned long long>(plan[i].seed),
-                   errors[i].c_str());
+                   errors[slot].c_str());
       return 2;
     }
-    if (report_one(plan[i], results[i], args.verbose, campaigns, failures,
-                   summary)) {
-      std::printf("\n%d campaign(s), %d failure(s)\n", campaigns, failures);
-      print_coverage_footer(summary);
-      return 1;
-    }
+    report_one(plan[i], results[slot], args.verbose, campaigns, failures,
+               summary);
   }
-  if (plan.size() == transition_start) print_transition_header();
-  std::printf("\n%d campaign(s), %d failure(s) — all invariants held\n",
-              campaigns, failures);
-  print_coverage_footer(summary);
+  if (failures == 0 && plan.size() == transition_start) {
+    print_transition_header();
+  }
+  std::printf("\n%d campaign(s), %d failure(s)%s\n", campaigns, failures,
+              failures == 0 ? " — all invariants held" : "");
+  // The coverage footer is deterministic stdout, so the serial-vs-jobs cmp
+  // gate covers the coverage accounting too. One line per touched point,
+  // in catalogue (enum) order: makes "which points actually fired" legible
+  // without parsing the JSON report.
+  std::printf("fsim coverage: %zu pair(s), %llu fire(s)\n",
+              summary.coverage.pair_count(),
+              static_cast<unsigned long long>(summary.coverage.fire_total()));
+  for (int i = 0; i < fsim::kPointCount; ++i) {
+    const auto p = static_cast<fsim::Point>(i);
+    const auto hits = summary.coverage.hits_of(p);
+    if (hits == 0) continue;
+    std::printf("  %-17s hits=%-6llu fires=%llu\n", fsim::to_string(p),
+                static_cast<unsigned long long>(hits),
+                static_cast<unsigned long long>(summary.coverage.fires_of(p)));
+  }
+  if (failures > 0) return 1;
   if (!args.coverage_out.empty() &&
-      !dump_to(args.coverage_out, summary.coverage.to_json(), "coverage")) {
+      !write_file(args.coverage_out, summary.coverage.to_json(), "coverage")) {
     return 2;
   }
   return 0;
@@ -443,8 +352,8 @@ int run_sweep(const Args& args, RunSummary& summary) {
 
 int run_replay(const Args& args, RunSummary& summary) {
   ChaosCampaignOptions options;
-  options.seed = args.replay_seed;
-  options.ftm = args.replay_ftm;
+  options.seed = *args.replay;
+  options.ftm = args.ftms.front();
   options.delta_checkpoint = args.delta != "off";
   options.transition_to = args.transition_to;
   options.record_trace = !args.trace_out.empty() || !args.metrics_out.empty();
@@ -453,15 +362,15 @@ int run_replay(const Args& args, RunSummary& summary) {
   summary.add(result);
   std::printf("%s", result.trace.c_str());
   if (!args.trace_out.empty() &&
-      !dump_to(args.trace_out, result.trace_json, "trace")) {
+      !write_file(args.trace_out, result.trace_json, "trace")) {
     return 2;
   }
   if (!args.metrics_out.empty() &&
-      !dump_to(args.metrics_out, result.metrics_json, "metrics")) {
+      !write_file(args.metrics_out, result.metrics_json, "metrics")) {
     return 2;
   }
   if (!args.coverage_out.empty() &&
-      !dump_to(args.coverage_out, result.fsim.to_json(), "coverage")) {
+      !write_file(args.coverage_out, result.fsim.to_json(), "coverage")) {
     return 2;
   }
   if (!result.passed) {
@@ -555,7 +464,7 @@ int run_coverage_sweep(const Args& args, RunSummary& summary) {
               static_cast<unsigned long long>(total.fire_total()), campaigns);
   std::printf("%s", total.to_json().c_str());
   if (!args.coverage_out.empty() &&
-      !dump_to(args.coverage_out, total.to_json(), "coverage")) {
+      !write_file(args.coverage_out, total.to_json(), "coverage")) {
     return 2;
   }
   return 0;
@@ -567,7 +476,7 @@ int run_demo_shrink(const Args& args) {
   // demonstrably reduces the timeline to (usually) a single episode.
   ChaosCampaignOptions options;
   options.seed = args.base_seed;
-  options.ftm = args.ftms.empty() ? "PBR" : args.ftms.front();
+  options.ftm = args.ftms.front();
   options.forbid_retries = true;
   std::printf("demo: oracle forbids retries; chaos must violate it\n");
   const auto result = rcs::core::run_campaign(options);
@@ -585,10 +494,7 @@ int run_demo_shrink(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse_args(argc, argv, args)) {
-    usage();
-    return 2;
-  }
+  if (!parse_args(argc, argv, args)) return 2;
   rcs::log().set_level(args.verbose ? rcs::LogLevel::kInfo
                                     : rcs::LogLevel::kWarn);
   if (args.verbose) rcs::log().set_stderr_level(rcs::LogLevel::kInfo);
@@ -596,8 +502,8 @@ int main(int argc, char** argv) {
   if (args.demo_shrink) return run_demo_shrink(args);
   RunSummary summary;
   const int rc = args.coverage_sweep ? run_coverage_sweep(args, summary)
-                 : args.has_replay  ? run_replay(args, summary)
-                                    : run_sweep(args, summary);
+                 : args.replay        ? run_replay(args, summary)
+                                      : run_sweep(args, summary);
   summary.print();
   return rc;
 }

@@ -3,24 +3,17 @@
 //   gateway_runner                                # live: HTTP on :8080, 1x speed
 //   gateway_runner --port 0 --port-file p.txt     # ephemeral port for CI
 //   gateway_runner --speed 4 --fleet 30 --rps 150 # background load, 4x time
-//   gateway_runner --headless --seed 1            # no sockets: byte-identical
-//                                                 # to `load_runner --scenario adapt`
 //
-// Live mode builds a ResilientSystem (PBR over 2 replicas), bridges it to a
+// The runner builds a ResilientSystem (PBR over 2 replicas), bridges it to a
 // TCP listener through the gateway command queue, and paces virtual time
 // against the wall clock. External clients (curl, the browser console at /)
 // inject real requests into the simulation at quantum boundaries; a
 // WebSocket stream at /ws publishes status + metrics frames. SIGINT/SIGTERM
 // stop the pacing loop, drain the server, and exit 0.
-//
-// Headless mode runs the exact adaptation-under-load scenario load_runner
-// runs — same options, same stdout bytes — so CI can cmp the two binaries'
-// output and prove the gateway layering changed nothing underneath.
 #include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -29,7 +22,7 @@
 #include "rcs/gateway/bridge.hpp"
 #include "rcs/gateway/server.hpp"
 #include "rcs/load/arrival.hpp"
-#include "rcs/load/scenario.hpp"
+#include "rcs/load/fleet.hpp"
 #include "runner_common.hpp"
 
 namespace {
@@ -39,9 +32,7 @@ std::atomic<bool> g_stop{false};
 void on_signal(int) { g_stop.store(true, std::memory_order_release); }
 
 struct Args {
-  bool headless{false};
   std::uint64_t seed{1};
-  // --- live mode ---
   std::string bind{"127.0.0.1"};
   int port{8080};
   std::string port_file;
@@ -53,101 +44,35 @@ struct Args {
   int workers{4};
   double quantum_ms{20.0};
   double snapshot_ms{500.0};
-  // --- headless mode (mirrors load_runner --scenario adapt) ---
-  std::size_t clients{30};
-  double bandwidth_bps{12'500'000.0};
   bool verbose{false};
 };
 
-void usage() {
-  std::puts(
-      "usage: gateway_runner [--bind ADDR] [--port N] [--port-file FILE]\n"
-      "                      [--speed X] [--duration SEC] [--seed S]\n"
-      "                      [--fleet N] [--rps R] [--console FILE]\n"
-      "                      [--workers N] [--quantum-ms MS]\n"
-      "                      [--snapshot-ms MS] [--verbose]\n"
-      "       gateway_runner --headless [--seed S] [--clients N] [--rps R]\n"
-      "                      [--bandwidth BPS]");
-}
+constexpr const char* kUsage =
+    "usage: gateway_runner [--bind ADDR] [--port N] [--port-file FILE]\n"
+    "                      [--speed X] [--duration SEC] [--seed S]\n"
+    "                      [--fleet N] [--rps R] [--console FILE]\n"
+    "                      [--workers N] [--quantum-ms MS]\n"
+    "                      [--snapshot-ms MS] [--verbose]";
 
 bool parse_args(int argc, char** argv, Args& args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const auto next_num = [&]<typename T>(T& slot,
-                                          std::type_identity_t<T> min) {
-      const char* v = next();
-      return v != nullptr &&
-             rcs::tools::parse_number(arg.c_str(), v, slot, min);
-    };
-    if (arg == "--headless") {
-      args.headless = true;
-    } else if (arg == "--seed") {
-      if (!next_num(args.seed, 0)) return false;
-    } else if (arg == "--bind") {
-      const char* v = next();
-      if (!v) return false;
-      args.bind = v;
-    } else if (arg == "--port") {
-      if (!next_num(args.port, 0)) return false;
-    } else if (arg == "--port-file") {
-      const char* v = next();
-      if (!v) return false;
-      args.port_file = v;
-    } else if (arg == "--speed") {
-      if (!next_num(args.speed, 0.0)) return false;
-    } else if (arg == "--duration") {
-      if (!next_num(args.duration_s, 0.0)) return false;
-    } else if (arg == "--fleet") {
-      if (!next_num(args.fleet, 0)) return false;
-    } else if (arg == "--rps") {
-      if (!next_num(args.rps, rcs::tools::kPositive)) return false;
-    } else if (arg == "--console") {
-      const char* v = next();
-      if (!v) return false;
-      args.console = v;
-    } else if (arg == "--workers") {
-      if (!next_num(args.workers, 1)) return false;
-    } else if (arg == "--quantum-ms") {
-      if (!next_num(args.quantum_ms, rcs::tools::kPositive)) return false;
-    } else if (arg == "--snapshot-ms") {
-      if (!next_num(args.snapshot_ms, rcs::tools::kPositive)) return false;
-    } else if (arg == "--clients") {
-      if (!next_num(args.clients, 1)) return false;
-    } else if (arg == "--bandwidth") {
-      if (!next_num(args.bandwidth_bps, rcs::tools::kPositive)) return false;
-    } else if (arg == "--verbose") {
-      args.verbose = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Headless: the same scenario, options mapping, stdout bytes, and exit code
-/// as `load_runner --scenario adapt` — the determinism cmp gate depends on
-/// this staying in lockstep.
-int run_headless(const Args& args) {
-  rcs::load::AdaptScenarioOptions options;
-  options.seed = args.seed;
-  options.clients = args.clients;
-  options.offered_rps = args.rps;
-  if (args.bandwidth_bps != 12'500'000.0) {
-    options.replica_bandwidth_bps = args.bandwidth_bps;
-  }
-  const auto result = rcs::load::run_adapt_scenario(options);
-  std::fputs(result.trace.c_str(), stdout);
-  std::fprintf(stderr, "headless: %llu events, %s\n",
-               static_cast<unsigned long long>(result.events),
-               result.passed ? "passed" : "FAILED");
-  return result.passed ? 0 : 1;
+  using rcs::tools::Flag;
+  using rcs::tools::kPositive;
+  const Flag flags[] = {
+      {"--seed", &args.seed, 0},
+      {"--bind", &args.bind},
+      {"--port", &args.port, 0},
+      {"--port-file", &args.port_file},
+      {"--speed", &args.speed, 0.0},
+      {"--duration", &args.duration_s, 0.0},
+      {"--fleet", &args.fleet, 0},
+      {"--rps", &args.rps, kPositive},
+      {"--console", &args.console},
+      {"--workers", &args.workers, 1},
+      {"--quantum-ms", &args.quantum_ms, kPositive},
+      {"--snapshot-ms", &args.snapshot_ms, kPositive},
+      {"--verbose", &args.verbose},
+  };
+  return rcs::tools::parse_flags(argc, argv, flags, kUsage);
 }
 
 int run_live(const Args& args) {
@@ -199,15 +124,12 @@ int run_live(const Args& args) {
   bridge.set_publisher(
       [&server](const std::string& frame) { server.publish(frame); });
 
-  if (!args.port_file.empty()) {
-    std::FILE* f = std::fopen(args.port_file.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", args.port_file.c_str());
-      server.stop();
-      return 2;
-    }
-    std::fprintf(f, "%d\n", server.port());
-    std::fclose(f);
+  if (!args.port_file.empty() &&
+      !rcs::tools::write_file(args.port_file,
+                              std::to_string(server.port()) + "\n",
+                              "port file")) {
+    server.stop();
+    return 2;
   }
   std::fprintf(stderr,
                "gateway: listening on http://%s:%d (speed %.2gx, "
@@ -238,12 +160,9 @@ int run_live(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse_args(argc, argv, args)) {
-    usage();
-    return 2;
-  }
+  if (!parse_args(argc, argv, args)) return 2;
   rcs::log().set_level(args.verbose ? rcs::LogLevel::kInfo
                                     : rcs::LogLevel::kWarn);
   if (args.verbose) rcs::log().set_stderr_level(rcs::LogLevel::kInfo);
-  return args.headless ? run_headless(args) : run_live(args);
+  return run_live(args);
 }

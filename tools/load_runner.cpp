@@ -13,7 +13,7 @@
 // output, which CI exploits with a cmp gate.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "rcs/common/logging.hpp"
@@ -24,6 +24,7 @@
 namespace {
 
 using rcs::tools::RunSummary;
+using rcs::tools::write_file;
 
 struct Args {
   std::string scenario;  // empty: sweep mode
@@ -31,14 +32,15 @@ struct Args {
   std::string ftm{"PBR"};
   std::string delta{"on"};
   std::string arrival{"open"};
-  std::size_t clients{40};
+  // Unset: each mode keeps its own options struct's default.
+  std::optional<std::size_t> clients;
   double rps_from{20.0};
   double rps_to{240.0};
   double rps{150.0};  // scenario offered load
   int steps{8};
   double warmup_s{2.0};
   double window_s{6.0};
-  double bandwidth_bps{12'500'000.0};
+  std::optional<double> bandwidth_bps;
   double cpu_speed{1.0};
   std::string out;
   std::string trace_out;
@@ -46,110 +48,49 @@ struct Args {
   bool verbose{false};
 };
 
-void usage() {
-  std::puts(
-      "usage: load_runner [--seed S] [--ftm NAME] [--delta on|off]\n"
-      "                   [--arrival open|closed|bursty] [--clients N]\n"
-      "                   [--rps-from R] [--rps-to R] [--steps N]\n"
-      "                   [--warmup SEC] [--window SEC] [--bandwidth BPS]\n"
-      "                   [--cpu-speed X] [--out FILE] [--verbose]\n"
-      "       load_runner --scenario adapt [--seed S] [--clients N]\n"
-      "                   [--rps R] [--bandwidth BPS]\n"
-      "                   [--trace-out FILE] [--metrics-out FILE]");
-}
+constexpr const char* kUsage =
+    "usage: load_runner [--seed S] [--ftm NAME] [--delta on|off]\n"
+    "                   [--arrival open|closed|bursty] [--clients N]\n"
+    "                   [--rps-from R] [--rps-to R] [--steps N]\n"
+    "                   [--warmup SEC] [--window SEC] [--bandwidth BPS]\n"
+    "                   [--cpu-speed X] [--out FILE] [--verbose]\n"
+    "       load_runner --scenario adapt [--seed S] [--clients N]\n"
+    "                   [--rps R] [--bandwidth BPS]\n"
+    "                   [--trace-out FILE] [--metrics-out FILE]";
 
 bool parse_args(int argc, char** argv, Args& args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const auto next_num = [&]<typename T>(T& slot,
-                                          std::type_identity_t<T> min) {
-      const char* v = next();
-      return v != nullptr &&
-             rcs::tools::parse_number(arg.c_str(), v, slot, min);
-    };
-    if (arg == "--scenario") {
-      const char* v = next();
-      if (!v) return false;
-      args.scenario = v;
-    } else if (arg == "--seed") {
-      if (!next_num(args.seed, 0)) return false;
-    } else if (arg == "--ftm") {
-      const char* v = next();
-      if (!v) return false;
-      args.ftm = v;
-    } else if (arg == "--delta") {
-      const char* v = next();
-      if (!v) return false;
-      args.delta = v;
-    } else if (arg == "--arrival") {
-      const char* v = next();
-      if (!v) return false;
-      args.arrival = v;
-    } else if (arg == "--clients") {
-      if (!next_num(args.clients, 1)) return false;
-    } else if (arg == "--steps") {
-      if (!next_num(args.steps, 1)) return false;
-    } else if (arg == "--rps-from") {
-      if (!next_num(args.rps_from, rcs::tools::kPositive)) return false;
-    } else if (arg == "--rps-to") {
-      if (!next_num(args.rps_to, rcs::tools::kPositive)) return false;
-    } else if (arg == "--rps") {
-      if (!next_num(args.rps, rcs::tools::kPositive)) return false;
-    } else if (arg == "--warmup") {
-      if (!next_num(args.warmup_s, 0.0)) return false;
-    } else if (arg == "--window") {
-      if (!next_num(args.window_s, rcs::tools::kPositive)) return false;
-    } else if (arg == "--bandwidth") {
-      if (!next_num(args.bandwidth_bps, rcs::tools::kPositive)) return false;
-    } else if (arg == "--cpu-speed") {
-      if (!next_num(args.cpu_speed, rcs::tools::kPositive)) return false;
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (!v) return false;
-      args.out = v;
-    } else if (arg == "--trace-out") {
-      const char* v = next();
-      if (!v) return false;
-      args.trace_out = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return false;
-      args.metrics_out = v;
-    } else if (arg == "--verbose") {
-      args.verbose = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-bool dump_to(const std::string& path, const std::string& data,
-             const char* what) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for %s\n", path.c_str(), what);
-    return false;
-  }
-  const bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
-  std::fclose(f);
-  return ok;
+  using rcs::tools::Flag;
+  using rcs::tools::kPositive;
+  const Flag flags[] = {
+      {"--scenario", &args.scenario},
+      {"--seed", &args.seed, 0},
+      {"--ftm", &args.ftm},
+      {"--delta", &args.delta, {"on", "off"}},
+      {"--arrival", &args.arrival},
+      {"--clients", &args.clients, 1},
+      {"--steps", &args.steps, 1},
+      {"--rps-from", &args.rps_from, kPositive},
+      {"--rps-to", &args.rps_to, kPositive},
+      {"--rps", &args.rps, kPositive},
+      {"--warmup", &args.warmup_s, 0.0},
+      {"--window", &args.window_s, kPositive},
+      {"--bandwidth", &args.bandwidth_bps, kPositive},
+      {"--cpu-speed", &args.cpu_speed, kPositive},
+      {"--out", &args.out},
+      {"--trace-out", &args.trace_out},
+      {"--metrics-out", &args.metrics_out},
+      {"--verbose", &args.verbose},
+  };
+  return rcs::tools::parse_flags(argc, argv, flags, kUsage);
 }
 
 int run_sweep_mode(const Args& args, RunSummary& summary) {
   rcs::load::SweepOptions options;
   options.seed = args.seed;
   options.ftm = args.ftm;
-  options.delta_checkpoint = args.delta != "off";
+  options.delta_checkpoint = args.delta == "on";
   options.arrival = args.arrival;
-  options.clients = args.clients;
+  if (args.clients) options.clients = *args.clients;
   options.rps_from = args.rps_from;
   options.rps_to = args.rps_to;
   options.steps = args.steps;
@@ -157,7 +98,7 @@ int run_sweep_mode(const Args& args, RunSummary& summary) {
       static_cast<rcs::sim::Duration>(args.warmup_s * rcs::sim::kSecond);
   options.window =
       static_cast<rcs::sim::Duration>(args.window_s * rcs::sim::kSecond);
-  options.replica_bandwidth_bps = args.bandwidth_bps;
+  if (args.bandwidth_bps) options.replica_bandwidth_bps = *args.bandwidth_bps;
   options.cpu_speed = args.cpu_speed;
 
   std::fprintf(stderr,
@@ -171,7 +112,7 @@ int run_sweep_mode(const Args& args, RunSummary& summary) {
   summary.add(result);
   const std::string json = result.to_json_lines();
   std::fputs(json.c_str(), stdout);
-  if (!args.out.empty() && !dump_to(args.out, json, "sweep curve")) return 2;
+  if (!args.out.empty() && !write_file(args.out, json, "sweep curve")) return 2;
   if (result.knee_index >= 0) {
     std::fprintf(stderr, "knee at step %d (offered %.1f rps)\n",
                  result.knee_index, result.knee_offered_rps());
@@ -188,21 +129,19 @@ int run_scenario_mode(const Args& args, RunSummary& summary) {
   }
   rcs::load::AdaptScenarioOptions options;
   options.seed = args.seed;
-  options.clients = args.clients == 40 ? 30 : args.clients;  // scenario default
+  if (args.clients) options.clients = *args.clients;
   options.offered_rps = args.rps;
-  if (args.bandwidth_bps != 12'500'000.0) {
-    options.replica_bandwidth_bps = args.bandwidth_bps;
-  }
+  if (args.bandwidth_bps) options.replica_bandwidth_bps = *args.bandwidth_bps;
   options.record_trace = !args.trace_out.empty() || !args.metrics_out.empty();
   const auto result = rcs::load::run_adapt_scenario(options);
   summary.add(result);
   std::fputs(result.trace.c_str(), stdout);
   if (!args.trace_out.empty() &&
-      !dump_to(args.trace_out, result.trace_json, "trace")) {
+      !write_file(args.trace_out, result.trace_json, "trace")) {
     return 2;
   }
   if (!args.metrics_out.empty() &&
-      !dump_to(args.metrics_out, result.metrics_json, "metrics")) {
+      !write_file(args.metrics_out, result.metrics_json, "metrics")) {
     return 2;
   }
   return result.passed ? 0 : 1;
@@ -212,10 +151,7 @@ int run_scenario_mode(const Args& args, RunSummary& summary) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse_args(argc, argv, args)) {
-    usage();
-    return 2;
-  }
+  if (!parse_args(argc, argv, args)) return 2;
   rcs::log().set_level(args.verbose ? rcs::LogLevel::kInfo
                                     : rcs::LogLevel::kWarn);
   if (args.verbose) rcs::log().set_stderr_level(rcs::LogLevel::kInfo);

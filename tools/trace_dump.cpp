@@ -26,32 +26,32 @@
 
 #include "rcs/common/logging.hpp"
 #include "rcs/core/chaos_campaign.hpp"
+#include "runner_common.hpp"
 
 namespace {
+
+using rcs::tools::write_file;
 
 struct Args {
   std::uint64_t seed{1};
   std::string ftm{"PBR"};
-  bool delta{true};
+  std::string delta{"on"};
   std::string transition_to;
   std::string trace_out;    // empty: stdout
-  std::string metrics_out;  // empty: skip unless --metrics-only
-  bool metrics_to_stdout{false};
+  std::string metrics_out;  // empty: none; `-`: stdout
   std::string check;  // validate this trace file (`-` = stdin) and exit
 };
 
-void usage() {
-  std::puts(
-      "usage: trace_dump [--seed S] [--ftm NAME] [--delta on|off]\n"
-      "                  [--transition-to NAME] [-o|--trace-out FILE]\n"
-      "                  [--metrics-out FILE|-]\n"
-      "       trace_dump --check FILE|-\n"
-      "\n"
-      "Runs one traced chaos campaign and writes Chrome trace_event JSON\n"
-      "(stdout by default) plus an optional JSON-lines metrics summary.\n"
-      "--check validates a previously exported trace (`-` reads stdin):\n"
-      "exit 0 iff the input is complete JSON with a traceEvents array.");
-}
+constexpr const char* kUsage =
+    "usage: trace_dump [--seed S] [--ftm NAME] [--delta on|off]\n"
+    "                  [--transition-to NAME] [-o|--trace-out FILE]\n"
+    "                  [--metrics-out FILE|-]\n"
+    "       trace_dump --check FILE|-\n"
+    "\n"
+    "Runs one traced chaos campaign and writes Chrome trace_event JSON\n"
+    "(stdout by default) plus an optional JSON-lines metrics summary.\n"
+    "--check validates a previously exported trace (`-` reads stdin):\n"
+    "exit 0 iff the input is complete JSON with a traceEvents array.";
 
 // --- Minimal JSON validator (for --check) ----------------------------------
 //
@@ -267,96 +267,46 @@ int check_trace(const std::string& source) {
 }
 
 bool parse_args(int argc, char** argv, Args& args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      args.seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--ftm") {
-      const char* v = next();
-      if (!v) return false;
-      args.ftm = v;
-    } else if (arg == "--delta") {
-      const char* v = next();
-      if (!v) return false;
-      args.delta = std::strcmp(v, "off") != 0;
-    } else if (arg == "--transition-to") {
-      const char* v = next();
-      if (!v) return false;
-      args.transition_to = v;
-    } else if (arg == "-o" || arg == "--trace-out") {
-      const char* v = next();
-      if (!v) return false;
-      args.trace_out = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return false;
-      if (std::strcmp(v, "-") == 0) {
-        args.metrics_to_stdout = true;
-      } else {
-        args.metrics_out = v;
-      }
-    } else if (arg == "--check") {
-      const char* v = next();
-      if (!v) return false;
-      args.check = v;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-bool write_file(const std::string& path, const std::string& data) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "trace_dump: cannot open %s\n", path.c_str());
-    return false;
-  }
-  const bool ok =
-      std::fwrite(data.data(), 1, data.size(), f) == data.size();
-  std::fclose(f);
-  if (!ok) std::fprintf(stderr, "trace_dump: short write to %s\n", path.c_str());
-  return ok;
+  using rcs::tools::Flag;
+  const Flag flags[] = {
+      {"--seed", &args.seed, 0},
+      {"--ftm", &args.ftm},
+      {"--delta", &args.delta, {"on", "off"}},
+      {"--transition-to", &args.transition_to},
+      {"-o", &args.trace_out},
+      {"--trace-out", &args.trace_out},
+      {"--metrics-out", &args.metrics_out},
+      {"--check", &args.check},
+  };
+  return rcs::tools::parse_flags(argc, argv, flags, kUsage);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse_args(argc, argv, args)) {
-    usage();
-    return 2;
-  }
+  if (!parse_args(argc, argv, args)) return 2;
   rcs::log().set_level(rcs::LogLevel::kWarn);
   if (!args.check.empty()) return check_trace(args.check);
 
   rcs::core::ChaosCampaignOptions options;
   options.seed = args.seed;
   options.ftm = args.ftm;
-  options.delta_checkpoint = args.delta;
+  options.delta_checkpoint = args.delta == "on";
   options.transition_to = args.transition_to;
   options.record_trace = true;
   const auto result = rcs::core::run_campaign(options);
 
   if (args.trace_out.empty()) {
     std::fwrite(result.trace_json.data(), 1, result.trace_json.size(), stdout);
-  } else if (!write_file(args.trace_out, result.trace_json)) {
+  } else if (!write_file(args.trace_out, result.trace_json, "trace")) {
     return 1;
   }
-  if (args.metrics_to_stdout) {
+  if (args.metrics_out == "-") {
     std::fwrite(result.metrics_json.data(), 1, result.metrics_json.size(),
                 stdout);
   } else if (!args.metrics_out.empty() &&
-             !write_file(args.metrics_out, result.metrics_json)) {
+             !write_file(args.metrics_out, result.metrics_json, "metrics")) {
     return 1;
   }
 
