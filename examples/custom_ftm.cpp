@@ -49,7 +49,7 @@ class SyncAfterLfrAudit final : public ftm::SyncAfterDuplexBase {
     Value data = Value::map();
     data.set("key", ctx.at("key")).set("digest", digest(ctx.at("result")));
     send_peer("after", "notify", std::move(data));
-    count_event("notification");
+    count_event(ftm::Event::kNotification);
     return done();
   }
 

@@ -30,15 +30,18 @@ Value Component::invoke(const std::string& service, const std::string& op,
 
 Value Component::dispatch(const std::string& service, const std::string& op,
                           const Value& args) {
+  ensure_started(service);
+  return on_invoke(service, op, args);
+}
+
+void Component::ensure_started(const std::string& service) const {
   if (state_ != LifecycleState::kStarted) {
     throw ComponentError(strf("invoke on stopped component '", name_, "' (",
                               type_name(), "), service '", service, "'"));
   }
-  return on_invoke(service, op, args);
 }
 
-Value Component::call(std::string_view reference, const std::string& op,
-                      const Value& args) {
+const Component::Binding& Component::bound(std::string_view reference) const {
   ensure(composite_ != nullptr, "component '", name_,
          "' is not inside a composite");
   const Binding* slot = binding(reference);
@@ -52,7 +55,26 @@ Value Component::call(std::string_view reference, const std::string& op,
                               ": call through unwired reference ", name_, ".",
                               reference));
   }
-  return slot->target->dispatch(slot->service, op, args);
+  return *slot;
+}
+
+Value Component::call(std::string_view reference, const std::string& op,
+                      const Value& args) {
+  const Binding& slot = bound(reference);
+  return slot.target->dispatch(slot.service, op, args);
+}
+
+void* Component::bound_face(std::string_view reference) const {
+  const Binding& slot = bound(reference);
+  ensure(slot.face != nullptr, "reference ", name_, ".", reference,
+         " has no typed face");
+  slot.target->ensure_started(slot.service);
+  return slot.face;
+}
+
+void* Component::resolve_face(const PortSpec& /*reference*/,
+                              Component& /*target*/) {
+  return nullptr;
 }
 
 bool Component::wired(std::string_view reference) const {

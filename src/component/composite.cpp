@@ -113,7 +113,8 @@ void Composite::wire(const std::string& from, const std::string& reference,
     throw ComponentError(strf(name_, ": reference ", from, ".", reference,
                               " is already wired"));
   }
-  slot = {&to_c, service};
+  void* face = from_c.resolve_face(*ref_spec, to_c);
+  slot = {&to_c, service, face};
   log().trace("comp", name_, ": wire ", from, ".", reference, " -> ", to, ".",
               service);
 }

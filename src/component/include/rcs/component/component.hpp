@@ -7,6 +7,13 @@
 // binds to their targets when it makes a wire. This indirection is the
 // paper's key enabler: a reconfiguration script can replace the component at
 // the other end of a wire between two requests, and the caller never notices.
+//
+// A reference may also be typed: the caller names the C++ face it expects of
+// the target (resolve_face), the composite resolves it once when it makes
+// the wire, and every call is then a virtual call through face<F>(reference)
+// with no Value arguments. The lookup is still per call, through the same
+// binding call() uses, so a rewired reference reaches its new target on the
+// next call.
 #pragma once
 
 #include <string>
@@ -73,6 +80,22 @@ class Component {
   /// True if the reference is currently wired (for optional references).
   [[nodiscard]] bool wired(std::string_view reference) const;
 
+  /// The C++ face this component calls `reference` through, resolved on
+  /// the target of a wire being made. Composite::wire calls it once per
+  /// wire and keeps the result in the binding until the wire goes. Null,
+  /// the default, means the reference is only reached through call(). An
+  /// override throws ComponentError to refuse a target that lacks the face,
+  /// which fails the wire.
+  virtual void* resolve_face(const PortSpec& reference, Component& target);
+
+  /// The bound target of a typed reference, as the face resolve_face gave
+  /// for its wire. Throws ComponentError, as call() does, if the reference
+  /// is unwired or its target is stopped.
+  template <class Face>
+  [[nodiscard]] Face& face(std::string_view reference) {
+    return *static_cast<Face*>(bound_face(reference));
+  }
+
  private:
   friend class Composite;
 
@@ -82,12 +105,21 @@ class Component {
   struct Binding {
     Component* target{nullptr};
     std::string service;
+    void* face{nullptr};  // resolve_face's answer for this wire
   };
 
   /// The slot of a declared reference, or null if the type has none by that
   /// name.
   [[nodiscard]] Binding* binding(std::string_view reference);
   [[nodiscard]] const Binding* binding(std::string_view reference) const;
+
+  /// The bound slot of `reference`; throws ComponentError if the component
+  /// has no such reference or it is unwired.
+  [[nodiscard]] const Binding& bound(std::string_view reference) const;
+  /// face()'s untyped core.
+  [[nodiscard]] void* bound_face(std::string_view reference) const;
+  /// Throws ComponentError unless the component is started.
+  void ensure_started(const std::string& service) const;
 
   /// invoke() once the service is known to be declared.
   Value dispatch(const std::string& service, const std::string& op,

@@ -3,8 +3,6 @@
 // Runs the request once through the server and resumes the pipeline after the
 // CPU time the computation cost, so processing latency shows up on the
 // virtual clock (and in the per-FTM resource measurements).
-#include "rcs/common/error.hpp"
-#include "rcs/common/strf.hpp"
 #include "rcs/ftm/bricks.hpp"
 #include "rcs/ftm/config.hpp"
 
@@ -13,18 +11,15 @@ namespace rcs::ftm {
 namespace {
 
 class ProceedCompute final : public FtmBrick {
- protected:
-  Value on_invoke(const std::string& /*service*/, const std::string& op,
-                  const Value& args) override {
-    if (op == "process") {
-      const Value& ctx = args;
-      const Value outcome = run_server(ctx.at("request"));
-      resume_after(ctx.at("key").as_string(), outcome.at("cpu_us").as_int(),
-                   outcome.at("result"));
-      return wait_for("");  // timer wait; control.resume_after fires it
-    }
-    if (op == "on_peer") return Value::map();
-    throw FtmError(strf("proceed.compute: unknown op '", op, "'"));
+ public:
+  Value run_phase(const Value& ctx) override {
+    const Value outcome = run_server(ctx.at("request"));
+    resume_after(ctx.at("key").as_string(), outcome.at("cpu_us").as_int(),
+                 outcome.at("result"));
+    return wait_for("");  // timer wait; control().resume_after fires it
+  }
+  Value on_peer(const Value& /*ctx*/, const Value& /*message*/) override {
+    return Value::map();
   }
 };
 

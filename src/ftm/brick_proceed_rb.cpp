@@ -9,8 +9,6 @@
 // Per the paper, "for RB, an update consists of changing the acceptance
 // test": swapping the application's assertion (or this brick, via
 // refresh_brick) upgrades the coverage without touching the FTM.
-#include "rcs/common/error.hpp"
-#include "rcs/common/strf.hpp"
 #include "rcs/ftm/bricks.hpp"
 #include "rcs/ftm/config.hpp"
 
@@ -19,12 +17,10 @@ namespace rcs::ftm {
 namespace {
 
 class ProceedRb final : public FtmBrick {
- protected:
-  Value on_invoke(const std::string& /*service*/, const std::string& op,
-                  const Value& args) override {
-    if (op == "process") return process(args);
-    if (op == "on_peer") return Value::map();
-    throw FtmError(strf("proceed.rb: unknown op '", op, "'"));
+ public:
+  Value run_phase(const Value& ctx) override { return process(ctx); }
+  Value on_peer(const Value& /*ctx*/, const Value& /*message*/) override {
+    return Value::map();
   }
 
  private:

@@ -7,8 +7,6 @@
 // means the fault was not transient — the request fails. Following §5.2, the
 // whole TR behaviour lives in this single proceed component so that
 // LFR -> LFR⊕TR replaces exactly one brick.
-#include "rcs/common/error.hpp"
-#include "rcs/common/strf.hpp"
 #include "rcs/ftm/bricks.hpp"
 #include "rcs/ftm/config.hpp"
 
@@ -17,12 +15,10 @@ namespace rcs::ftm {
 namespace {
 
 class ProceedTr final : public FtmBrick {
- protected:
-  Value on_invoke(const std::string& /*service*/, const std::string& op,
-                  const Value& args) override {
-    if (op == "process") return process(args);
-    if (op == "on_peer") return Value::map();
-    throw FtmError(strf("proceed.tr: unknown op '", op, "'"));
+ public:
+  Value run_phase(const Value& ctx) override { return process(ctx); }
+  Value on_peer(const Value& /*ctx*/, const Value& /*message*/) override {
+    return Value::map();
   }
 
  private:

@@ -30,7 +30,7 @@ class SyncAfterLfr final : public SyncAfterDuplexBase {
     Value data = Value::map();
     data.set("key", ctx.at("key")).set("digest", digest(ctx.at("result")));
     send_peer("after", "notify", std::move(data));
-    count_event("notification");
+    count_event(Event::kNotification);
     return done();  // fire-and-forget: the client reply is not gated
   }
 

@@ -1,6 +1,4 @@
 // syncAfter brick with no agreement-coordination phase (single-host TR).
-#include "rcs/common/error.hpp"
-#include "rcs/common/strf.hpp"
 #include "rcs/ftm/bricks.hpp"
 #include "rcs/ftm/config.hpp"
 
@@ -9,14 +7,10 @@ namespace rcs::ftm {
 namespace {
 
 class SyncAfterNoop final : public FtmBrick {
- protected:
-  Value on_invoke(const std::string& /*service*/, const std::string& op,
-                  const Value& /*args*/) override {
-    if (op == "after") return done();
-    if (op == "on_peer") return Value::map();
-    if (op == "make_join_snapshot") return Value::map();
-    if (op == "apply_join_snapshot") return {};
-    throw FtmError(strf("syncAfter.noop: unknown op '", op, "'"));
+ public:
+  Value run_phase(const Value& /*ctx*/) override { return done(); }
+  Value on_peer(const Value& /*ctx*/, const Value& /*message*/) override {
+    return Value::map();
   }
 };
 

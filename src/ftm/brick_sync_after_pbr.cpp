@@ -37,14 +37,15 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
       // never narrows it — so the backup can always catch up or detect a gap.
       if (wired("state")) {
         Value ckpt = call("state", "capture_delta");
-        count_event(ckpt.at("full").as_bool() ? "full_checkpoint_sent"
-                                              : "delta_sent");
+        count_event(ckpt.at("full").as_bool() ? Event::kFullCheckpointSent
+                                              : Event::kDeltaSent);
         data.set("ckpt", std::move(ckpt));
       }
-      data.set("rlog", call("replyLog", "export_since"));
+      data.set("rlog", reply_log().export_since());
     } else {
-      data.set("state", capture_state()).set("replies", export_replies());
-      count_event("full_checkpoint_sent");
+      data.set("state", capture_state())
+          .set("replies", reply_log().export_all());
+      count_event(Event::kFullCheckpointSent);
     }
     // The current request's reply is recorded in the reply log only after
     // this phase completes, so ship it explicitly: at-most-once must hold on
@@ -69,7 +70,7 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
                     static_cast<std::int64_t>(data.encoded_size()));
     }
     send_peer("after", "checkpoint", std::move(data));
-    count_event("checkpoint_sent");
+    count_event(Event::kCheckpointSent);
     // Wait for every live backup to acknowledge before answering the client
     // (no acknowledged request can be lost to a failover).
     return wait_for_group("checkpoint_ack", static_cast<int>(group.size()));
@@ -80,13 +81,14 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
       // The whole group confirmed this checkpoint: it will never need to be
       // retransmitted, so drop its dirty keys and reply-log entries from
       // future deltas. (All acks of one round echo the same seq/upto.)
-      const Value data = message.get_or("data", Value::map());
+      if (!message.has("data")) return done();
+      const Value& data = message.at("data");
       if (data.is_map() && data.has("seq") && wired("state")) {
         call("state", "ack_delta", Value::map().set("seq", data.at("seq")));
       }
       if (data.is_map() && data.has("upto")) {
-        call("replyLog", "ack_export",
-             Value::map().set("upto", data.at("upto")));
+        reply_log().ack_export(
+            static_cast<std::uint64_t>(data.at("upto").as_int()));
       }
       return done();
     }
@@ -113,9 +115,9 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
         }
       }
       if (!data.at("state").is_null()) restore_state(data.at("state"));
-      import_replies(data.at("replies"));
+      reply_log().import_all(data.at("replies"));
       record_pending_reply(data);
-      count_event("checkpoint_applied");
+      count_event(Event::kCheckpointApplied);
       trace_instant("ckpt.apply", 0, from);
       send_peer_to(from, "after", "checkpoint_ack",
                    Value::map().set("key", data.at("key")));
@@ -136,10 +138,7 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
 
   void record_pending_reply(const Value& data) {
     if (!data.has("pending_reply")) return;
-    call("replyLog", "record",
-         Value::map()
-             .set("key", data.at("key"))
-             .set("reply", data.at("pending_reply")));
+    reply_log().record(data.at("key").as_string(), data.at("pending_reply"));
   }
 
   Value apply_delta_checkpoint(const Value& data, std::int64_t from) {
@@ -161,21 +160,20 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
       if (ok) ack.set("seq", data.at("ckpt").at("seq"));
     }
     if (ok && data.has("rlog")) {
-      const Value imported = call("replyLog", "import_delta", data.at("rlog"));
-      ok = imported.at("ok").as_bool();
+      ok = reply_log().import_delta(data.at("rlog"));
       if (ok) ack.set("upto", data.at("rlog").at("upto"));
     }
     if (!ok) {
       // We missed checkpoints (restart, loss burst, or a new primary's
       // stream): ask for a full resync through the join path and withhold
       // the ack — the primary's retry loop re-sends once we caught up.
-      count_event("resync_requested");
+      count_event(Event::kResyncRequested);
       trace_instant("ckpt.resync", 0, from);
-      call("control", "join", Value::map());
+      control().join();
       return Value::map();
     }
     record_pending_reply(data);
-    count_event("checkpoint_applied");
+    count_event(Event::kCheckpointApplied);
     trace_instant("ckpt.apply", 0, from);
     send_peer_to(from, "after", "checkpoint_ack", std::move(ack));
     return Value::map();

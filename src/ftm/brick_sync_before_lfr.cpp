@@ -5,8 +5,6 @@
 // Follower side ("Receive request"): the unsolicited forward starts a
 // forwarded pipeline through the kernel; the follower computes the request
 // itself but never answers the client.
-#include "rcs/common/error.hpp"
-#include "rcs/common/strf.hpp"
 #include "rcs/ftm/bricks.hpp"
 #include "rcs/ftm/config.hpp"
 
@@ -15,37 +13,31 @@ namespace rcs::ftm {
 namespace {
 
 class SyncBeforeLfr final : public FtmBrick {
- protected:
-  Value on_invoke(const std::string& /*service*/, const std::string& op,
-                  const Value& args) override {
-    if (op == "before") {
-      const Value& ctx = args;
-      // Follower executing a forwarded request: the "receive" already
-      // happened; nothing more to coordinate.
-      if (ctx.at("forwarded").as_bool()) return done();
-      if (is_master(ctx) && peer_available(ctx)) {
-        Value data = Value::map();
-        data.set("key", ctx.at("key"))
-            .set("client", ctx.at("client"))
-            .set("id", ctx.at("id"))
-            .set("request", ctx.at("request"));
-        // Thread the trace id into the forward so the follower's pipeline
-        // spans land on the same trace as the leader's.
-        if (ctx.has("trace")) data.set("trace", ctx.at("trace"));
-        send_peer("before", "request", std::move(data));
-      }
-      return done();
+ public:
+  Value run_phase(const Value& ctx) override {
+    // Follower executing a forwarded request: the "receive" already
+    // happened; nothing more to coordinate.
+    if (ctx.at("forwarded").as_bool()) return done();
+    if (is_master(ctx) && peer_available(ctx)) {
+      Value data = Value::map();
+      data.set("key", ctx.at("key"))
+          .set("client", ctx.at("client"))
+          .set("id", ctx.at("id"))
+          .set("request", ctx.at("request"));
+      // Thread the trace id into the forward so the follower's pipeline
+      // spans land on the same trace as the leader's.
+      if (ctx.has("trace")) data.set("trace", ctx.at("trace"));
+      send_peer("before", "request", std::move(data));
     }
-    if (op == "on_peer") {
-      const Value& message = args.at("message");
-      if (args.at("ctx").is_null() &&
-          message.at("kind").as_string() == "request") {
-        // Unsolicited forward from the leader: start our own pipeline.
-        call("control", "start_forwarded", message.at("data"));
-      }
-      return Value::map();
+    return done();
+  }
+
+  Value on_peer(const Value& ctx, const Value& message) override {
+    if (ctx.is_null() && message.at("kind").as_string() == "request") {
+      // Unsolicited forward from the leader: start our own pipeline.
+      control().start_forwarded(message.at("data"));
     }
-    throw FtmError(strf("syncBefore.lfr: unknown op '", op, "'"));
+    return Value::map();
   }
 };
 

@@ -1,7 +1,5 @@
 // syncBefore brick for strategies with no server-coordination phase
 // (PBR, TR, A&PBR: Table 2's "Nothing" entries in the Before column).
-#include "rcs/common/error.hpp"
-#include "rcs/common/strf.hpp"
 #include "rcs/ftm/bricks.hpp"
 #include "rcs/ftm/config.hpp"
 
@@ -10,12 +8,10 @@ namespace rcs::ftm {
 namespace {
 
 class SyncBeforeNoop final : public FtmBrick {
- protected:
-  Value on_invoke(const std::string& /*service*/, const std::string& op,
-                  const Value& /*args*/) override {
-    if (op == "before") return done();
-    if (op == "on_peer") return Value::map();  // nothing to coordinate
-    throw FtmError(strf("syncBefore.noop: unknown op '", op, "'"));
+ public:
+  Value run_phase(const Value& /*ctx*/) override { return done(); }
+  Value on_peer(const Value& /*ctx*/, const Value& /*message*/) override {
+    return Value::map();  // nothing to coordinate
   }
 };
 

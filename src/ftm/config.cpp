@@ -2,16 +2,8 @@
 
 #include "rcs/common/error.hpp"
 #include "rcs/common/strf.hpp"
-#include "rcs/ftm/interfaces.hpp"
 
 namespace rcs::ftm {
-
-Role role_from_string(const std::string& text) {
-  if (text == "primary") return Role::kPrimary;
-  if (text == "backup") return Role::kBackup;
-  if (text == "alone") return Role::kAlone;
-  throw FtmError(strf("unknown role '", text, "'"));
-}
 
 int FtmConfig::diff_size(const FtmConfig& other) const {
   int diff = 0;

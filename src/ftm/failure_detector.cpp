@@ -35,15 +35,6 @@ sim::Duration FailureDetectorComponent::timeout() const {
   return property("timeout_us").as_int();
 }
 
-std::vector<std::int64_t> FailureDetectorComponent::peer_ids() {
-  const Value info = call("control", "info");
-  std::vector<std::int64_t> peers;
-  for (const auto& entry : info.at("peers").as_list()) {
-    peers.push_back(entry.as_int());
-  }
-  return peers;
-}
-
 void FailureDetectorComponent::on_start() {
   running_ = true;
   suspected_.clear();
@@ -72,7 +63,7 @@ void FailureDetectorComponent::beat() {
   // All peers get the identical beacon: build it once, share the payload.
   const Payload beacon{Value::map().set(
       "from", static_cast<std::int64_t>(host()->id().value()))};
-  for (const auto peer : peer_ids()) {
+  for (const auto peer : control().peers()) {
     if (peer < 0) continue;
     host()->send(HostId{static_cast<std::uint32_t>(peer)}, msg::kHeartbeat,
                  beacon);
@@ -86,7 +77,7 @@ void FailureDetectorComponent::check() {
   const Value grace_prop = property("startup_grace_us");
   const sim::Duration grace =
       grace_prop.is_int() ? grace_prop.as_int() : kDefaultStartupGrace;
-  for (const auto peer : peer_ids()) {
+  for (const auto peer : control().peers()) {
     if (peer < 0 || suspected_.contains(peer)) continue;
     const auto it = last_heard_.find(peer);
     if (it == last_heard_.end()) {
@@ -100,7 +91,7 @@ void FailureDetectorComponent::check() {
       suspected_.insert(peer);
       log().info("fd", host()->name(), ": peer h", peer,
                  " suspected (silent for ", now - heard, "us)");
-      call("control", "peer_suspected", Value::map().set("host", peer));
+      control().peer_suspected(peer);
     }
   }
   check_timer_ =
@@ -116,7 +107,7 @@ Value FailureDetectorComponent::on_invoke(const std::string& /*service*/,
     if (suspected_.erase(from) > 0) {
       log().info("fd", host() ? host()->name() : "?", ": peer h", from,
                  " heard again, recovered");
-      call("control", "peer_recovered", Value::map().set("host", from));
+      control().peer_recovered(from);
     }
     return {};
   }

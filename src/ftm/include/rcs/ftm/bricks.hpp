@@ -1,13 +1,17 @@
 // Variable-feature bricks of the Before-Proceed-After scheme (§4, Table 2).
 //
 // Each brick is a small *stateless* component filling one slot of the FTM
-// composite; differential transitions replace exactly these (§5.2). Brick
-// protocol (driven by the kernel):
-//   op "before"/"process"/"after" (by slot)  args: ctx view
-//   op "on_peer"       args: {ctx: view|null, message}
-// returning a status directive map — see protocol.hpp. On group-membership
-// changes and retransmission timeouts the kernel simply re-runs the waiting
-// phase (ctx carries "attempt"), so bricks stay stateless.
+// composite; differential transitions replace exactly these (§5.2). The
+// kernel drives a brick through its Brick face (interfaces.hpp), resolved
+// when the slot's wire is made:
+//   run_phase(ctx view)          Before / Proceed / After, by slot
+//   on_peer(ctx view | null, message)
+// each returning a status directive map — see protocol.hpp. A brick reaches
+// the kernel and the reply log back through its "control" and "replyLog"
+// references, typed as the ProtocolControl and ReplyLog faces; the helpers
+// below wrap them. Bricks serve no Value ops. On group-membership changes
+// and retransmission timeouts the kernel simply re-runs the waiting phase
+// (ctx carries "attempt"), so bricks stay stateless.
 //
 //   FTM slot content (Table 2):
 //     PBR  primary:  -            / compute / checkpoint to backup
@@ -19,7 +23,11 @@
 #pragma once
 
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "rcs/common/error.hpp"
+#include "rcs/common/strf.hpp"
 #include "rcs/component/component.hpp"
 #include "rcs/ftm/interfaces.hpp"
 #include "rcs/sim/host.hpp"
@@ -29,8 +37,24 @@ namespace rcs::ftm {
 
 /// Common helpers for brick implementations. Bricks keep NO per-request
 /// state: everything flows through the ctx view and the kernel's stash.
-class FtmBrick : public comp::Component {
+class FtmBrick : public comp::Component, public Brick {
+ public:
+  /// Only the After slot is asked for join snapshots; a brick with nothing
+  /// to ship answers an empty one and ignores the peer's.
+  Value make_join_snapshot() override { return Value::map(); }
+  void apply_join_snapshot(const Value& /*snapshot*/) override {}
+
  protected:
+  Value on_invoke(const std::string& /*service*/, const std::string& op,
+                  const Value& /*args*/) final {
+    throw FtmError(strf(type_name(), ": bricks are called through their ",
+                        "typed face, not op '", op, "'"));
+  }
+  void* resolve_face(const comp::PortSpec& reference,
+                     comp::Component& target) override {
+    return typed_face(reference, target);
+  }
+
   // --- Status directives ---------------------------------------------------
   [[nodiscard]] static Value done() {
     return Value::map().set("status", "done");
@@ -65,8 +89,11 @@ class FtmBrick : public comp::Component {
     return Value::map().set("defer", true);
   }
 
-  // --- Kernel access through the control reference -------------------------
-  [[nodiscard]] Value kernel_info() { return call("control", "info"); }
+  // --- Kernel and reply log, through the typed references ------------------
+  [[nodiscard]] ProtocolControl& control() {
+    return face<ProtocolControl>("control");
+  }
+  [[nodiscard]] ReplyLog& reply_log() { return face<ReplyLog>("replyLog"); }
   [[nodiscard]] bool is_master(const Value& ctx) const {
     const auto& role = ctx.at("role").as_string();
     return role == "primary" || role == "alone";
@@ -75,46 +102,26 @@ class FtmBrick : public comp::Component {
     return ctx.at("peer_alive").as_bool() && ctx.at("role").as_string() != "alone";
   }
 
-  void send_peer(const std::string& phase, const std::string& kind, Value data) {
-    Value args = Value::map();
-    args.set("phase", phase).set("kind", kind).set("data", std::move(data));
-    call("control", "send_peer", args);
+  void send_peer(std::string_view phase, std::string_view kind, Value data) {
+    control().send_peer(phase, kind, std::move(data));
   }
 
-  void send_peer_to(std::int64_t host, const std::string& phase,
-                    const std::string& kind, Value data) {
-    Value args = Value::map();
-    args.set("host", host)
-        .set("phase", phase)
-        .set("kind", kind)
-        .set("data", std::move(data));
-    call("control", "send_peer_to", args);
+  void send_peer_to(std::int64_t host, std::string_view phase,
+                    std::string_view kind, Value data) {
+    control().send_peer_to(host, phase, kind, std::move(data));
   }
 
   /// Live members of the replica group, from the kernel.
   [[nodiscard]] std::vector<std::int64_t> alive_peers() {
-    // Materialize the info map first: iterating a reference obtained through
-    // a call chain on a temporary would dangle.
-    const Value info = kernel_info();
-    std::vector<std::int64_t> peers;
-    for (const auto& entry : info.at("alive_peers").as_list()) {
-      peers.push_back(entry.as_int());
-    }
-    return peers;
+    return control().alive_peers();
   }
 
-  void report_fault(const std::string& kind) {
-    call("control", "report_fault", Value::map().set("kind", kind));
-  }
+  void report_fault(const std::string& kind) { control().report_fault(kind); }
 
-  void count_event(const std::string& kind) {
-    call("control", "count_event", Value::map().set("kind", kind));
-  }
+  void count_event(Event event) { control().count_event(event); }
 
   void resume_after(const std::string& key, std::int64_t delay_us, Value result) {
-    Value args = Value::map();
-    args.set("key", key).set("delay_us", delay_us).set("result", std::move(result));
-    call("control", "resume_after", args);
+    control().resume_after(key, delay_us, std::move(result));
   }
 
   /// Run the application once through the server reference; returns the

@@ -4,8 +4,8 @@
 // suspects the peer when nothing has been heard for `timeout_us` (the paper's
 // "dedicated entity (e.g., heartbeat, watchdog)" that detects the master
 // crash and triggers recovery, §3.2.1). Suspicion is reported to the protocol
-// kernel through the control reference; a later heartbeat from a restarted
-// peer reports recovery.
+// kernel through the control reference, typed as its ProtocolControl face; a
+// later heartbeat from a restarted peer reports recovery.
 #pragma once
 
 #include <map>
@@ -13,6 +13,7 @@
 
 #include "rcs/common/ids.hpp"
 #include "rcs/component/component.hpp"
+#include "rcs/ftm/interfaces.hpp"
 #include "rcs/sim/time.hpp"
 
 namespace rcs::ftm {
@@ -40,14 +41,20 @@ class FailureDetectorComponent : public comp::Component {
 
   void on_start() override;
   void on_stop() override;
+  void* resolve_face(const comp::PortSpec& reference,
+                     comp::Component& target) override {
+    return typed_face(reference, target);
+  }
 
  private:
   void beat();
   void check();
   [[nodiscard]] sim::Duration interval() const;
   [[nodiscard]] sim::Duration timeout() const;
-  /// Peer host ids from the protocol kernel (the replica group).
-  [[nodiscard]] std::vector<std::int64_t> peer_ids();
+  /// The protocol kernel, whose replica group is beaten to and watched.
+  [[nodiscard]] ProtocolControl& control() {
+    return face<ProtocolControl>("control");
+  }
 
   void cancel_timers();
 

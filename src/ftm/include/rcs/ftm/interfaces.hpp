@@ -14,11 +14,30 @@
 //
 // Interfaces are the typed contracts on the wires; message types are the
 // host-level network message names.
+//
+// Inside the composite the kernel, the bricks, the reply log and the failure
+// detector call each other as C++ objects: rcs.ProtocolControl and
+// rcs.ReplyLog each have a face below and the three brick interfaces share
+// one, which the caller resolves when a script makes the wire (typed_face)
+// and then calls virtually, with no Value argument maps. Value stays at the
+// composite's edges — the client and peer ports, the application's
+// rcs.Server and rcs.StateManager — and in the Value ops the kernel and the
+// reply log keep for the runtime, scripts and tests.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "rcs/common/intern.hpp"
+#include "rcs/common/value.hpp"
+#include "rcs/component/ports.hpp"
+#include "rcs/sim/time.hpp"
+
+namespace rcs::comp {
+class Component;
+}
 
 namespace rcs::ftm::iface {
 
@@ -72,5 +91,101 @@ enum class Role {
 }
 
 [[nodiscard]] Role role_from_string(const std::string& text);
+
+/// Kernel counters a brick bumps through ProtocolControl::count_event.
+enum class Event : std::uint8_t {
+  kCheckpointSent,
+  kCheckpointApplied,
+  kDeltaSent,
+  kFullCheckpointSent,
+  kResyncRequested,
+  kNotification,
+};
+
+/// Face of rcs.SyncBefore, rcs.Proceed and rcs.SyncAfter: what the kernel
+/// calls on the brick in each slot. Every call returns a status directive
+/// (see protocol.hpp).
+class Brick {
+ public:
+  /// Run this brick's phase — Before, Proceed or After, by its slot — for
+  /// the request whose view is `ctx`.
+  virtual Value run_phase(const Value& ctx) = 0;
+  /// A peer message for this slot: solicited (`ctx` is the view of the
+  /// context waiting for it) or unsolicited (`ctx` is null).
+  virtual Value on_peer(const Value& ctx, const Value& message) = 0;
+  /// Rejoin: the master's state and reply log for a restarted replica, and
+  /// its application on that replica. Only the After slot is asked.
+  virtual Value make_join_snapshot() = 0;
+  virtual void apply_join_snapshot(const Value& snapshot) = 0;
+
+ protected:
+  ~Brick() = default;
+};
+
+/// Progress of an in-flight request, for ProtocolControl::peek.
+struct InFlight {
+  bool found{false};
+  int phase{0};  // 0=before 1=proceed 2=after
+  /// The context's result so far; valid until the kernel next runs.
+  const Value* result{nullptr};
+};
+
+/// Face of rcs.ProtocolControl: the kernel services bricks and the failure
+/// detector reach back through their "control" reference.
+class ProtocolControl {
+ public:
+  /// The replica group, and its members not suspected by the detector.
+  [[nodiscard]] virtual std::vector<std::int64_t> peers() const = 0;
+  [[nodiscard]] virtual std::vector<std::int64_t> alive_peers() const = 0;
+  /// Send {phase, kind, key?, data} to every live peer, or to one.
+  virtual void send_peer(std::string_view phase, std::string_view kind,
+                         Value data) = 0;
+  virtual void send_peer_to(std::int64_t peer, std::string_view phase,
+                            std::string_view kind, Value data) = 0;
+  /// Complete the waiting phase of `key` with `result` after `delay`.
+  virtual void resume_after(const std::string& key, sim::Duration delay,
+                            Value result) = 0;
+  virtual void count_event(Event event) = 0;
+  /// A detected fault ("divergence", "assertion_failed", ...), for the
+  /// counters and the fault listener.
+  virtual void report_fault(const std::string& kind) = 0;
+  [[nodiscard]] virtual InFlight peek(const std::string& key) const = 0;
+  /// Start a pipeline for a request the leader forwarded.
+  virtual void start_forwarded(const Value& request) = 0;
+  /// Ask the master for a full state and reply-log snapshot.
+  virtual void join() = 0;
+  virtual void peer_suspected(std::int64_t peer) = 0;
+  virtual void peer_recovered(std::int64_t peer) = 0;
+
+ protected:
+  ~ProtocolControl() = default;
+};
+
+/// Face of rcs.ReplyLog (see reply_log.hpp for the snapshot shapes).
+class ReplyLog {
+ public:
+  /// The reply recorded for `key`, or null; valid until the next record or
+  /// import.
+  [[nodiscard]] virtual const Value* lookup(const std::string& key) const = 0;
+  virtual void record(const std::string& key, Value reply) = 0;
+  /// Full snapshot {entries, order, upto}, and its replacement of the log.
+  [[nodiscard]] virtual Value export_all() const = 0;
+  virtual void import_all(const Value& snapshot) = 0;
+  /// Incremental snapshot {entries, order, from, upto} of the entries the
+  /// peer has not acknowledged; the acknowledgement; and its import, which
+  /// is false when the snapshot starts past what this log has seen.
+  [[nodiscard]] virtual Value export_since() const = 0;
+  virtual void ack_export(std::uint64_t upto) = 0;
+  [[nodiscard]] virtual bool import_delta(const Value& delta) = 0;
+
+ protected:
+  ~ReplyLog() = default;
+};
+
+/// Component::resolve_face for the FTM's components: the face a reference
+/// of `reference.interface_name` calls on `target` — Brick, ProtocolControl
+/// or ReplyLog — or null for the interfaces reached through Value ops.
+/// Throws ComponentError if the target lacks the face.
+void* typed_face(const comp::PortSpec& reference, comp::Component& target);
 
 }  // namespace rcs::ftm

@@ -10,15 +10,21 @@
 // stateless and can be swapped by differential transitions.
 //
 // Pipeline: a client request runs Before -> Proceed -> After -> reply. Each
-// phase invokes the wired brick, which answers with a status directive:
+// phase calls the wired brick's run_phase, which answers with a status
+// directive:
 //   done   - phase complete, advance (optionally carrying {"result": v})
 //   wait   - brick expects a peer message {"expect": kind}; the kernel parks
 //            the context and resumes it when that message (or a stashed early
-//            copy) arrives, feeding it to the brick's on_peer op
+//            copy) arrives, feeding it to the brick's on_peer
 //   again  - re-run the current phase (used by assertion recovery)
 //   fail   - abort with {"error": msg}; the client gets an error reply
-// Bricks reach the kernel back through the "control" service (send_peer,
-// resume, resume_after, report_fault, start_forwarded, stash, info).
+// The kernel calls the bricks and the reply log through their C++ faces
+// (interfaces.hpp), resolved when the wires are made. Bricks and the failure
+// detector reach the kernel back through their "control" reference, typed as
+// the ProtocolControl face this class implements (send_peer, resume_after,
+// count_event, report_fault, peek, start_forwarded, join, ...). The control
+// service's Value ops are left for callers outside the composite: the
+// runtime, the node agent and tests.
 #pragma once
 
 #include <deque>
@@ -36,7 +42,7 @@
 
 namespace rcs::ftm {
 
-class ProtocolKernel : public comp::Component {
+class ProtocolKernel : public comp::Component, public ProtocolControl {
  public:
   [[nodiscard]] static comp::ComponentTypeInfo type_info();
 
@@ -92,6 +98,25 @@ class ProtocolKernel : public comp::Component {
     return buffered_requests_.size() + buffered_forwarded_.size();
   }
 
+  // --- ProtocolControl face (bricks, failure detector) --------------------
+  [[nodiscard]] std::vector<std::int64_t> peers() const override {
+    return peers_;
+  }
+  [[nodiscard]] std::vector<std::int64_t> alive_peers() const override;
+  void send_peer(std::string_view phase, std::string_view kind,
+                 Value data) override;
+  void send_peer_to(std::int64_t peer, std::string_view phase,
+                    std::string_view kind, Value data) override;
+  void resume_after(const std::string& key, sim::Duration delay,
+                    Value result) override;
+  void count_event(Event event) override;
+  void report_fault(const std::string& kind) override;
+  [[nodiscard]] InFlight peek(const std::string& key) const override;
+  void start_forwarded(const Value& request) override;
+  void join() override;
+  void peer_suspected(std::int64_t peer) override;
+  void peer_recovered(std::int64_t peer) override;
+
  protected:
   // Services:
   //   "client"  (rcs.ClientPort): op "request" {client, id, request}
@@ -99,6 +124,10 @@ class ProtocolKernel : public comp::Component {
   //   "control" (rcs.ProtocolControl): see dispatch_control
   Value on_invoke(const std::string& service, const std::string& op,
                   const Value& args) override;
+  void* resolve_face(const comp::PortSpec& reference,
+                     comp::Component& target) override {
+    return typed_face(reference, target);
+  }
 
   void on_start() override;
   void on_property_changed(const std::string& key) override;
@@ -158,7 +187,13 @@ class ProtocolKernel : public comp::Component {
   /// next phase. Every phase transition funnels through here.
   void advance_phase(Ctx& ctx);
   void advance(Ctx& ctx);
-  void apply_brick_status(Ctx& ctx, const Value& status);
+  /// Act on the status a brick answered for ctx's current phase: step past
+  /// the phase when it is done, else apply_brick_status.
+  void on_status(Ctx& ctx, Value status);
+  static void take_result(Value& status, Ctx& ctx);
+  void apply_brick_status(Ctx& ctx, Value status);
+  /// Complete ctx's timer wait (resume_after) with `result`.
+  void resume(const std::string& key, Value result);
   void complete(Ctx& ctx);
   void fail_request(Ctx& ctx, const std::string& error);
   // Takes the key BY VALUE: callers pass ctx.key, which lives inside
@@ -169,17 +204,16 @@ class ProtocolKernel : public comp::Component {
   /// ctx.view with role and peer_alive brought up to date.
   const Value& brick_view(Ctx& ctx) const;
   [[nodiscard]] const char* phase_reference(int phase) const;
+  /// The brick wired for a phase (0..2), through its typed face.
+  [[nodiscard]] Brick& brick(int phase) {
+    return face<Brick>(phase_reference(phase));
+  }
+  [[nodiscard]] ReplyLog& reply_log() { return face<ReplyLog>("replyLog"); }
 
   // Peer group / failover. The replica group is the "peers" property (list
   // of host ids) plus the "master" property; liveness is tracked per peer.
   void rebuild_peer_group();
   [[nodiscard]] bool any_peer_alive() const;
-  [[nodiscard]] std::vector<std::int64_t> alive_peers() const;
-  void send_peer(const std::string& phase, const std::string& kind, Value data);
-  void send_peer_to(std::int64_t peer, const std::string& phase,
-                    const std::string& kind, Value data);
-  void on_peer_suspected(std::int64_t peer);
-  void on_peer_recovered(std::int64_t peer);
   void handle_ctrl(const std::string& kind, const Value& data,
                    std::int64_t from);
   void set_role(Role role);
@@ -215,9 +249,15 @@ class ProtocolKernel : public comp::Component {
   std::deque<std::string> aborted_keys_;
   std::deque<Value> buffered_requests_;   // raw client payloads while blocked
   std::deque<Value> buffered_forwarded_;  // forwarded payloads while blocked
-  /// Outstanding resume timers; cancelled on destruction so a replaced
-  /// composite leaves no closures pointing at a dead kernel.
-  std::map<std::uint64_t, TimerId> resume_timers_;
+  /// Outstanding resume_after timers with what they resume; cancelled on
+  /// destruction so a replaced composite leaves no closures pointing at a
+  /// dead kernel. The closure carries only the handle, so it stays inline.
+  struct PendingResume {
+    TimerId timer{};
+    std::string key;
+    Value result;
+  };
+  std::map<std::uint64_t, PendingResume> resume_timers_;
   std::uint64_t next_resume_timer_{0};
   Counters counters_;
 

@@ -14,12 +14,17 @@
 namespace rcs::ftm {
 
 class SyncAfterDuplexBase : public FtmBrick {
+ public:
+  Value run_phase(const Value& ctx) override;
+  Value on_peer(const Value& ctx, const Value& message) override;
+  /// Anchor a rejoining replica: application state (with its checkpoint
+  /// stream position) and the reply log.
+  Value make_join_snapshot() override;
+  void apply_join_snapshot(const Value& snapshot) override;
+
  protected:
   explicit SyncAfterDuplexBase(bool with_assertion)
       : with_assertion_(with_assertion) {}
-
-  Value on_invoke(const std::string& service, const std::string& op,
-                  const Value& args) override;
 
   /// Strategy-specific agreement action for the master side. Returns a
   /// status directive ("done" after fire-and-forget, "wait" for an ack).
@@ -40,11 +45,8 @@ class SyncAfterDuplexBase : public FtmBrick {
   /// Read the application state if the state manager is wired.
   [[nodiscard]] Value capture_state();
   void restore_state(const Value& state);
-  [[nodiscard]] Value export_replies();
-  void import_replies(const Value& snapshot);
 
  private:
-  Value after_entry(const Value& ctx);
   Value handle_exec_request(const Value& message);
   Value handle_exec_result(const Value& ctx, const Value& message);
 

@@ -18,6 +18,13 @@ std::string request_key(std::int64_t client, std::uint64_t id) {
 }
 }  // namespace
 
+// A status directive's optional "result" becomes ctx's result.
+void ProtocolKernel::take_result(Value& status, Ctx& ctx) {
+  ValueMap& fields = status.as_map();
+  const auto it = fields.find("result");
+  if (it != fields.end()) *ctx.result_slot = std::move(it->second);
+}
+
 comp::ComponentTypeInfo ProtocolKernel::type_info() {
   comp::ComponentTypeInfo info;
   info.type_name = kernel::kProtocol;
@@ -46,7 +53,9 @@ comp::ComponentTypeInfo ProtocolKernel::type_info() {
 
 ProtocolKernel::~ProtocolKernel() {
   if (host() != nullptr) {
-    for (const auto& [id, timer] : resume_timers_) host()->cancel(timer);
+    for (const auto& [id, pending] : resume_timers_) {
+      host()->cancel(pending.timer);
+    }
     for (const auto& [key, ctx] : pending_) host()->cancel(ctx.retry_timer);
   }
 }
@@ -90,17 +99,7 @@ void ProtocolKernel::on_peer_retry(const std::string& key) {
   log().debug("ftm", composite()->name(), ": retrying ", ctx.key, " phase ",
               ctx.phase, " (attempt ", ctx.attempt, ")");
   ctx.waiting = false;
-  static constexpr const char* kPhaseOps[] = {"before", "process", "after"};
-  const Value status =
-      call(phase_reference(ctx.phase), kPhaseOps[ctx.phase], brick_view(ctx));
-  const std::string& verdict = status.at("status").as_string();
-  if (verdict == "done") {
-    if (status.has("result")) *ctx.result_slot = status.at("result");
-    advance_phase(ctx);
-    advance(ctx);
-  } else {
-    apply_brick_status(ctx, status);
-  }
+  on_status(ctx, brick(ctx.phase).run_phase(brick_view(ctx)));
 }
 
 Value ProtocolKernel::on_invoke(const std::string& service,
@@ -247,11 +246,10 @@ void ProtocolKernel::start_request(const Value& payload, bool forwarded) {
   }
 
   // At-most-once: answer retransmissions from the reply log.
-  const Value logged = call("replyLog", "lookup", Value::map().set("key", key));
-  if (logged.at("found").as_bool()) {
+  if (const Value* logged = reply_log().lookup(key)) {
     ++counters_.duplicates_served;
     if (!forwarded) {
-      Value reply = logged.at("reply");
+      Value reply = *logged;
       reply.set("id", static_cast<std::int64_t>(id));
       if (host() != nullptr) {
         host()->send(HostId{static_cast<std::uint32_t>(client)}, msg::kReply,
@@ -293,6 +291,7 @@ const char* ProtocolKernel::phase_reference(int phase) const {
 
 void ProtocolKernel::init_view(Ctx& ctx, Value request) const {
   ctx.view = Value::map();
+  ctx.view.as_map().reserve(11);
   ctx.view.set("key", ctx.key)
       .set("client", ctx.client)
       .set("id", static_cast<std::int64_t>(ctx.id))
@@ -325,25 +324,32 @@ const Value& ProtocolKernel::brick_view(Ctx& ctx) const {
 
 void ProtocolKernel::advance(Ctx& ctx) {
   while (ctx.phase < 3) {
-    static constexpr const char* kPhaseOps[] = {"before", "process", "after"};
-    const Value status =
-        call(phase_reference(ctx.phase), kPhaseOps[ctx.phase], brick_view(ctx));
-    const std::string& verdict = status.at("status").as_string();
-    if (verdict == "done") {
-      if (status.has("result")) *ctx.result_slot = status.at("result");
+    Value status = brick(ctx.phase).run_phase(brick_view(ctx));
+    if (status.at("status").as_string() == "done") {
+      take_result(status, ctx);
       advance_phase(ctx);
       continue;
     }
-    apply_brick_status(ctx, status);
+    apply_brick_status(ctx, std::move(status));
     return;
   }
   complete(ctx);
 }
 
-void ProtocolKernel::apply_brick_status(Ctx& ctx, const Value& status) {
+void ProtocolKernel::on_status(Ctx& ctx, Value status) {
+  if (status.at("status").as_string() == "done") {
+    take_result(status, ctx);
+    advance_phase(ctx);
+    advance(ctx);
+  } else {
+    apply_brick_status(ctx, std::move(status));
+  }
+}
+
+void ProtocolKernel::apply_brick_status(Ctx& ctx, Value status) {
   const std::string& verdict = status.at("status").as_string();
   if (verdict == "wait") {
-    if (status.has("result")) *ctx.result_slot = status.at("result");
+    take_result(status, ctx);
     ctx.waiting = true;
     // With an "expect" kind the context waits for a peer message; without
     // one it waits for an explicit control.resume (e.g. a compute timer).
@@ -364,27 +370,14 @@ void ProtocolKernel::apply_brick_status(Ctx& ctx, const Value& status) {
       schedule_peer_retry(ctx);
       return;
     }
-    if (stashed != stash_.end()) {
-      const Value message = stashed->second;
-      stash_.erase(stashed);
-      Value args = Value::map();
-      args.set("ctx", brick_view(ctx)).set("message", message);
-      ctx.waiting = false;
-      const Value next =
-          call(phase_reference(ctx.phase), "on_peer", args);
-      const std::string& v = next.at("status").as_string();
-      if (v == "done") {
-        if (next.has("result")) *ctx.result_slot = next.at("result");
-        advance_phase(ctx);
-        advance(ctx);
-      } else {
-        apply_brick_status(ctx, next);
-      }
-    }
+    const Value message = std::move(stashed->second);
+    stash_.erase(stashed);
+    ctx.waiting = false;
+    on_status(ctx, brick(ctx.phase).on_peer(brick_view(ctx), message));
     return;
   }
   if (verdict == "again") {
-    if (status.has("result")) *ctx.result_slot = status.at("result");
+    take_result(status, ctx);
     advance(ctx);
     return;
   }
@@ -398,7 +391,7 @@ void ProtocolKernel::apply_brick_status(Ctx& ctx, const Value& status) {
 void ProtocolKernel::complete(Ctx& ctx) {
   Value reply = Value::map();
   reply.set("id", static_cast<std::int64_t>(ctx.id)).set("result", *ctx.result_slot);
-  call("replyLog", "record", Value::map().set("key", ctx.key).set("reply", reply));
+  reply_log().record(ctx.key, reply);
   if (!ctx.forwarded && host() != nullptr) {
     host()->send(HostId{static_cast<std::uint32_t>(ctx.client)}, msg::kReply,
                  std::move(reply));
@@ -475,17 +468,7 @@ void ProtocolKernel::handle_peer_message(const Value& payload) {
     }
     cancel_peer_retry(ctx);
     ctx.waiting = false;
-    Value args = Value::map();
-    args.set("ctx", brick_view(ctx)).set("message", payload);
-    const Value status = call(phase_reference(ctx.phase), "on_peer", args);
-    const std::string& verdict = status.at("status").as_string();
-    if (verdict == "done") {
-      if (status.has("result")) *ctx.result_slot = status.at("result");
-      advance_phase(ctx);
-      advance(ctx);
-    } else {
-      apply_brick_status(ctx, status);
-    }
+    on_status(ctx, brick(ctx.phase).on_peer(brick_view(ctx), payload));
     return;
   }
 
@@ -493,12 +476,9 @@ void ProtocolKernel::handle_peer_message(const Value& payload) {
   // directly (apply a checkpoint, serve an exec request, start a forwarded
   // pipeline) or ask the kernel to stash the message for a context that has
   // not reached the waiting phase yet.
-  const char* ref = phase == "before" ? "before"
-                    : phase == "exec" ? "exec"
-                                      : "after";
-  Value args = Value::map();
-  args.set("ctx", Value{}).set("message", payload);
-  const Value status = call(ref, "on_peer", args);
+  static const Value kNoCtx;
+  const int slot = phase == "before" ? 0 : phase == "exec" ? 1 : 2;
+  const Value status = brick(slot).on_peer(kNoCtx, payload);
   if (status.is_map() && status.get_or("stash", Value(false)).as_bool()) {
     stash_[{key, kind}] = payload;
   }
@@ -507,7 +487,7 @@ void ProtocolKernel::handle_peer_message(const Value& payload) {
   }
 }
 
-void ProtocolKernel::send_peer(const std::string& phase, const std::string& kind,
+void ProtocolKernel::send_peer(std::string_view phase, std::string_view kind,
                                Value data) {
   if (host() == nullptr) return;
   const auto peers = alive_peers();
@@ -526,8 +506,8 @@ void ProtocolKernel::send_peer(const std::string& phase, const std::string& kind
   }
 }
 
-void ProtocolKernel::send_peer_to(std::int64_t peer, const std::string& phase,
-                                  const std::string& kind, Value data) {
+void ProtocolKernel::send_peer_to(std::int64_t peer, std::string_view phase,
+                                  std::string_view kind, Value data) {
   if (peer < 0 || host() == nullptr) return;
   Value payload = Value::map();
   payload.set("phase", phase).set("kind", kind);
@@ -550,20 +530,10 @@ void ProtocolKernel::rerun_waiting_phase(Ctx& ctx) {
   cancel_peer_retry(ctx);
   ctx.waiting = false;
   ctx.bump_attempt();
-  static constexpr const char* kPhaseOps[] = {"before", "process", "after"};
-  const Value status =
-      call(phase_reference(ctx.phase), kPhaseOps[ctx.phase], brick_view(ctx));
-  const std::string& verdict = status.at("status").as_string();
-  if (verdict == "done") {
-    if (status.has("result")) *ctx.result_slot = status.at("result");
-    advance_phase(ctx);
-    advance(ctx);
-  } else {
-    apply_brick_status(ctx, status);
-  }
+  on_status(ctx, brick(ctx.phase).run_phase(brick_view(ctx)));
 }
 
-void ProtocolKernel::on_peer_suspected(std::int64_t peer) {
+void ProtocolKernel::peer_suspected(std::int64_t peer) {
   auto it = peer_alive_map_.find(peer);
   if (it == peer_alive_map_.end() || !it->second) return;
   it->second = false;
@@ -608,7 +578,7 @@ void ProtocolKernel::on_peer_suspected(std::int64_t peer) {
   }
 }
 
-void ProtocolKernel::on_peer_recovered(std::int64_t peer) {
+void ProtocolKernel::peer_recovered(std::int64_t peer) {
   const auto it = peer_alive_map_.find(peer);
   if (it == peer_alive_map_.end() || it->second) return;
   it->second = true;
@@ -637,8 +607,7 @@ void ProtocolKernel::handle_ctrl(const std::string& kind, const Value& data,
     // shipping its state and reply log.
     if (role_ != Role::kPrimary && role_ != Role::kAlone) return;
     if (from >= 0) peer_alive_map_[from] = true;
-    Value response = call("after", "make_join_snapshot", Value::map());
-    send_peer_to(from, "ctrl", "join_ack", std::move(response));
+    send_peer_to(from, "ctrl", "join_ack", brick(2).make_join_snapshot());
     set_role(Role::kPrimary);
     return;
   }
@@ -648,7 +617,7 @@ void ProtocolKernel::handle_ctrl(const std::string& kind, const Value& data,
       tracer_->instant(host()->id().value(), rejoin_span_name_, 0,
                        host()->sim().now(), from);
     }
-    call("after", "apply_join_snapshot", data);
+    brick(2).apply_join_snapshot(data);
     set_property("master", Value(from));
     set_role(Role::kBackup);
     return;
@@ -657,18 +626,101 @@ void ProtocolKernel::handle_ctrl(const std::string& kind, const Value& data,
 }
 
 // ---------------------------------------------------------------------------
-// Control service (bricks, failure detector, runtime)
+// ProtocolControl face (bricks, failure detector)
+// ---------------------------------------------------------------------------
+
+void ProtocolKernel::resume(const std::string& key, Value result) {
+  const auto it = pending_.find(key);
+  if (it == pending_.end()) return;
+  Ctx& ctx = it->second;
+  cancel_peer_retry(ctx);
+  ctx.waiting = false;
+  *ctx.result_slot = std::move(result);
+  advance_phase(ctx);
+  advance(ctx);
+}
+
+void ProtocolKernel::resume_after(const std::string& key, sim::Duration delay,
+                                  Value result) {
+  if (host() != nullptr && host()->sim().fsim().enabled()) {
+    // fsim "timer.arm": same lost-tick model as the peer-retry timer —
+    // the resume fires one period late, masked as latency.
+    const fsim::Site site{"resume", 0,
+                          static_cast<std::int64_t>(host()->sim().now())};
+    if (host()->sim().fsim().should_fail(fsim::Point::kTimerArm, site)) {
+      delay *= 2;
+    }
+  }
+  if (host() == nullptr) {
+    resume(key, std::move(result));
+    return;
+  }
+  const auto handle = next_resume_timer_++;
+  PendingResume& pending = resume_timers_[handle];
+  pending.key = key;
+  pending.result = std::move(result);
+  pending.timer = host()->schedule_after(
+      delay,
+      [this, handle] {
+        auto node = resume_timers_.extract(handle);
+        resume(node.mapped().key, std::move(node.mapped().result));
+      },
+      "ftm.resume");
+}
+
+void ProtocolKernel::start_forwarded(const Value& request) {
+  ++counters_.forwarded;
+  if (blocked_) {
+    buffered_forwarded_.push_back(request);
+    return;
+  }
+  start_request(request, /*forwarded=*/true);
+}
+
+InFlight ProtocolKernel::peek(const std::string& key) const {
+  // Lets bricks ask whether a request is already executing here and with
+  // what result — an A&LFR follower answers a re-execution request from its
+  // own forwarded computation instead of executing twice.
+  const auto it = pending_.find(key);
+  if (it == pending_.end()) return {};
+  return {true, it->second.phase, it->second.result_slot};
+}
+
+void ProtocolKernel::report_fault(const std::string& kind) {
+  if (kind == "divergence") ++counters_.divergences;
+  if (kind == "assertion_failed") ++counters_.assertion_failures;
+  if (kind == "tr_mismatch") ++counters_.tr_mismatches;
+  log().info("ftm", composite()->name(), ": fault reported: ", kind);
+  if (fault_listener_) fault_listener_(kind);
+}
+
+void ProtocolKernel::count_event(Event event) {
+  switch (event) {
+    case Event::kCheckpointSent: ++counters_.checkpoints_sent; break;
+    case Event::kCheckpointApplied: ++counters_.checkpoints_applied; break;
+    case Event::kDeltaSent: ++counters_.deltas_sent; break;
+    case Event::kFullCheckpointSent: ++counters_.full_checkpoints_sent; break;
+    case Event::kResyncRequested: ++counters_.resyncs; break;
+    case Event::kNotification: ++counters_.notifications; break;
+  }
+}
+
+void ProtocolKernel::join() { send_peer("ctrl", "join", Value::map()); }
+
+// ---------------------------------------------------------------------------
+// Control service: Value ops for callers outside the composite (runtime,
+// node agent, tests)
 // ---------------------------------------------------------------------------
 
 Value ProtocolKernel::dispatch_control(const std::string& op, const Value& args) {
   if (op == "info") {
-    Value peers = Value::list();
-    for (const auto peer : peers_) peers.push_back(peer);
+    Value peer_list = Value::list();
+    for (const auto peer : peers_) peer_list.push_back(peer);
     Value alive = Value::list();
     for (const auto peer : alive_peers()) alive.push_back(peer);
     Value info = Value::map();
     info.set("role", to_string(role_))
-        .set("peers", std::move(peers))
+        .set("peers", std::move(peer_list))
         .set("alive_peers", std::move(alive))
         .set("master", property("master"))
         .set("ftm", property("ftm"))
@@ -676,118 +728,12 @@ Value ProtocolKernel::dispatch_control(const std::string& op, const Value& args)
         .set("blocked", blocked_);
     return info;
   }
-  if (op == "resume" || op == "fail") {
-    const auto& key = args.at("key").as_string();
-    const auto it = pending_.find(key);
-    if (it == pending_.end()) return {};
-    Ctx& ctx = it->second;
-    if (op == "fail") {
-      cancel_peer_retry(ctx);
-      fail_request(ctx, args.get_or("error", Value("failed")).as_string());
-      return {};
-    }
-    cancel_peer_retry(ctx);
-    ctx.waiting = false;
-    if (args.has("result")) *ctx.result_slot = args.at("result");
-    advance_phase(ctx);
-    advance(ctx);
-    return {};
-  }
-  if (op == "resume_after") {
-    auto delay = args.at("delay_us").as_int();
-    if (host() != nullptr && host()->sim().fsim().enabled()) {
-      // fsim "timer.arm": same lost-tick model as the peer-retry timer —
-      // the resume fires one period late, masked as latency.
-      const fsim::Site site{"resume", 0,
-                            static_cast<std::int64_t>(host()->sim().now())};
-      if (host()->sim().fsim().should_fail(fsim::Point::kTimerArm, site)) {
-        delay *= 2;
-      }
-    }
-    Value resume_args = Value::map();
-    resume_args.set("key", args.at("key"));
-    if (args.has("result")) resume_args.set("result", args.at("result"));
-    if (host() == nullptr) {
-      return dispatch_control("resume", resume_args);
-    }
-    const auto handle = next_resume_timer_++;
-    resume_timers_[handle] = host()->schedule_after(
-        delay,
-        [this, handle, resume_args] {
-          resume_timers_.erase(handle);
-          dispatch_control("resume", resume_args);
-        },
-        "ftm.resume");
-    return {};
-  }
-  if (op == "send_peer") {
-    send_peer(args.at("phase").as_string(), args.at("kind").as_string(),
-              args.get_or("data", Value::map()));
-    return {};
-  }
-  if (op == "send_peer_to") {
-    send_peer_to(args.at("host").as_int(), args.at("phase").as_string(),
-                 args.at("kind").as_string(), args.get_or("data", Value::map()));
-    return {};
-  }
-  if (op == "start_forwarded") {
-    ++counters_.forwarded;
-    if (blocked_) {
-      buffered_forwarded_.push_back(args);
-      return {};
-    }
-    start_request(args, /*forwarded=*/true);
-    return {};
-  }
-  if (op == "peek") {
-    // Let bricks ask whether a request is already executing here and with
-    // what result — an A&LFR follower answers a re-execution request from
-    // its own forwarded computation instead of executing twice.
-    const auto it = pending_.find(args.at("key").as_string());
-    Value out = Value::map();
-    if (it == pending_.end()) {
-      out.set("found", false);
-    } else {
-      out.set("found", true)
-          .set("phase", it->second.phase)
-          .set("result", *it->second.result_slot);
-    }
-    return out;
-  }
-  if (op == "stash") {
-    stash_[{args.at("key").as_string(), args.at("kind").as_string()}] =
-        args.at("message");
-    return {};
-  }
-  if (op == "report_fault") {
-    const auto& kind = args.at("kind").as_string();
-    if (kind == "divergence") ++counters_.divergences;
-    if (kind == "assertion_failed") ++counters_.assertion_failures;
-    if (kind == "tr_mismatch") ++counters_.tr_mismatches;
-    log().info("ftm", composite()->name(), ": fault reported: ", kind);
-    if (fault_listener_) fault_listener_(kind);
-    return {};
-  }
-  if (op == "count_event") {
-    const auto& kind = args.at("kind").as_string();
-    if (kind == "checkpoint_sent") ++counters_.checkpoints_sent;
-    if (kind == "checkpoint_applied") ++counters_.checkpoints_applied;
-    if (kind == "delta_sent") ++counters_.deltas_sent;
-    if (kind == "full_checkpoint_sent") ++counters_.full_checkpoints_sent;
-    if (kind == "resync_requested") ++counters_.resyncs;
-    if (kind == "notification") ++counters_.notifications;
-    return {};
-  }
   if (op == "peer_suspected") {
-    on_peer_suspected(args.at("host").as_int());
-    return {};
-  }
-  if (op == "peer_recovered") {
-    on_peer_recovered(args.at("host").as_int());
+    peer_suspected(args.at("host").as_int());
     return {};
   }
   if (op == "join") {
-    send_peer("ctrl", "join", Value::map());
+    join();
     return {};
   }
   if (op == "quiesce") {

@@ -1,5 +1,7 @@
 #include "rcs/ftm/reply_log.hpp"
 
+#include <vector>
+
 #include "rcs/common/error.hpp"
 #include "rcs/common/strf.hpp"
 #include "rcs/ftm/config.hpp"
@@ -29,15 +31,55 @@ std::size_t ReplyLogComponent::capacity() const {
                                       : kDefaultCapacity;
 }
 
-void ReplyLogComponent::evict_to_capacity() {
-  const std::size_t cap = capacity();
-  while (order_.size() > cap) {
-    entries_.erase(order_.front());
-    order_.pop_front();
+namespace {
+
+/// The entries map of an export-shaped snapshot, after checking that every
+/// key of its order names an entry, once. Nothing is applied before this
+/// passes, so a refused snapshot leaves the log untouched.
+const ValueMap& checked_entries(const Value& snapshot, const char* op) {
+  const ValueMap& entries = snapshot.at("entries").as_map();
+  std::vector<bool> named(entries.size());
+  for (const auto& key_value : snapshot.at("order").as_list()) {
+    const auto& key = key_value.as_string();
+    const auto it = entries.find(key);
+    if (it == entries.end()) {
+      throw FtmError(strf("replyLog ", op, ": order key '", key,
+                          "' missing from entries"));
+    }
+    const auto index = static_cast<std::size_t>(it - entries.begin());
+    if (named[index]) {
+      throw FtmError(strf("replyLog ", op, ": order key '", key,
+                          "' appears twice"));
+    }
+    named[index] = true;
   }
+  return entries;
 }
 
-void ReplyLogComponent::record(const std::string& key, const Value& reply,
+}  // namespace
+
+ReplyLogComponent::Entry* ReplyLogComponent::find(const std::string& key) {
+  for (auto& entry : entries_) {
+    if (entry.key == key) return &entry;
+  }
+  return nullptr;
+}
+
+const Value* ReplyLogComponent::lookup(const std::string& key) const {
+  const Entry* entry = const_cast<ReplyLogComponent*>(this)->find(key);
+  return entry != nullptr ? &entry->reply : nullptr;
+}
+
+void ReplyLogComponent::evict_to_capacity() {
+  const std::size_t cap = capacity();
+  while (entries_.size() > cap) entries_.pop_front();
+}
+
+void ReplyLogComponent::record(const std::string& key, Value reply) {
+  append(key, std::move(reply), "record");
+}
+
+void ReplyLogComponent::append(const std::string& key, Value reply,
                                const char* state) {
   if (host() != nullptr && host()->sim().fsim().enabled()) {
     // fsim "replylog.append": storage pressure on the at-most-once log. The
@@ -49,106 +91,111 @@ void ReplyLogComponent::record(const std::string& key, const Value& reply,
     const fsim::Site site{state, reply.encoded_size(),
                           static_cast<std::int64_t>(host()->sim().now())};
     if (fsim.should_fail(fsim::Point::kReplylogAppend, site) &&
-        !order_.empty()) {
-      entries_.erase(order_.front());
-      order_.pop_front();
+        !entries_.empty()) {
+      entries_.pop_front();
     }
   }
-  if (!entries_.contains(key)) order_.push_back(key);
-  entries_[key] = Entry{reply, ++record_seq_};
+  if (Entry* entry = find(key)) {
+    // A re-record keeps its FIFO slot.
+    entry->reply = std::move(reply);
+    entry->seq = ++record_seq_;
+  } else {
+    entries_.push_back(Entry{key, std::move(reply), ++record_seq_});
+  }
   evict_to_capacity();
+}
+
+Value ReplyLogComponent::snapshot_since(std::uint64_t after) const {
+  std::size_t count = 0;
+  for (const auto& entry : entries_) count += entry.seq > after ? 1 : 0;
+  ValueMap entries;
+  ValueList order;
+  entries.reserve(count);
+  order.reserve(count);
+  for (const auto& entry : entries_) {
+    if (entry.seq <= after) continue;
+    entries.emplace(entry.key, entry.reply);
+    order.emplace_back(entry.key);
+  }
+  Value out = Value::map();
+  out.set("entries", std::move(entries)).set("order", std::move(order));
+  return out;
+}
+
+Value ReplyLogComponent::export_all() const {
+  return snapshot_since(0).set("upto", static_cast<std::int64_t>(record_seq_));
+}
+
+void ReplyLogComponent::import_all(const Value& snapshot) {
+  const ValueMap& entries = checked_entries(snapshot, "import");
+  const auto upto =
+      static_cast<std::uint64_t>(snapshot.get_or("upto", Value(0)).as_int());
+  entries_.clear();
+  for (const auto& key_value : snapshot.at("order").as_list()) {
+    const auto& key = key_value.as_string();
+    entries_.push_back(Entry{key, entries.at(key), ++record_seq_});
+  }
+  evict_to_capacity();
+  // A full import realigns the incremental watermark with the exporter.
+  import_mark_ = upto;
+}
+
+Value ReplyLogComponent::export_since() const {
+  // Only entries recorded after the peer's last acknowledgement travel;
+  // "from" lets the importer detect that it missed an earlier delta.
+  return snapshot_since(export_acked_)
+      .set("from", static_cast<std::int64_t>(export_acked_))
+      .set("upto", static_cast<std::int64_t>(record_seq_));
+}
+
+void ReplyLogComponent::ack_export(std::uint64_t upto) {
+  if (upto > export_acked_) export_acked_ = upto;
+}
+
+bool ReplyLogComponent::import_delta(const Value& delta) {
+  const auto from = static_cast<std::uint64_t>(delta.at("from").as_int());
+  const auto upto = static_cast<std::uint64_t>(delta.at("upto").as_int());
+  if (from > import_mark_) {
+    // The exporter believes we acked entries we never saw: a delta between
+    // its "from" and our mark is missing. Refuse; caller resyncs in full.
+    return false;
+  }
+  const ValueMap& entries = checked_entries(delta, "import_delta");
+  for (const auto& key_value : delta.at("order").as_list()) {
+    const auto& key = key_value.as_string();
+    append(key, entries.at(key), "import_delta");
+  }
+  if (upto > import_mark_) import_mark_ = upto;
+  return true;
 }
 
 Value ReplyLogComponent::on_invoke(const std::string& /*service*/,
                                    const std::string& op, const Value& args) {
   if (op == "lookup") {
-    const auto& key = args.at("key").as_string();
+    const Value* reply = lookup(args.at("key").as_string());
     Value out = Value::map();
-    const auto it = entries_.find(key);
-    out.set("found", it != entries_.end());
-    if (it != entries_.end()) out.set("reply", it->second.reply);
+    out.set("found", reply != nullptr);
+    if (reply != nullptr) out.set("reply", *reply);
     return out;
   }
   if (op == "record") {
     record(args.at("key").as_string(), args.at("reply"));
     return {};
   }
-  if (op == "export") {
-    Value entries = Value::map();
-    for (const auto& [key, entry] : entries_) entries.set(key, entry.reply);
-    Value order = Value::list();
-    for (const auto& key : order_) order.push_back(key);
-    Value out = Value::map();
-    out.set("entries", entries)
-        .set("order", order)
-        .set("upto", static_cast<std::int64_t>(record_seq_));
-    return out;
-  }
+  if (op == "export") return export_all();
   if (op == "import") {
-    entries_.clear();
-    order_.clear();
-    const auto& entries = args.at("entries").as_map();
-    for (const auto& key_value : args.at("order").as_list()) {
-      const auto& key = key_value.as_string();
-      const auto it = entries.find(key);
-      if (it == entries.end()) {
-        throw FtmError(strf("replyLog import: order key '", key,
-                            "' missing from entries"));
-      }
-      entries_[key] = Entry{it->second, ++record_seq_};
-      order_.push_back(key);
-    }
-    evict_to_capacity();
-    // A full import realigns the incremental watermark with the exporter.
-    import_mark_ =
-        static_cast<std::uint64_t>(args.get_or("upto", Value(0)).as_int());
+    import_all(args);
     return {};
   }
-  if (op == "export_since") {
-    // Only entries recorded after the peer's last acknowledgement travel;
-    // "from" lets the importer detect that it missed an earlier delta.
-    Value entries = Value::map();
-    Value order = Value::list();
-    for (const auto& key : order_) {
-      const auto it = entries_.find(key);
-      if (it != entries_.end() && it->second.seq > export_acked_) {
-        entries.set(key, it->second.reply);
-        order.push_back(key);
-      }
-    }
-    Value out = Value::map();
-    out.set("entries", std::move(entries))
-        .set("order", std::move(order))
-        .set("from", static_cast<std::int64_t>(export_acked_))
-        .set("upto", static_cast<std::int64_t>(record_seq_));
-    return out;
-  }
+  if (op == "export_since") return export_since();
   if (op == "ack_export") {
-    const auto upto = static_cast<std::uint64_t>(args.at("upto").as_int());
-    if (upto > export_acked_) export_acked_ = upto;
+    ack_export(static_cast<std::uint64_t>(args.at("upto").as_int()));
     return {};
   }
-  if (op == "import_delta") {
-    const auto from = static_cast<std::uint64_t>(args.at("from").as_int());
-    const auto upto = static_cast<std::uint64_t>(args.at("upto").as_int());
-    if (from > import_mark_) {
-      // The exporter believes we acked entries we never saw: a delta between
-      // its "from" and our mark is missing. Refuse; caller resyncs in full.
-      return Value::map().set("ok", false);
-    }
-    for (const auto& key_value : args.at("order").as_list()) {
-      const auto& key = key_value.as_string();
-      record(key, args.at("entries").at(key), "import_delta");
-    }
-    if (upto > import_mark_) import_mark_ = upto;
-    return Value::map().set("ok", true);
-  }
-  if (op == "size") {
-    return Value(static_cast<std::int64_t>(entries_.size()));
-  }
+  if (op == "import_delta") return Value::map().set("ok", import_delta(args));
+  if (op == "size") return Value(static_cast<std::int64_t>(entries_.size()));
   if (op == "clear") {
     entries_.clear();
-    order_.clear();
     return {};
   }
   throw FtmError(strf("replyLog: unknown op '", op, "'"));

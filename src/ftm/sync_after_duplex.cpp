@@ -1,59 +1,50 @@
 #include "rcs/ftm/sync_after_duplex.hpp"
 
-#include "rcs/common/error.hpp"
-#include "rcs/common/strf.hpp"
-
 namespace rcs::ftm {
 
-Value SyncAfterDuplexBase::on_invoke(const std::string& /*service*/,
-                                     const std::string& op, const Value& args) {
-  if (op == "after") return after_entry(args);
-  if (op == "on_peer") {
-    const Value& ctx = args.at("ctx");
-    const Value& message = args.at("message");
-    const std::string& kind = message.at("kind").as_string();
-    if (!ctx.is_null()) {
-      if (kind == "exec_result") return handle_exec_result(ctx, message);
-      return on_solicited(ctx, message);
-    }
-    if (kind == "exec_req") return handle_exec_request(message);
-    return on_unsolicited(message);
+Value SyncAfterDuplexBase::on_peer(const Value& ctx, const Value& message) {
+  const std::string& kind = message.at("kind").as_string();
+  if (!ctx.is_null()) {
+    if (kind == "exec_result") return handle_exec_result(ctx, message);
+    return on_solicited(ctx, message);
   }
-  if (op == "make_join_snapshot") {
-    // Anchor the joiner into the current delta stream: the snapshot carries
-    // the capture-side (stream, seq) so checkpoints captured concurrently
-    // with the join re-apply idempotently on the joiner.
-    Value snapshot = Value::map();
-    if (wired("state")) {
-      Value full = call("state", "export_full");
-      snapshot.set("state", full.at("state"))
-          .set("ckpt_stream", full.at("stream"))
-          .set("ckpt_seq", full.at("seq"));
-    } else {
-      snapshot.set("state", Value{});
-    }
-    snapshot.set("replies", export_replies());
-    return snapshot;
-  }
-  if (op == "apply_join_snapshot") {
-    if (args.has("state") && !args.at("state").is_null()) {
-      if (args.has("ckpt_seq") && wired("state")) {
-        call("state", "import_full",
-             Value::map()
-                 .set("state", args.at("state"))
-                 .set("stream", args.at("ckpt_stream"))
-                 .set("seq", args.at("ckpt_seq")));
-      } else {
-        restore_state(args.at("state"));
-      }
-    }
-    if (args.has("replies")) import_replies(args.at("replies"));
-    return {};
-  }
-  throw FtmError(strf("syncAfter: unknown op '", op, "'"));
+  if (kind == "exec_req") return handle_exec_request(message);
+  return on_unsolicited(message);
 }
 
-Value SyncAfterDuplexBase::after_entry(const Value& ctx) {
+Value SyncAfterDuplexBase::make_join_snapshot() {
+  // Anchor the joiner into the current delta stream: the snapshot carries
+  // the capture-side (stream, seq) so checkpoints captured concurrently
+  // with the join re-apply idempotently on the joiner.
+  Value snapshot = Value::map();
+  if (wired("state")) {
+    Value full = call("state", "export_full");
+    snapshot.set("state", full.at("state"))
+        .set("ckpt_stream", full.at("stream"))
+        .set("ckpt_seq", full.at("seq"));
+  } else {
+    snapshot.set("state", Value{});
+  }
+  snapshot.set("replies", reply_log().export_all());
+  return snapshot;
+}
+
+void SyncAfterDuplexBase::apply_join_snapshot(const Value& snapshot) {
+  if (snapshot.has("state") && !snapshot.at("state").is_null()) {
+    if (snapshot.has("ckpt_seq") && wired("state")) {
+      call("state", "import_full",
+           Value::map()
+               .set("state", snapshot.at("state"))
+               .set("stream", snapshot.at("ckpt_stream"))
+               .set("seq", snapshot.at("ckpt_seq")));
+    } else {
+      restore_state(snapshot.at("state"));
+    }
+  }
+  if (snapshot.has("replies")) reply_log().import_all(snapshot.at("replies"));
+}
+
+Value SyncAfterDuplexBase::run_phase(const Value& ctx) {
   if (ctx.at("forwarded").as_bool()) return forwarded_after(ctx);
 
   if (with_assertion_) {
@@ -95,12 +86,6 @@ void SyncAfterDuplexBase::restore_state(const Value& state) {
   if (wired("state")) call("state", "set", state);
 }
 
-Value SyncAfterDuplexBase::export_replies() { return call("replyLog", "export"); }
-
-void SyncAfterDuplexBase::import_replies(const Value& snapshot) {
-  call("replyLog", "import", snapshot);
-}
-
 Value SyncAfterDuplexBase::handle_exec_request(const Value& message) {
   // The peer's assertion failed; execute the request here and return our
   // result (plus our state, so a stateful primary can realign after its
@@ -121,15 +106,14 @@ Value SyncAfterDuplexBase::handle_exec_request(const Value& message) {
   // forwarded pipeline (or even completed it): answer from that result
   // instead of executing a second time, which would double state mutations.
   const auto& key = data.at("key").as_string();
-  const Value logged = call("replyLog", "lookup", Value::map().set("key", key));
   Value local_result;
-  if (logged.at("found").as_bool()) {
-    local_result = logged.at("reply").at("result");
+  if (const Value* logged = reply_log().lookup(key)) {
+    local_result = logged->at("result");
   } else {
-    const Value peeked = call("control", "peek", Value::map().set("key", key));
-    if (peeked.at("found").as_bool()) {
-      if (peeked.at("phase").as_int() >= 2 && !peeked.at("result").is_null()) {
-        local_result = peeked.at("result");
+    const InFlight peeked = control().peek(key);
+    if (peeked.found) {
+      if (peeked.phase >= 2 && !peeked.result->is_null()) {
+        local_result = *peeked.result;
       } else {
         // Our own execution of this request is still in flight; answer once
         // it completes rather than executing a second time.
@@ -150,10 +134,8 @@ Value SyncAfterDuplexBase::handle_exec_request(const Value& message) {
   // At-most-once for re-executions: a retransmitted exec_req (its response
   // was lost) must answer from the recorded outcome, not execute again.
   const std::string exec_key = "exec:" + key;
-  const Value served =
-      call("replyLog", "lookup", Value::map().set("key", exec_key));
-  if (served.at("found").as_bool()) {
-    send_peer_to(asker, "after", "exec_result", served.at("reply"));
+  if (const Value* served = reply_log().lookup(exec_key)) {
+    send_peer_to(asker, "after", "exec_result", *served);
     return Value::map();
   }
 
@@ -167,8 +149,7 @@ Value SyncAfterDuplexBase::handle_exec_request(const Value& message) {
       .set("ok", ok)
       .set("result", outcome.at("result"))
       .set("state", capture_state());
-  call("replyLog", "record",
-       Value::map().set("key", exec_key).set("reply", reply));
+  reply_log().record(exec_key, reply);
   send_peer_to(asker, "after", "exec_result", std::move(reply));
   return Value::map();
 }
