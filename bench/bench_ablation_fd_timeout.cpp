@@ -92,15 +92,12 @@ int main() {
   }
 
   bench::rule();
-  std::printf("SHAPE CHECK: failover latency grows with the timeout: %s\n",
-              points.front().failover_ms < points.back().failover_ms ? "PASS"
-                                                                      : "FAIL");
-  std::printf("SHAPE CHECK: false suspicions shrink with the timeout: %s "
-              "(%.2f -> %.2f)\n",
-              points.front().false_suspicions >= points.back().false_suspicions
-                  ? "PASS"
-                  : "FAIL",
-              points.front().false_suspicions, points.back().false_suspicions);
+  bench::shape_check(points.front().failover_ms < points.back().failover_ms,
+                     "failover latency grows with the timeout: %V\n");
+  bench::shape_check(
+      points.front().false_suspicions >= points.back().false_suspicions,
+      "false suspicions shrink with the timeout: %V (%.2f -> %.2f)\n",
+      points.front().false_suspicions, points.back().false_suspicions);
   std::printf("(the default 200 ms sits on the knee of the curve)\n");
-  return 0;
+  return bench::shape_exit_code();
 }

@@ -93,15 +93,15 @@ int main() {
   }
 
   bench::rule();
-  std::printf("SHAPE CHECK: PBR traffic scales with state, LFR's does not "
-              "(ratio %.0fx -> %.0fx): %s\n",
-              first_ratio, last_ratio,
-              last_ratio > 4 * first_ratio ? "PASS" : "FAIL");
-  std::printf("SHAPE CHECK: a viability crossover exists in the sweep: %s\n",
-              crossover_seen ? "PASS" : "FAIL");
+  bench::shape_check(last_ratio > 4 * first_ratio,
+                     "PBR traffic scales with state, LFR's does not "
+                     "(ratio %.0fx -> %.0fx): %V\n",
+                     first_ratio, last_ratio);
+  bench::shape_check(crossover_seen,
+                     "a viability crossover exists in the sweep: %V\n");
   std::printf("(beyond the crossover the resilience manager would classify "
               "staying on PBR as a\nmandatory transition trigger — the "
               "'bandwidth drop' edge of Fig. 8 seen from the\nstate-size "
               "axis)\n");
-  return 0;
+  return bench::shape_exit_code();
 }

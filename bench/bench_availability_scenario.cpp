@@ -110,29 +110,24 @@ int main() {
   std::printf("final FTM: static = %s, adaptive = %s\n",
               static_run.final_ftm.c_str(), adaptive.final_ftm.c_str());
 
-  std::printf("\nSHAPE CHECK: both perfect in era 1: %s\n",
-              static_run.eras[0].availability() == 100.0 &&
-                      adaptive.eras[0].availability() == 100.0
-                  ? "PASS"
-                  : "FAIL");
-  std::printf("SHAPE CHECK: static PBR degrades under value faults: %s "
-              "(era2 %.0f%%, era3 %.0f%%)\n",
-              static_run.eras[1].availability() < 95.0 &&
-                      static_run.eras[2].availability() < 50.0
-                  ? "PASS"
-                  : "FAIL",
-              static_run.eras[1].availability(),
-              static_run.eras[2].availability());
-  std::printf("SHAPE CHECK: adaptation keeps correctness high: %s "
-              "(era2 %.0f%%, era3 %.0f%%)\n",
-              adaptive.eras[1].availability() >= 95.0 &&
-                      adaptive.eras[2].availability() >= 70.0
-                  ? "PASS"
-                  : "FAIL",
-              adaptive.eras[1].availability(), adaptive.eras[2].availability());
-  std::printf("SHAPE CHECK: the adaptive system actually changed its FTM: %s "
-              "(%s)\n",
-              adaptive.final_ftm != "PBR" ? "PASS" : "FAIL",
-              adaptive.final_ftm.c_str());
-  return 0;
+  std::printf("\n");
+  bench::shape_check(static_run.eras[0].availability() == 100.0 &&
+                         adaptive.eras[0].availability() == 100.0,
+                     "both perfect in era 1: %V\n");
+  bench::shape_check(static_run.eras[1].availability() < 95.0 &&
+                         static_run.eras[2].availability() < 50.0,
+                     "static PBR degrades under value faults: %V "
+                     "(era2 %.0f%%, era3 %.0f%%)\n",
+                     static_run.eras[1].availability(),
+                     static_run.eras[2].availability());
+  bench::shape_check(adaptive.eras[1].availability() >= 95.0 &&
+                         adaptive.eras[2].availability() >= 70.0,
+                     "adaptation keeps correctness high: %V "
+                     "(era2 %.0f%%, era3 %.0f%%)\n",
+                     adaptive.eras[1].availability(),
+                     adaptive.eras[2].availability());
+  bench::shape_check(adaptive.final_ftm != "PBR",
+                     "the adaptive system actually changed its FTM: %V (%s)\n",
+                     adaptive.final_ftm.c_str());
+  return bench::shape_exit_code();
 }

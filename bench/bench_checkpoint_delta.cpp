@@ -108,16 +108,15 @@ int main() {
   }
 
   bench::rule();
-  std::printf("SHAPE CHECK: delta cuts replica bytes/request >= 5x at "
-              "state sizes >= 4 KB: %s\n",
-              reduction_ok ? "PASS" : "FAIL");
-  std::printf("SHAPE CHECK: no client-visible errors in either mode: %s\n",
-              errors_ok ? "PASS" : "FAIL");
-  std::printf("SHAPE CHECK: delta latency no worse than full (+5%% slack): "
-              "%s\n",
-              latency_ok ? "PASS" : "FAIL");
+  bench::shape_check(reduction_ok,
+                     "delta cuts replica bytes/request >= 5x at "
+                     "state sizes >= 4 KB: %V\n");
+  bench::shape_check(errors_ok,
+                     "no client-visible errors in either mode: %V\n");
+  bench::shape_check(latency_ok,
+                     "delta latency no worse than full (+5%% slack): %V\n");
   std::printf("(delta traffic is flat in the state size — the checkpoint "
               "cost now tracks the\nwrite set, so PBR stays viable on "
               "constrained links far past the full-state\ncrossover)\n");
-  return !(reduction_ok && errors_ok && latency_ok);
+  return bench::shape_exit_code();
 }

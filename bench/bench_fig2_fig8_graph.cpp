@@ -64,8 +64,8 @@ int main() {
   std::printf("MODEL CHECK: Figure 8 consistent with capability model: %s\n",
               problems8.empty() ? "PASS" : "FAIL");
   for (const auto& p : problems8) std::printf("  !! %s\n", p.c_str());
-  std::printf("SHAPE CHECK: the reverse of a mandatory transition is never "
-              "mandatory (no oscillation): %s\n",
-              oscillation_free ? "PASS" : "FAIL");
-  return problems2.empty() && problems8.empty() && oscillation_free ? 0 : 1;
+  bench::shape_check(oscillation_free,
+                     "the reverse of a mandatory transition is never "
+                     "mandatory (no oscillation): %V\n");
+  return problems2.empty() && problems8.empty() ? bench::shape_exit_code() : 1;
 }

@@ -98,10 +98,11 @@ int main() {
     std::printf("%-34s %8d   %s\n", steps[i].label, sloc, steps[i].note);
   }
   bench::rule();
-  std::printf("SHAPE CHECK: first design loop is the dominant effort "
-              "(paper Fig. 4: 4-5x the per-FTM cost): %s (%.1fx)\n",
-              first_loop > 2 * later_max ? "PASS" : "FAIL",
-              later_max > 0 ? static_cast<double>(first_loop) / later_max : 0.0);
+  bench::shape_check(
+      first_loop > 2 * later_max,
+      "first design loop is the dominant effort "
+      "(paper Fig. 4: 4-5x the per-FTM cost): %V (%.1fx)\n",
+      later_max > 0 ? static_cast<double>(first_loop) / later_max : 0.0);
 
   bench::title("Figure 5 (analogue) — SLOC per pattern element and per FTM");
   std::printf("%-30s %-38s %6s\n", "component type", "source file", "SLOC");
@@ -142,5 +143,5 @@ int main() {
   std::printf("every FTM's variable features are a small fraction of the\n"
               "mechanism; the common parts are written once and reused —\n"
               "the basis for cheap differential transitions (§4.3)\n");
-  return 0;
+  return bench::shape_exit_code();
 }

@@ -85,11 +85,11 @@ int main() {
                 100 * b.removal / b.total(), scenario.paper);
   }
   bench::rule();
-  std::printf("SHAPE CHECK: script execution < 50%% of total everywhere: %s\n",
-              script_under_half ? "PASS" : "FAIL");
-  std::printf("SHAPE CHECK: script share grows with components replaced: %s\n",
-              script_share_grows ? "PASS" : "FAIL");
+  bench::shape_check(script_under_half,
+                     "script execution < 50%% of total everywhere: %V\n");
+  bench::shape_check(script_share_grows,
+                     "script share grows with components replaced: %V\n");
   std::printf("(deployment dominates -> optimizing it shortens transitions, "
               "the paper's conclusion in §6.1)\n");
-  return 0;
+  return bench::shape_exit_code();
 }

@@ -111,15 +111,15 @@ int main() {
               "FTM.\n");
 
   bench::rule();
-  std::printf("SHAPE CHECK: differential faster than monolithic: %s (%.1fx)\n",
-              diff.transition_ms < mono.transition_ms ? "PASS" : "FAIL",
-              mono.transition_ms / diff.transition_ms);
-  std::printf("SHAPE CHECK: differential ships less code: %s (%.1fx)\n",
-              diff.package_kb < mono.package_kb ? "PASS" : "FAIL",
-              mono.package_kb / diff.package_kb);
-  std::printf("SHAPE CHECK: no request lost under either strategy: %s "
-              "(%d/%d vs %d/%d)\n",
-              diff.replies == 40 && mono.replies == 40 ? "PASS" : "FAIL",
-              diff.replies, 40, mono.replies, 40);
-  return 0;
+  bench::shape_check(diff.transition_ms < mono.transition_ms,
+                     "differential faster than monolithic: %V (%.1fx)\n",
+                     mono.transition_ms / diff.transition_ms);
+  bench::shape_check(diff.package_kb < mono.package_kb,
+                     "differential ships less code: %V (%.1fx)\n",
+                     mono.package_kb / diff.package_kb);
+  bench::shape_check(diff.replies == 40 && mono.replies == 40,
+                     "no request lost under either strategy: %V "
+                     "(%d/%d vs %d/%d)\n",
+                     diff.replies, 40, mono.replies, 40);
+  return bench::shape_exit_code();
 }

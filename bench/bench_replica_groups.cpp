@@ -111,13 +111,13 @@ int main() {
   }
 
   bench::rule();
-  std::printf("SHAPE CHECK: PBR group traffic fans out with N (x%.1f from "
-              "N=2 to N=7): %s\n",
-              pbr_bytes_n7 / pbr_bytes_n2,
-              pbr_bytes_n7 > 2.5 * pbr_bytes_n2 ? "PASS" : "FAIL");
-  std::printf("SHAPE CHECK: an N-replica PBR group survives N-1 crashes: %s\n",
-              survivability_scales ? "PASS" : "FAIL");
+  bench::shape_check(pbr_bytes_n7 > 2.5 * pbr_bytes_n2,
+                     "PBR group traffic fans out with N (x%.1f from "
+                     "N=2 to N=7): %V\n",
+                     pbr_bytes_n7 / pbr_bytes_n2);
+  bench::shape_check(survivability_scales,
+                     "an N-replica PBR group survives N-1 crashes: %V\n");
   std::printf("(the checkpoint fan-out and all-ack wait are why the paper "
               "points at atomic\nbroadcast for larger groups)\n");
-  return survivability_scales ? 0 : 1;
+  return bench::shape_exit_code();
 }

@@ -103,30 +103,23 @@ int main() {
   const auto& pbr = profiles.at("PBR");
   const auto& lfr = profiles.at("LFR");
   const auto& pbr_tr = profiles.at("PBR_TR");
-  std::printf("SHAPE CHECK: PBR bandwidth HIGH vs LFR LOW: %s (%.0f vs %.0f "
-              "B/req)\n",
-              pbr.replica_bytes_per_request > 3 * lfr.replica_bytes_per_request
-                  ? "PASS"
-                  : "FAIL",
-              pbr.replica_bytes_per_request, lfr.replica_bytes_per_request);
-  std::printf("SHAPE CHECK: LFR total CPU ~2x PBR (both replicas compute): "
-              "%s (%.1f vs %.1f ms)\n",
-              lfr.total_cpu_ms > 1.6 * pbr.total_cpu_ms ? "PASS" : "FAIL",
-              lfr.total_cpu_ms, pbr.total_cpu_ms);
-  std::printf("SHAPE CHECK: TR primary CPU ~2x plain compute: %s (%.1f vs "
-              "%.1f ms)\n",
-              pbr_tr.primary_cpu_ms > 1.6 * pbr.primary_cpu_ms ? "PASS" : "FAIL",
-              pbr_tr.primary_cpu_ms, pbr.primary_cpu_ms);
-  std::printf("SHAPE CHECK: computation-heavy FTMs cost more energy: %s\n",
-              pbr_tr.energy > pbr.energy && lfr.energy > pbr.energy ? "PASS"
-                                                                     : "FAIL");
-  std::printf("SHAPE CHECK: delta checkpointing erases most of PBR's "
-              "bandwidth penalty: %s (%.0f vs %.0f B/req)\n",
-              pbr_delta.replica_bytes_per_request <
-                      0.5 * pbr.replica_bytes_per_request
-                  ? "PASS"
-                  : "FAIL",
-              pbr_delta.replica_bytes_per_request,
-              pbr.replica_bytes_per_request);
-  return 0;
+  bench::shape_check(
+      pbr.replica_bytes_per_request > 3 * lfr.replica_bytes_per_request,
+      "PBR bandwidth HIGH vs LFR LOW: %V (%.0f vs %.0f B/req)\n",
+      pbr.replica_bytes_per_request, lfr.replica_bytes_per_request);
+  bench::shape_check(lfr.total_cpu_ms > 1.6 * pbr.total_cpu_ms,
+                     "LFR total CPU ~2x PBR (both replicas compute): "
+                     "%V (%.1f vs %.1f ms)\n",
+                     lfr.total_cpu_ms, pbr.total_cpu_ms);
+  bench::shape_check(pbr_tr.primary_cpu_ms > 1.6 * pbr.primary_cpu_ms,
+                     "TR primary CPU ~2x plain compute: %V (%.1f vs %.1f ms)\n",
+                     pbr_tr.primary_cpu_ms, pbr.primary_cpu_ms);
+  bench::shape_check(pbr_tr.energy > pbr.energy && lfr.energy > pbr.energy,
+                     "computation-heavy FTMs cost more energy: %V\n");
+  bench::shape_check(
+      pbr_delta.replica_bytes_per_request < 0.5 * pbr.replica_bytes_per_request,
+      "delta checkpointing erases most of PBR's "
+      "bandwidth penalty: %V (%.0f vs %.0f B/req)\n",
+      pbr_delta.replica_bytes_per_request, pbr.replica_bytes_per_request);
+  return bench::shape_exit_code();
 }

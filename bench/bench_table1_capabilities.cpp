@@ -141,8 +141,9 @@ int main() {
     std::printf("\n");
   }
   bench::rule();
-  std::printf("SHAPE CHECK: empirical tolerance matches the derived Table 1: "
-              "%s (%d mismatches)\n",
-              mismatches == 0 ? "PASS" : "FAIL", mismatches);
-  return mismatches == 0 ? 0 : 1;
+  bench::shape_check(mismatches == 0,
+                     "empirical tolerance matches the derived Table 1: "
+                     "%V (%d mismatches)\n",
+                     mismatches);
+  return bench::shape_exit_code();
 }

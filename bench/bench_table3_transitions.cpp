@@ -113,13 +113,11 @@ int main() {
     std::printf("mean %d-component    : %7.0f ms over %d pairs\n", d,
                 by_diff_sum[d] / by_diff_count[d], by_diff_count[d]);
   }
-  std::printf("\nSHAPE CHECK: transition time must grow with components "
-              "replaced: %s\n",
-              (by_diff_sum[1] / by_diff_count[1] <
-                   by_diff_sum[2] / by_diff_count[2] &&
-               by_diff_sum[2] / by_diff_count[2] <
-                   by_diff_sum[3] / by_diff_count[3])
-                  ? "PASS"
-                  : "FAIL");
-  return 0;
+  std::printf("\n");
+  bench::shape_check(by_diff_sum[1] / by_diff_count[1] <
+                             by_diff_sum[2] / by_diff_count[2] &&
+                         by_diff_sum[2] / by_diff_count[2] <
+                             by_diff_sum[3] / by_diff_count[3],
+                     "transition time must grow with components replaced: %V\n");
+  return bench::shape_exit_code();
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
@@ -53,5 +54,31 @@ inline void title(const std::string& text) {
   std::printf("%s\n", text.c_str());
   rule('=');
 }
+
+/// Shape checks that failed so far in this process.
+inline int& shape_failures() {
+  static int failures = 0;
+  return failures;
+}
+
+/// Print one "SHAPE CHECK: ..." line and record a failure. `fmt` is the
+/// printf format of the text after the prefix, newline included, with "%V"
+/// where the verdict (PASS or FAIL) goes; the remaining arguments fill its
+/// other conversions.
+inline bool shape_check(bool ok, const char* fmt, ...) {
+  std::string line = "SHAPE CHECK: ";
+  line += fmt;
+  const auto verdict = line.find("%V");
+  if (verdict != std::string::npos) line.replace(verdict, 2, ok ? "PASS" : "FAIL");
+  std::va_list args;
+  va_start(args, fmt);
+  std::vprintf(line.c_str(), args);
+  va_end(args);
+  if (!ok) ++shape_failures();
+  return ok;
+}
+
+/// A bench's exit status: non-zero once any shape check failed.
+inline int shape_exit_code() { return shape_failures() == 0 ? 0 : 1; }
 
 }  // namespace rcs::bench

@@ -43,43 +43,44 @@ class SyncAfterLfrAudit final : public ftm::SyncAfterDuplexBase {
   }
 
  protected:
-  Value master_after(const Value& ctx) override {
+  ftm::BrickStatus master_after(const ftm::RequestCtx& ctx) override {
     audit(ctx);
     if (!peer_available(ctx)) return done();
     Value data = Value::map();
-    data.set("key", ctx.at("key")).set("digest", digest(ctx.at("result")));
+    data.set("key", ctx.key).set("digest", digest(ctx.result));
     send_peer("after", "notify", std::move(data));
     count_event(ftm::Event::kNotification);
     return done();
   }
 
-  Value on_solicited(const Value& ctx, const Value& message) override {
-    if (message.at("kind").as_string() == "notify" &&
-        message.at("data").at("digest").as_int() != digest(ctx.at("result"))) {
+  ftm::BrickStatus on_solicited(const ftm::RequestCtx& ctx,
+                                const ftm::PeerMessage& message) override {
+    if (message.kind == "notify" &&
+        message.data.at("digest").as_int() != digest(ctx.result)) {
       report_fault("divergence");
     }
     audit(ctx);
     return done();
   }
 
-  Value on_unsolicited(const Value& message) override {
-    if (message.at("kind").as_string() == "notify") return stash_directive();
-    return Value::map();
+  ftm::BrickStatus on_unsolicited(const ftm::PeerMessage& message) override {
+    if (message.kind == "notify") return stash();
+    return handled();
   }
 
-  Value forwarded_after(const Value& /*ctx*/) override {
+  ftm::BrickStatus forwarded_after(const ftm::RequestCtx& /*ctx*/) override {
     return wait_for("notify");
   }
 
  private:
-  void audit(const Value& ctx) {
+  void audit(const ftm::RequestCtx& ctx) {
     if (host() == nullptr) return;
     // Certification evidence survives crashes: journal to stable storage.
     Value trail = host()->stable().get("audit.trail");
     if (!trail.is_list()) trail = Value::list();
     trail.push_back(Value::map()
-                        .set("key", ctx.at("key"))
-                        .set("digest", digest(ctx.at("result"))));
+                        .set("key", ctx.key)
+                        .set("digest", digest(ctx.result)));
     host()->stable().put("audit.trail", trail);
   }
 };

@@ -5,8 +5,9 @@
 // Payload wraps the Value in a refcounted immutable cell together with its
 // encoded size (computed once), so forwarding a payload — echoing a request,
 // fanning a checkpoint out to N backups, scheduling the delivery closure —
-// is a pointer copy. Receivers that need to modify a payload (e.g. stamping
-// the sender) copy the Value out explicitly, exactly as before.
+// is a pointer copy. Receivers read the Value in place and keep the handle
+// when they hold a message for later; facts about the delivery, such as the
+// sender, travel beside the payload (Message::from), never stamped into it.
 #pragma once
 
 #include <cstddef>

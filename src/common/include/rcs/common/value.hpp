@@ -216,7 +216,7 @@ inline bool ValueMap::contains(std::string_view key) const {
 
 inline ValueMap::iterator ValueMap::insert_at(iterator pos, std::string key,
                                               Value value) {
-  // A status directive, a call's args or a reply fits the first block.
+  // A call's args or a reply fits the first block.
   if (entries_.capacity() == 0) {
     entries_.reserve(4);
     pos = entries_.begin();

@@ -96,6 +96,10 @@ class Component {
     return *static_cast<Face*>(bound_face(reference));
   }
 
+  /// Throws ComponentError unless the component is started, as invoke()
+  /// does; for typed entry points that bypass invoke().
+  void ensure_started(const std::string& service) const;
+
  private:
   friend class Composite;
 
@@ -118,8 +122,6 @@ class Component {
   [[nodiscard]] const Binding& bound(std::string_view reference) const;
   /// face()'s untyped core.
   [[nodiscard]] void* bound_face(std::string_view reference) const;
-  /// Throws ComponentError unless the component is started.
-  void ensure_started(const std::string& service) const;
 
   /// invoke() once the service is known to be declared.
   Value dispatch(const std::string& service, const std::string& op,

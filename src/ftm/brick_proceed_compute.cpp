@@ -12,14 +12,14 @@ namespace {
 
 class ProceedCompute final : public FtmBrick {
  public:
-  Value run_phase(const Value& ctx) override {
-    const Value outcome = run_server(ctx.at("request"));
-    resume_after(ctx.at("key").as_string(), outcome.at("cpu_us").as_int(),
-                 outcome.at("result"));
+  BrickStatus run_phase(const RequestCtx& ctx) override {
+    const Value outcome = run_server(ctx.request());
+    resume_after(ctx.key, outcome.at("cpu_us").as_int(), outcome.at("result"));
     return wait_for("");  // timer wait; control().resume_after fires it
   }
-  Value on_peer(const Value& /*ctx*/, const Value& /*message*/) override {
-    return Value::map();
+  BrickStatus on_peer(const RequestCtx* /*ctx*/,
+                      const PeerMessage& /*message*/) override {
+    return handled();
   }
 };
 

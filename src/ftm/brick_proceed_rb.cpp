@@ -18,9 +18,10 @@ namespace {
 
 class ProceedRb final : public FtmBrick {
  public:
-  Value run_phase(const Value& ctx) override { return process(ctx); }
-  Value on_peer(const Value& /*ctx*/, const Value& /*message*/) override {
-    return Value::map();
+  BrickStatus run_phase(const RequestCtx& ctx) override { return process(ctx); }
+  BrickStatus on_peer(const RequestCtx* /*ctx*/,
+                      const PeerMessage& /*message*/) override {
+    return handled();
   }
 
  private:
@@ -30,8 +31,8 @@ class ProceedRb final : public FtmBrick {
         .as_bool();
   }
 
-  Value process(const Value& ctx) {
-    const Value& request = ctx.at("request");
+  BrickStatus process(const RequestCtx& ctx) {
+    const Value& request = ctx.request();
     const bool has_state = wired("state");
 
     Value snapshot;
@@ -57,7 +58,7 @@ class ProceedRb final : public FtmBrick {
       }
       result = alternate.at("result");
     }
-    resume_after(ctx.at("key").as_string(), cpu, std::move(result));
+    resume_after(ctx.key, cpu, std::move(result));
     return wait_for("");
   }
 };

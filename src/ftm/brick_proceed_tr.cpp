@@ -16,14 +16,15 @@ namespace {
 
 class ProceedTr final : public FtmBrick {
  public:
-  Value run_phase(const Value& ctx) override { return process(ctx); }
-  Value on_peer(const Value& /*ctx*/, const Value& /*message*/) override {
-    return Value::map();
+  BrickStatus run_phase(const RequestCtx& ctx) override { return process(ctx); }
+  BrickStatus on_peer(const RequestCtx* /*ctx*/,
+                      const PeerMessage& /*message*/) override {
+    return handled();
   }
 
  private:
-  Value process(const Value& ctx) {
-    const Value& request = ctx.at("request");
+  BrickStatus process(const RequestCtx& ctx) {
+    const Value& request = ctx.request();
     const bool has_state = wired("state");
 
     // Capture state before the first execution (Table 2, Before column for
@@ -63,7 +64,7 @@ class ProceedTr final : public FtmBrick {
             "time redundancy: no majority among three executions");
       }
     }
-    resume_after(ctx.at("key").as_string(), cpu, std::move(result));
+    resume_after(ctx.key, cpu, std::move(result));
     return wait_for("");
   }
 };

@@ -25,45 +25,46 @@ class SyncAfterLfr final : public SyncAfterDuplexBase {
       : SyncAfterDuplexBase(with_assertion) {}
 
  protected:
-  Value master_after(const Value& ctx) override {
+  BrickStatus master_after(const RequestCtx& ctx) override {
     if (!peer_available(ctx)) return done();
     Value data = Value::map();
-    data.set("key", ctx.at("key")).set("digest", digest(ctx.at("result")));
+    data.set("key", ctx.key).set("digest", digest(ctx.result));
     send_peer("after", "notify", std::move(data));
     count_event(Event::kNotification);
     return done();  // fire-and-forget: the client reply is not gated
   }
 
-  Value on_solicited(const Value& ctx, const Value& message) override {
+  BrickStatus on_solicited(const RequestCtx& ctx,
+                           const PeerMessage& message) override {
     // Follower received the leader's notification for its forwarded context.
-    if (message.at("kind").as_string() == "notify") {
-      const auto leader_digest = message.at("data").at("digest").as_int();
-      if (leader_digest != digest(ctx.at("result"))) {
+    if (message.kind == "notify") {
+      const auto leader_digest = message.data.at("digest").as_int();
+      if (leader_digest != digest(ctx.result)) {
         report_fault("divergence");
       }
     }
     return done();
   }
 
-  Value on_unsolicited(const Value& message) override {
+  BrickStatus on_unsolicited(const PeerMessage& message) override {
     // A notification can overtake its forwarded request on a jittery link;
     // park it in the kernel's stash until the context reaches After.
-    if (message.at("kind").as_string() == "notify") return stash_directive();
-    return Value::map();
+    if (message.kind == "notify") return stash();
+    return handled();
   }
 
-  Value forwarded_after(const Value& ctx) override {
+  BrickStatus forwarded_after(const RequestCtx& ctx) override {
     if (with_assertion()) {
       // A&LFR follower: validate the local result with the assertion and
       // complete immediately. Waiting for the leader's notification would
       // deadlock when the leader itself is waiting for our re-execution of
       // a result that failed ITS assertion.
-      if (!check_assertion(ctx.at("request"), ctx.at("result"))) {
+      if (!check_assertion(ctx.request(), ctx.result)) {
         report_fault("assertion_failed");
       }
       return done();
     }
-    if (ctx.get_or("attempt", Value(0)).as_int() >= 3) {
+    if (ctx.attempt >= 3) {
       // The leader's notification was lost (or the leader moved on); keep
       // our own result rather than waiting forever.
       return done();

@@ -8,9 +8,10 @@ namespace {
 
 class SyncAfterNoop final : public FtmBrick {
  public:
-  Value run_phase(const Value& /*ctx*/) override { return done(); }
-  Value on_peer(const Value& /*ctx*/, const Value& /*message*/) override {
-    return Value::map();
+  BrickStatus run_phase(const RequestCtx& /*ctx*/) override { return done(); }
+  BrickStatus on_peer(const RequestCtx* /*ctx*/,
+                      const PeerMessage& /*message*/) override {
+    return handled();
   }
 };
 

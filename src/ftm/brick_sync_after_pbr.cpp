@@ -25,12 +25,12 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
       : SyncAfterDuplexBase(with_assertion) {}
 
  protected:
-  Value master_after(const Value& ctx) override {
-    const auto group = alive_peers();
+  BrickStatus master_after(const RequestCtx& ctx) override {
+    const auto& group = alive_peers();
     if (group.empty() || !peer_available(ctx)) return done();  // master-alone
     Value data = Value::map();
-    data.set("key", ctx.at("key"));
-    if (delta_enabled()) {
+    data.set("key", ctx.key);
+    if (delta_) {
       // Incremental checkpoint: only the state mutated since the backup's
       // last ack, plus the reply-log entries it has not acknowledged. A
       // retransmission (kernel retry) re-captures, which widens the delta —
@@ -50,15 +50,16 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
     // The current request's reply is recorded in the reply log only after
     // this phase completes, so ship it explicitly: at-most-once must hold on
     // the backup even if we crash right after answering the client.
-    data.set("pending_reply", Value::map()
-                                  .set("id", ctx.at("id"))
-                                  .set("result", ctx.at("result")));
+    data.set("pending_reply",
+             Value::map()
+                 .set("id", static_cast<std::int64_t>(ctx.id))
+                 .set("result", ctx.result));
     if (auto* fsim = fsim_registry()) {
       // fsim "ckpt.serialize": the capture/encode of this checkpoint fails.
       // Skip the send but wait as usual — the kernel's peer-retry loop
       // re-runs this phase after retry_us and re-captures (the delta only
       // widens), so the failure is masked at the cost of one retry interval.
-      const fsim::Site site{delta_enabled() ? "primary/delta" : "primary/full",
+      const fsim::Site site{delta_ ? "primary/delta" : "primary/full",
                             data.encoded_size(), fsim_now()};
       if (fsim->should_fail(fsim::Point::kCkptSerialize, site)) {
         trace_instant("fsim.ckpt.serialize", trace_of(ctx));
@@ -76,17 +77,17 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
     return wait_for_group("checkpoint_ack", static_cast<int>(group.size()));
   }
 
-  Value on_solicited(const Value& /*ctx*/, const Value& message) override {
-    if (message.at("kind").as_string() == "checkpoint_ack") {
+  BrickStatus on_solicited(const RequestCtx& /*ctx*/,
+                           const PeerMessage& message) override {
+    if (message.kind == "checkpoint_ack") {
       // The whole group confirmed this checkpoint: it will never need to be
       // retransmitted, so drop its dirty keys and reply-log entries from
       // future deltas. (All acks of one round echo the same seq/upto.)
-      if (!message.has("data")) return done();
-      const Value& data = message.at("data");
-      if (data.is_map() && data.has("seq") && wired("state")) {
+      const Value& data = message.data;
+      if (data.has("seq") && wired("state")) {
         call("state", "ack_delta", Value::map().set("seq", data.at("seq")));
       }
-      if (data.is_map() && data.has("upto")) {
+      if (data.has("upto")) {
         reply_log().ack_export(
             static_cast<std::uint64_t>(data.at("upto").as_int()));
       }
@@ -95,11 +96,10 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
     return done();  // anything else while waiting: treat as completion
   }
 
-  Value on_unsolicited(const Value& message) override {
-    const std::string& kind = message.at("kind").as_string();
-    if (kind == "checkpoint") {
-      const Value& data = message.at("data");
-      const auto from = message.get_or("_from", Value(-1)).as_int();
+  BrickStatus on_unsolicited(const PeerMessage& message) override {
+    if (message.kind == "checkpoint") {
+      const Value& data = message.data;
+      const auto from = message.from;
       if (data.has("ckpt") || data.has("rlog")) {
         return apply_delta_checkpoint(data, from);
       }
@@ -111,7 +111,7 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
         const fsim::Site site{"backup/full", data.encoded_size(), fsim_now()};
         if (fsim->should_fail(fsim::Point::kCkptApply, site)) {
           trace_instant("fsim.ckpt.apply", 0, from);
-          return Value::map();
+          return handled();
         }
       }
       if (!data.at("state").is_null()) restore_state(data.at("state"));
@@ -122,18 +122,24 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
       send_peer_to(from, "after", "checkpoint_ack",
                    Value::map().set("key", data.at("key")));
     }
-    return Value::map();
+    return handled();
   }
 
-  Value forwarded_after(const Value& /*ctx*/) override {
+  BrickStatus forwarded_after(const RequestCtx& /*ctx*/) override {
     // PBR backups never run forwarded pipelines; nothing to synchronize.
     return done();
   }
 
  private:
-  [[nodiscard]] bool delta_enabled() const {
+  // Incremental checkpoints unless the "delta" property is false, read
+  // when it is set rather than on every request.
+  void on_start() override { read_delta(); }
+  void on_property_changed(const std::string& key) override {
+    if (key == "delta") read_delta();
+  }
+  void read_delta() {
     const Value v = property("delta");
-    return !v.is_bool() || v.as_bool();
+    delta_ = !v.is_bool() || v.as_bool();
   }
 
   void record_pending_reply(const Value& data) {
@@ -141,7 +147,7 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
     reply_log().record(data.at("key").as_string(), data.at("pending_reply"));
   }
 
-  Value apply_delta_checkpoint(const Value& data, std::int64_t from) {
+  BrickStatus apply_delta_checkpoint(const Value& data, std::int64_t from) {
     Value ack = Value::map().set("key", data.at("key"));
     bool ok = true;
     if (auto* fsim = fsim_registry()) {
@@ -170,14 +176,16 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
       count_event(Event::kResyncRequested);
       trace_instant("ckpt.resync", 0, from);
       control().join();
-      return Value::map();
+      return handled();
     }
     record_pending_reply(data);
     count_event(Event::kCheckpointApplied);
     trace_instant("ckpt.apply", 0, from);
     send_peer_to(from, "after", "checkpoint_ack", std::move(ack));
-    return Value::map();
+    return handled();
   }
+
+  bool delta_{true};
 };
 
 comp::ComponentTypeInfo make_type(const char* type_name, bool with_assertion) {

@@ -14,30 +14,31 @@ namespace {
 
 class SyncBeforeLfr final : public FtmBrick {
  public:
-  Value run_phase(const Value& ctx) override {
+  BrickStatus run_phase(const RequestCtx& ctx) override {
     // Follower executing a forwarded request: the "receive" already
     // happened; nothing more to coordinate.
-    if (ctx.at("forwarded").as_bool()) return done();
+    if (ctx.forwarded) return done();
     if (is_master(ctx) && peer_available(ctx)) {
       Value data = Value::map();
-      data.set("key", ctx.at("key"))
-          .set("client", ctx.at("client"))
-          .set("id", ctx.at("id"))
-          .set("request", ctx.at("request"));
+      data.set("key", ctx.key)
+          .set("client", ctx.client)
+          .set("id", static_cast<std::int64_t>(ctx.id))
+          .set("request", ctx.request());
       // Thread the trace id into the forward so the follower's pipeline
       // spans land on the same trace as the leader's.
-      if (ctx.has("trace")) data.set("trace", ctx.at("trace"));
+      if (ctx.trace != 0) data.set("trace", static_cast<std::int64_t>(ctx.trace));
       send_peer("before", "request", std::move(data));
     }
     return done();
   }
 
-  Value on_peer(const Value& ctx, const Value& message) override {
-    if (ctx.is_null() && message.at("kind").as_string() == "request") {
+  BrickStatus on_peer(const RequestCtx* ctx,
+                      const PeerMessage& message) override {
+    if (ctx == nullptr && message.kind == "request") {
       // Unsolicited forward from the leader: start our own pipeline.
-      control().start_forwarded(message.at("data"));
+      control().start_forwarded(message);
     }
-    return Value::map();
+    return handled();
   }
 };
 

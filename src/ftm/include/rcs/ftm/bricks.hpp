@@ -4,14 +4,19 @@
 // composite; differential transitions replace exactly these (§5.2). The
 // kernel drives a brick through its Brick face (interfaces.hpp), resolved
 // when the slot's wire is made:
-//   run_phase(ctx view)          Before / Proceed / After, by slot
-//   on_peer(ctx view | null, message)
-// each returning a status directive map — see protocol.hpp. A brick reaches
-// the kernel and the reply log back through its "control" and "replyLog"
-// references, typed as the ProtocolControl and ReplyLog faces; the helpers
-// below wrap them. Bricks serve no Value ops. On group-membership changes
-// and retransmission timeouts the kernel simply re-runs the waiting phase
-// (ctx carries "attempt"), so bricks stay stateless.
+//   run_phase(const RequestCtx&)                        Before / Proceed /
+//                                                       After, by slot
+//   on_peer(const RequestCtx* | null, const PeerMessage&)
+// each returning a BrickStatus — see protocol.hpp; the helpers below build
+// them (done, wait_for, again_with, fail_with; handled, stash, defer). The
+// ctx is typed fields (key, client, id, request(), result, forwarded, role,
+// peer_alive, expect, attempt, trace) and a message carries its sender
+// beside its payload. A brick reaches the kernel and the reply log back
+// through its "control" and "replyLog" references, typed as the
+// ProtocolControl and ReplyLog faces; the helpers below wrap them. Bricks
+// serve no Value ops. On group-membership changes and retransmission
+// timeouts the kernel simply re-runs the waiting phase (ctx.attempt counts
+// them), so bricks stay stateless.
 //
 //   FTM slot content (Table 2):
 //     PBR  primary:  -            / compute / checkpoint to backup
@@ -36,7 +41,7 @@
 namespace rcs::ftm {
 
 /// Common helpers for brick implementations. Bricks keep NO per-request
-/// state: everything flows through the ctx view and the kernel's stash.
+/// state: everything flows through the RequestCtx and the kernel's stash.
 class FtmBrick : public comp::Component, public Brick {
  public:
   /// Only the After slot is asked for join snapshots; a brick with nothing
@@ -55,51 +60,59 @@ class FtmBrick : public comp::Component, public Brick {
     return typed_face(reference, target);
   }
 
-  // --- Status directives ---------------------------------------------------
-  [[nodiscard]] static Value done() {
-    return Value::map().set("status", "done");
+  // --- Status -------------------------------------------------------------
+  using Verdict = BrickStatus::Verdict;
+  [[nodiscard]] static BrickStatus status(Verdict verdict) {
+    BrickStatus answer;
+    answer.verdict = verdict;
+    return answer;
   }
-  [[nodiscard]] static Value done_with(Value result) {
-    return Value::map().set("status", "done").set("result", std::move(result));
+  [[nodiscard]] static BrickStatus done() { return status(Verdict::kDone); }
+  [[nodiscard]] static BrickStatus done_with(Value result) {
+    BrickStatus done = status(Verdict::kDone);
+    done.result = std::move(result);
+    return done;
   }
-  /// Wait for a peer message of `kind` (empty = wait for control.resume).
-  [[nodiscard]] static Value wait_for(const std::string& kind) {
-    return Value::map().set("status", "wait").set("expect", kind);
+  /// Wait for a peer message of `kind` (empty = wait for resume_after).
+  [[nodiscard]] static BrickStatus wait_for(std::string kind) {
+    return wait_for_group(std::move(kind), 1);
   }
   /// Wait for `count` matching peer messages, one per group member
   /// (checkpoint acks from N backups). count <= 0 completes immediately.
-  [[nodiscard]] static Value wait_for_group(const std::string& kind, int count) {
-    return Value::map()
-        .set("status", "wait")
-        .set("expect", kind)
-        .set("expect_count", count);
+  [[nodiscard]] static BrickStatus wait_for_group(std::string kind, int count) {
+    BrickStatus wait = status(Verdict::kWait);
+    wait.expect = std::move(kind);
+    wait.expect_count = count;
+    return wait;
   }
-  [[nodiscard]] static Value again_with(Value result) {
-    return Value::map().set("status", "again").set("result", std::move(result));
+  [[nodiscard]] static BrickStatus again_with(Value result) {
+    BrickStatus again = status(Verdict::kAgain);
+    again.result = std::move(result);
+    return again;
   }
-  [[nodiscard]] static Value fail_with(const std::string& error) {
-    return Value::map().set("status", "fail").set("error", error);
+  [[nodiscard]] static BrickStatus fail_with(std::string error) {
+    BrickStatus fail = status(Verdict::kFail);
+    fail.error = std::move(error);
+    return fail;
   }
-  [[nodiscard]] static Value stash_directive() {
-    return Value::map().set("stash", true);
-  }
-  /// Ask the kernel to replay this unsolicited message once the local
-  /// pipeline for its key has finished.
-  [[nodiscard]] static Value defer_directive() {
-    return Value::map().set("defer", true);
-  }
+  /// Unsolicited message: dealt with here (or ignored).
+  [[nodiscard]] static BrickStatus handled() { return status(Verdict::kHandled); }
+  /// Unsolicited message: keep it until a context waits for its kind.
+  [[nodiscard]] static BrickStatus stash() { return status(Verdict::kStash); }
+  /// Unsolicited message: replay it once the local pipeline for its key
+  /// has finished.
+  [[nodiscard]] static BrickStatus defer() { return status(Verdict::kDefer); }
 
   // --- Kernel and reply log, through the typed references ------------------
   [[nodiscard]] ProtocolControl& control() {
     return face<ProtocolControl>("control");
   }
   [[nodiscard]] ReplyLog& reply_log() { return face<ReplyLog>("replyLog"); }
-  [[nodiscard]] bool is_master(const Value& ctx) const {
-    const auto& role = ctx.at("role").as_string();
-    return role == "primary" || role == "alone";
+  [[nodiscard]] static bool is_master(const RequestCtx& ctx) {
+    return ctx.role == Role::kPrimary || ctx.role == Role::kAlone;
   }
-  [[nodiscard]] static bool peer_available(const Value& ctx) {
-    return ctx.at("peer_alive").as_bool() && ctx.at("role").as_string() != "alone";
+  [[nodiscard]] static bool peer_available(const RequestCtx& ctx) {
+    return ctx.peer_alive && ctx.role != Role::kAlone;
   }
 
   void send_peer(std::string_view phase, std::string_view kind, Value data) {
@@ -112,7 +125,7 @@ class FtmBrick : public comp::Component, public Brick {
   }
 
   /// Live members of the replica group, from the kernel.
-  [[nodiscard]] std::vector<std::int64_t> alive_peers() {
+  [[nodiscard]] const std::vector<std::int64_t>& alive_peers() {
     return control().alive_peers();
   }
 
@@ -159,10 +172,9 @@ class FtmBrick : public comp::Component, public Brick {
     return host() != nullptr && host()->sim().tracer().enabled();
   }
 
-  /// Trace id carried by a ctx view (0 when untraced or ctx is null).
-  [[nodiscard]] static std::uint64_t trace_of(const Value& ctx) {
-    if (!ctx.is_map() || !ctx.has("trace")) return 0;
-    return static_cast<std::uint64_t>(ctx.at("trace").as_int());
+  /// Trace id of a request (0 when untraced).
+  [[nodiscard]] static std::uint64_t trace_of(const RequestCtx& ctx) {
+    return ctx.trace;
   }
 
   /// Record an instant event on this brick's host. No-op when tracing() is

@@ -19,18 +19,22 @@
 // detector call each other as C++ objects: rcs.ProtocolControl and
 // rcs.ReplyLog each have a face below and the three brick interfaces share
 // one, which the caller resolves when a script makes the wire (typed_face)
-// and then calls virtually, with no Value argument maps. Value stays at the
-// composite's edges — the client and peer ports, the application's
-// rcs.Server and rcs.StateManager — and in the Value ops the kernel and the
+// and then calls virtually, with no Value argument maps. The kernel↔brick
+// contract is typed too: a brick reads a RequestCtx, gets replica messages
+// as a PeerMessage and answers a BrickStatus. Value stays for what crosses
+// the wire (request, reply, replica payloads), for the application's
+// rcs.Server and rcs.StateManager, and for the Value ops the kernel and the
 // reply log keep for the runtime, scripts and tests.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "rcs/common/intern.hpp"
+#include "rcs/common/payload.hpp"
 #include "rcs/common/value.hpp"
 #include "rcs/component/ports.hpp"
 #include "rcs/sim/time.hpp"
@@ -64,7 +68,11 @@ namespace rcs::ftm::msg {
 inline const MsgType kRequest{"ftm.request"};
 /// replica -> client: {"id": u64, "result": value} or {"id", "error": str}
 inline const MsgType kReply{"ftm.reply"};
-/// replica <-> replica: {"phase": "before"|"after"|"ctrl", "kind": str, ...}
+/// replica <-> replica: {"phase": "before"|"after"|"ctrl", "kind": str,
+/// "key"?: str, "data": value}. The sender is not in the payload: the
+/// runtime hands the kernel the shared payload and Message::from side by
+/// side (ProtocolKernel::deliver_peer), and the kernel parses it once into a
+/// PeerMessage for the bricks.
 inline const MsgType kReplica{"ftm.replica"};
 /// replica <-> replica failure detection beacon: {"role": str}
 inline const MsgType kHeartbeat{"ftm.heartbeat"};
@@ -102,17 +110,79 @@ enum class Event : std::uint8_t {
   kNotification,
 };
 
+/// The request context a brick reads: one in-flight request, as the kernel
+/// holds it. The kernel refreshes role and peer_alive before each brick
+/// call; bricks only read it (they keep no per-request state of their own).
+struct RequestCtx {
+  std::string key;  // "c<client>:<id>", the reply-log key
+  std::int64_t client{-1};
+  std::uint64_t id{0};
+  /// The result so far: the Proceed phase's output once it is done.
+  Value result;
+  /// A follower's pipeline for a request its leader forwarded.
+  bool forwarded{false};
+  Role role{Role::kPrimary};
+  /// Some member of the replica group is not suspected by the detector.
+  bool peer_alive{false};
+  /// The peer-message kind the context waits for ("" when not waiting on a
+  /// peer), and how many times the waiting phase was re-run.
+  std::string expect;
+  int attempt{0};
+  /// End-to-end trace id minted by the client (0 = untraced).
+  std::uint64_t trace{0};
+
+  /// The client's request, read in place from the payload the kernel holds.
+  [[nodiscard]] const Value& request() const { return *request_; }
+
+ protected:
+  const Value* request_{nullptr};
+};
+
+/// A replica message {phase, kind, key?, data} as the kernel parsed it on
+/// delivery, with the host the network delivered it from. The views and
+/// `data` point into `payload`, which stays alive for the whole call.
+struct PeerMessage {
+  std::string_view phase;  // "before" | "exec" | "after" | "ctrl"
+  std::string_view kind;
+  std::string_view key;  // "" when the message names no request
+  std::int64_t from{-1};
+  const Value& data;  // null when the message carries none
+  /// The shared payload itself, for a brick that hands the message on
+  /// (ProtocolControl::start_forwarded) without copying it.
+  const Payload& payload;
+};
+
+/// What a brick answers for a phase or a peer message. run_phase and a
+/// solicited on_peer answer done / wait / again / fail; an unsolicited
+/// on_peer answers handled / stash / defer.
+struct BrickStatus {
+  enum class Verdict : std::uint8_t {
+    kDone,     // phase complete; advance (with `result`, if set)
+    kWait,     // park until `expect_count` peers sent `expect` ("" = resume)
+    kAgain,    // re-run the current phase (assertion recovery)
+    kFail,     // abort; the client gets an error reply with `error`
+    kHandled,  // unsolicited message dealt with (or ignored)
+    kStash,    // keep it until a context waits for its (key, kind)
+    kDefer,    // replay it once the local pipeline for its key finished
+  };
+  Verdict verdict{Verdict::kHandled};
+  std::optional<Value> result;
+  std::string expect;
+  int expect_count{1};
+  std::string error;
+};
+
 /// Face of rcs.SyncBefore, rcs.Proceed and rcs.SyncAfter: what the kernel
-/// calls on the brick in each slot. Every call returns a status directive
-/// (see protocol.hpp).
+/// calls on the brick in each slot.
 class Brick {
  public:
   /// Run this brick's phase — Before, Proceed or After, by its slot — for
-  /// the request whose view is `ctx`.
-  virtual Value run_phase(const Value& ctx) = 0;
-  /// A peer message for this slot: solicited (`ctx` is the view of the
-  /// context waiting for it) or unsolicited (`ctx` is null).
-  virtual Value on_peer(const Value& ctx, const Value& message) = 0;
+  /// the request `ctx`.
+  virtual BrickStatus run_phase(const RequestCtx& ctx) = 0;
+  /// A peer message for this slot: solicited (`ctx` is the context waiting
+  /// for it) or unsolicited (`ctx` is null).
+  virtual BrickStatus on_peer(const RequestCtx* ctx,
+                              const PeerMessage& message) = 0;
   /// Rejoin: the master's state and reply log for a restarted replica, and
   /// its application on that replica. Only the After slot is asked.
   virtual Value make_join_snapshot() = 0;
@@ -134,9 +204,11 @@ struct InFlight {
 /// detector reach back through their "control" reference.
 class ProtocolControl {
  public:
-  /// The replica group, and its members not suspected by the detector.
+  /// The replica group, and its members not suspected by the detector. The
+  /// live list is the kernel's own, valid until the group's liveness next
+  /// changes.
   [[nodiscard]] virtual std::vector<std::int64_t> peers() const = 0;
-  [[nodiscard]] virtual std::vector<std::int64_t> alive_peers() const = 0;
+  [[nodiscard]] virtual const std::vector<std::int64_t>& alive_peers() const = 0;
   /// Send {phase, kind, key?, data} to every live peer, or to one.
   virtual void send_peer(std::string_view phase, std::string_view kind,
                          Value data) = 0;
@@ -150,8 +222,9 @@ class ProtocolControl {
   /// counters and the fault listener.
   virtual void report_fault(const std::string& kind) = 0;
   [[nodiscard]] virtual InFlight peek(const std::string& key) const = 0;
-  /// Start a pipeline for a request the leader forwarded.
-  virtual void start_forwarded(const Value& request) = 0;
+  /// Start a pipeline for the request the leader forwarded in `message`
+  /// (its data is {key, client, id, request, trace?}).
+  virtual void start_forwarded(const PeerMessage& message) = 0;
   /// Ask the master for a full state and reply-log snapshot.
   virtual void join() = 0;
   virtual void peer_suspected(std::int64_t peer) = 0;

@@ -10,18 +10,29 @@
 // stateless and can be swapped by differential transitions.
 //
 // Pipeline: a client request runs Before -> Proceed -> After -> reply. Each
-// phase calls the wired brick's run_phase, which answers with a status
-// directive:
-//   done   - phase complete, advance (optionally carrying {"result": v})
-//   wait   - brick expects a peer message {"expect": kind}; the kernel parks
-//            the context and resumes it when that message (or a stashed early
-//            copy) arrives, feeding it to the brick's on_peer
+// phase calls the wired brick's run_phase with the request's RequestCtx, and
+// the brick answers a BrickStatus (interfaces.hpp) whose verdict is:
+//   done   - phase complete, advance (optionally carrying a result)
+//   wait   - brick expects `expect_count` peer messages of kind `expect`; the
+//            kernel parks the context, counts each sender once, and resumes
+//            it when the group answered (a stashed early copy counts too),
+//            feeding the last message to the brick's on_peer. With no
+//            `expect` the context waits for resume_after.
 //   again  - re-run the current phase (used by assertion recovery)
-//   fail   - abort with {"error": msg}; the client gets an error reply
-// The kernel calls the bricks and the reply log through their C++ faces
-// (interfaces.hpp), resolved when the wires are made. Bricks and the failure
-// detector reach the kernel back through their "control" reference, typed as
-// the ProtocolControl face this class implements (send_peer, resume_after,
+//   fail   - abort with `error`; the client gets an error reply
+// An unsolicited peer message (no context waits for it) goes to its phase's
+// brick with a null ctx, which answers handled, stash (keep it until a
+// context waits for its key and kind) or defer (replay it once the local
+// pipeline for its key finished).
+//
+// The runtime delivers traffic through deliver_client and deliver_peer: the
+// shared network payload and, for replica messages, the sender beside it.
+// The kernel parses a replica message once into a PeerMessage; the stash,
+// the deferred list and the quiescence buffers hold the payload handle, not
+// a copy. The kernel calls the bricks and the reply log through their C++
+// faces, resolved when the wires are made. Bricks and the failure detector
+// reach the kernel back through their "control" reference, typed as the
+// ProtocolControl face this class implements (send_peer, resume_after,
 // count_event, report_fault, peek, start_forwarded, join, ...). The control
 // service's Value ops are left for callers outside the composite: the
 // runtime, the node agent and tests.
@@ -45,6 +56,9 @@ namespace rcs::ftm {
 class ProtocolKernel : public comp::Component, public ProtocolControl {
  public:
   [[nodiscard]] static comp::ComponentTypeInfo type_info();
+
+  /// Peer-wait retransmission period unless "retry_us" says otherwise.
+  static constexpr sim::Duration kDefaultRetryInterval = 250 * sim::kMillisecond;
 
   ~ProtocolKernel() override;
 
@@ -97,12 +111,29 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   [[nodiscard]] std::size_t buffered() const {
     return buffered_requests_.size() + buffered_forwarded_.size();
   }
+  /// Early peer messages held until a context waits for them.
+  [[nodiscard]] std::size_t stashed() const { return stash_.size(); }
+  /// Unsolicited messages held until their key's local pipeline finishes.
+  [[nodiscard]] std::size_t deferred() const {
+    std::size_t count = 0;
+    for (const auto& [key, held] : deferred_) count += held.size();
+    return count;
+  }
+
+  // --- Network entries (the runtime's message handlers) -------------------
+  /// A client request {client, id, request, trace?}. Both throw
+  /// ComponentError when the kernel is not started, as invoke does.
+  void deliver_client(const Payload& payload);
+  /// A replica message {phase, kind, key?, data} from host `from`.
+  void deliver_peer(const Payload& payload, std::int64_t from);
 
   // --- ProtocolControl face (bricks, failure detector) --------------------
   [[nodiscard]] std::vector<std::int64_t> peers() const override {
     return peers_;
   }
-  [[nodiscard]] std::vector<std::int64_t> alive_peers() const override;
+  [[nodiscard]] const std::vector<std::int64_t>& alive_peers() const override {
+    return alive_peers_;
+  }
   void send_peer(std::string_view phase, std::string_view kind,
                  Value data) override;
   void send_peer_to(std::int64_t peer, std::string_view phase,
@@ -112,15 +143,15 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   void count_event(Event event) override;
   void report_fault(const std::string& kind) override;
   [[nodiscard]] InFlight peek(const std::string& key) const override;
-  void start_forwarded(const Value& request) override;
+  void start_forwarded(const PeerMessage& message) override;
   void join() override;
   void peer_suspected(std::int64_t peer) override;
   void peer_recovered(std::int64_t peer) override;
 
  protected:
   // Services:
-  //   "client"  (rcs.ClientPort): op "request" {client, id, request}
-  //   "peer"    (rcs.PeerPort):   op "message" {phase, kind, key?, data}
+  //   "client"  (rcs.ClientPort): reached through deliver_client only
+  //   "peer"    (rcs.PeerPort):   reached through deliver_peer only
   //   "control" (rcs.ProtocolControl): see dispatch_control
   Value on_invoke(const std::string& service, const std::string& op,
                   const Value& args) override;
@@ -133,65 +164,61 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   void on_property_changed(const std::string& key) override;
 
  private:
-  /// One in-flight request (client-originated or forwarded by the leader).
-  /// Built in place in pending_ and never copied: the slots point into view.
-  struct Ctx {
+  /// One in-flight request (client-originated or forwarded by the leader):
+  /// the RequestCtx the bricks read, plus the kernel's own bookkeeping.
+  /// Built in place in pending_ and never moved: its peer-retry timer holds
+  /// its address.
+  struct Ctx : RequestCtx {
     Ctx() = default;
     Ctx(const Ctx&) = delete;
     Ctx& operator=(const Ctx&) = delete;
 
-    std::string key;
-    std::int64_t client{-1};
-    std::uint64_t id{0};
-    /// The map the bricks get as their ctx argument, built once by
-    /// init_view: key, client, id, request, result, forwarded, role,
-    /// peer_alive, expect, attempt (and trace when traced). The slots below
-    /// point into it; result, expect and attempt are written when they
-    /// change, role and peer_alive by brick_view before each brick call.
-    Value view;
-    Value* result_slot{nullptr};
-    Value* role_slot{nullptr};
-    Value* peer_alive_slot{nullptr};
-    Value* expect_slot{nullptr};
-    Value* attempt_slot{nullptr};
+    /// Hold the network payload the request was read from; request() points
+    /// into it.
+    void hold(const Payload& payload, const Value& request) {
+      source = payload;
+      request_ = &request;
+    }
+
+    Payload source;
     int phase{0};  // 0=before 1=proceed 2=after 3=done
-    /// End-to-end trace id minted by the client and carried through protocol
-    /// messages (0 = untraced). Virtual time the current phase started.
-    std::uint64_t trace{0};
+    /// Virtual time the current phase started (traced requests only).
     sim::Time phase_start{0};
-    bool forwarded{false};
     bool waiting{false};
-    std::string expect;  // peer-message kind that resumes this ctx
-    int attempt{0};      // peer-wait retransmission attempts so far
     TimerId retry_timer{};
-    /// Multi-ack waits (checkpoint to N backups): how many more matching
-    /// peer messages are needed, and who already answered.
+    /// Multi-ack waits (checkpoint to N backups): how many matching peer
+    /// messages are needed, and who already answered.
     int expect_remaining{1};
     std::vector<std::int64_t> acked_peers;
+  };
 
-    void set_expect(std::string kind) {
-      *expect_slot = kind;
-      expect = std::move(kind);
-    }
-    void bump_attempt() { *attempt_slot = ++attempt; }
+  /// A replica message kept for later (stash, deferred list): the shared
+  /// payload and its sender.
+  struct HeldMessage {
+    Payload payload;
+    std::int64_t from{-1};
   };
 
   // Entry points.
-  void handle_client_request(const Value& payload);
-  void handle_peer_message(const Value& payload);
+  void handle_client_request(const Payload& payload);
+  void handle_peer_message(const Payload& payload, std::int64_t from);
   Value dispatch_control(const std::string& op, const Value& args);
 
   // Pipeline machinery.
-  void start_request(const Value& payload, bool forwarded);
+  /// Start the pipeline for `fields` = {client, id, request, trace?}, read
+  /// in place from `source`.
+  void start_request(const Payload& source, const Value& fields,
+                     bool forwarded);
   /// Close the span of the phase `ctx` is in (when tracing) and step to the
   /// next phase. Every phase transition funnels through here.
   void advance_phase(Ctx& ctx);
   void advance(Ctx& ctx);
-  /// Act on the status a brick answered for ctx's current phase: step past
-  /// the phase when it is done, else apply_brick_status.
-  void on_status(Ctx& ctx, Value status);
-  static void take_result(Value& status, Ctx& ctx);
-  void apply_brick_status(Ctx& ctx, Value status);
+  /// Act on the status a brick answered for ctx's current phase.
+  void apply_brick_status(Ctx& ctx, BrickStatus status);
+  /// A message of the kind ctx waits for: count its sender once and, when
+  /// the whole group answered, hand it to the phase's brick. True when it
+  /// did (ctx may be gone then), false while ctx keeps waiting.
+  bool feed_waiting(Ctx& ctx, const PeerMessage& message);
   /// Complete ctx's timer wait (resume_after) with `result`.
   void resume(const std::string& key, Value result);
   void complete(Ctx& ctx);
@@ -199,10 +226,8 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   // Takes the key BY VALUE: callers pass ctx.key, which lives inside
   // the map entry being erased.
   void finish_and_erase(std::string key);
-  /// Build ctx.view (once, with ctx at its final address in pending_).
-  void init_view(Ctx& ctx, Value request) const;
-  /// ctx.view with role and peer_alive brought up to date.
-  const Value& brick_view(Ctx& ctx) const;
+  /// ctx with role and peer_alive brought up to date, for a brick call.
+  const RequestCtx& brick_ctx(Ctx& ctx) const;
   [[nodiscard]] const char* phase_reference(int phase) const;
   /// The brick wired for a phase (0..2), through its typed face.
   [[nodiscard]] Brick& brick(int phase) {
@@ -213,9 +238,11 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   // Peer group / failover. The replica group is the "peers" property (list
   // of host ids) plus the "master" property; liveness is tracked per peer.
   void rebuild_peer_group();
-  [[nodiscard]] bool any_peer_alive() const;
-  void handle_ctrl(const std::string& kind, const Value& data,
-                   std::int64_t from);
+  /// Mark `peer` alive or suspected, and rebuild alive_peers_.
+  void set_peer_alive(std::int64_t peer, bool alive);
+  void rebuild_alive_peers();
+  [[nodiscard]] bool any_peer_alive() const { return !alive_peers_.empty(); }
+  void handle_ctrl(const PeerMessage& message);
   void set_role(Role role);
   /// Re-run the waiting phase of every peer-parked context (after a group
   /// membership change or a retransmission timeout).
@@ -226,8 +253,9 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   // message arrives or the failure detector declares the peer dead.
   void schedule_peer_retry(Ctx& ctx);
   void cancel_peer_retry(Ctx& ctx);
-  void on_peer_retry(const std::string& key);
-  [[nodiscard]] sim::Duration retry_interval() const;
+  void on_peer_retry(Ctx& ctx);
+  /// The "retry_us" property, read when it is set (and on start).
+  void read_retry_interval();
 
   // Quiescence.
   void check_drained();
@@ -236,19 +264,22 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   Role role_{Role::kPrimary};
   std::vector<std::int64_t> peers_;
   std::map<std::int64_t, bool> peer_alive_map_;
+  /// peers_ filtered by peer_alive_map_, rebuilt whenever either changes.
+  std::vector<std::int64_t> alive_peers_;
+  sim::Duration retry_interval_{kDefaultRetryInterval};
   bool blocked_{false};
-  std::map<std::string, Ctx> pending_;
+  std::map<std::string, Ctx, std::less<>> pending_;
   /// Early peer messages stashed until a context starts waiting for them,
   /// keyed by (request key, message kind). Keeps the bricks stateless.
-  std::map<std::pair<std::string, std::string>, Value> stash_;
+  std::map<std::pair<std::string, std::string>, HeldMessage> stash_;
   /// Unsolicited messages a brick asked to postpone until the local pipeline
   /// for their key finishes (e.g. an exec_req racing the local execution).
-  std::map<std::string, std::vector<Value>> deferred_;
+  std::map<std::string, std::vector<HeldMessage>> deferred_;
   /// Abort notices that overtook their forwarded request on the wire; the
   /// matching forwarded pipeline must not be started. Bounded FIFO.
   std::deque<std::string> aborted_keys_;
-  std::deque<Value> buffered_requests_;   // raw client payloads while blocked
-  std::deque<Value> buffered_forwarded_;  // forwarded payloads while blocked
+  std::deque<Payload> buffered_requests_;   // client payloads while blocked
+  std::deque<Payload> buffered_forwarded_;  // forward messages while blocked
   /// Outstanding resume_after timers with what they resume; cancelled on
   /// destruction so a replaced composite leaves no closures pointing at a
   /// dead kernel. The closure carries only the handle, so it stays inline.

@@ -96,6 +96,10 @@ class FtmRuntime {
   const comp::ComponentRegistry* registry_;
   std::unique_ptr<comp::Composite> composite_;
   DeployParams params_;
+  /// kernel()'s cache: the "protocol" child it last resolved, and its type.
+  ProtocolKernel* kernel_{nullptr};
+  const comp::Component* kernel_component_{nullptr};
+  const comp::ComponentTypeInfo* kernel_type_{nullptr};
 };
 
 }  // namespace rcs::ftm

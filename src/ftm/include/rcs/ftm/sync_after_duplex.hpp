@@ -15,8 +15,9 @@ namespace rcs::ftm {
 
 class SyncAfterDuplexBase : public FtmBrick {
  public:
-  Value run_phase(const Value& ctx) override;
-  Value on_peer(const Value& ctx, const Value& message) override;
+  BrickStatus run_phase(const RequestCtx& ctx) override;
+  BrickStatus on_peer(const RequestCtx* ctx,
+                      const PeerMessage& message) override;
   /// Anchor a rejoining replica: application state (with its checkpoint
   /// stream position) and the reply log.
   Value make_join_snapshot() override;
@@ -26,17 +27,18 @@ class SyncAfterDuplexBase : public FtmBrick {
   explicit SyncAfterDuplexBase(bool with_assertion)
       : with_assertion_(with_assertion) {}
 
-  /// Strategy-specific agreement action for the master side. Returns a
-  /// status directive ("done" after fire-and-forget, "wait" for an ack).
-  virtual Value master_after(const Value& ctx) = 0;
+  /// Strategy-specific agreement action for the master side: done after a
+  /// fire-and-forget, wait for an ack.
+  virtual BrickStatus master_after(const RequestCtx& ctx) = 0;
   /// Strategy-specific handling of a solicited peer message (the kind the
   /// master waited for) — checkpoint_ack / notify.
-  virtual Value on_solicited(const Value& ctx, const Value& message) = 0;
+  virtual BrickStatus on_solicited(const RequestCtx& ctx,
+                                   const PeerMessage& message) = 0;
   /// Strategy-specific handling of unsolicited messages (slave side):
   /// checkpoint application, early notifications...
-  virtual Value on_unsolicited(const Value& message) = 0;
+  virtual BrickStatus on_unsolicited(const PeerMessage& message) = 0;
   /// Follower-side behaviour for a forwarded context reaching After.
-  virtual Value forwarded_after(const Value& ctx) = 0;
+  virtual BrickStatus forwarded_after(const RequestCtx& ctx) = 0;
 
   [[nodiscard]] bool with_assertion() const { return with_assertion_; }
 
@@ -47,8 +49,8 @@ class SyncAfterDuplexBase : public FtmBrick {
   void restore_state(const Value& state);
 
  private:
-  Value handle_exec_request(const Value& message);
-  Value handle_exec_result(const Value& ctx, const Value& message);
+  BrickStatus handle_exec_request(const PeerMessage& message);
+  BrickStatus handle_exec_result(const PeerMessage& message);
 
   bool with_assertion_;
 };

@@ -16,14 +16,29 @@ namespace {
 std::string request_key(std::int64_t client, std::uint64_t id) {
   return "c" + std::to_string(client) + ":" + std::to_string(id);
 }
-}  // namespace
 
-// A status directive's optional "result" becomes ctx's result.
-void ProtocolKernel::take_result(Value& status, Ctx& ctx) {
-  ValueMap& fields = status.as_map();
-  const auto it = fields.find("result");
-  if (it != fields.end()) *ctx.result_slot = std::move(it->second);
+// A status's optional result becomes ctx's result.
+void take_result(BrickStatus& status, RequestCtx& ctx) {
+  if (status.result) ctx.result = std::move(*status.result);
 }
+
+// A replica payload {phase, kind, key?, data?}, parsed once on delivery.
+PeerMessage parse_peer_message(const Payload& payload, std::int64_t from) {
+  static const Value kNoData;
+  const Value& fields = payload.value();
+  const ValueMap& map = fields.as_map();
+  const auto key = map.find("key");
+  const auto data = map.find("data");
+  return PeerMessage{
+      fields.at("phase").as_string(),
+      fields.at("kind").as_string(),
+      key != map.end() ? std::string_view(key->second.as_string())
+                       : std::string_view(),
+      from,
+      data != map.end() ? data->second : kNoData,
+      payload};
+}
+}  // namespace
 
 comp::ComponentTypeInfo ProtocolKernel::type_info() {
   comp::ComponentTypeInfo info;
@@ -44,7 +59,7 @@ comp::ComponentTypeInfo ProtocolKernel::type_info() {
       .set("peers", Value::list())
       .set("master", std::int64_t{-1})
       .set("ftm", "unconfigured")
-      .set("retry_us", std::int64_t{250 * sim::kMillisecond});
+      .set("retry_us", std::int64_t{kDefaultRetryInterval});
   info.code_size = 64'000;
   info.source_file = "src/ftm/protocol.cpp";
   info.factory = [] { return std::make_unique<ProtocolKernel>(); };
@@ -60,14 +75,15 @@ ProtocolKernel::~ProtocolKernel() {
   }
 }
 
-sim::Duration ProtocolKernel::retry_interval() const {
+void ProtocolKernel::read_retry_interval() {
   const Value v = property("retry_us");
-  return v.is_int() && v.as_int() > 0 ? v.as_int() : 250 * sim::kMillisecond;
+  retry_interval_ = v.is_int() && v.as_int() > 0 ? v.as_int()
+                                                 : kDefaultRetryInterval;
 }
 
 void ProtocolKernel::schedule_peer_retry(Ctx& ctx) {
   if (host() == nullptr) return;
-  sim::Duration interval = retry_interval();
+  sim::Duration interval = retry_interval_;
   if (host()->sim().fsim().enabled()) {
     // fsim "timer.arm": the retry timer mis-arms (a lost tick). The retry
     // still fires — one interval late — so the failure is masked as added
@@ -78,8 +94,10 @@ void ProtocolKernel::schedule_peer_retry(Ctx& ctx) {
       interval *= 2;
     }
   }
+  // Every path that ends the wait or erases ctx cancels this timer first
+  // (cancel_peer_retry), so the closure can hold ctx itself.
   ctx.retry_timer = host()->schedule_after(
-      interval, [this, key = ctx.key] { on_peer_retry(key); },
+      interval, [this, target = &ctx] { on_peer_retry(*target); },
       "ftm.peer_retry");
 }
 
@@ -88,42 +106,41 @@ void ProtocolKernel::cancel_peer_retry(Ctx& ctx) {
   ctx.retry_timer = TimerId{};
 }
 
-void ProtocolKernel::on_peer_retry(const std::string& key) {
-  const auto it = pending_.find(key);
-  if (it == pending_.end()) return;
-  Ctx& ctx = it->second;
+void ProtocolKernel::on_peer_retry(Ctx& ctx) {
+  ctx.retry_timer = TimerId{};
   if (!ctx.waiting || ctx.expect.empty()) return;
   // Re-run the waiting phase: the brick re-sends its peer message (a lost
-  // checkpoint/exec request) or decides to give up (ctx carries "attempt").
-  ctx.bump_attempt();
+  // checkpoint/exec request) or decides to give up (ctx.attempt counts).
+  ++ctx.attempt;
   log().debug("ftm", composite()->name(), ": retrying ", ctx.key, " phase ",
               ctx.phase, " (attempt ", ctx.attempt, ")");
   ctx.waiting = false;
-  on_status(ctx, brick(ctx.phase).run_phase(brick_view(ctx)));
+  apply_brick_status(ctx, brick(ctx.phase).run_phase(brick_ctx(ctx)));
 }
 
 Value ProtocolKernel::on_invoke(const std::string& service,
                                 const std::string& op, const Value& args) {
-  if (service == "client") {
-    if (op == "request") {
-      handle_client_request(args);
-      return {};
-    }
-    throw FtmError(strf("protocol.client: unknown op '", op, "'"));
-  }
-  if (service == "peer") {
-    if (op == "message") {
-      handle_peer_message(args);
-      return {};
-    }
-    throw FtmError(strf("protocol.peer: unknown op '", op, "'"));
+  if (service != "control") {
+    throw FtmError(strf("protocol.", service, ": op '", op,
+                        "' is delivered through deliver_client/deliver_peer"));
   }
   return dispatch_control(op, args);
+}
+
+void ProtocolKernel::deliver_client(const Payload& payload) {
+  ensure_started("client");
+  handle_client_request(payload);
+}
+
+void ProtocolKernel::deliver_peer(const Payload& payload, std::int64_t from) {
+  ensure_started("peer");
+  handle_peer_message(payload, from);
 }
 
 void ProtocolKernel::on_start() {
   bind_observability();
   rebuild_peer_group();
+  read_retry_interval();
 }
 
 void ProtocolKernel::bind_observability() {
@@ -181,27 +198,25 @@ void ProtocolKernel::rebuild_peer_group() {
   for (const auto peer : peers_) {
     peer_alive_map_.emplace(peer, true);
   }
+  rebuild_alive_peers();
 }
 
-bool ProtocolKernel::any_peer_alive() const {
-  for (const auto peer : peers_) {
-    const auto it = peer_alive_map_.find(peer);
-    if (it != peer_alive_map_.end() && it->second) return true;
-  }
-  return false;
+void ProtocolKernel::set_peer_alive(std::int64_t peer, bool alive) {
+  peer_alive_map_[peer] = alive;
+  rebuild_alive_peers();
 }
 
-std::vector<std::int64_t> ProtocolKernel::alive_peers() const {
-  std::vector<std::int64_t> alive;
+void ProtocolKernel::rebuild_alive_peers() {
+  alive_peers_.clear();
   for (const auto peer : peers_) {
     const auto it = peer_alive_map_.find(peer);
-    if (it != peer_alive_map_.end() && it->second) alive.push_back(peer);
+    if (it != peer_alive_map_.end() && it->second) alive_peers_.push_back(peer);
   }
-  return alive;
 }
 
 void ProtocolKernel::on_property_changed(const std::string& key) {
   if (key == "peers") rebuild_peer_group();
+  if (key == "retry_us") read_retry_interval();
   if (key == "role") {
     const Role new_role = role_from_string(property("role").as_string());
     if (new_role != role_) {
@@ -216,7 +231,7 @@ void ProtocolKernel::on_property_changed(const std::string& key) {
 // Client path
 // ---------------------------------------------------------------------------
 
-void ProtocolKernel::handle_client_request(const Value& payload) {
+void ProtocolKernel::handle_client_request(const Payload& payload) {
   ++counters_.requests;
   // A backup ignores direct client traffic; the client's retry lands on the
   // master (or on us once the failure detector promotes us).
@@ -226,12 +241,13 @@ void ProtocolKernel::handle_client_request(const Value& payload) {
     counters_.buffered = std::max<std::uint64_t>(counters_.buffered, buffered());
     return;
   }
-  start_request(payload, /*forwarded=*/false);
+  start_request(payload, payload.value(), /*forwarded=*/false);
 }
 
-void ProtocolKernel::start_request(const Value& payload, bool forwarded) {
-  const auto client = payload.at("client").as_int();
-  const auto id = static_cast<std::uint64_t>(payload.at("id").as_int());
+void ProtocolKernel::start_request(const Payload& source, const Value& fields,
+                                   bool forwarded) {
+  const auto client = fields.at("client").as_int();
+  const auto id = static_cast<std::uint64_t>(fields.at("id").as_int());
   const std::string key = request_key(client, id);
 
   if (pending_.contains(key)) return;  // already in flight
@@ -267,12 +283,12 @@ void ProtocolKernel::start_request(const Value& payload, bool forwarded) {
   ctx.client = client;
   ctx.id = id;
   ctx.forwarded = forwarded;
+  ctx.hold(source, fields.at("request"));
   if (tracer_ != nullptr && tracer_->enabled()) {
     ctx.trace =
-        static_cast<std::uint64_t>(payload.get_or("trace", Value(0)).as_int());
+        static_cast<std::uint64_t>(fields.get_or("trace", Value(0)).as_int());
     ctx.phase_start = host()->sim().now();
   }
-  init_view(ctx, payload.at("request"));
   advance(ctx);
 }
 
@@ -289,108 +305,84 @@ const char* ProtocolKernel::phase_reference(int phase) const {
   }
 }
 
-void ProtocolKernel::init_view(Ctx& ctx, Value request) const {
-  ctx.view = Value::map();
-  ctx.view.as_map().reserve(11);
-  ctx.view.set("key", ctx.key)
-      .set("client", ctx.client)
-      .set("id", static_cast<std::int64_t>(ctx.id))
-      .set("request", std::move(request))
-      .set("result", Value{})
-      .set("forwarded", ctx.forwarded)
-      .set("role", to_string(role_))
-      .set("peer_alive", any_peer_alive())
-      .set("expect", ctx.expect)
-      .set("attempt", ctx.attempt);
-  // The trace id rides along only when one exists, so the untraced hot path
-  // builds the exact same view it always did.
-  if (ctx.trace != 0) ctx.view.set("trace", static_cast<std::int64_t>(ctx.trace));
-  // The slots point into the map's entry vector, which an insert or erase
-  // moves. Every key, "trace" included, is in before they are taken, and the
-  // view only has existing entries overwritten from here on.
-  ValueMap& slots = ctx.view.as_map();
-  ctx.result_slot = &slots.at("result");
-  ctx.role_slot = &slots.at("role");
-  ctx.peer_alive_slot = &slots.at("peer_alive");
-  ctx.expect_slot = &slots.at("expect");
-  ctx.attempt_slot = &slots.at("attempt");
-}
-
-const Value& ProtocolKernel::brick_view(Ctx& ctx) const {
-  *ctx.role_slot = to_string(role_);
-  *ctx.peer_alive_slot = any_peer_alive();
-  return ctx.view;
+const RequestCtx& ProtocolKernel::brick_ctx(Ctx& ctx) const {
+  ctx.role = role_;
+  ctx.peer_alive = any_peer_alive();
+  return ctx;
 }
 
 void ProtocolKernel::advance(Ctx& ctx) {
   while (ctx.phase < 3) {
-    Value status = brick(ctx.phase).run_phase(brick_view(ctx));
-    if (status.at("status").as_string() == "done") {
-      take_result(status, ctx);
-      advance_phase(ctx);
-      continue;
+    BrickStatus status = brick(ctx.phase).run_phase(brick_ctx(ctx));
+    if (status.verdict != BrickStatus::Verdict::kDone) {
+      apply_brick_status(ctx, std::move(status));
+      return;
     }
-    apply_brick_status(ctx, std::move(status));
-    return;
+    take_result(status, ctx);
+    advance_phase(ctx);
   }
   complete(ctx);
 }
 
-void ProtocolKernel::on_status(Ctx& ctx, Value status) {
-  if (status.at("status").as_string() == "done") {
-    take_result(status, ctx);
-    advance_phase(ctx);
-    advance(ctx);
-  } else {
-    apply_brick_status(ctx, std::move(status));
-  }
-}
-
-void ProtocolKernel::apply_brick_status(Ctx& ctx, Value status) {
-  const std::string& verdict = status.at("status").as_string();
-  if (verdict == "wait") {
-    take_result(status, ctx);
-    ctx.waiting = true;
-    // With an "expect" kind the context waits for a peer message; without
-    // one it waits for an explicit control.resume (e.g. a compute timer).
-    ctx.set_expect(status.get_or("expect", Value("")).as_string());
-    ctx.expect_remaining =
-        static_cast<int>(status.get_or("expect_count", Value(1)).as_int());
-    ctx.acked_peers.clear();
-    if (ctx.expect.empty()) return;
-    if (ctx.expect_remaining <= 0) {  // nobody to wait for after all
-      ctx.waiting = false;
+void ProtocolKernel::apply_brick_status(Ctx& ctx, BrickStatus status) {
+  using Verdict = BrickStatus::Verdict;
+  switch (status.verdict) {
+    case Verdict::kDone:
+      take_result(status, ctx);
       advance_phase(ctx);
       advance(ctx);
       return;
-    }
-    // An early peer message may already be stashed; feed it immediately.
-    const auto stashed = stash_.find({ctx.key, ctx.expect});
-    if (stashed == stash_.end()) {
+    case Verdict::kWait: {
+      take_result(status, ctx);
+      ctx.waiting = true;
+      // With an expected kind the context waits for peer messages; without
+      // one it waits for resume_after (e.g. a compute timer).
+      ctx.expect = std::move(status.expect);
+      ctx.expect_remaining = status.expect_count;
+      ctx.acked_peers.clear();
+      if (ctx.expect.empty()) return;
+      if (ctx.expect_remaining <= 0) {  // nobody to wait for after all
+        ctx.waiting = false;
+        advance_phase(ctx);
+        advance(ctx);
+        return;
+      }
+      // An early peer message may already be stashed: it counts as its
+      // sender's answer.
+      if (!stash_.empty()) {
+        const auto stashed = stash_.find({ctx.key, ctx.expect});
+        if (stashed != stash_.end()) {
+          const HeldMessage held = std::move(stashed->second);
+          stash_.erase(stashed);
+          if (feed_waiting(ctx, parse_peer_message(held.payload, held.from))) {
+            return;
+          }
+        }
+      }
       schedule_peer_retry(ctx);
       return;
     }
-    const Value message = std::move(stashed->second);
-    stash_.erase(stashed);
-    ctx.waiting = false;
-    on_status(ctx, brick(ctx.phase).on_peer(brick_view(ctx), message));
-    return;
+    case Verdict::kAgain:
+      take_result(status, ctx);
+      advance(ctx);
+      return;
+    case Verdict::kFail:
+      fail_request(ctx, status.error.empty() ? "request failed" : status.error);
+      return;
+    case Verdict::kHandled:
+    case Verdict::kStash:
+    case Verdict::kDefer:
+      break;
   }
-  if (verdict == "again") {
-    take_result(status, ctx);
-    advance(ctx);
-    return;
-  }
-  if (verdict == "fail") {
-    fail_request(ctx, status.get_or("error", Value("request failed")).as_string());
-    return;
-  }
-  throw FtmError(strf("brick returned unknown status '", verdict, "'"));
+  throw FtmError(strf("brick answered request ", ctx.key,
+                      " with a verdict for unsolicited messages"));
 }
 
 void ProtocolKernel::complete(Ctx& ctx) {
+  // ctx is erased below, so its result moves into the reply.
   Value reply = Value::map();
-  reply.set("id", static_cast<std::int64_t>(ctx.id)).set("result", *ctx.result_slot);
+  reply.set("id", static_cast<std::int64_t>(ctx.id))
+      .set("result", std::move(ctx.result));
   reply_log().record(ctx.key, reply);
   if (!ctx.forwarded && host() != nullptr) {
     host()->send(HostId{static_cast<std::uint32_t>(ctx.client)}, msg::kReply,
@@ -432,7 +424,7 @@ void ProtocolKernel::finish_and_erase(std::string key) {
   if (deferred != deferred_.end()) {
     auto messages = std::move(deferred->second);
     deferred_.erase(deferred);
-    for (const auto& message : messages) handle_peer_message(message);
+    for (const auto& held : messages) handle_peer_message(held.payload, held.from);
   }
   if (blocked_) check_drained();
 }
@@ -441,34 +433,18 @@ void ProtocolKernel::finish_and_erase(std::string key) {
 // Peer path
 // ---------------------------------------------------------------------------
 
-void ProtocolKernel::handle_peer_message(const Value& payload) {
-  const std::string& phase = payload.at("phase").as_string();
-  const std::string& kind = payload.at("kind").as_string();
-
-  if (phase == "ctrl") {
-    handle_ctrl(kind, payload.get_or("data", Value::map()),
-                payload.get_or("_from", Value(-1)).as_int());
+void ProtocolKernel::handle_peer_message(const Payload& payload,
+                                         std::int64_t from) {
+  const PeerMessage message = parse_peer_message(payload, from);
+  if (message.phase == "ctrl") {
+    handle_ctrl(message);
     return;
   }
 
-  const std::string key = payload.get_or("key", Value("")).as_string();
-  const auto from = payload.get_or("_from", Value(-1)).as_int();
-  const auto it = pending_.find(key);
-  if (it != pending_.end() && it->second.waiting && it->second.expect == kind) {
-    Ctx& ctx = it->second;
-    // Multi-ack waits: count each peer once; advance only when the whole
-    // group answered (duplicates from retransmissions are absorbed here).
-    if (std::find(ctx.acked_peers.begin(), ctx.acked_peers.end(), from) !=
-        ctx.acked_peers.end()) {
-      return;
-    }
-    ctx.acked_peers.push_back(from);
-    if (static_cast<int>(ctx.acked_peers.size()) < ctx.expect_remaining) {
-      return;  // keep waiting for the rest of the group
-    }
-    cancel_peer_retry(ctx);
-    ctx.waiting = false;
-    on_status(ctx, brick(ctx.phase).on_peer(brick_view(ctx), payload));
+  const auto it = pending_.find(message.key);
+  if (it != pending_.end() && it->second.waiting &&
+      it->second.expect == message.kind) {
+    feed_waiting(it->second, message);
     return;
   }
 
@@ -476,22 +452,40 @@ void ProtocolKernel::handle_peer_message(const Value& payload) {
   // directly (apply a checkpoint, serve an exec request, start a forwarded
   // pipeline) or ask the kernel to stash the message for a context that has
   // not reached the waiting phase yet.
-  static const Value kNoCtx;
-  const int slot = phase == "before" ? 0 : phase == "exec" ? 1 : 2;
-  const Value status = brick(slot).on_peer(kNoCtx, payload);
-  if (status.is_map() && status.get_or("stash", Value(false)).as_bool()) {
-    stash_[{key, kind}] = payload;
+  const int slot = message.phase == "before" ? 0 : message.phase == "exec" ? 1 : 2;
+  switch (brick(slot).on_peer(nullptr, message).verdict) {
+    case BrickStatus::Verdict::kStash:
+      stash_[{std::string(message.key), std::string(message.kind)}] =
+          HeldMessage{payload, from};
+      break;
+    case BrickStatus::Verdict::kDefer:
+      deferred_[std::string(message.key)].push_back(HeldMessage{payload, from});
+      break;
+    default:
+      break;
   }
-  if (status.is_map() && status.get_or("defer", Value(false)).as_bool()) {
-    deferred_[key].push_back(payload);
+}
+
+bool ProtocolKernel::feed_waiting(Ctx& ctx, const PeerMessage& message) {
+  // Multi-ack waits: count each peer once; advance only when the whole
+  // group answered (duplicates from retransmissions are absorbed here).
+  if (std::find(ctx.acked_peers.begin(), ctx.acked_peers.end(),
+                message.from) != ctx.acked_peers.end()) {
+    return false;
   }
+  ctx.acked_peers.push_back(message.from);
+  if (static_cast<int>(ctx.acked_peers.size()) < ctx.expect_remaining) {
+    return false;  // keep waiting for the rest of the group
+  }
+  cancel_peer_retry(ctx);
+  ctx.waiting = false;
+  apply_brick_status(ctx, brick(ctx.phase).on_peer(&brick_ctx(ctx), message));
+  return true;
 }
 
 void ProtocolKernel::send_peer(std::string_view phase, std::string_view kind,
                                Value data) {
-  if (host() == nullptr) return;
-  const auto peers = alive_peers();
-  if (peers.empty()) return;
+  if (host() == nullptr || alive_peers_.empty()) return;
   Value payload = Value::map();
   payload.set("phase", phase).set("kind", kind);
   if (data.is_map() && data.has("key")) payload.set("key", data.at("key"));
@@ -499,7 +493,7 @@ void ProtocolKernel::send_peer(std::string_view phase, std::string_view kind,
   // One shared payload for the whole fan-out: with N backups the Value tree
   // is built (and its wire size computed) once, not N times.
   const Payload shared{std::move(payload)};
-  for (const auto peer : peers) {
+  for (const auto peer : alive_peers_) {
     if (peer < 0) continue;
     host()->send(HostId{static_cast<std::uint32_t>(peer)}, msg::kReplica,
                  shared);
@@ -529,14 +523,14 @@ void ProtocolKernel::set_role(Role role) {
 void ProtocolKernel::rerun_waiting_phase(Ctx& ctx) {
   cancel_peer_retry(ctx);
   ctx.waiting = false;
-  ctx.bump_attempt();
-  on_status(ctx, brick(ctx.phase).run_phase(brick_view(ctx)));
+  ++ctx.attempt;
+  apply_brick_status(ctx, brick(ctx.phase).run_phase(brick_ctx(ctx)));
 }
 
 void ProtocolKernel::peer_suspected(std::int64_t peer) {
-  auto it = peer_alive_map_.find(peer);
+  const auto it = peer_alive_map_.find(peer);
   if (it == peer_alive_map_.end() || !it->second) return;
-  it->second = false;
+  set_peer_alive(peer, false);
   log().info("ftm", composite()->name(), ": peer h", peer, " suspected, role ",
              to_string(role_));
 
@@ -551,7 +545,7 @@ void ProtocolKernel::peer_suspected(std::int64_t peer) {
     // The master died: the lowest-id live replica takes over
     // (deterministic rank-based election; all backups compute the same).
     std::int64_t new_master = self;
-    for (const auto candidate : alive_peers()) {
+    for (const auto candidate : alive_peers_) {
       new_master = std::min(new_master, candidate);
     }
     set_property("master", Value(new_master));
@@ -581,12 +575,14 @@ void ProtocolKernel::peer_suspected(std::int64_t peer) {
 void ProtocolKernel::peer_recovered(std::int64_t peer) {
   const auto it = peer_alive_map_.find(peer);
   if (it == peer_alive_map_.end() || it->second) return;
-  it->second = true;
+  set_peer_alive(peer, true);
   log().info("ftm", composite()->name(), ": peer h", peer, " recovered");
 }
 
-void ProtocolKernel::handle_ctrl(const std::string& kind, const Value& data,
-                                 std::int64_t from) {
+void ProtocolKernel::handle_ctrl(const PeerMessage& message) {
+  const std::string_view kind = message.kind;
+  const Value& data = message.data;
+  const std::int64_t from = message.from;
   if (kind == "abort") {
     // The master failed this request; drop our forwarded context for it
     // (nothing to record, nothing to reply). If the forward itself has not
@@ -606,13 +602,13 @@ void ProtocolKernel::handle_ctrl(const std::string& kind, const Value& data,
     // A restarted replica asks to rejoin as backup; only the master answers,
     // shipping its state and reply log.
     if (role_ != Role::kPrimary && role_ != Role::kAlone) return;
-    if (from >= 0) peer_alive_map_[from] = true;
+    if (from >= 0) set_peer_alive(from, true);
     send_peer_to(from, "ctrl", "join_ack", brick(2).make_join_snapshot());
     set_role(Role::kPrimary);
     return;
   }
   if (kind == "join_ack") {
-    if (from >= 0) peer_alive_map_[from] = true;
+    if (from >= 0) set_peer_alive(from, true);
     if (tracer_ != nullptr && tracer_->enabled() && host() != nullptr) {
       tracer_->instant(host()->id().value(), rejoin_span_name_, 0,
                        host()->sim().now(), from);
@@ -635,7 +631,7 @@ void ProtocolKernel::resume(const std::string& key, Value result) {
   Ctx& ctx = it->second;
   cancel_peer_retry(ctx);
   ctx.waiting = false;
-  *ctx.result_slot = std::move(result);
+  ctx.result = std::move(result);
   advance_phase(ctx);
   advance(ctx);
 }
@@ -668,13 +664,13 @@ void ProtocolKernel::resume_after(const std::string& key, sim::Duration delay,
       "ftm.resume");
 }
 
-void ProtocolKernel::start_forwarded(const Value& request) {
+void ProtocolKernel::start_forwarded(const PeerMessage& message) {
   ++counters_.forwarded;
   if (blocked_) {
-    buffered_forwarded_.push_back(request);
+    buffered_forwarded_.push_back(message.payload);
     return;
   }
-  start_request(request, /*forwarded=*/true);
+  start_request(message.payload, message.data, /*forwarded=*/true);
 }
 
 InFlight ProtocolKernel::peek(const std::string& key) const {
@@ -683,7 +679,7 @@ InFlight ProtocolKernel::peek(const std::string& key) const {
   // own forwarded computation instead of executing twice.
   const auto it = pending_.find(key);
   if (it == pending_.end()) return {};
-  return {true, it->second.phase, it->second.result_slot};
+  return {true, it->second.phase, &it->second.result};
 }
 
 void ProtocolKernel::report_fault(const std::string& kind) {
@@ -717,7 +713,7 @@ Value ProtocolKernel::dispatch_control(const std::string& op, const Value& args)
     Value peer_list = Value::list();
     for (const auto peer : peers_) peer_list.push_back(peer);
     Value alive = Value::list();
-    for (const auto peer : alive_peers()) alive.push_back(peer);
+    for (const auto peer : alive_peers_) alive.push_back(peer);
     Value info = Value::map();
     info.set("role", to_string(role_))
         .set("peers", std::move(peer_list))
@@ -790,7 +786,7 @@ void ProtocolKernel::drain_buffers() {
       buffered_forwarded_.push_back(payload);
       continue;
     }
-    start_request(payload, /*forwarded=*/true);
+    start_request(payload, payload->at("data"), /*forwarded=*/true);
   }
   auto requests = std::move(buffered_requests_);
   buffered_requests_.clear();

@@ -57,9 +57,17 @@ comp::Composite& FtmRuntime::composite() {
 }
 
 ProtocolKernel& FtmRuntime::kernel() {
-  auto* kernel = dynamic_cast<ProtocolKernel*>(&composite().child("protocol"));
-  ensure(kernel != nullptr, "FtmRuntime: protocol component has wrong type");
-  return *kernel;
+  comp::Component& protocol = composite().child("protocol");
+  // Resolve the child once per instance: a deployment or a script that
+  // replaced it shows as a different component (or type) under the name.
+  if (&protocol != kernel_component_ || &protocol.info() != kernel_type_) {
+    auto* kernel = dynamic_cast<ProtocolKernel*>(&protocol);
+    ensure(kernel != nullptr, "FtmRuntime: protocol component has wrong type");
+    kernel_ = kernel;
+    kernel_component_ = &protocol;
+    kernel_type_ = &protocol.info();
+  }
+  return *kernel_;
 }
 
 script::ExecutionStats FtmRuntime::deploy(const DeployParams& params) {
@@ -114,15 +122,14 @@ void FtmRuntime::teardown() {
 void FtmRuntime::register_handlers() {
   host_.register_handler(msg::kRequest, [this](const sim::Message& message) {
     if (composite_ == nullptr) return;
-    composite_->invoke("protocol", "client", "request", message.payload);
+    kernel().deliver_client(message.payload);
   });
   host_.register_handler(msg::kReplica, [this](const sim::Message& message) {
     if (composite_ == nullptr) return;
-    // Stamp the sender: the kernel needs it for per-peer ack accounting and
-    // directed responses.
-    Value payload = message.payload;
-    payload.set("_from", static_cast<std::int64_t>(message.from.value()));
-    composite_->invoke("protocol", "peer", "message", payload);
+    // The sender travels beside the shared payload: the kernel needs it for
+    // per-peer ack accounting and directed responses.
+    kernel().deliver_peer(message.payload,
+                          static_cast<std::int64_t>(message.from.value()));
   });
   host_.register_handler(msg::kHeartbeat, [this](const sim::Message& message) {
     if (composite_ == nullptr) return;

@@ -2,13 +2,13 @@
 
 namespace rcs::ftm {
 
-Value SyncAfterDuplexBase::on_peer(const Value& ctx, const Value& message) {
-  const std::string& kind = message.at("kind").as_string();
-  if (!ctx.is_null()) {
-    if (kind == "exec_result") return handle_exec_result(ctx, message);
-    return on_solicited(ctx, message);
+BrickStatus SyncAfterDuplexBase::on_peer(const RequestCtx* ctx,
+                                         const PeerMessage& message) {
+  if (ctx != nullptr) {
+    if (message.kind == "exec_result") return handle_exec_result(message);
+    return on_solicited(*ctx, message);
   }
-  if (kind == "exec_req") return handle_exec_request(message);
+  if (message.kind == "exec_req") return handle_exec_request(message);
   return on_unsolicited(message);
 }
 
@@ -44,23 +44,22 @@ void SyncAfterDuplexBase::apply_join_snapshot(const Value& snapshot) {
   if (snapshot.has("replies")) reply_log().import_all(snapshot.at("replies"));
 }
 
-Value SyncAfterDuplexBase::run_phase(const Value& ctx) {
-  if (ctx.at("forwarded").as_bool()) return forwarded_after(ctx);
+BrickStatus SyncAfterDuplexBase::run_phase(const RequestCtx& ctx) {
+  if (ctx.forwarded) return forwarded_after(ctx);
 
   if (with_assertion_) {
-    if (!check_assertion(ctx.at("request"), ctx.at("result"))) {
+    if (!check_assertion(ctx.request(), ctx.result)) {
       // Assertion failed on this node: re-execute on the other node
       // (distributed-recovery-blocks style, §3.2.1).
       report_fault("assertion_failed");
-      const auto peers = alive_peers();
+      const auto& peers = alive_peers();
       if (!peers.empty()) {
         // Re-execute on ONE other node (rotate by attempt so a second peer
         // is tried if the first keeps failing us).
-        const auto target = peers[static_cast<std::size_t>(
-                                      ctx.get_or("attempt", Value(0)).as_int()) %
-                                  peers.size()];
+        const auto target =
+            peers[static_cast<std::size_t>(ctx.attempt) % peers.size()];
         Value data = Value::map();
-        data.set("key", ctx.at("key")).set("request", ctx.at("request"));
+        data.set("key", ctx.key).set("request", ctx.request());
         send_peer_to(target, "after", "exec_req", std::move(data));
         return wait_for("exec_result");
       }
@@ -86,12 +85,13 @@ void SyncAfterDuplexBase::restore_state(const Value& state) {
   if (wired("state")) call("state", "set", state);
 }
 
-Value SyncAfterDuplexBase::handle_exec_request(const Value& message) {
+BrickStatus SyncAfterDuplexBase::handle_exec_request(
+    const PeerMessage& message) {
   // The peer's assertion failed; execute the request here and return our
   // result (plus our state, so a stateful primary can realign after its
   // faulty execution). The response goes to the asker only.
-  const Value& data = message.at("data");
-  const auto asker = message.get_or("_from", Value(-1)).as_int();
+  const Value& data = message.data;
+  const auto asker = message.from;
   if (!with_assertion_ || !wired("server")) {
     // A mixed-configuration window (mid-transition) or a misdirected exec
     // request: this brick cannot re-execute safely. Refuse instead of
@@ -99,7 +99,7 @@ Value SyncAfterDuplexBase::handle_exec_request(const Value& message) {
     Value refusal = Value::map();
     refusal.set("key", data.at("key")).set("ok", false);
     send_peer_to(asker, "after", "exec_result", std::move(refusal));
-    return Value::map();
+    return handled();
   }
 
   // An LFR follower may have already executed this request through its own
@@ -117,7 +117,7 @@ Value SyncAfterDuplexBase::handle_exec_request(const Value& message) {
       } else {
         // Our own execution of this request is still in flight; answer once
         // it completes rather than executing a second time.
-        return defer_directive();
+        return defer();
       }
     }
   }
@@ -129,14 +129,14 @@ Value SyncAfterDuplexBase::handle_exec_request(const Value& message) {
         .set("result", local_result)
         .set("state", capture_state());
     send_peer_to(asker, "after", "exec_result", std::move(reply));
-    return Value::map();
+    return handled();
   }
   // At-most-once for re-executions: a retransmitted exec_req (its response
   // was lost) must answer from the recorded outcome, not execute again.
   const std::string exec_key = "exec:" + key;
   if (const Value* served = reply_log().lookup(exec_key)) {
     send_peer_to(asker, "after", "exec_result", *served);
-    return Value::map();
+    return handled();
   }
 
   const Value outcome = run_server(data.at("request"));
@@ -151,12 +151,12 @@ Value SyncAfterDuplexBase::handle_exec_request(const Value& message) {
       .set("state", capture_state());
   reply_log().record(exec_key, reply);
   send_peer_to(asker, "after", "exec_result", std::move(reply));
-  return Value::map();
+  return handled();
 }
 
-Value SyncAfterDuplexBase::handle_exec_result(const Value& ctx,
-                                              const Value& message) {
-  const Value& data = message.at("data");
+BrickStatus SyncAfterDuplexBase::handle_exec_result(
+    const PeerMessage& message) {
+  const Value& data = message.data;
   if (!data.at("ok").as_bool()) {
     report_fault("both_replicas_faulty");
     return fail_with("assertion failed and peer could not re-execute");
@@ -167,7 +167,6 @@ Value SyncAfterDuplexBase::handle_exec_result(const Value& ctx,
   if (data.has("state") && !data.at("state").is_null()) {
     restore_state(data.at("state"));
   }
-  (void)ctx;
   return again_with(data.at("result"));
 }
 

@@ -1,10 +1,14 @@
 // Targeted tests for the protocol kernel's hairier paths: message
 // reordering (stash), abort-overtakes-forward, deferred exec requests,
 // duplicate suppression of in-flight requests, peer-down completion of
-// parked contexts, and quiescence interaction with forwarded traffic.
+// parked contexts, quiescence interaction with forwarded traffic, and the
+// sender that travels beside a replica payload.
 #include <gtest/gtest.h>
 
 #include "duplex_fixture.hpp"
+#include "rcs/ftm/bricks.hpp"
+#include "rcs/ftm/protocol.hpp"
+#include "rcs/ftm/reply_log.hpp"
 
 namespace rcs::ftm::testing {
 namespace {
@@ -200,6 +204,149 @@ TEST_F(Fixture, LfrFollowerGivesUpOnLostNotification) {
   sim.run_for(5 * sim::kSecond);
   EXPECT_EQ(rt1.kernel().in_flight(), 0u)
       << "follower contexts leaked on lost notifications";
+}
+
+TEST_F(Fixture, DeferredExecRequestIsAnsweredToItsAsker) {
+  deploy(FtmConfig::a_lfr());
+  h0.faults().permanent = true;  // the leader's assertion always fails
+  // A slow follower is still computing the forwarded request when the
+  // leader's exec_req arrives, so the follower defers it. The replay must
+  // answer the leader directly: with a 30 s peer-retry period, a lost
+  // sender would only be recovered by a retry round.
+  h1.capacity().cpu_speed = 0.25;
+  rt0.composite().set_property("protocol", "retry_us",
+                               Value(std::int64_t{30 * sim::kSecond}));
+  Value reply;
+  bool got = false;
+  client.send(kv_incr("ctr"), [&](const Value& r) {
+    reply = r;
+    got = true;
+  });
+  const sim::Time start = sim.now();
+  std::size_t max_deferred = 0;
+  while (!got && sim.now() - start < 60 * sim::kSecond && !sim.loop().empty()) {
+    sim.loop().step();
+    max_deferred = std::max(max_deferred, rt1.kernel().deferred());
+  }
+  ASSERT_TRUE(got);
+  EXPECT_EQ(max_deferred, 1u) << "the exec_req never took the defer path";
+  ASSERT_FALSE(reply.has("error")) << reply.to_string();
+  EXPECT_EQ(reply.at("result").at("value").as_int(), 1);
+  EXPECT_LT(sim.now() - start, sim::kSecond) << "answered by a retry round";
+  EXPECT_EQ(rt1.kernel().deferred(), 0u);
+}
+
+TEST_F(Fixture, DeliveryToAStoppedKernelThrows) {
+  deploy(FtmConfig::pbr());
+  rt1.composite().stop("protocol");
+  const Payload message{Value::map()
+                            .set("phase", "after")
+                            .set("kind", "checkpoint")
+                            .set("data", Value::map())};
+  EXPECT_THROW(rt1.kernel().deliver_peer(message, h0.id().value()),
+               ComponentError);
+  const Payload request{Value::map()
+                            .set("client", std::int64_t{hc.id().value()})
+                            .set("id", 1)
+                            .set("request", kv_incr("ctr"))};
+  EXPECT_THROW(rt1.kernel().deliver_client(request), ComponentError);
+}
+
+// --- Early acks: a hostless kernel driven message by message ---------------
+
+/// Proceed brick that parks every request until the test resumes it.
+class ParkingProceed final : public FtmBrick {
+ public:
+  BrickStatus run_phase(const RequestCtx& /*ctx*/) override {
+    return wait_for("");
+  }
+  BrickStatus on_peer(const RequestCtx* /*ctx*/,
+                      const PeerMessage& /*message*/) override {
+    return handled();
+  }
+};
+
+/// After brick that waits for one checkpoint_ack per peer and stashes acks
+/// that arrive before it waits.
+class AckCountingAfter final : public FtmBrick {
+ public:
+  BrickStatus run_phase(const RequestCtx& /*ctx*/) override {
+    return wait_for_group("checkpoint_ack", 2);
+  }
+  BrickStatus on_peer(const RequestCtx* ctx,
+                      const PeerMessage& message) override {
+    if (ctx == nullptr) {
+      return message.kind == "checkpoint_ack" ? stash() : handled();
+    }
+    ++solicited;
+    last_from = message.from;
+    return done();
+  }
+
+  inline static int solicited = 0;
+  inline static std::int64_t last_from = -1;
+};
+
+template <class B>
+comp::ComponentTypeInfo test_brick_type(const char* type_name,
+                                        const char* interface_name) {
+  comp::ComponentTypeInfo info;
+  info.type_name = type_name;
+  info.category = comp::TypeCategory::kBrick;
+  info.services = {{"in", interface_name}};
+  info.references = {{"control", iface::kProtocolControl}};
+  info.factory = [] { return std::make_unique<B>(); };
+  return info;
+}
+
+TEST(EarlyAcks, StashedCheckpointAckCountsOncePerPeer) {
+  comp::ComponentRegistry registry;
+  registry.register_type(ProtocolKernel::type_info());
+  registry.register_type(ReplyLogComponent::type_info());
+  registry.register_type(sync_before_noop_type());
+  registry.register_type(
+      test_brick_type<ParkingProceed>("test.proceed", iface::kProceed));
+  registry.register_type(
+      test_brick_type<AckCountingAfter>("test.after", iface::kSyncAfter));
+  comp::Composite root{"acks", comp::CompositeEnv{nullptr, nullptr, &registry}};
+  root.add(kernel::kProtocol, "protocol");
+  root.add(kernel::kReplyLog, "log");
+  root.add(brick::kSyncBeforeNoop, "before");
+  root.add("test.proceed", "exec");
+  root.add("test.after", "after");
+  for (const char* slot : {"before", "exec", "after"}) {
+    root.wire("protocol", slot, slot, "in");
+    root.wire(slot, "control", "protocol", "control");
+  }
+  root.wire("protocol", "replyLog", "log", "log");
+  root.set_property("protocol", "peers", Value(ValueList{Value(1), Value(2)}));
+  for (const char* name : {"log", "before", "exec", "after", "protocol"}) {
+    root.start(name);
+  }
+  auto& kernel = dynamic_cast<ProtocolKernel&>(root.child("protocol"));
+  AckCountingAfter::solicited = 0;
+
+  kernel.deliver_client(Payload{
+      Value::map().set("client", 9).set("id", 1).set("request", Value::map())});
+  ASSERT_EQ(kernel.in_flight(), 1u);  // parked in Proceed
+  const auto ack = [&](std::int64_t from) {
+    kernel.deliver_peer(Payload{Value::map()
+                                    .set("phase", "after")
+                                    .set("kind", "checkpoint_ack")
+                                    .set("key", "c9:1")
+                                    .set("data", Value::map().set("key", "c9:1"))},
+                        from);
+  };
+  ack(1);  // early: the context is not waiting yet, so it is stashed
+  kernel.resume_after("c9:1", 0, Value(7));  // Proceed done; After waits
+  EXPECT_EQ(kernel.in_flight(), 1u) << "one stashed ack completed a 2-peer wait";
+  ack(1);  // a retransmission from the same peer counts nothing
+  EXPECT_EQ(AckCountingAfter::solicited, 0);
+  EXPECT_EQ(kernel.in_flight(), 1u);
+  ack(2);
+  EXPECT_EQ(AckCountingAfter::solicited, 1);
+  EXPECT_EQ(AckCountingAfter::last_from, 2);
+  EXPECT_EQ(kernel.in_flight(), 0u);
 }
 
 TEST_F(Fixture, CountersExposedThroughControlStats) {
