@@ -7,6 +7,11 @@
 
 namespace rcs {
 
+const Bytes& SharedBytes::empty_bytes() {
+  static const Bytes empty;
+  return empty;
+}
+
 void ByteWriter::write_u8(std::uint8_t v) { buffer_.push_back(v); }
 
 void ByteWriter::write_u32(std::uint32_t v) {

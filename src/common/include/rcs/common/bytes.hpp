@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,6 +14,32 @@
 namespace rcs {
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// An immutable byte buffer held by shared handle. Copying a SharedBytes
+/// bumps a reference count and copies no byte; nothing can write through
+/// the handle, so every holder sees the same bytes for as long as it holds
+/// them. Large blobs (component artifacts, encoded packages) travel through
+/// Values and packages this way. Equality compares contents.
+class SharedBytes {
+ public:
+  SharedBytes() = default;
+  SharedBytes(Bytes bytes)  // NOLINT: implicit by design
+      : buffer_(std::make_shared<const Bytes>(std::move(bytes))) {}
+
+  [[nodiscard]] const Bytes& bytes() const {
+    return buffer_ ? *buffer_ : empty_bytes();
+  }
+  [[nodiscard]] std::size_t size() const { return bytes().size(); }
+
+  friend bool operator==(const SharedBytes& a, const SharedBytes& b) {
+    return a.buffer_ == b.buffer_ || a.bytes() == b.bytes();
+  }
+
+ private:
+  [[nodiscard]] static const Bytes& empty_bytes();
+
+  std::shared_ptr<const Bytes> buffer_;
+};
 
 /// Appends primitive values to a byte buffer.
 class ByteWriter {

@@ -7,8 +7,10 @@
 // component properties, checkpoints, and network message payloads.
 //
 // A Value is null, a bool, an int64, a double, a string, a byte blob, a list,
-// or a string-keyed map. Values serialize to Bytes with a stable binary
-// encoding (used for checkpoints and for sizing simulated network traffic).
+// or a string-keyed map. A byte blob is held by SharedBytes handle: copies of
+// the Value share it, and nothing mutates it in place. Values serialize to
+// Bytes with a stable binary encoding (used for checkpoints and for sizing
+// simulated network traffic).
 #pragma once
 
 #include <algorithm>
@@ -104,7 +106,7 @@ class Value {
   Value(std::string v) : data_(std::move(v)) {}      // NOLINT
   Value(std::string_view v) : data_(std::string(v)) {}  // NOLINT
   Value(const char* v) : data_(std::string(v)) {}    // NOLINT
-  Value(Bytes v) : data_(std::move(v)) {}  // NOLINT
+  Value(Bytes v) : data_(SharedBytes(std::move(v))) {}  // NOLINT
   Value(ValueList v) : data_(std::move(v)) {}        // NOLINT
   Value(ValueMap v) : data_(std::move(v)) {}         // NOLINT
 
@@ -180,7 +182,7 @@ class Value {
 
  private:
   using Storage = std::variant<std::nullptr_t, bool, std::int64_t, double,
-                               std::string, Bytes, ValueList, ValueMap>;
+                               std::string, SharedBytes, ValueList, ValueMap>;
 
   [[noreturn]] void type_mismatch(Type expected) const;
   [[nodiscard]] static Value decode(ByteReader& r, int depth);

@@ -72,7 +72,7 @@ const std::string& Value::as_string() const {
 
 const Bytes& Value::as_bytes() const {
   if (!is_bytes()) type_mismatch(Type::kBytes);
-  return std::get<Bytes>(data_);
+  return std::get<SharedBytes>(data_).bytes();
 }
 
 const ValueList& Value::as_list() const {
@@ -159,7 +159,7 @@ void Value::encode(ByteWriter& w) const {
       w.write_string(std::get<std::string>(data_));
       break;
     case Type::kBytes:
-      w.write_bytes(std::get<Bytes>(data_));
+      w.write_bytes(std::get<SharedBytes>(data_).bytes());
       break;
     case Type::kList: {
       const auto& l = std::get<ValueList>(data_);
@@ -290,7 +290,7 @@ std::size_t Value::encoded_size() const {
       return 1 + varint_size(s.size()) + s.size();
     }
     case Type::kBytes: {
-      const auto& b = std::get<Bytes>(data_);
+      const auto& b = std::get<SharedBytes>(data_).bytes();
       return 1 + varint_size(b.size()) + b.size();
     }
     case Type::kList: {

@@ -5,6 +5,15 @@
 // A ComponentPackage is the brick half: serialized code artifacts (generated
 // from registry metadata, sized by code_size so the simulated network charges
 // realistic transfer times) with checksums verified on installation.
+//
+// An artifact depends only on its type's (name, version, code_size), so each
+// one is synthesized once per process, on first request, and shared from then
+// on: entries hold their code by SharedBytes handle, and copying an entry or
+// a package copies no code. What is shared is never trusted: every
+// HostLibrary::install hashes every byte it is handed, on every host, every
+// time, and the encoded package — whose size prices the simulated transfer —
+// is byte-for-byte what it would be without the sharing.
+//
 // A HostLibrary is the set of types installed on one host; Composite::add
 // refuses types the library does not have — this is what forces missing
 // bricks to be uploaded before a transition can run.
@@ -24,9 +33,12 @@ namespace rcs::comp {
 struct PackageEntry {
   std::string type_name;
   std::uint32_t version{1};
-  Bytes code;
+  SharedBytes code;           // immutable; copies of the entry share it
   std::uint64_t checksum{0};  // fnv1a(code)
 
+  /// The artifact of a type: built the first time this process asks for its
+  /// (type_name, version, code_size), shared by every later caller. Safe to
+  /// call from concurrent simulations.
   [[nodiscard]] static PackageEntry for_type(const ComponentTypeInfo& info);
 };
 
@@ -44,7 +56,13 @@ class ComponentPackage {
   void add_type(const ComponentRegistry& registry, const std::string& type_name);
 
   [[nodiscard]] Bytes encode() const;
+  /// Fails closed: truncation, an entry count the input cannot hold, or
+  /// bytes after the last entry throw ValueError. Checksums are not checked
+  /// here; HostLibrary::install does that.
   [[nodiscard]] static ComponentPackage decode(const Bytes& data);
+  /// Number of entries in an encoded package, read from its header without
+  /// decoding the entries (same count check as decode).
+  [[nodiscard]] static std::size_t count_entries(const Bytes& data);
 
  private:
   std::string name_;
@@ -53,9 +71,9 @@ class ComponentPackage {
 
 class HostLibrary {
  public:
-  /// Install one artifact; verifies the checksum (a corrupted upload is
-  /// rejected with Status kFailedPrecondition). Reinstalling the same type
-  /// upgrades the stored version.
+  /// Install one artifact; hashes all of its code and verifies the checksum
+  /// (a corrupted upload is rejected with Status kFailedPrecondition), shared
+  /// buffer or not. Reinstalling the same type upgrades the stored version.
   Status install(const PackageEntry& entry);
   /// Install everything in a package; stops at the first failure.
   Status install(const ComponentPackage& package);

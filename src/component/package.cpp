@@ -1,5 +1,8 @@
 #include "rcs/component/package.hpp"
 
+#include <mutex>
+#include <tuple>
+
 #include "rcs/common/strf.hpp"
 
 namespace rcs::comp {
@@ -30,15 +33,43 @@ Bytes synthesize_code(const ComponentTypeInfo& info) {
   }
   return code;
 }
+
+/// Smallest encoded entry: a 1-byte name length, the u32 version, a 1-byte
+/// code length and the u64 checksum.
+constexpr std::uint64_t kMinEntryBytes = 1 + 4 + 1 + 8;
+
+/// Reads the entry count after the package name, refusing a count the bytes
+/// left cannot hold before anything is allocated for it.
+std::uint64_t read_entry_count(ByteReader& r) {
+  const auto n = r.read_varint();
+  if (n > r.remaining() / kMinEntryBytes) {
+    throw ValueError(strf("ComponentPackage::decode: ", n, " entries in ",
+                          r.remaining(), " bytes"));
+  }
+  return n;
+}
 }  // namespace
 
 PackageEntry PackageEntry::for_type(const ComponentTypeInfo& info) {
-  PackageEntry entry;
-  entry.type_name = info.type_name;
-  entry.version = info.version;
-  entry.code = synthesize_code(info);
-  entry.checksum = fnv1a(entry.code);
-  return entry;
+  // Keyed on everything synthesize_code reads, so two registries that give
+  // one type name different sizes get different artifacts. A process
+  // registers a few dozen types: nothing is ever evicted.
+  using Key = std::tuple<std::string, std::uint32_t, std::size_t>;
+  static std::mutex mutex;
+  static std::map<Key, PackageEntry> artifacts;
+
+  const std::lock_guard<std::mutex> lock(mutex);
+  Key key{info.type_name, info.version, info.code_size};
+  auto it = artifacts.find(key);
+  if (it == artifacts.end()) {
+    Bytes code = synthesize_code(info);
+    const std::uint64_t checksum = fnv1a(code);
+    it = artifacts
+             .emplace(std::move(key), PackageEntry{info.type_name, info.version,
+                                                   std::move(code), checksum})
+             .first;
+  }
+  return it->second;
 }
 
 std::size_t ComponentPackage::total_code_size() const {
@@ -53,13 +84,19 @@ void ComponentPackage::add_type(const ComponentRegistry& registry,
 }
 
 Bytes ComponentPackage::encode() const {
+  // One buffer for the whole blob: a varint takes at most 10 bytes.
+  std::size_t size = 20 + name_.size();
+  for (const auto& entry : entries_) {
+    size += 32 + entry.type_name.size() + entry.code.size();
+  }
   ByteWriter w;
+  w.reserve(size);
   w.write_string(name_);
   w.write_varint(entries_.size());
   for (const auto& entry : entries_) {
     w.write_string(entry.type_name);
     w.write_u32(entry.version);
-    w.write_bytes(entry.code);
+    w.write_bytes(entry.code.bytes());
     w.write_u64(entry.checksum);
   }
   return w.take();
@@ -68,7 +105,8 @@ Bytes ComponentPackage::encode() const {
 ComponentPackage ComponentPackage::decode(const Bytes& data) {
   ByteReader r(data);
   ComponentPackage package(r.read_string());
-  const auto n = r.read_varint();
+  const auto n = read_entry_count(r);
+  package.entries_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     PackageEntry entry;
     entry.type_name = r.read_string();
@@ -77,11 +115,21 @@ ComponentPackage ComponentPackage::decode(const Bytes& data) {
     entry.checksum = r.read_u64();
     package.add(std::move(entry));
   }
+  if (!r.at_end()) {
+    throw ValueError(strf("ComponentPackage::decode: ", r.remaining(),
+                          " trailing bytes after the last entry"));
+  }
   return package;
 }
 
+std::size_t ComponentPackage::count_entries(const Bytes& data) {
+  ByteReader r(data);
+  (void)r.read_string();
+  return read_entry_count(r);
+}
+
 Status HostLibrary::install(const PackageEntry& entry) {
-  if (fnv1a(entry.code) != entry.checksum) {
+  if (fnv1a(entry.code.bytes()) != entry.checksum) {
     return {ErrorCode::kFailedPrecondition,
             strf("package entry '", entry.type_name,
                  "' failed checksum verification")};

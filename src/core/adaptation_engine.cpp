@@ -7,6 +7,17 @@
 
 namespace rcs::core {
 
+namespace {
+/// What a served package costs a transition: its wire size and the number
+/// of components it ships, read from the blob's header.
+void note_package(TransitionReport& report, const Value& package) {
+  report.package_bytes = package.encoded_size();
+  report.components_shipped =
+      static_cast<int>(comp::ComponentPackage::count_entries(
+          package.at("components").as_bytes()));
+}
+}  // namespace
+
 sim::Duration TransitionReport::mean_replica_total() const {
   sim::Duration sum = 0;
   int n = 0;
@@ -128,12 +139,7 @@ void AdaptationEngine::deploy_initial(const ftm::FtmConfig& config,
                       : std::vector<HostId>{replicas_.front()};
     const auto txn =
         begin_txn("deploy", "", config.name, targets.size(), std::move(callback));
-    auto& report = pending_.at(txn).report;
-    report.package_bytes = package.encoded_size();
-    report.components_shipped = static_cast<int>(
-        comp::ComponentPackage::decode(package.at("components").as_bytes())
-            .entries()
-            .size());
+    note_package(pending_.at(txn).report, package);
 
     for (std::size_t i = 0; i < targets.size(); ++i) {
       ftm::DeployParams params;
@@ -177,12 +183,7 @@ void AdaptationEngine::transition(const ftm::FtmConfig& target,
                                  : std::vector<HostId>{replicas_.front()};
         const auto txn = begin_txn("transition", current_.name, target.name,
                                    targets.size(), std::move(callback));
-        auto& report = pending_.at(txn).report;
-        report.package_bytes = package.encoded_size();
-        report.components_shipped = static_cast<int>(
-            comp::ComponentPackage::decode(package.at("components").as_bytes())
-                .entries()
-                .size());
+        note_package(pending_.at(txn).report, package);
 
         Value message = Value::map();
         message.set("package", package).set("target", target.to_value());
@@ -209,12 +210,7 @@ void AdaptationEngine::transition_monolithic(const ftm::FtmConfig& target,
                                  : std::vector<HostId>{replicas_.front()};
         const auto txn = begin_txn("monolithic", current_.name, target.name,
                                    targets.size(), std::move(callback));
-        auto& report = pending_.at(txn).report;
-        report.package_bytes = package.encoded_size();
-        report.components_shipped = static_cast<int>(
-            comp::ComponentPackage::decode(package.at("components").as_bytes())
-                .entries()
-                .size());
+        note_package(pending_.at(txn).report, package);
 
         for (std::size_t i = 0; i < targets.size(); ++i) {
           ftm::DeployParams params;
@@ -258,9 +254,7 @@ void AdaptationEngine::refresh_brick(const std::string& slot,
                              : std::vector<HostId>{replicas_.front()};
     const auto txn = begin_txn("refresh", current_.name, current_.name,
                                targets.size(), std::move(callback));
-    auto& report = pending_.at(txn).report;
-    report.package_bytes = package.encoded_size();
-    report.components_shipped = 1;
+    note_package(pending_.at(txn).report, package);
     Value message = Value::map();
     message.set("package", package).set("target", current_.to_value());
     dispatch("adapt.apply", txn, std::move(message), targets);

@@ -5,8 +5,11 @@
 //   - transition packages: only the new bricks of a differential transition
 //     + the reconfiguration script that swaps them in (§5.1).
 // Packages are generated from the component registry by the ScriptBuilder
-// (the off-line "development of transition packages") and cached. Transfer
-// time is paid on the wire: package payloads carry the full artifact bytes.
+// (the off-line "development of transition packages") and cached in wire
+// form: a repeated fetch re-encodes nothing, and the encoded artifact blob is
+// shared (SharedBytes), not copied, by every response and message that
+// carries it. Transfer time is paid on the wire: package payloads carry the
+// full artifact bytes.
 //
 // Message protocol:
 //   in:  "repo.fetch"   {txn, kind: "full"|"transition", to, from?, app}
@@ -33,7 +36,6 @@ struct TransitionPackage {
 
   [[nodiscard]] Value to_value() const;
   [[nodiscard]] static TransitionPackage from_value(const Value& value);
-  [[nodiscard]] std::size_t wire_size() const;
 };
 
 class Repository {
@@ -43,12 +45,14 @@ class Repository {
 
   [[nodiscard]] sim::Host& host() { return host_; }
 
-  /// Build (or fetch from cache) the full package for deploying `config`.
-  [[nodiscard]] const TransitionPackage& full_package(
-      const ftm::FtmConfig& config, const ftm::AppSpec& app);
+  /// Build (or fetch from cache) the full package for deploying `config`,
+  /// in the wire form TransitionPackage::to_value gives.
+  [[nodiscard]] const Value& full_package(const ftm::FtmConfig& config,
+                                          const ftm::AppSpec& app);
 
-  /// Build (or fetch from cache) the differential transition package.
-  [[nodiscard]] const TransitionPackage& transition_package(
+  /// Build (or fetch from cache) the differential transition package, in
+  /// wire form.
+  [[nodiscard]] const Value& transition_package(
       const ftm::FtmConfig& from, const ftm::FtmConfig& to,
       const ftm::AppSpec& app);
 
@@ -64,10 +68,12 @@ class Repository {
  private:
   void handle_fetch(const Value& request, HostId requester);
   [[nodiscard]] const comp::ComponentRegistry& registry() const;
+  const Value& cache(const TransitionPackage& package);
 
   sim::Host& host_;
   const comp::ComponentRegistry* registry_;
-  std::map<std::string, TransitionPackage> cache_;
+  /// Wire form of each package built so far, by package name.
+  std::map<std::string, Value> cache_;
 };
 
 }  // namespace rcs::core

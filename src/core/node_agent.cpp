@@ -1,6 +1,7 @@
 #include "rcs/core/node_agent.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "rcs/common/logging.hpp"
 #include "rcs/common/strf.hpp"
@@ -177,14 +178,16 @@ void NodeAgent::ack(HostId engine, const Value& txn, bool ok,
 
 void NodeAgent::handle_deploy(const Value& request, HostId engine) {
   const Value txn = request.at("txn");
-  const auto package = TransitionPackage::from_value(request.at("package"));
+  // Decoded once per host; the steps below share it.
+  const auto package = std::make_shared<const TransitionPackage>(
+      TransitionPackage::from_value(request.at("package")));
   const auto params = ftm::DeployParams::from_value(request.at("params"));
   Rng& rng = host_.sim().rng();
 
   const sim::Duration bootstrap = cost_.jittered(cost_.runtime_bootstrap, rng);
   const sim::Duration install = cost_.jittered(
       cost_.package_install_base +
-          static_cast<sim::Duration>(package.components.entries().size()) *
+          static_cast<sim::Duration>(package->components.entries().size()) *
               cost_.component_load,
       rng);
 
@@ -193,7 +196,7 @@ void NodeAgent::handle_deploy(const Value& request, HostId engine) {
     StepTimings timings;
     timings.deploy = bootstrap + install;
     trace_step("deploy", txn, timings.deploy);
-    const Status installed = library_.install(package.components);
+    const Status installed = library_.install(package->components);
     if (!installed.is_ok()) {
       ack(engine, txn, false, installed.message(), timings);
       return;
@@ -223,7 +226,8 @@ void NodeAgent::handle_deploy(const Value& request, HostId engine) {
 
 void NodeAgent::handle_apply(const Value& request, HostId engine) {
   const Value txn = request.at("txn");
-  const auto package = TransitionPackage::from_value(request.at("package"));
+  const auto package = std::make_shared<const TransitionPackage>(
+      TransitionPackage::from_value(request.at("package")));
   const auto target = ftm::FtmConfig::from_value(request.at("target"));
   const bool sabotage = request.get_or("sabotage", Value(false)).as_bool();
 
@@ -242,7 +246,7 @@ void NodeAgent::handle_apply(const Value& request, HostId engine) {
 
     // Step 1 (Fig. 9): deploy the transition package.
     const auto n_components =
-        static_cast<sim::Duration>(package.components.entries().size());
+        static_cast<sim::Duration>(package->components.entries().size());
     const sim::Duration deploy_cost = cost_.jittered(
         cost_.package_install_base + n_components * cost_.component_load, rng);
 
@@ -250,7 +254,7 @@ void NodeAgent::handle_apply(const Value& request, HostId engine) {
                                        sabotage, timings, deploy_cost]() mutable {
       timings.deploy = deploy_cost;
       trace_step("deploy", txn, deploy_cost);
-      const Status installed = library_.install(package.components);
+      const Status installed = library_.install(package->components);
 
       // Step 2: execute the reconfiguration script (transactional).
       script::ExecutionStats stats;
@@ -263,7 +267,7 @@ void NodeAgent::handle_apply(const Value& request, HostId engine) {
       }
       if (ok) {
         try {
-          stats = runtime_.run_transition(package.script, target);
+          stats = runtime_.run_transition(package->script, target);
         } catch (const ScriptException& e) {
           ok = false;
           error = e.what();
@@ -290,7 +294,7 @@ void NodeAgent::handle_apply(const Value& request, HostId engine) {
 
         // Step 3: remove residual components of the old configuration.
         const auto n_replaced =
-            static_cast<sim::Duration>(package.components.entries().size());
+            static_cast<sim::Duration>(package->components.entries().size());
         const sim::Duration removal_cost = cost_.jittered(
             cost_.removal_base + n_replaced * cost_.removal_per_component,
             host_.sim().rng());
@@ -312,7 +316,8 @@ void NodeAgent::handle_apply(const Value& request, HostId engine) {
 
 void NodeAgent::handle_monolithic(const Value& request, HostId engine) {
   const Value txn = request.at("txn");
-  const auto package = TransitionPackage::from_value(request.at("package"));
+  const auto package = std::make_shared<const TransitionPackage>(
+      TransitionPackage::from_value(request.at("package")));
   const auto params = ftm::DeployParams::from_value(request.at("params"));
 
   if (!runtime_.deployed()) {
@@ -341,7 +346,7 @@ void NodeAgent::handle_monolithic(const Value& request, HostId engine) {
         rng);
 
     const auto n_components =
-        static_cast<sim::Duration>(package.components.entries().size());
+        static_cast<sim::Duration>(package->components.entries().size());
     const sim::Duration teardown_cost = cost_.jittered(
         cost_.removal_base + n_components * cost_.removal_per_component, rng);
     const sim::Duration install_cost = cost_.jittered(
@@ -373,7 +378,7 @@ void NodeAgent::handle_monolithic(const Value& request, HostId engine) {
             tracer.span(pid, tracer.intern("adapt.deploy"), trace,
                         install_from, end);
           }
-          const Status installed = library_.install(package.components);
+          const Status installed = library_.install(package->components);
           if (!installed.is_ok()) {
             ack(engine, txn, false, installed.message(), timings);
             return;

@@ -24,10 +24,6 @@ TransitionPackage TransitionPackage::from_value(const Value& value) {
   return package;
 }
 
-std::size_t TransitionPackage::wire_size() const {
-  return to_value().encoded_size();
-}
-
 Repository::Repository(sim::Host& host, const comp::ComponentRegistry* registry)
     : host_(host), registry_(registry) {
   host_.register_handler("repo.fetch", [this](const sim::Message& message) {
@@ -39,8 +35,14 @@ const comp::ComponentRegistry& Repository::registry() const {
   return registry_ ? *registry_ : comp::ComponentRegistry::instance();
 }
 
-const TransitionPackage& Repository::full_package(const ftm::FtmConfig& config,
-                                                  const ftm::AppSpec& app) {
+const Value& Repository::cache(const TransitionPackage& package) {
+  log().debug("repo", "built ", package.name, " (",
+              package.components.total_code_size(), " bytes of artifacts)");
+  return cache_.emplace(package.name, package.to_value()).first->second;
+}
+
+const Value& Repository::full_package(const ftm::FtmConfig& config,
+                                      const ftm::AppSpec& app) {
   const std::string key = strf("full:", config.name, ":", app.type_name);
   const auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
@@ -57,10 +59,10 @@ const TransitionPackage& Repository::full_package(const ftm::FtmConfig& config,
   }
   package.components = std::move(components);
   package.script = ftm::ScriptBuilder(registry()).deployment_script(config, app);
-  return cache_.emplace(key, std::move(package)).first->second;
+  return cache(package);
 }
 
-const TransitionPackage& Repository::transition_package(
+const Value& Repository::transition_package(
     const ftm::FtmConfig& from, const ftm::FtmConfig& to,
     const ftm::AppSpec& app) {
   const std::string key =
@@ -76,7 +78,7 @@ const TransitionPackage& Repository::transition_package(
   }
   package.components = std::move(components);
   package.script = ftm::ScriptBuilder(registry()).transition_script(from, to, app);
-  return cache_.emplace(key, std::move(package)).first->second;
+  return cache(package);
 }
 
 TransitionPackage Repository::refresh_package(const ftm::FtmConfig& config,
@@ -119,7 +121,7 @@ void Repository::handle_fetch(const Value& request, HostId requester) {
     // Configurations travel by value, not by name: the repository can serve
     // FTMs that did not exist when it was written (agile adaptation, §2).
     const ftm::FtmConfig to = ftm::FtmConfig::from_value(request.at("to"));
-    const TransitionPackage* package = nullptr;
+    const Value* package = nullptr;
     if (kind == "full") {
       package = &full_package(to, app);
     } else if (kind == "transition") {
@@ -134,9 +136,7 @@ void Repository::handle_fetch(const Value& request, HostId requester) {
     } else {
       throw FtmError(strf("repository: unknown fetch kind '", kind, "'"));
     }
-    response.set("ok", true).set("package", package->to_value());
-    log().debug("repo", "serving ", package->name, " (",
-                package->components.total_code_size(), " bytes of artifacts)");
+    response.set("ok", true).set("package", *package);
   } catch (const Error& e) {
     response.set("ok", false).set("error", std::string(e.what()));
   }

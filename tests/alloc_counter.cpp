@@ -13,18 +13,25 @@
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_allocated_bytes{0};
+
+void count(std::size_t size) {
+  ++g_allocations;
+  g_allocated_bytes += size;
+}
 }  // namespace
 
 std::size_t rcs::test::allocations() { return g_allocations.load(); }
+std::size_t rcs::test::allocated_bytes() { return g_allocated_bytes.load(); }
 
 void* operator new(std::size_t size) {
-  ++g_allocations;
+  count(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
-  ++g_allocations;
+  count(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }

@@ -50,6 +50,14 @@ TEST(ValueAlloc, LiteralKeyLookupsAllocateNothing) {
   EXPECT_EQ(hits, 5u);
 }
 
+TEST(ValueAlloc, CopyingA64KiBBlobAllocatesNothing) {
+  const Value blob(Bytes(64 * 1024, 0xAB));
+  const std::size_t before = test::allocations();
+  const Value copy = blob;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(test::allocations(), before);
+  EXPECT_EQ(&copy.as_bytes(), &blob.as_bytes()) << "the copy shares the blob";
+}
+
 TEST(ValueAlloc, ValueIsAtMostFortyBytes) {
   // The map alternative is a vector, no longer the widest member.
   EXPECT_LE(sizeof(Value), 40u);

@@ -235,5 +235,14 @@ TEST(Value, BytesRoundTrip) {
   EXPECT_EQ(Value::decode(v.encode()).as_bytes(), data);
 }
 
+TEST(Value, SeparatelyBuiltEqualBlobsCompareEqual) {
+  // Two buffers, same contents: equality is by content, not by buffer.
+  const Value a(Bytes(4096, 0x5A));
+  const Value b(Bytes(4096, 0x5A));
+  ASSERT_NE(&a.as_bytes(), &b.as_bytes());
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, Value(Bytes(4096, 0x5B)));
+}
+
 }  // namespace
 }  // namespace rcs

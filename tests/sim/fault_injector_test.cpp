@@ -83,6 +83,25 @@ TEST_F(FaultFixture, CorruptChangesEveryScalarType) {
   EXPECT_NE(FaultInjector::corrupt(Value{}, rng), Value{});
 }
 
+TEST_F(FaultFixture, CorruptingABlobLeavesItsHoldersUnchanged) {
+  // Blobs are shared by every copy of a Value: corruption must build a new
+  // buffer, never flip a bit in the one the other holders see.
+  Rng rng(4);
+  const Bytes original(256, 0x33);
+  const Value blob(original);
+  const Value holder = blob;
+  const Value message = Value::map().set("blob", blob);
+  const Value corrupted = FaultInjector::corrupt(blob, rng);
+  EXPECT_NE(corrupted, blob);
+  EXPECT_EQ(blob.as_bytes(), original);
+  EXPECT_EQ(holder.as_bytes(), original);
+  EXPECT_EQ(message.at("blob").as_bytes(), original);
+  const Value corrupted_message = FaultInjector::corrupt(message, rng);
+  EXPECT_NE(corrupted_message, message);
+  EXPECT_EQ(message.at("blob").as_bytes(), original);
+  EXPECT_EQ(blob.as_bytes(), original);
+}
+
 TEST_F(FaultFixture, CorruptContainersChangesOneElement) {
   Rng rng(5);
   Value list(ValueList{Value(1), Value(2), Value(3)});
