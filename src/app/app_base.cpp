@@ -181,7 +181,7 @@ sim::Duration AppServerBase::cpu_per_request() const {
 Value AppServerBase::with_checksum(Value result) {
   ensure(result.is_map(), "with_checksum: result must be a map");
   result.as_map().erase("check");
-  const auto digest = static_cast<std::int64_t>(fnv1a(result.encode()));
+  const auto digest = static_cast<std::int64_t>(xxh64(result.encode()));
   result.set("check", digest);
   return result;
 }
@@ -192,7 +192,7 @@ bool AppServerBase::checksum_ok(const Value& result) {
   if (!check.is_int()) return false;
   Value stripped = result;
   stripped.as_map().erase("check");
-  return check.as_int() == static_cast<std::int64_t>(fnv1a(stripped.encode()));
+  return check.as_int() == static_cast<std::int64_t>(xxh64(stripped.encode()));
 }
 
 std::vector<comp::PortSpec> app_services(bool state_access, bool has_assertion) {

@@ -119,12 +119,68 @@ Bytes ByteReader::read_bytes() {
   return b;
 }
 
-std::uint64_t fnv1a(const Bytes& data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto byte : data) {
-    h ^= byte;
-    h *= 0x100000001b3ULL;
+namespace {
+
+// XXH64 primes and helpers, as in the xxHash specification.
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
+
+template <typename Word>
+Word read_le(const std::uint8_t* p) {
+  Word v{};
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    if constexpr (sizeof v == 8) v = __builtin_bswap64(v);
+    else v = __builtin_bswap32(v);
   }
+  return v;
+}
+
+std::uint64_t xxh64_round(std::uint64_t acc, std::uint64_t input) {
+  return std::rotl(acc + input * kPrime2, 31) * kPrime1;
+}
+
+std::uint64_t xxh64_merge(std::uint64_t acc, std::uint64_t lane) {
+  return (acc ^ xxh64_round(0, lane)) * kPrime1 + kPrime4;
+}
+
+}  // namespace
+
+std::uint64_t xxh64(std::span<const std::uint8_t> data) {
+  const std::uint8_t* p = data.data();
+  const std::uint8_t* const end = p + data.size();
+  std::uint64_t h = kPrime5;
+  if (data.size() >= 32) {
+    std::uint64_t v1 = kPrime1 + kPrime2;
+    std::uint64_t v2 = kPrime2;
+    std::uint64_t v3 = 0;
+    std::uint64_t v4 = 0 - kPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = xxh64_round(v1, read_le<std::uint64_t>(p));
+      v2 = xxh64_round(v2, read_le<std::uint64_t>(p + 8));
+      v3 = xxh64_round(v3, read_le<std::uint64_t>(p + 16));
+      v4 = xxh64_round(v4, read_le<std::uint64_t>(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) + std::rotl(v4, 18);
+    h = xxh64_merge(xxh64_merge(xxh64_merge(xxh64_merge(h, v1), v2), v3), v4);
+  }
+  h += data.size();
+  for (; end - p >= 8; p += 8) {
+    h = std::rotl(h ^ xxh64_round(0, read_le<std::uint64_t>(p)), 27) * kPrime1 + kPrime4;
+  }
+  if (end - p >= 4) {
+    h = std::rotl(h ^ (read_le<std::uint32_t>(p) * kPrime1), 23) * kPrime2 + kPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = std::rotl(h ^ (*p * kPrime5), 11) * kPrime1;
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
   return h;
 }
 

@@ -1,12 +1,15 @@
-// Byte buffers and a small binary codec.
+// Byte buffers, a small binary codec and the checksum.
 //
 // Checkpoints, messages and deployable component packages are serialized to
 // Bytes so the simulated network can account for their size (bandwidth is one
 // of the paper's R parameters). Encoding is little-endian with varint lengths.
+// xxh64 is the only checksum: a fixed 8-byte word wherever it travels, so
+// the choice of hash changes no message or package size.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -92,7 +95,10 @@ class ByteReader {
   std::size_t pos_{0};
 };
 
-/// FNV-1a digest, used for package integrity checks in the repository.
-[[nodiscard]] std::uint64_t fnv1a(const Bytes& data);
+/// XXH64 of `data` with seed 0, per the public xxHash specification: the one
+/// checksum of the code base. It verifies package entries on every install,
+/// seals application results, and digests results that replicas compare.
+/// It detects accidental corruption; it is not a cryptographic hash.
+[[nodiscard]] std::uint64_t xxh64(std::span<const std::uint8_t> data);
 
 }  // namespace rcs

@@ -4,7 +4,7 @@
 // integrated into the existing software architecture" plus a script (§5.1).
 // A ComponentPackage is the brick half: serialized code artifacts (generated
 // from registry metadata, sized by code_size so the simulated network charges
-// realistic transfer times) with checksums verified on installation.
+// realistic transfer times) with XXH64 checksums verified on installation.
 //
 // An artifact depends only on its type's (name, version, code_size), so each
 // one is synthesized once per process, on first request, and shared from then
@@ -12,7 +12,8 @@
 // a package copies no code. What is shared is never trusted: every
 // HostLibrary::install hashes every byte it is handed, on every host, every
 // time, and the encoded package — whose size prices the simulated transfer —
-// is byte-for-byte what it would be without the sharing.
+// is byte-for-byte what it would be without the sharing. The checksum is
+// XXH64, chosen because every install pays for it over every byte.
 //
 // A HostLibrary is the set of types installed on one host; Composite::add
 // refuses types the library does not have — this is what forces missing
@@ -34,7 +35,7 @@ struct PackageEntry {
   std::string type_name;
   std::uint32_t version{1};
   SharedBytes code;           // immutable; copies of the entry share it
-  std::uint64_t checksum{0};  // fnv1a(code)
+  std::uint64_t checksum{0};  // xxh64(code), checked by every install
 
   /// The artifact of a type: built the first time this process asks for its
   /// (type_name, version, code_size), shared by every later caller. Safe to

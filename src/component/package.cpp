@@ -63,7 +63,7 @@ PackageEntry PackageEntry::for_type(const ComponentTypeInfo& info) {
   auto it = artifacts.find(key);
   if (it == artifacts.end()) {
     Bytes code = synthesize_code(info);
-    const std::uint64_t checksum = fnv1a(code);
+    const std::uint64_t checksum = xxh64(code);
     it = artifacts
              .emplace(std::move(key), PackageEntry{info.type_name, info.version,
                                                    std::move(code), checksum})
@@ -129,7 +129,7 @@ std::size_t ComponentPackage::count_entries(const Bytes& data) {
 }
 
 Status HostLibrary::install(const PackageEntry& entry) {
-  if (fnv1a(entry.code.bytes()) != entry.checksum) {
+  if (xxh64(entry.code.bytes()) != entry.checksum) {
     return {ErrorCode::kFailedPrecondition,
             strf("package entry '", entry.type_name,
                  "' failed checksum verification")};

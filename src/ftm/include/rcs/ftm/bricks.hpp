@@ -145,7 +145,7 @@ class FtmBrick : public comp::Component, public Brick {
 
   /// Content digest for result comparison (LFR notification, TR votes).
   [[nodiscard]] static std::int64_t digest(const Value& value) {
-    return static_cast<std::int64_t>(fnv1a(value.encode()));
+    return static_cast<std::int64_t>(xxh64(value.encode()));
   }
 
   // --- Fault simulation -----------------------------------------------------

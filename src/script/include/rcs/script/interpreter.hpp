@@ -37,7 +37,8 @@ class Interpreter {
   static ExecutionStats run(const Script& script, comp::Composite& composite,
                             const Value& bindings = Value::map());
 
-  /// Parse + run in one step.
+  /// Parse + run in one step; each distinct source is parsed once per
+  /// process (parse_shared).
   static ExecutionStats run_source(std::string_view source,
                                    comp::Composite& composite,
                                    const Value& bindings = Value::map());

@@ -217,8 +217,7 @@ ExecutionStats Interpreter::run(const Script& script, comp::Composite& composite
 ExecutionStats Interpreter::run_source(std::string_view source,
                                        comp::Composite& composite,
                                        const Value& bindings) {
-  const Script script = parse(source);
-  return run(script, composite, bindings);
+  return run(*parse_shared(source), composite, bindings);
 }
 
 }  // namespace rcs::script

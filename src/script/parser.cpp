@@ -1,5 +1,9 @@
 #include "rcs/script/parser.hpp"
 
+#include <map>
+#include <mutex>
+#include <string>
+
 #include "rcs/common/error.hpp"
 #include "rcs/common/strf.hpp"
 #include "rcs/script/lexer.hpp"
@@ -244,6 +248,19 @@ class Parser {
 
 Script parse(std::string_view source) {
   return Parser(tokenize(source)).parse_script();
+}
+
+std::shared_ptr<const Script> parse_shared(std::string_view source) {
+  static std::mutex mutex;
+  static std::map<std::string, std::shared_ptr<const Script>, std::less<>> scripts;
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (const auto it = scripts.find(source); it != scripts.end()) return it->second;
+  }
+  // Parsed outside the lock; a throw leaves the table as it was.
+  auto script = std::make_shared<const Script>(parse(source));
+  const std::lock_guard<std::mutex> lock(mutex);
+  return scripts.try_emplace(std::string(source), std::move(script)).first->second;
 }
 
 }  // namespace rcs::script

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
+#include <string_view>
 
 #include "rcs/common/error.hpp"
+#include "rcs/common/rng.hpp"
 
 namespace rcs {
 namespace {
@@ -98,12 +101,60 @@ TEST(Bytes, RemainingTracksPosition) {
   EXPECT_EQ(r.remaining(), 4u);
 }
 
-TEST(Bytes, Fnv1aIsStableAndSensitive) {
+TEST(Bytes, Xxh64IsStableAndSensitive) {
   const Bytes a{1, 2, 3};
   const Bytes b{1, 2, 4};
-  EXPECT_EQ(fnv1a(a), fnv1a(a));
-  EXPECT_NE(fnv1a(a), fnv1a(b));
-  EXPECT_NE(fnv1a({}), fnv1a(a));
+  EXPECT_EQ(xxh64(a), xxh64(a));
+  EXPECT_NE(xxh64(a), xxh64(b));
+  EXPECT_NE(xxh64({}), xxh64(a));
+}
+
+std::uint64_t xxh64_of(std::string_view text) {
+  return xxh64({reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
+}
+
+TEST(Bytes, Xxh64MatchesTheReferenceVectors) {
+  // Seed 0, from the reference implementation. The 39-byte input runs the
+  // 32-byte stripe loop and then every tail step (8-, 4- and 1-byte).
+  EXPECT_EQ(xxh64_of(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(xxh64_of("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(xxh64_of("abc"), 0x44BC2CF5AD770999ULL);
+  EXPECT_EQ(xxh64_of("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ULL);
+}
+
+Bytes seeded_blob(std::size_t size) {
+  Rng rng(size);
+  Bytes blob(size);
+  for (auto& byte : blob) byte = static_cast<std::uint8_t>(rng.next_u64());
+  return blob;
+}
+
+TEST(Bytes, Xxh64SeesEverySingleBitFlip) {
+  // Lengths on each side of the 32-byte stripe, a page, and a typical
+  // artifact size.
+  for (const std::size_t size : {1u, 31u, 32u, 33u, 4096u, 25'000u}) {
+    Bytes blob = seeded_blob(size);
+    const std::uint64_t whole = xxh64(blob);
+    for (std::size_t bit = 0; bit < size * 8; ++bit) {
+      blob[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      ASSERT_NE(xxh64(blob), whole) << "size " << size << ", bit " << bit;
+      blob[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+    ASSERT_EQ(xxh64(blob), whole);
+  }
+}
+
+TEST(Bytes, Xxh64OfAPrefixDiffersFromTheWhole) {
+  for (const std::size_t size : {1u, 31u, 32u, 33u, 4096u, 25'000u}) {
+    const Bytes blob = seeded_blob(size);
+    const std::span<const std::uint8_t> bytes(blob);
+    const std::uint64_t whole = xxh64(bytes);
+    for (std::size_t length = 0; length < size; ++length) {
+      ASSERT_NE(xxh64(bytes.first(length)), whole)
+          << "size " << size << ", prefix " << length;
+    }
+  }
 }
 
 }  // namespace

@@ -18,7 +18,7 @@ TEST_F(PackageFixture, EntryCodeMatchesDeclaredSize) {
   const auto& info = registry.info("test.echo");
   const auto entry = PackageEntry::for_type(info);
   EXPECT_EQ(entry.code.size(), info.code_size);
-  EXPECT_EQ(entry.checksum, fnv1a(entry.code.bytes()));
+  EXPECT_EQ(entry.checksum, xxh64(entry.code.bytes()));
 }
 
 TEST_F(PackageFixture, CodeIsDeterministicPerTypeAndDiffersAcrossTypes) {
@@ -81,6 +81,22 @@ TEST_F(PackageFixture, InstallRejectsABitFlipInTheEncodedBlob) {
   ASSERT_EQ(decoded.entries().size(), 1u);
   HostLibrary library;
   EXPECT_EQ(library.install(decoded).code(), ErrorCode::kFailedPrecondition);
+  EXPECT_FALSE(library.installed("test.echo"));
+}
+
+TEST_F(PackageFixture, InstallRejectsAFlipInAnyByteOfTheCode) {
+  // Install hashes every byte: one flipped bit at any offset is caught.
+  const auto artifact = PackageEntry::for_type(registry.info("test.echo"));
+  const Bytes& code = artifact.code.bytes();
+  HostLibrary library;
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    Bytes corrupted = code;
+    corrupted[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
+    PackageEntry entry = artifact;
+    entry.code = std::move(corrupted);
+    ASSERT_EQ(library.install(entry).code(), ErrorCode::kFailedPrecondition)
+        << "byte " << i;
+  }
   EXPECT_FALSE(library.installed("test.echo"));
 }
 
@@ -152,7 +168,7 @@ TEST_F(PackageFixture, ConcurrentFetchesShareOneArtifact) {
 
   for (const auto& entry : fetched) {
     EXPECT_EQ(entry.code.size(), info.code_size);
-    EXPECT_EQ(entry.checksum, fnv1a(entry.code.bytes()));
+    EXPECT_EQ(entry.checksum, xxh64(entry.code.bytes()));
     EXPECT_EQ(entry.checksum, fetched.front().checksum);
     EXPECT_EQ(entry.code, fetched.front().code);
     EXPECT_EQ(&entry.code.bytes(), &fetched.front().code.bytes())

@@ -13,10 +13,11 @@
 namespace rcs::core {
 namespace {
 
-/// Measured at 953,324 bytes once artifacts were built once per process and
-/// package bytes travelled by shared handle (3,321,912 before: every deploy
-/// synthesized the package, and each hop copied it), plus 5%.
-constexpr std::size_t kMaxDeployBytes = 1'000'990;
+/// Measured at 683,480 bytes once each distinct script source was parsed
+/// once per process, plus 5%. Before that: 953,324 (every run_source lexed
+/// and parsed its script again), and 3,321,912 before artifacts were built
+/// once per process and package bytes travelled by shared handle.
+constexpr std::size_t kMaxDeployBytes = 717'654;
 
 TEST(DeployAllocs, FreshSystemDeployStaysWithinByteBudget) {
   {
