@@ -115,17 +115,17 @@ void BM_ComponentAddWireStartStopRemove(benchmark::State& state) {
 }
 BENCHMARK(BM_ComponentAddWireStartStopRemove);
 
+/// One Value op through invoke(): the application server's `process`, the
+/// Value boundary the FTM's bricks call (here hostless, so no CPU charge).
 void BM_DynamicInvocation(benchmark::State& state) {
   setup();
   comp::Composite composite("bench");
-  composite.add(ftm::kernel::kReplyLog, "log");
-  composite.start("log");
-  Value record = Value::map();
-  record.set("key", "c1:1").set("reply", Value::map().set("result", 42));
-  composite.invoke("log", "log", "record", record);
-  const Value lookup = Value::map().set("key", "c1:1");
+  composite.add(app::kKvStore, "server");
+  composite.start("server");
+  const Value args = Value::map().set(
+      "request", Value::map().set("op", "get").set("key", "k"));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(composite.invoke("log", "log", "lookup", lookup));
+    benchmark::DoNotOptimize(composite.invoke("server", "srv", "process", args));
   }
 }
 BENCHMARK(BM_DynamicInvocation);

@@ -34,6 +34,13 @@ Value Component::dispatch(const std::string& service, const std::string& op,
   return on_invoke(service, op, args);
 }
 
+Value Component::on_invoke(const std::string& service, const std::string& op,
+                           const Value& /*args*/) {
+  throw ComponentError(strf("component '", name_, "' (", type_name(),
+                            ") serves no Value ops; call it through its typed "
+                            "face (service '", service, "', op '", op, "')"));
+}
+
 void Component::ensure_started(const std::string& service) const {
   if (state_ != LifecycleState::kStarted) {
     throw ComponentError(strf("invoke on stopped component '", name_, "' (",

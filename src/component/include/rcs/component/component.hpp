@@ -63,9 +63,10 @@ class Component {
  protected:
   Component() = default;
 
-  /// Service dispatch, implemented by subclasses.
+  /// Service dispatch. The default serves no Value ops and throws
+  /// ComponentError: a component reached only through a typed face keeps it.
   virtual Value on_invoke(const std::string& service, const std::string& op,
-                          const Value& args) = 0;
+                          const Value& args);
 
   /// Lifecycle hooks.
   virtual void on_start() {}

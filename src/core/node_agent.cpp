@@ -454,21 +454,15 @@ void NodeAgent::handle_query_config(HostId requester) {
     // the query itself as the suspicion: run the standard election before
     // answering, so the requester rejoins under a live master.
     const auto requester_id = static_cast<std::int64_t>(requester.value());
-    const Value info =
-        runtime_.composite().invoke("protocol", "control", "info", {});
-    if (info.at("role").as_string() == "backup" &&
-        info.at("master").as_int() == requester_id) {
-      runtime_.composite().invoke(
-          "protocol", "control", "peer_suspected",
-          Value::map().set("host", requester_id));
+    ftm::ProtocolKernel& kernel = runtime_.kernel();
+    if (kernel.role() == ftm::Role::kBackup && kernel.master() == requester_id) {
+      kernel.peer_suspected(requester_id);
     }
     // Answer with the kernel's CURRENT role and master — the deploy-time
     // snapshot goes stale across promotions.
-    const Value current =
-        runtime_.composite().invoke("protocol", "control", "info", {});
     auto params = runtime_.params();
-    params.role = ftm::role_from_string(current.at("role").as_string());
-    params.master = current.at("master").as_int();
+    params.role = kernel.role();
+    params.master = kernel.master();
     response.set("found", true).set("params", params.to_value());
   } else {
     response.set("found", false);

@@ -1,8 +1,6 @@
 #include "rcs/ftm/failure_detector.hpp"
 
-#include "rcs/common/error.hpp"
 #include "rcs/common/logging.hpp"
-#include "rcs/common/strf.hpp"
 #include "rcs/ftm/config.hpp"
 #include "rcs/ftm/interfaces.hpp"
 #include "rcs/sim/host.hpp"
@@ -98,22 +96,15 @@ void FailureDetectorComponent::check() {
       host()->schedule_after(interval(), [this] { check(); }, "fd.check");
 }
 
-Value FailureDetectorComponent::on_invoke(const std::string& /*service*/,
-                                          const std::string& op,
-                                          const Value& args) {
-  if (op == "on_heartbeat") {
-    const auto from = args.get_or("from", Value(-1)).as_int();
-    if (host() != nullptr) last_heard_[from] = host()->sim().now();
-    if (suspected_.erase(from) > 0) {
-      log().info("fd", host() ? host()->name() : "?", ": peer h", from,
-                 " heard again, recovered");
-      control().peer_recovered(from);
-    }
-    return {};
+void FailureDetectorComponent::on_heartbeat(const Value& beacon) {
+  ensure_started("fd");
+  const auto from = beacon.get_or("from", Value(-1)).as_int();
+  if (host() != nullptr) last_heard_[from] = host()->sim().now();
+  if (suspected_.erase(from) > 0) {
+    log().info("fd", host() ? host()->name() : "?", ": peer h", from,
+               " heard again, recovered");
+    control().peer_recovered(from);
   }
-  if (op == "peer_alive") return Value(suspected_.empty());
-  if (op == "suspected") return Value(!suspected_.empty());
-  throw FtmError(strf("failureDetector: unknown op '", op, "'"));
 }
 
 }  // namespace rcs::ftm

@@ -31,8 +31,6 @@
 #include <string_view>
 #include <vector>
 
-#include "rcs/common/error.hpp"
-#include "rcs/common/strf.hpp"
 #include "rcs/component/component.hpp"
 #include "rcs/ftm/interfaces.hpp"
 #include "rcs/sim/host.hpp"
@@ -50,11 +48,6 @@ class FtmBrick : public comp::Component, public Brick {
   void apply_join_snapshot(const Value& /*snapshot*/) override {}
 
  protected:
-  Value on_invoke(const std::string& /*service*/, const std::string& op,
-                  const Value& /*args*/) final {
-    throw FtmError(strf(type_name(), ": bricks are called through their ",
-                        "typed face, not op '", op, "'"));
-  }
   void* resolve_face(const comp::PortSpec& reference,
                      comp::Component& target) override {
     return typed_face(reference, target);

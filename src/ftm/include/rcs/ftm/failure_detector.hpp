@@ -5,7 +5,8 @@
 // "dedicated entity (e.g., heartbeat, watchdog)" that detects the master
 // crash and triggers recovery, §3.2.1). Suspicion is reported to the protocol
 // kernel through the control reference, typed as its ProtocolControl face; a
-// later heartbeat from a restarted peer reports recovery.
+// later heartbeat from a restarted peer reports recovery. The runtime hands
+// each beacon to on_heartbeat; the detector serves no Value ops.
 #pragma once
 
 #include <map>
@@ -31,14 +32,11 @@ class FailureDetectorComponent : public comp::Component {
 
   ~FailureDetectorComponent() override;
 
- protected:
-  // Service "fd", interface rcs.FailureDetector. Ops:
-  //   on_heartbeat {from: u32} -> null        (wired from the host handler)
-  //   peer_alive {}            -> bool
-  //   suspected {}             -> bool
-  Value on_invoke(const std::string& service, const std::string& op,
-                  const Value& args) override;
+  /// A heartbeat beacon {from} arrived: the peer it names is alive. Throws
+  /// ComponentError when the detector is not started, as invoke does.
+  void on_heartbeat(const Value& beacon);
 
+ protected:
   void on_start() override;
   void on_stop() override;
   void* resolve_face(const comp::PortSpec& reference,

@@ -21,10 +21,11 @@
 // one, which the caller resolves when a script makes the wire (typed_face)
 // and then calls virtually, with no Value argument maps. The kernel↔brick
 // contract is typed too: a brick reads a RequestCtx, gets replica messages
-// as a PeerMessage and answers a BrickStatus. Value stays for what crosses
-// the wire (request, reply, replica payloads), for the application's
-// rcs.Server and rcs.StateManager, and for the Value ops the kernel and the
-// reply log keep for the runtime, scripts and tests.
+// as a PeerMessage and answers a BrickStatus. Callers outside the composite
+// (the runtime, the node agent) use the same C++ methods: the kernel, the
+// reply log, the failure detector and the bricks serve no Value ops. Value
+// stays for what crosses the wire (request, reply, replica payloads) and for
+// the application's rcs.Server and rcs.StateManager.
 #pragma once
 
 #include <cstdint>
@@ -257,7 +258,8 @@ class ReplyLog {
 
 /// Component::resolve_face for the FTM's components: the face a reference
 /// of `reference.interface_name` calls on `target` — Brick, ProtocolControl
-/// or ReplyLog — or null for the interfaces reached through Value ops.
+/// or ReplyLog — or null for the application's interfaces, reached through
+/// Value ops, and for the kernel's unused "detector" reference.
 /// Throws ComponentError if the target lacks the face.
 void* typed_face(const comp::PortSpec& reference, comp::Component& target);
 

@@ -33,9 +33,9 @@
 // faces, resolved when the wires are made. Bricks and the failure detector
 // reach the kernel back through their "control" reference, typed as the
 // ProtocolControl face this class implements (send_peer, resume_after,
-// count_event, report_fault, peek, start_forwarded, join, ...). The control
-// service's Value ops are left for callers outside the composite: the
-// runtime, the node agent and tests.
+// count_event, report_fault, peek, start_forwarded, join, ...). Callers
+// outside the composite — the runtime, the node agent, tests — call the same
+// C++ methods: the kernel serves no Value ops.
 #pragma once
 
 #include <deque>
@@ -106,6 +106,10 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
 
   [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] Role role() const { return role_; }
+  /// Host id of the group's current master (the "master" property).
+  [[nodiscard]] std::int64_t master() const {
+    return property("master").as_int();
+  }
   [[nodiscard]] bool blocked() const { return blocked_; }
   [[nodiscard]] std::size_t in_flight() const { return pending_.size(); }
   [[nodiscard]] std::size_t buffered() const {
@@ -121,11 +125,19 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   }
 
   // --- Network entries (the runtime's message handlers) -------------------
-  /// A client request {client, id, request, trace?}. Both throw
-  /// ComponentError when the kernel is not started, as invoke does.
+  /// A client request {client, id, request, trace?}. These entries, the
+  /// quiescence gate, join and peer_suspected throw ComponentError when the
+  /// kernel is not started, as invoke does.
   void deliver_client(const Payload& payload);
   /// A replica message {phase, kind, key?, data} from host `from`.
   void deliver_peer(const Payload& payload, std::int64_t from);
+
+  // --- Quiescence gate (§5.3) ---------------------------------------------
+  /// Block new work (buffering it) and report whether nothing is in flight;
+  /// the quiesce listener fires now if so, else once the last request ends.
+  bool quiesce();
+  /// Reopen the gate and replay the buffered work.
+  void unblock();
 
   // --- ProtocolControl face (bricks, failure detector) --------------------
   [[nodiscard]] std::vector<std::int64_t> peers() const override {
@@ -149,12 +161,10 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   void peer_recovered(std::int64_t peer) override;
 
  protected:
-  // Services:
-  //   "client"  (rcs.ClientPort): reached through deliver_client only
-  //   "peer"    (rcs.PeerPort):   reached through deliver_peer only
-  //   "control" (rcs.ProtocolControl): see dispatch_control
-  Value on_invoke(const std::string& service, const std::string& op,
-                  const Value& args) override;
+  // Services, none with Value ops:
+  //   "client"  (rcs.ClientPort):      deliver_client
+  //   "peer"    (rcs.PeerPort):        deliver_peer
+  //   "control" (rcs.ProtocolControl): the face above, quiesce and unblock
   void* resolve_face(const comp::PortSpec& reference,
                      comp::Component& target) override {
     return typed_face(reference, target);
@@ -202,7 +212,6 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   // Entry points.
   void handle_client_request(const Payload& payload);
   void handle_peer_message(const Payload& payload, std::int64_t from);
-  Value dispatch_control(const std::string& op, const Value& args);
 
   // Pipeline machinery.
   /// Start the pipeline for `fields` = {client, id, request, trace?}, read

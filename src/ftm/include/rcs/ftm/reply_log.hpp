@@ -5,12 +5,13 @@
 // answered from the log instead of re-executed. The log is part of the PBR
 // checkpoint (export/import) so at-most-once survives failover.
 //
-// Bounded capacity with FIFO eviction: clients retransmit within a bounded
-// window, so the oldest entries are dead weight — and the log travels inside
-// every PBR checkpoint, so a tight bound keeps checkpoint traffic close to
-// the state size. With a bound that small the log is one flat FIFO of
-// {key, reply, seq} entries: a lookup or a record scans at most `capacity`
-// entries, and a re-record updates its entry in place without moving it.
+// Bounded at kCapacity entries with FIFO eviction: clients retransmit within
+// a bounded window, so the oldest entries are dead weight — and the log
+// travels inside every PBR checkpoint, so a tight bound keeps checkpoint
+// traffic close to the state size. With a bound that small the log is one
+// flat FIFO of {key, reply, seq} entries: a lookup or a record scans at most
+// kCapacity entries, and a re-record updates its entry in place without
+// moving it.
 //
 // For incremental checkpoints, every record is stamped with a monotone
 // sequence number; export_since ships only entries newer than the
@@ -18,8 +19,8 @@
 // ahead of what this log has seen (the caller then falls back to a full
 // export/import through the join path).
 //
-// The kernel and the bricks call the log through its ReplyLog face; the
-// Value ops below decode into the same methods. Imports validate the whole
+// The kernel and the bricks call the log through its ReplyLog face, the
+// only way in: the log serves no Value ops. Imports validate the whole
 // snapshot before touching the log: a snapshot whose order names a key
 // twice or a key missing from its entries is refused with FtmError and
 // leaves the log as it was.
@@ -36,7 +37,8 @@ namespace rcs::ftm {
 
 class ReplyLogComponent : public comp::Component, public ReplyLog {
  public:
-  static constexpr std::size_t kDefaultCapacity = 32;
+  /// Entries kept; the oldest is evicted past this.
+  static constexpr std::size_t kCapacity = 32;
 
   [[nodiscard]] static comp::ComponentTypeInfo type_info();
 
@@ -49,20 +51,6 @@ class ReplyLogComponent : public comp::Component, public ReplyLog {
   void ack_export(std::uint64_t upto) override;
   [[nodiscard]] bool import_delta(const Value& delta) override;
 
- protected:
-  // Service "log", interface rcs.ReplyLog. Ops:
-  //   lookup {key}            -> {found: bool, reply?: value}
-  //   record {key, reply}     -> null
-  //   export {}               -> {entries: {key: reply}, order: [key], upto}
-  //   import {entries, order, upto?} -> null (replaces content)
-  //   export_since {}         -> {entries, order, from, upto} (unacked only)
-  //   ack_export {upto}       -> null (advance the export watermark)
-  //   import_delta {entries, order, from, upto} -> {ok: bool}
-  //   size {}                 -> int
-  //   clear {}                -> null
-  Value on_invoke(const std::string& service, const std::string& op,
-                  const Value& args) override;
-
  private:
   struct Entry {
     std::string key;
@@ -70,7 +58,6 @@ class ReplyLogComponent : public comp::Component, public ReplyLog {
     std::uint64_t seq{0};  // record order, for incremental export
   };
 
-  [[nodiscard]] std::size_t capacity() const;
   [[nodiscard]] Entry* find(const std::string& key);
   void evict_to_capacity();
   /// `state` names the driving op for the fsim "replylog.append" point

@@ -18,6 +18,7 @@
 #include "rcs/component/package.hpp"
 #include "rcs/ftm/app_spec.hpp"
 #include "rcs/ftm/config.hpp"
+#include "rcs/ftm/failure_detector.hpp"
 #include "rcs/ftm/protocol.hpp"
 #include "rcs/ftm/script_builder.hpp"
 #include "rcs/script/interpreter.hpp"
@@ -63,6 +64,7 @@ class FtmRuntime {
   [[nodiscard]] bool deployed() const { return composite_ != nullptr; }
   [[nodiscard]] comp::Composite& composite();
   [[nodiscard]] ProtocolKernel& kernel();
+  [[nodiscard]] FailureDetectorComponent& detector();
   [[nodiscard]] const DeployParams& params() const { return params_; }
   [[nodiscard]] sim::Host& host() { return host_; }
   [[nodiscard]] comp::HostLibrary& library() { return library_; }

@@ -118,15 +118,6 @@ void ProtocolKernel::on_peer_retry(Ctx& ctx) {
   apply_brick_status(ctx, brick(ctx.phase).run_phase(brick_ctx(ctx)));
 }
 
-Value ProtocolKernel::on_invoke(const std::string& service,
-                                const std::string& op, const Value& args) {
-  if (service != "control") {
-    throw FtmError(strf("protocol.", service, ": op '", op,
-                        "' is delivered through deliver_client/deliver_peer"));
-  }
-  return dispatch_control(op, args);
-}
-
 void ProtocolKernel::deliver_client(const Payload& payload) {
   ensure_started("client");
   handle_client_request(payload);
@@ -528,13 +519,14 @@ void ProtocolKernel::rerun_waiting_phase(Ctx& ctx) {
 }
 
 void ProtocolKernel::peer_suspected(std::int64_t peer) {
+  ensure_started("control");
   const auto it = peer_alive_map_.find(peer);
   if (it == peer_alive_map_.end() || !it->second) return;
   set_peer_alive(peer, false);
   log().info("ftm", composite()->name(), ": peer h", peer, " suspected, role ",
              to_string(role_));
 
-  const auto master = property("master").as_int();
+  const auto master = this->master();
   const auto self =
       host() != nullptr ? static_cast<std::int64_t>(host()->id().value()) : -1;
 
@@ -701,76 +693,28 @@ void ProtocolKernel::count_event(Event event) {
   }
 }
 
-void ProtocolKernel::join() { send_peer("ctrl", "join", Value::map()); }
-
-// ---------------------------------------------------------------------------
-// Control service: Value ops for callers outside the composite (runtime,
-// node agent, tests)
-// ---------------------------------------------------------------------------
-
-Value ProtocolKernel::dispatch_control(const std::string& op, const Value& args) {
-  if (op == "info") {
-    Value peer_list = Value::list();
-    for (const auto peer : peers_) peer_list.push_back(peer);
-    Value alive = Value::list();
-    for (const auto peer : alive_peers_) alive.push_back(peer);
-    Value info = Value::map();
-    info.set("role", to_string(role_))
-        .set("peers", std::move(peer_list))
-        .set("alive_peers", std::move(alive))
-        .set("master", property("master"))
-        .set("ftm", property("ftm"))
-        .set("peer_alive", any_peer_alive())
-        .set("blocked", blocked_);
-    return info;
-  }
-  if (op == "peer_suspected") {
-    peer_suspected(args.at("host").as_int());
-    return {};
-  }
-  if (op == "join") {
-    join();
-    return {};
-  }
-  if (op == "quiesce") {
-    blocked_ = true;
-    const bool drained = pending_.empty();
-    if (drained && quiesce_listener_) quiesce_listener_();
-    return Value::map().set("drained", drained);
-  }
-  if (op == "unblock") {
-    blocked_ = false;
-    drain_buffers();
-    return {};
-  }
-  if (op == "pending") {
-    return Value(static_cast<std::int64_t>(pending_.size()));
-  }
-  if (op == "stats") {
-    Value stats = Value::map();
-    stats.set("requests", counters_.requests.value())
-        .set("replies", counters_.replies.value())
-        .set("error_replies", counters_.error_replies.value())
-        .set("duplicates_served", counters_.duplicates_served.value())
-        .set("forwarded", counters_.forwarded.value())
-        .set("checkpoints_sent", counters_.checkpoints_sent.value())
-        .set("checkpoints_applied", counters_.checkpoints_applied.value())
-        .set("deltas_sent", counters_.deltas_sent.value())
-        .set("full_checkpoints_sent", counters_.full_checkpoints_sent.value())
-        .set("resyncs", counters_.resyncs.value())
-        .set("notifications", counters_.notifications.value())
-        .set("divergences", counters_.divergences.value())
-        .set("assertion_failures", counters_.assertion_failures.value())
-        .set("tr_mismatches", counters_.tr_mismatches.value())
-        .set("promotions", counters_.promotions.value());
-    return stats;
-  }
-  throw FtmError(strf("protocol.control: unknown op '", op, "'"));
+void ProtocolKernel::join() {
+  ensure_started("control");
+  send_peer("ctrl", "join", Value::map());
 }
 
 // ---------------------------------------------------------------------------
 // Quiescence
 // ---------------------------------------------------------------------------
+
+bool ProtocolKernel::quiesce() {
+  ensure_started("control");
+  blocked_ = true;
+  const bool drained = pending_.empty();
+  check_drained();
+  return drained;
+}
+
+void ProtocolKernel::unblock() {
+  ensure_started("control");
+  blocked_ = false;
+  drain_buffers();
+}
 
 void ProtocolKernel::check_drained() {
   if (blocked_ && pending_.empty() && quiesce_listener_) quiesce_listener_();

@@ -17,18 +17,10 @@ comp::ComponentTypeInfo ReplyLogComponent::type_info() {
   info.description = "at-most-once reply log (common part)";
   info.category = comp::TypeCategory::kKernel;
   info.services = {{"log", iface::kReplyLog}};
-  info.default_properties.set("capacity",
-                              static_cast<std::int64_t>(kDefaultCapacity));
   info.code_size = 24'000;
   info.source_file = "src/ftm/reply_log.cpp";
   info.factory = [] { return std::make_unique<ReplyLogComponent>(); };
   return info;
-}
-
-std::size_t ReplyLogComponent::capacity() const {
-  const Value v = property("capacity");
-  return v.is_int() && v.as_int() > 0 ? static_cast<std::size_t>(v.as_int())
-                                      : kDefaultCapacity;
 }
 
 namespace {
@@ -71,8 +63,7 @@ const Value* ReplyLogComponent::lookup(const std::string& key) const {
 }
 
 void ReplyLogComponent::evict_to_capacity() {
-  const std::size_t cap = capacity();
-  while (entries_.size() > cap) entries_.pop_front();
+  while (entries_.size() > kCapacity) entries_.pop_front();
 }
 
 void ReplyLogComponent::record(const std::string& key, Value reply) {
@@ -167,38 +158,6 @@ bool ReplyLogComponent::import_delta(const Value& delta) {
   }
   if (upto > import_mark_) import_mark_ = upto;
   return true;
-}
-
-Value ReplyLogComponent::on_invoke(const std::string& /*service*/,
-                                   const std::string& op, const Value& args) {
-  if (op == "lookup") {
-    const Value* reply = lookup(args.at("key").as_string());
-    Value out = Value::map();
-    out.set("found", reply != nullptr);
-    if (reply != nullptr) out.set("reply", *reply);
-    return out;
-  }
-  if (op == "record") {
-    record(args.at("key").as_string(), args.at("reply"));
-    return {};
-  }
-  if (op == "export") return export_all();
-  if (op == "import") {
-    import_all(args);
-    return {};
-  }
-  if (op == "export_since") return export_since();
-  if (op == "ack_export") {
-    ack_export(static_cast<std::uint64_t>(args.at("upto").as_int()));
-    return {};
-  }
-  if (op == "import_delta") return Value::map().set("ok", import_delta(args));
-  if (op == "size") return Value(static_cast<std::int64_t>(entries_.size()));
-  if (op == "clear") {
-    entries_.clear();
-    return {};
-  }
-  throw FtmError(strf("replyLog: unknown op '", op, "'"));
 }
 
 }  // namespace rcs::ftm

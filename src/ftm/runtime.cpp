@@ -70,6 +70,13 @@ ProtocolKernel& FtmRuntime::kernel() {
   return *kernel_;
 }
 
+FailureDetectorComponent& FtmRuntime::detector() {
+  auto* detector =
+      dynamic_cast<FailureDetectorComponent*>(&composite().child("detector"));
+  ensure(detector != nullptr, "FtmRuntime: detector component has wrong type");
+  return *detector;
+}
+
 script::ExecutionStats FtmRuntime::deploy(const DeployParams& params) {
   ensure(composite_ == nullptr,
          "FtmRuntime::deploy: an FTM is already deployed (teardown first)");
@@ -133,7 +140,7 @@ void FtmRuntime::register_handlers() {
   });
   host_.register_handler(msg::kHeartbeat, [this](const sim::Message& message) {
     if (composite_ == nullptr) return;
-    composite_->invoke("detector", "fd", "on_heartbeat", message.payload);
+    detector().on_heartbeat(message.payload.value());
   });
 }
 
@@ -169,20 +176,15 @@ script::ExecutionStats FtmRuntime::run_transition(const std::string& source,
 
 void FtmRuntime::quiesce(std::function<void()> on_drained) {
   kernel().set_quiesce_listener(std::move(on_drained));
-  const Value result = composite().invoke("protocol", "control", "quiesce", {});
-  if (result.at("drained").as_bool()) {
-    // Listener already fired inside quiesce; nothing else to do.
-  }
+  kernel().quiesce();
 }
 
 void FtmRuntime::resume() {
   kernel().set_quiesce_listener({});
-  composite().invoke("protocol", "control", "unblock", {});
+  kernel().unblock();
 }
 
-void FtmRuntime::request_rejoin() {
-  composite().invoke("protocol", "control", "join", {});
-}
+void FtmRuntime::request_rejoin() { kernel().join(); }
 
 void FtmRuntime::persist(const DeployParams& params) {
   // The *role* persisted is the deployment role; a replica that crashed and

@@ -24,7 +24,7 @@ OpenPoisson::OpenPoisson(double per_client_rps) : rate_(per_client_rps) {
   ensure(per_client_rps > 0.0, "OpenPoisson: rate must be positive");
 }
 
-std::optional<sim::Duration> OpenPoisson::next_gap(Rng& rng) {
+sim::Duration OpenPoisson::next_gap(Rng& rng) {
   return exponential_gap(rng, rate_);
 }
 
@@ -33,7 +33,7 @@ ClosedLoopThink::ClosedLoopThink(double per_client_rps)
   ensure(per_client_rps > 0.0, "ClosedLoopThink: rate must be positive");
 }
 
-std::optional<sim::Duration> ClosedLoopThink::next_gap(Rng& rng) {
+sim::Duration ClosedLoopThink::next_gap(Rng& rng) {
   return exponential_gap(rng, rate_);
 }
 
@@ -45,7 +45,7 @@ BurstyOnOff::BurstyOnOff(double per_client_rps, double burst_factor,
   ensure(mean_on > 0, "BurstyOnOff: mean burst length must be positive");
 }
 
-std::optional<sim::Duration> BurstyOnOff::next_gap(Rng& rng) {
+sim::Duration BurstyOnOff::next_gap(Rng& rng) {
   sim::Duration silence = 0;
   if (on_remaining_ <= 0) {
     // Fresh burst. The off period is sized so that bursts at
@@ -60,27 +60,6 @@ std::optional<sim::Duration> BurstyOnOff::next_gap(Rng& rng) {
   const sim::Duration gap = exponential_gap(rng, rate_ * burst_factor_);
   on_remaining_ -= gap;
   return silence + gap;
-}
-
-TraceReplay::TraceReplay(std::vector<sim::Duration> gaps)
-    : gaps_(std::move(gaps)) {}
-
-std::optional<sim::Duration> TraceReplay::next_gap(Rng& /*rng*/) {
-  if (next_ >= gaps_.size()) return std::nullopt;
-  const auto gap = static_cast<sim::Duration>(
-      static_cast<double>(gaps_[next_++]) * scale_);
-  return std::max<sim::Duration>(1, gap);
-}
-
-void TraceReplay::set_rate(double per_client_rps) {
-  ensure(per_client_rps > 0.0, "TraceReplay: rate must be positive");
-  if (gaps_.empty()) return;
-  sim::Duration total = 0;
-  for (const auto gap : gaps_) total += gap;
-  const double mean_rate =
-      static_cast<double>(gaps_.size()) /
-      (static_cast<double>(std::max<sim::Duration>(total, 1)) / sim::kSecond);
-  scale_ = mean_rate / per_client_rps;
 }
 
 ProcessMaker make_process(const std::string& kind, double per_client_rps) {

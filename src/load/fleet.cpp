@@ -89,18 +89,14 @@ void ClientFleet::set_rate(double per_client_rps) {
 }
 
 void ClientFleet::arm(Member& member) {
-  if (!running_ || member.exhausted) return;
+  if (!running_) return;
   if (options_.max_requests_per_client > 0 &&
       member.sent >= options_.max_requests_per_client) {
     return;
   }
-  const auto gap = member.process->next_gap(member.rng);
-  if (!gap) {
-    member.exhausted = true;
-    return;
-  }
   member.host->schedule_after(
-      *gap, [this, &member] { fire(member); }, "load.arrival");
+      member.process->next_gap(member.rng), [this, &member] { fire(member); },
+      "load.arrival");
 }
 
 void ClientFleet::fire(Member& member) {

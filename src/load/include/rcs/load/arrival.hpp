@@ -12,9 +12,7 @@
 //  - closed loop (think time): the next request waits for the previous
 //    reply plus a think gap — models interactive clients;
 //  - bursty on/off: Poisson bursts alternating with silence — stresses the
-//    monitoring hysteresis and queue drain;
-//  - trace replay: an explicit gap schedule, for replaying recorded or
-//    hand-built workloads.
+//    monitoring hysteresis and queue drain.
 //
 // Every gap draws from an Rng the caller owns (one private stream per fleet
 // client), so the offered schedule never shifts when service-side randomness
@@ -23,9 +21,7 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "rcs/common/rng.hpp"
 #include "rcs/sim/time.hpp"
@@ -41,9 +37,8 @@ class ArrivalProcess {
   [[nodiscard]] virtual bool closed_loop() const { return false; }
 
   /// Gap between the previous arrival (or completion, when closed_loop())
-  /// and the next request. nullopt: the process is exhausted (trace replay
-  /// ran out) and this client stops.
-  [[nodiscard]] virtual std::optional<sim::Duration> next_gap(Rng& rng) = 0;
+  /// and the next request.
+  [[nodiscard]] virtual sim::Duration next_gap(Rng& rng) = 0;
 
   /// Retarget the process to a new mean rate (requests per virtual second,
   /// per client). The sweep harness ramps offered load through this.
@@ -55,7 +50,7 @@ class OpenPoisson final : public ArrivalProcess {
  public:
   explicit OpenPoisson(double per_client_rps);
 
-  [[nodiscard]] std::optional<sim::Duration> next_gap(Rng& rng) override;
+  [[nodiscard]] sim::Duration next_gap(Rng& rng) override;
   void set_rate(double per_client_rps) override { rate_ = per_client_rps; }
 
  private:
@@ -70,7 +65,7 @@ class ClosedLoopThink final : public ArrivalProcess {
   explicit ClosedLoopThink(double per_client_rps);
 
   [[nodiscard]] bool closed_loop() const override { return true; }
-  [[nodiscard]] std::optional<sim::Duration> next_gap(Rng& rng) override;
+  [[nodiscard]] sim::Duration next_gap(Rng& rng) override;
   void set_rate(double per_client_rps) override { rate_ = per_client_rps; }
 
  private:
@@ -85,7 +80,7 @@ class BurstyOnOff final : public ArrivalProcess {
   BurstyOnOff(double per_client_rps, double burst_factor = 4.0,
               sim::Duration mean_on = 2 * sim::kSecond);
 
-  [[nodiscard]] std::optional<sim::Duration> next_gap(Rng& rng) override;
+  [[nodiscard]] sim::Duration next_gap(Rng& rng) override;
   void set_rate(double per_client_rps) override { rate_ = per_client_rps; }
 
  private:
@@ -95,21 +90,6 @@ class BurstyOnOff final : public ArrivalProcess {
   /// Virtual time left in the current burst; <= 0 means a fresh burst (and
   /// its leading silence) must be drawn before the next arrival.
   sim::Duration on_remaining_{0};
-};
-
-/// Replay an explicit gap schedule; exhausts when the schedule ends.
-/// set_rate() rescales the remaining gaps around the schedule's mean.
-class TraceReplay final : public ArrivalProcess {
- public:
-  explicit TraceReplay(std::vector<sim::Duration> gaps);
-
-  [[nodiscard]] std::optional<sim::Duration> next_gap(Rng& rng) override;
-  void set_rate(double per_client_rps) override;
-
- private:
-  std::vector<sim::Duration> gaps_;
-  std::size_t next_{0};
-  double scale_{1.0};
 };
 
 /// Factory handed to the fleet: builds client `index`'s process. The factory

@@ -131,7 +131,6 @@ class ClientFleet {
     /// Private stream: arrival gaps + request-mix draws.
     Rng rng{0};
     std::uint64_t sent{0};
-    bool exhausted{false};
   };
 
   void arm(Member& member);

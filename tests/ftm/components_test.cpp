@@ -1,5 +1,6 @@
 // Unit tests for the kernel components (reply log; failure-detector timing;
-// typed wires between the kernel, the bricks and the reply log).
+// typed wires between the kernel, the bricks and the reply log; no Value ops
+// on the common parts or the bricks).
 #include <gtest/gtest.h>
 
 #include "duplex_fixture.hpp"
@@ -17,74 +18,77 @@ struct ReplyLogFixture : ::testing::Test {
     root.start("log");
   }
 
-  Value lookup(const std::string& key) {
-    return root.invoke("log", "log", "lookup", Value::map().set("key", key));
+  /// A reply log child of `composite`, through the face the kernel and the
+  /// bricks call.
+  static ReplyLog& face_of(comp::Composite& composite, const std::string& name) {
+    return dynamic_cast<ReplyLog&>(composite.child(name));
+  }
+  static std::size_t size_of(const ReplyLog& log) {
+    return log.export_all().at("order").as_list().size();
+  }
+
+  ReplyLog& reply_log() { return face_of(root, "log"); }
+  const Value* lookup(const std::string& key) {
+    return reply_log().lookup(key);
   }
   void record(const std::string& key, Value reply) {
-    root.invoke("log", "log", "record",
-                Value::map().set("key", key).set("reply", std::move(reply)));
+    reply_log().record(key, std::move(reply));
   }
-  std::int64_t size() { return root.invoke("log", "log", "size", {}).as_int(); }
+  std::size_t size() { return size_of(reply_log()); }
 
   comp::Composite root{"test"};
 };
 
+constexpr std::size_t kCapacity = ReplyLogComponent::kCapacity;
+
 TEST_F(ReplyLogFixture, LookupMissReportsNotFound) {
-  EXPECT_FALSE(lookup("c1:1").at("found").as_bool());
+  EXPECT_EQ(lookup("c1:1"), nullptr);
 }
 
 TEST_F(ReplyLogFixture, RecordThenLookupHit) {
   record("c1:1", Value::map().set("result", 42));
-  const Value hit = lookup("c1:1");
-  ASSERT_TRUE(hit.at("found").as_bool());
-  EXPECT_EQ(hit.at("reply").at("result").as_int(), 42);
+  const Value* hit = lookup("c1:1");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->at("result").as_int(), 42);
 }
 
 TEST_F(ReplyLogFixture, RecordOverwritesSameKeyWithoutGrowth) {
   record("k", Value::map().set("result", 1));
   record("k", Value::map().set("result", 2));
-  EXPECT_EQ(size(), 1);
-  EXPECT_EQ(lookup("k").at("reply").at("result").as_int(), 2);
+  EXPECT_EQ(size(), 1u);
+  EXPECT_EQ(lookup("k")->at("result").as_int(), 2);
 }
 
 TEST_F(ReplyLogFixture, ExportImportRoundTrip) {
   record("a", Value::map().set("result", 1));
   record("b", Value::map().set("result", 2));
-  const Value snapshot = root.invoke("log", "log", "export", {});
+  const Value snapshot = reply_log().export_all();
 
   comp::Composite other{"other"};
   other.add(kernel::kReplyLog, "log");
   other.start("log");
-  other.invoke("log", "log", "import", snapshot);
-  EXPECT_EQ(other.invoke("log", "log", "size", {}).as_int(), 2);
-  EXPECT_TRUE(other.invoke("log", "log", "lookup",
-                           Value::map().set("key", "b"))
-                  .at("found")
-                  .as_bool());
+  ReplyLog& imported = face_of(other, "log");
+  imported.import_all(snapshot);
+  EXPECT_EQ(size_of(imported), 2u);
+  EXPECT_NE(imported.lookup("b"), nullptr);
 }
 
 TEST_F(ReplyLogFixture, CapacityEvictsOldestFirst) {
-  root.set_property("log", "capacity", Value(3));
-  for (int i = 0; i < 5; ++i) {
+  for (std::size_t i = 0; i < kCapacity + 2; ++i) {
     record(strf("k", i), Value::map().set("result", i));
   }
-  EXPECT_EQ(size(), 3);
-  EXPECT_FALSE(lookup("k0").at("found").as_bool());
-  EXPECT_FALSE(lookup("k1").at("found").as_bool());
-  EXPECT_TRUE(lookup("k4").at("found").as_bool());
-}
-
-TEST_F(ReplyLogFixture, ClearEmptiesLog) {
-  record("a", Value::map());
-  root.invoke("log", "log", "clear", {});
-  EXPECT_EQ(size(), 0);
+  EXPECT_EQ(size(), kCapacity);
+  EXPECT_EQ(lookup("k0"), nullptr);
+  EXPECT_EQ(lookup("k1"), nullptr);
+  EXPECT_NE(lookup("k2"), nullptr);
+  EXPECT_NE(lookup(strf("k", kCapacity + 1)), nullptr);
 }
 
 TEST_F(ReplyLogFixture, ImportRejectsInconsistentSnapshot) {
   Value bad = Value::map();
   bad.set("entries", Value::map());
   bad.set("order", Value(ValueList{Value("ghost")}));
-  EXPECT_THROW(root.invoke("log", "log", "import", bad), FtmError);
+  EXPECT_THROW(reply_log().import_all(bad), FtmError);
 }
 
 // --- Imports are validated whole before anything is applied ---------------
@@ -93,7 +97,7 @@ struct ReplyLogImportFixture : ReplyLogFixture {
   ReplyLogImportFixture() {
     record("a", Value::map().set("result", 1));
     record("b", Value::map().set("result", 2));
-    before = root.invoke("log", "log", "export", {});
+    before = reply_log().export_all();
   }
 
   static Value snapshot(ValueList order) {
@@ -106,57 +110,55 @@ struct ReplyLogImportFixture : ReplyLogFixture {
   }
 
   void expect_unchanged() {
-    EXPECT_EQ(size(), 2);
-    EXPECT_TRUE(lookup("a").at("found").as_bool());
-    EXPECT_TRUE(lookup("b").at("found").as_bool());
-    EXPECT_FALSE(lookup("x").at("found").as_bool());
-    EXPECT_EQ(root.invoke("log", "log", "export", {}), before);
+    EXPECT_EQ(size(), 2u);
+    EXPECT_NE(lookup("a"), nullptr);
+    EXPECT_NE(lookup("b"), nullptr);
+    EXPECT_EQ(lookup("x"), nullptr);
+    EXPECT_EQ(reply_log().export_all(), before);
   }
 
   Value before;
 };
 
 TEST_F(ReplyLogImportFixture, ImportWithMissingKeyLeavesLogUnchanged) {
-  EXPECT_THROW(root.invoke("log", "log", "import",
-                           snapshot({Value("x"), Value("ghost")})),
+  EXPECT_THROW(reply_log().import_all(snapshot({Value("x"), Value("ghost")})),
                FtmError);
   expect_unchanged();
 }
 
 TEST_F(ReplyLogImportFixture, ImportDeltaWithMissingKeyRecordsNothing) {
-  EXPECT_THROW(root.invoke("log", "log", "import_delta",
-                           snapshot({Value("x"), Value("ghost")})),
-               FtmError);
+  EXPECT_THROW(
+      (void)reply_log().import_delta(snapshot({Value("x"), Value("ghost")})),
+      FtmError);
   expect_unchanged();
 }
 
 TEST_F(ReplyLogImportFixture, DuplicateOrderKeyIsRefused) {
   // Two FIFO slots for one entry would let an eviction drop the live entry
   // and the next export name a key it has no entry for.
-  EXPECT_THROW(root.invoke("log", "log", "import",
-                           snapshot({Value("x"), Value("x")})),
+  EXPECT_THROW(reply_log().import_all(snapshot({Value("x"), Value("x")})),
                FtmError);
   expect_unchanged();
-  EXPECT_THROW(root.invoke("log", "log", "import_delta",
-                           snapshot({Value("x"), Value("x")})),
-               FtmError);
+  EXPECT_THROW(
+      (void)reply_log().import_delta(snapshot({Value("x"), Value("x")})),
+      FtmError);
   expect_unchanged();
 }
 
 TEST_F(ReplyLogFixture, ReRecordKeepsFifoSlot) {
-  root.set_property("log", "capacity", Value(2));
+  // kCapacity + 2 records: a, kCapacity - 1 fillers, a again, then c.
   record("a", Value::map().set("result", 1));
-  record("b", Value::map().set("result", 2));
+  for (std::size_t i = 1; i < kCapacity; ++i) {
+    record(strf("k", i), Value::map().set("result", 2));
+  }
   record("a", Value::map().set("result", 3));  // updated in place
   record("c", Value::map().set("result", 4));  // evicts a, the oldest slot
-  EXPECT_FALSE(lookup("a").at("found").as_bool());
-  EXPECT_TRUE(lookup("b").at("found").as_bool());
-  const Value order = root.invoke("log", "log", "export", {}).at("order");
-  EXPECT_EQ(order, Value(ValueList{Value("b"), Value("c")}));
-}
-
-TEST_F(ReplyLogFixture, UnknownOpThrows) {
-  EXPECT_THROW(root.invoke("log", "log", "explode", {}), FtmError);
+  EXPECT_EQ(lookup("a"), nullptr);
+  EXPECT_NE(lookup("k1"), nullptr);
+  const Value order = reply_log().export_all().at("order");
+  ASSERT_EQ(order.as_list().size(), kCapacity);
+  EXPECT_EQ(order.as_list().front(), Value("k1"));
+  EXPECT_EQ(order.as_list().back(), Value("c"));
 }
 
 // --- Typed wires -----------------------------------------------------------
@@ -197,15 +199,50 @@ TEST_F(TypedWireFixture, RewiredReplyLogTakesTheNextRecord) {
   deploy(FtmConfig::pbr());
   roundtrip(kv_put("a", 1));
   comp::Composite& ftm = rt0.composite();
-  const auto logged = ftm.invoke("replyLog", "log", "size", {}).as_int();
-  ASSERT_GT(logged, 0);
+  const auto size_of = [&](const std::string& name) {
+    return ReplyLogFixture::size_of(ReplyLogFixture::face_of(ftm, name));
+  };
+  const auto logged = size_of("replyLog");
+  ASSERT_GT(logged, 0u);
   ftm.add(kernel::kReplyLog, "log2");
   ftm.start("log2");
   ftm.unwire("protocol", "replyLog");
   ftm.wire("protocol", "replyLog", "log2", "log");
   roundtrip(kv_put("b", 2));
-  EXPECT_EQ(ftm.invoke("log2", "log", "size", {}).as_int(), 1);
-  EXPECT_EQ(ftm.invoke("replyLog", "log", "size", {}).as_int(), logged);
+  EXPECT_EQ(size_of("log2"), 1u);
+  EXPECT_EQ(size_of("replyLog"), logged);
+}
+
+// --- One call path: the common parts and the bricks serve no Value ops -----
+
+using ValueOpFixture = DuplexFixture;
+
+TEST_F(ValueOpFixture, CommonPartsAndBricksRefuseValueOps) {
+  deploy(FtmConfig::pbr());
+  comp::Composite& ftm = rt0.composite();
+  for (const auto& name : ftm.children()) {
+    if (name == "server") continue;  // the application stays Value
+    for (const auto& service : ftm.child(name).info().services) {
+      for (const char* op : {"info", "size", "peer_alive"}) {
+        EXPECT_THROW(ftm.invoke(name, service.name, op, {}), ComponentError)
+            << name << "." << service.name << " " << op;
+      }
+    }
+  }
+}
+
+TEST_F(ValueOpFixture, TypedEntriesOnAStoppedTargetThrow) {
+  deploy(FtmConfig::pbr());
+  comp::Composite& ftm = rt0.composite();
+  ftm.stop("detector");
+  EXPECT_THROW(rt0.detector().on_heartbeat(Value::map().set("from", 1)),
+               ComponentError);
+  ftm.stop("protocol");
+  ProtocolKernel& kernel = rt0.kernel();
+  EXPECT_THROW(kernel.quiesce(), ComponentError);
+  EXPECT_THROW(kernel.unblock(), ComponentError);
+  EXPECT_THROW(kernel.join(), ComponentError);
+  EXPECT_THROW(kernel.peer_suspected(1), ComponentError);
 }
 
 // --- Failure detector timing ----------------------------------------------
@@ -248,8 +285,8 @@ TEST_F(FdFixture, HeartbeatRecoveryReportsPeerAgain) {
   sim.run_for(sim::kSecond);
   sim.network().set_partitioned(h0.id(), h1.id(), false);
   sim.run_for(500 * sim::kMillisecond);
-  const Value alive = rt0.composite().invoke("detector", "fd", "peer_alive", {});
-  EXPECT_TRUE(alive.as_bool());
+  EXPECT_EQ(rt0.kernel().alive_peers(),
+            std::vector<std::int64_t>{static_cast<std::int64_t>(h1.id().value())});
 }
 
 }  // namespace

@@ -148,7 +148,6 @@ TEST_F(Fixture, RecoveryBlocksMaskPlantedSoftwareFault) {
     EXPECT_EQ(reply.at("result").at("value").as_int(), i);
   }
   // The acceptance test fired once per request.
-  const Value stats = rt0.composite().invoke("protocol", "control", "stats", {});
   EXPECT_EQ(rt0.kernel().counters().replies, 3u);
 }
 

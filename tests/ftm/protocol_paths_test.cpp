@@ -352,10 +352,10 @@ TEST(EarlyAcks, StashedCheckpointAckCountsOncePerPeer) {
 TEST_F(Fixture, CountersExposedThroughControlStats) {
   deploy(FtmConfig::pbr());
   (void)roundtrip(kv_incr("ctr"));
-  const Value stats = rt0.composite().invoke("protocol", "control", "stats", {});
-  EXPECT_EQ(stats.at("replies").as_int(), 1);
-  EXPECT_EQ(stats.at("checkpoints_sent").as_int(), 1);
-  EXPECT_EQ(stats.at("promotions").as_int(), 0);
+  const ProtocolKernel::Counters& counters = rt0.kernel().counters();
+  EXPECT_EQ(counters.replies, 1u);
+  EXPECT_EQ(counters.checkpoints_sent, 1u);
+  EXPECT_EQ(counters.promotions, 0u);
 }
 
 }  // namespace

@@ -11,9 +11,7 @@ namespace {
 double mean_gap_s(ArrivalProcess& process, Rng& rng, int n) {
   double total = 0.0;
   for (int i = 0; i < n; ++i) {
-    const auto gap = process.next_gap(rng);
-    EXPECT_TRUE(gap.has_value());
-    total += static_cast<double>(*gap) / sim::kSecond;
+    total += static_cast<double>(process.next_gap(rng)) / sim::kSecond;
   }
   return total / n;
 }
@@ -30,7 +28,7 @@ TEST(Arrival, SameSeedSameSchedule) {
     OpenPoisson process(50.0);
     Rng rng(seed);
     std::vector<sim::Duration> gaps;
-    for (int i = 0; i < 100; ++i) gaps.push_back(*process.next_gap(rng));
+    for (int i = 0; i < 100; ++i) gaps.push_back(process.next_gap(rng));
     return gaps;
   };
   EXPECT_EQ(draw(7), draw(7)) << "the offered schedule must be reproducible";
@@ -49,7 +47,7 @@ TEST(Arrival, GapsNeverRoundToZero) {
   // client fire infinitely often at one instant.
   OpenPoisson process(1e9);
   Rng rng(3);
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(*process.next_gap(rng), 1);
+  for (int i = 0; i < 1000; ++i) EXPECT_GE(process.next_gap(rng), 1);
 }
 
 TEST(Arrival, ClosedLoopDeclaresItself) {
@@ -70,29 +68,16 @@ TEST(Arrival, BurstyOnOffKeepsTheLongRunAverage) {
   double virtual_s = 0.0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    virtual_s += static_cast<double>(*process.next_gap(rng)) / sim::kSecond;
+    virtual_s += static_cast<double>(process.next_gap(rng)) / sim::kSecond;
   }
   EXPECT_NEAR(n / virtual_s, 20.0, 3.0);
-}
-
-TEST(Arrival, TraceReplayExhaustsAndRescales) {
-  TraceReplay process({100, 200, 300, 400});
-  Rng rng(1);
-  EXPECT_EQ(*process.next_gap(rng), 100);
-  // Rescale the remaining schedule: mean gap 250 us = 4000/s; retarget to
-  // 8000/s and every remaining gap halves.
-  process.set_rate(8000.0);
-  EXPECT_EQ(*process.next_gap(rng), 100);
-  EXPECT_EQ(*process.next_gap(rng), 150);
-  EXPECT_EQ(*process.next_gap(rng), 200);
-  EXPECT_FALSE(process.next_gap(rng).has_value()) << "schedule ran out";
 }
 
 TEST(Arrival, NamedFactoriesAndUnknownKind) {
   Rng rng(5);
   EXPECT_FALSE(make_process("open", 10.0)(0)->closed_loop());
   EXPECT_TRUE(make_process("closed", 10.0)(0)->closed_loop());
-  EXPECT_TRUE(make_process("bursty", 10.0)(0)->next_gap(rng).has_value());
+  EXPECT_GE(make_process("bursty", 10.0)(0)->next_gap(rng), 1);
   EXPECT_THROW(make_process("fractal", 10.0), Error);
 }
 
