@@ -11,6 +11,7 @@
 //   - assertions and compositions cost (almost) nothing: flag reuse and
 //     config entries instead of new bricks.
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
@@ -27,10 +28,16 @@ using namespace rcs;
 
 namespace {
 
-/// Source lines of code: non-blank lines that are not pure comments.
+/// Source lines of code: non-blank lines that are not pure comments. A path
+/// that does not open ends the bench with a non-zero exit, so a renamed
+/// source file cannot read as 0 SLOC and still pass the shape checks.
 int sloc_of(const std::string& relative_path) {
-  std::ifstream in(std::string(RCS_SOURCE_ROOT) + "/" + relative_path);
-  if (!in) return 0;
+  const std::string path = std::string(RCS_SOURCE_ROOT) + "/" + relative_path;
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "cannot open source file %s\n", path.c_str());
+    std::exit(1);
+  }
   int lines = 0;
   std::string line;
   while (std::getline(in, line)) {

@@ -160,10 +160,8 @@ class MetricsRegistry {
 
 /// JSON-lines snapshot of every instrument in `registry` (one object per
 /// line, name-sorted, `scope` echoed into each). This is the one metrics
-/// serialization path in the system: chaos_runner/load_runner --metrics-out
-/// files and the gateway's WebSocket metrics frames all go through it, so
-/// a file export and a streamed frame of the same registry state are
-/// byte-identical.
+/// serialization path in the system: the --metrics-out files of
+/// chaos_runner, load_runner and trace_dump all go through it.
 [[nodiscard]] std::string snapshot_json(const MetricsRegistry& registry,
                                         std::string_view scope);
 

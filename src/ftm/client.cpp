@@ -15,23 +15,6 @@ double Client::Stats::mean_latency_ms() const {
   return sim::to_ms(latency.sum) / static_cast<double>(latency.count);
 }
 
-double Client::Stats::Snapshot::mean_latency_ms() const {
-  if (latency.count == 0) return 0.0;
-  return sim::to_ms(latency.sum) / static_cast<double>(latency.count);
-}
-
-Client::Stats::Snapshot Client::Stats::snapshot() const {
-  Snapshot snap;
-  snap.sent = sent;
-  snap.retries = retries;
-  snap.ok = ok;
-  snap.errors = errors;
-  snap.gave_up = gave_up;
-  snap.latency = latency;
-  snap.last_latency = last_latency;
-  return snap;
-}
-
 void Client::Stats::record_latency(sim::Duration value, Rng& rng) {
   latency.record(value);
   last_latency = value;

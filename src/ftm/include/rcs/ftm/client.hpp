@@ -68,23 +68,6 @@ class Client {
     /// replacement draw (callers pass a stream private to the client so the
     /// shared simulation stream is untouched).
     void record_latency(sim::Duration latency, Rng& rng);
-
-    /// Fixed-size view of the stats a live poller wants: the counters and
-    /// the histogram cells, without the reservoir. snapshot() is a bounded
-    /// memcpy-class copy (no allocation), so the gateway can poll it from
-    /// the simulation thread between events without pausing the fleet.
-    struct Snapshot {
-      std::uint64_t sent{0};
-      std::uint64_t retries{0};
-      std::uint64_t ok{0};
-      std::uint64_t errors{0};
-      std::uint64_t gave_up{0};
-      obs::HistogramCells latency{};
-      sim::Duration last_latency{0};
-
-      [[nodiscard]] double mean_latency_ms() const;
-    };
-    [[nodiscard]] Snapshot snapshot() const;
   };
 
   /// Reply callback: the full reply map {"id", "result"} or {"id", "error"},

@@ -165,18 +165,6 @@ ClientFleet::Totals ClientFleet::totals() const {
   return totals;
 }
 
-ClientFleet::Snapshot ClientFleet::snapshot() const {
-  Snapshot snap;
-  snap.totals = totals();
-  snap.outstanding = outstanding();
-  for (std::size_t c = 0; c < 3; ++c) {
-    if (const auto* cells = latency_by_class_[c].cells()) {
-      snap.latency_by_class[c] = *cells;
-    }
-  }
-  return snap;
-}
-
 std::size_t ClientFleet::outstanding() const {
   std::size_t outstanding = 0;
   for (const auto& member : members_) {

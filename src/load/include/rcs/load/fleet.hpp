@@ -77,18 +77,6 @@ class ClientFleet {
 
   static constexpr std::size_t kWindowReservoirCap = 4096;
 
-  /// Poller's view of the fleet: totals plus the per-class latency
-  /// histogram cells, all fixed-size. snapshot() is a bounded copy with no
-  /// allocation on the calling (simulation) thread, so a live gateway can
-  /// sample the fleet between events without pausing it.
-  struct Snapshot {
-    Totals totals;
-    std::size_t outstanding{0};
-    /// incr / get / put, in that order (kClassNames).
-    obs::HistogramCells latency_by_class[3]{};
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-
   /// Builds the fleet hosts and clients against `system`'s replicas. The
   /// factory runs once per client. Does not start traffic.
   ClientFleet(core::ResilientSystem& system, FleetOptions options,

@@ -28,7 +28,9 @@ void install_echo_server(sim::Host& server) {
 std::uint64_t run_workload(Client& client, sim::Simulation& sim, int count) {
   for (int i = 0; i < count; ++i) {
     bool done = false;
-    client.send(Value::map().set("n", i), [&](const Value&) { done = true; });
+    Value request = Value::map();
+    request.set("n", i);
+    client.send(std::move(request), [&](const Value&) { done = true; });
     const sim::Time deadline = sim.now() + 60 * sim::kSecond;
     while (!done && sim.now() < deadline) {
       if (sim.loop().empty()) break;

@@ -1,6 +1,6 @@
-// Plumbing shared by the runners (chaos_runner, load_runner, gateway_runner,
-// trace_dump): the wall-clock run summary, one flag table parser with strict
-// numeric values, and the artifact file writer.
+// Plumbing shared by the runners (chaos_runner, load_runner, trace_dump): the
+// wall-clock run summary, one flag table parser with strict numeric values,
+// and the artifact file writer.
 #pragma once
 
 #include <algorithm>
