@@ -1,6 +1,7 @@
 // bench_sim: throughput and allocation cost of the simulator's message
 // plane (EventLoop + Network + Host dispatch) and of its scheduler across
-// the pending-queue-depth profile (EventLoop slab + wheel, Host timers).
+// the pending-queue-depth profile (EventLoop slab + binary heap, Host
+// timers).
 //
 // The paper's agile-adaptation claims rest on empirical measurement; the
 // simulator must push millions of events cheaply or the measurement
@@ -23,15 +24,17 @@
 //   timer_churn_2m    2M schedule(+1000)/schedule(+10)/cancel cycles issued
 //                     before any drain — each cycle leaves one net pending
 //                     timer, so the queue peaks at 2M entries; then one
-//                     drain. The deep-queue cliff.
+//                     drain. A queue thousands of times deeper than any
+//                     benchmark workload's (those peak at a few hundred).
 //
-// Heap traffic is counted by a global operator-new hook; steady-state counts
+// Allocations are counted by a global operator-new hook; steady-state counts
 // are taken after a warmup so one-time pool growth is excluded.
 //
 // Output: one JSON object per line on stdout. Counts (iterations, events,
 // peak_pending, allocs/iter) are byte-deterministic across runs of the same
-// binary — CI runs `--quick` twice and cmp-compares. Wall-clock rates are
-// only emitted with --timing, which the cmp gate does not pass.
+// binary — CI runs `--quick` twice, cmp-compares, and fails unless every row
+// allocates nothing. Wall-clock rates are only emitted with --timing, which
+// the cmp gate does not pass.
 //
 //   bench_sim [--quick] [--timing]
 #include <atomic>

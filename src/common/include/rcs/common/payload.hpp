@@ -47,9 +47,6 @@ class Payload {
   const Value* operator->() const { return &value(); }
   const Value& operator*() const { return value(); }
 
-  /// Number of Messages/closures currently sharing this payload (diagnostic).
-  [[nodiscard]] long use_count() const { return rep_ ? rep_.use_count() : 0; }
-
  private:
   struct Rep {
     explicit Rep(Value v) : value(std::move(v)), encoded_size(value.encoded_size()) {}

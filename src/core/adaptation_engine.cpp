@@ -8,6 +8,10 @@
 namespace rcs::core {
 
 namespace {
+/// How long a transition waits for replica acks before declaring the
+/// missing ones unresponsive.
+constexpr sim::Duration kAckTimeout = 20 * sim::kSecond;
+
 /// What a served package costs a transition: its wire size and the number
 /// of components it ships, read from the blob's header.
 void note_package(TransitionReport& report, const Value& package) {
@@ -97,7 +101,7 @@ std::uint64_t AdaptationEngine::begin_txn(const std::string& kind,
   pending.started = manager_.sim().now();
   pending.expected_acks = expected_acks;
   pending.timeout = manager_.schedule_after(
-      ack_timeout_, [this, txn] { finish(txn); }, "engine.ack_timeout");
+      kAckTimeout, [this, txn] { finish(txn); }, "engine.ack_timeout");
   pending_.emplace(txn, std::move(pending));
   return txn;
 }

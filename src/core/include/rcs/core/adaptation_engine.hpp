@@ -106,9 +106,6 @@ class AdaptationEngine {
   /// replica kill itself).
   void inject_script_failure_on(HostId host) { sabotage_ = host; }
 
-  /// How long to wait for replica acks before declaring them unresponsive.
-  void set_ack_timeout(sim::Duration timeout) { ack_timeout_ = timeout; }
-
  private:
   struct PendingTxn {
     TransitionReport report;
@@ -147,7 +144,6 @@ class AdaptationEngine {
   ftm::AppSpec app_{};
   sim::Duration fd_interval_{50 * sim::kMillisecond};
   sim::Duration fd_timeout_{200 * sim::kMillisecond};
-  sim::Duration ack_timeout_{20 * sim::kSecond};
   std::uint64_t next_txn_{1};
   std::map<std::uint64_t, PendingTxn> pending_;
   std::map<std::uint64_t, PendingFetch> fetches_;

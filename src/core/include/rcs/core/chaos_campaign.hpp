@@ -79,8 +79,8 @@ struct ChaosCampaignResult {
   std::uint64_t events{0};
   /// High-water mark of the pending-event queue.
   std::size_t peak_queue_depth{0};
-  /// Timer-wheel traffic counters (cascades, sorts, overflow migrations);
-  /// deterministic, reported only in the runners' stderr summaries.
+  /// Stub read only by benchmark/rcs_bench.cpp (always 0; see
+  /// EventLoop::WheelStats).
   sim::EventLoop::WheelStats wheel{};
   /// Fault-simulation (point, protocol-state) coverage of this run.
   fsim::CoverageReport fsim;

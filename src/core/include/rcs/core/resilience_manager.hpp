@@ -67,15 +67,6 @@ class ResilienceManager {
   /// Default policy refuses possible transitions (pure man-in-the-loop).
   void set_approval_policy(ApprovalPolicy policy) { policy_ = std::move(policy); }
 
-  /// Candidate FTMs considered (defaults to the full standard set).
-  void set_candidates(std::vector<ftm::FtmConfig> candidates) {
-    candidates_ = std::move(candidates);
-  }
-
-  /// Relative cost improvement a possible transition must offer (guards
-  /// against churn on marginal differences).
-  void set_improvement_margin(double margin) { margin_ = margin; }
-
   // --- Inputs ----------------------------------------------------------
   /// Monitoring trigger (probes, Fig. 8's "detected by probes").
   void on_trigger(const Trigger& trigger);
@@ -113,8 +104,6 @@ class ResilienceManager {
   FtarState state_;
   FtarState last_applied_;
   ApprovalPolicy policy_;
-  std::vector<ftm::FtmConfig> candidates_;
-  double margin_{0.15};
   bool no_solution_{false};
   std::vector<HistoryEntry> history_;
 };

@@ -6,6 +6,12 @@
 
 namespace rcs::core {
 
+namespace {
+/// Relative cost improvement a possible transition must offer (guards
+/// against churn on marginal differences).
+constexpr double kImprovementMargin = 0.15;
+}  // namespace
+
 const char* to_string(DecisionKind kind) {
   switch (kind) {
     case DecisionKind::kNoChange: return "no_change";
@@ -22,14 +28,13 @@ ResilienceManager::ResilienceManager(AdaptationEngine& engine, FtarState initial
     : engine_(engine),
       scheduler_(scheduler),
       state_(std::move(initial)),
-      policy_([](const ftm::FtmConfig&, const std::string&) { return false; }),
-      candidates_(ftm::FtmConfig::standard_set()) {}
+      policy_([](const ftm::FtmConfig&, const std::string&) { return false; }) {}
 
 std::optional<ftm::FtmConfig> ResilienceManager::select_best(
     const FtarState& state) const {
   std::optional<ftm::FtmConfig> best;
   double best_cost = 0.0;
-  for (const auto& candidate : candidates_) {
+  for (const auto& candidate : ftm::FtmConfig::standard_set()) {
     if (!validate(candidate, state).valid) continue;
     if (!resource_viable(candidate, state).valid) continue;
     const double cost = resource_cost(candidate, state);
@@ -49,7 +54,7 @@ std::optional<ftm::FtmConfig> ResilienceManager::select_minimal_change(
   int best_diff = 0;
   int best_excess = 0;
   double best_cost = 0.0;
-  for (const auto& candidate : candidates_) {
+  for (const auto& candidate : ftm::FtmConfig::standard_set()) {
     if (!validate(candidate, state).valid) continue;
     if (!resource_viable(candidate, state).valid) continue;
     const int diff = current.name.empty() ? 0 : current.diff_size(candidate);
@@ -108,7 +113,7 @@ Decision ResilienceManager::evaluate(const FtarState& state) const {
   if (best && best->name != current.name) {
     const double current_cost = resource_cost(current, state);
     const double best_cost = resource_cost(*best, state);
-    if (best_cost < current_cost * (1.0 - margin_)) {
+    if (best_cost < current_cost * (1.0 - kImprovementMargin)) {
       decision.kind = DecisionKind::kPossible;
       decision.target = *best;
       decision.reason = strf(best->name, " is cheaper under current resources (",
@@ -133,7 +138,7 @@ Decision ResilienceManager::evaluate(const FtarState& state) const {
     std::optional<ftm::FtmConfig> tighter;
     int tighter_diff = 0;
     int tighter_excess = 0;
-    for (const auto& candidate : candidates_) {
+    for (const auto& candidate : ftm::FtmConfig::standard_set()) {
       if (candidate.name == current.name) continue;
       if (excess_of(candidate) >= excess_of(current)) continue;
       if (!validate(candidate, state).valid) continue;

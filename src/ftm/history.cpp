@@ -1,6 +1,8 @@
 #include "rcs/ftm/history.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 
 #include "rcs/common/strf.hpp"
 #include "rcs/sim/simulation.hpp"
@@ -215,7 +217,28 @@ InvariantReport HistoryChecker::check(
       observations.push_back({r.sent, r.completed, *v, r.id});
     }
   }
+  // `earlier` has a violation iff some observation sent at or after its
+  // completion saw a smaller value: with the observations sorted by `sent`,
+  // that is one binary search into a suffix minimum of `value`. Only an
+  // offending `earlier` runs the pairwise scan, which keeps the violation
+  // list's text, order and count.
+  std::vector<std::pair<sim::Time, std::int64_t>> by_sent;
+  by_sent.reserve(observations.size());
+  for (const auto& o : observations) by_sent.emplace_back(o.sent, o.value);
+  std::sort(by_sent.begin(), by_sent.end());
+  std::vector<std::int64_t> suffix_min(by_sent.size() + 1,
+                                       std::numeric_limits<std::int64_t>::max());
+  for (std::size_t i = by_sent.size(); i-- > 0;) {
+    suffix_min[i] = std::min(suffix_min[i + 1], by_sent[i].second);
+  }
   for (const auto& earlier : observations) {
+    const auto first_later = std::lower_bound(
+        by_sent.begin(), by_sent.end(), earlier.completed,
+        [](const auto& o, sim::Time t) { return o.first < t; });
+    if (suffix_min[static_cast<std::size_t>(first_later - by_sent.begin())] >=
+        earlier.value) {
+      continue;
+    }
     for (const auto& later : observations) {
       if (earlier.completed <= later.sent && earlier.value > later.value) {
         report.violations.push_back(

@@ -61,11 +61,6 @@ class FtmBrick : public comp::Component, public Brick {
     return answer;
   }
   [[nodiscard]] static BrickStatus done() { return status(Verdict::kDone); }
-  [[nodiscard]] static BrickStatus done_with(Value result) {
-    BrickStatus done = status(Verdict::kDone);
-    done.result = std::move(result);
-    return done;
-  }
   /// Wait for a peer message of `kind` (empty = wait for resume_after).
   [[nodiscard]] static BrickStatus wait_for(std::string kind) {
     return wait_for_group(std::move(kind), 1);

@@ -73,8 +73,6 @@ struct AdaptScenarioResult {
   /// (throughput accounting for load_runner's summary).
   std::uint64_t events{0};
   std::size_t peak_queue_depth{0};
-  /// Timer-wheel traffic counters for load_runner's stderr summary.
-  sim::EventLoop::WheelStats wheel{};
   bool passed{false};
 };
 

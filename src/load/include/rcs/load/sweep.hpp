@@ -75,8 +75,6 @@ struct SweepResult {
   /// high-water mark (throughput accounting for load_runner's summary).
   std::uint64_t events{0};
   std::size_t peak_queue_depth{0};
-  /// Timer-wheel traffic counters for load_runner's stderr summary.
-  sim::EventLoop::WheelStats wheel{};
 
   [[nodiscard]] double knee_offered_rps() const {
     return knee_index < 0 ? 0.0

@@ -156,7 +156,6 @@ AdaptScenarioResult run_adapt_scenario(const AdaptScenarioOptions& options) {
   result.final_counter = final_counter;
   result.events = sim.loop().processed();
   result.peak_queue_depth = sim.loop().peak_pending();
-  result.wheel = sim.loop().wheel_stats();
   result.passed = result.report.ok();
   if (options.record_trace) {
     result.trace_json = sim.tracer().export_chrome_json();

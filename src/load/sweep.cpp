@@ -160,7 +160,6 @@ SweepResult run_sweep(const SweepOptions& options) {
   fleet.stop();
   result.events = sim.loop().processed();
   result.peak_queue_depth = sim.loop().peak_pending();
-  result.wheel = sim.loop().wheel_stats();
   return result;
 }
 

@@ -46,7 +46,6 @@ class ReconfigSession {
   void rollback();
 
   [[nodiscard]] bool finished() const { return committed_ || rolled_back_; }
-  [[nodiscard]] std::size_t journal_size() const { return journal_.size(); }
   /// Number of reconfiguration operations executed (for cost accounting).
   [[nodiscard]] int op_count() const { return op_count_; }
   [[nodiscard]] const std::map<std::string, int>& ops_by_verb() const {

@@ -133,8 +133,6 @@ class Host {
   /// of a host moves when cpu_speed is cut. Only the execution time is
   /// metered as CPU used.
   Duration charge_compute(Duration reference_cost);
-  /// Virtual time at which the CPU finishes its current backlog.
-  [[nodiscard]] Time cpu_free_at() const { return cpu_free_; }
 
  private:
   /// Non-template backend for schedule_after (Simulation is incomplete here).

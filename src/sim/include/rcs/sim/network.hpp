@@ -15,7 +15,7 @@
 // vector indexed by host id. Entries are stored in a deque, so references
 // handed out by link() stay valid forever (as they did with std::map).
 //
-// Every delivered copy is one event on the Simulation's timer wheel, and every
+// Every delivered copy is one event on the Simulation's event loop, and every
 // random draw (loss, jitter, reordering, duplication) comes from its one rng
 // stream, so delivery order is a function of the seed alone.
 #pragma once

@@ -6,8 +6,8 @@
 // run_for(). Constructing a Simulation installs its virtual clock as the
 // logging time source; destruction restores the previous source.
 //
-// Execution is one single-threaded timer wheel (EventLoop) and one seeded rng
-// stream: the same seed replays the same run byte for byte. Several
+// Execution is one single-threaded event loop (EventLoop, a binary heap) and
+// one seeded rng stream: the same seed replays the same run byte for byte. Several
 // Simulations may run side by side on different threads (chaos_runner
 // --jobs); they share only the process-wide, lock-guarded registries
 // (message-type interner, component types, log sinks).

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "../alloc_counter.hpp"
 #include "rcs/common/error.hpp"
 
 namespace rcs::sim {
@@ -237,6 +238,36 @@ TEST(EventLoop, GenerationBumpsOnEveryRelease) {
   loop.schedule_at(6, [&again] { again = true; });
   loop.run();
   EXPECT_TRUE(again);
+}
+
+// The client-timeout pattern: every request arms a long timeout and the
+// reply's short timer, and the reply cancels the timeout. Cancel removes the
+// entry at once, so the queue holds only live timers: after reserve(), a
+// ramp of such cycles and its drain never touch the allocator.
+TEST(EventLoop, ReservedCancelRampAllocatesNothing) {
+  constexpr std::size_t kCycles = 4'096;
+  EventLoop loop;
+  // Each cycle leaves one net pending timer and holds one more until its
+  // cancel, so the ramp peaks at kCycles + 1 entries.
+  loop.reserve(kCycles + 1);
+  std::size_t fired = 0;
+  std::size_t timed_out = 0;
+
+  const std::size_t allocs0 = test::allocations();
+  for (std::size_t i = 0; i < kCycles; ++i) {
+    const auto timeout = loop.schedule_after(1000, [&timed_out] { ++timed_out; });
+    loop.schedule_after(10, [&fired] { ++fired; });
+    const std::size_t before = loop.pending();
+    loop.cancel(timeout);
+    ASSERT_EQ(loop.pending(), before - 1) << "cycle " << i;
+  }
+  EXPECT_EQ(loop.peak_pending(), kCycles + 1);
+  loop.run();
+  EXPECT_EQ(test::allocations(), allocs0);
+
+  EXPECT_EQ(fired, kCycles);
+  EXPECT_EQ(timed_out, 0u);
+  EXPECT_TRUE(loop.empty());
 }
 
 }  // namespace

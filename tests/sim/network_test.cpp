@@ -206,7 +206,7 @@ TEST_F(NetFixture, JitterVariesDelayWithinBounds) {
 
 TEST_F(NetFixture, LargeJitterNeverTurnsTimeBackwards) {
   // Regression: jitter > 1.0 could draw an effective factor below zero,
-  // scheduling a delivery before its own send time (the timer wheel then
+  // scheduling a delivery before its own send time (the event loop then
   // throws on the past-deadline insert — or worse, silently reorders).
   // The factor is now clamped at zero: a wild draw can null the transfer
   // delay but never produce a negative one.

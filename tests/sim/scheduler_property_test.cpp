@@ -1,8 +1,8 @@
-// Property test: the timer wheel is order-equivalent to a reference model.
+// Property test: the event loop is order-equivalent to a reference model.
 //
 // Drives randomized seeded interleavings of schedule / cancel / stale-cancel
-// / step / run_until (including delays past the wheel's 2^32 us page, so the
-// overflow heap and page migrations are exercised) through the real
+// / step / run_until (including delays and horizons past 2^32 us, so
+// timestamps that do not fit 32 bits are exercised) through the real
 // EventLoop and, in lockstep, through a trivially-correct reference model: a
 // set ordered by (deadline, seq). Events fired by the real loop append their
 // token to a log; after every drain the log must equal the model's pop order
@@ -10,8 +10,8 @@
 //
 // Fired events re-arm follow-ups pseudo-randomly (derived from the token
 // value, so both sides make identical choices without communicating), which
-// exercises scheduling from inside a running action: same-instant re-seals,
-// cascade interleavings, and the mid-drain placement paths.
+// exercises scheduling from inside a running action, including events at
+// the running instant, which must run within the current drain.
 //
 // TimerId validity rides along: cancelled and fired ids are retained and
 // replayed as stale cancels, which must be no-ops even after the underlying
@@ -144,8 +144,8 @@ struct Harness {
   }
 };
 
-/// Delay distribution spanning every placement regime: same-instant,
-/// level-0/1 buckets, multi-level cascades, and past-the-page overflow.
+/// Delay distribution spanning same-instant events, near and far deadlines,
+/// and deadlines past 2^32 us.
 Duration pick_delay(std::uint64_t r) {
   const std::uint64_t v = mix(r);
   switch (r % 8) {
@@ -161,7 +161,7 @@ Duration pick_delay(std::uint64_t r) {
       return static_cast<Duration>(v % (1ull << 28));
     case 6:
       return static_cast<Duration>(v % (1ull << 31));
-    default:  // beyond the 2^32 us wheel page: overflow heap territory
+    default:  // past 2^32 us
       return static_cast<Duration>((1ull << 32) + v % (1ull << 33));
   }
 }
@@ -215,7 +215,7 @@ void run_property(std::uint64_t seed, int ops) {
         if (::testing::Test::HasFatalFailure()) return;
         break;
       }
-      case 13: {  // run_until across a wheel page (overflow migration)
+      case 13: {  // run_until a horizon more than 2^32 us ahead
         const Time t = h.model_now +
                        static_cast<Duration>((1ull << 32) + rng() % (1ull << 32));
         h.loop.run_until(t);
@@ -253,7 +253,7 @@ void run_property(std::uint64_t seed, int ops) {
   ASSERT_TRUE(h.loop.empty());
 }
 
-TEST(SchedulerProperty, WheelMatchesReferenceModel) {
+TEST(SchedulerProperty, LoopMatchesReferenceModel) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
     run_property(seed * 0x9E3779B97F4A7C15ull + seed, 2'500);
@@ -272,12 +272,12 @@ TEST(SchedulerProperty, CancelHeavyInterleavings) {
 }
 
 // ---------------------------------------------------------------------------
-// Partitioned-loops property: two timer wheels advanced in conservative
+// Partitioned-loops property: two event loops advanced in conservative
 // lookahead windows, with cross-loop handoffs deferred to a mailbox and
 // merged at each window barrier in (at, seq, source) order — the scheme of
 // a conservative parallel DES, driven here through EventLoop's public API
 // alone — must fire the same events at the same times, event for event, as
-// one reference wheel that schedules every handoff directly.
+// one reference loop that schedules every handoff directly.
 //
 // Timestamp classes keep the comparison exact without an ordering oracle:
 // loop-0 local chains live on times ≡ 0 (mod 4), loop-1 local chains on
@@ -384,7 +384,7 @@ struct TwoLoopHarness {
     }
   }
 
-  /// Drive both partition wheels to quiescence with randomized window
+  /// Drive both partition loops to quiescence with randomized window
   /// widths in [1, kLookahead], merging the mailbox at every barrier.
   void run_partitioned(std::uint64_t state) {
     Time w = 0;
@@ -412,7 +412,7 @@ struct TwoLoopHarness {
     }
   }
 
-  /// Drain the reference wheel with randomized run_until horizons (different
+  /// Drain the reference loop with randomized run_until horizons (different
   /// stream than the windows — horizons must not matter on either side).
   void run_reference(std::uint64_t state) {
     while (!ref.empty()) {

@@ -20,8 +20,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "rcs/sim/event_loop.hpp"
-
 namespace rcs::tools {
 
 /// Wall-clock throughput accounting, printed to stderr so stdout stays
@@ -29,20 +27,14 @@ namespace rcs::tools {
 struct RunSummary {
   std::uint64_t events{0};
   std::size_t peak_queue_depth{0};
-  sim::EventLoop::WheelStats wheel{};
   std::chrono::steady_clock::time_point start{std::chrono::steady_clock::now()};
 
-  /// Fold in one run's scheduler accounting (any result carrying events,
-  /// peak_queue_depth and wheel).
+  /// Fold in one run's scheduler accounting (any result carrying events
+  /// and peak_queue_depth).
   template <typename Result>
   void add(const Result& result) {
     events += result.events;
     peak_queue_depth = std::max(peak_queue_depth, result.peak_queue_depth);
-    wheel.cascaded_entries += result.wheel.cascaded_entries;
-    wheel.bucket_sorts += result.wheel.bucket_sorts;
-    wheel.overflow_migrated += result.wheel.overflow_migrated;
-    wheel.overflow_peak =
-        std::max(wheel.overflow_peak, result.wheel.overflow_peak);
   }
 
   void print() const {
@@ -56,13 +48,6 @@ struct RunSummary {
                  "peak queue depth %zu, wall %.2fs\n",
                  static_cast<unsigned long long>(events), rate,
                  peak_queue_depth, seconds);
-    std::fprintf(stderr,
-                 "wheel: %llu cascaded, %llu bucket sorts, "
-                 "%llu overflow migrations, overflow peak %zu\n",
-                 static_cast<unsigned long long>(wheel.cascaded_entries),
-                 static_cast<unsigned long long>(wheel.bucket_sorts),
-                 static_cast<unsigned long long>(wheel.overflow_migrated),
-                 wheel.overflow_peak);
   }
 };
 
