@@ -11,11 +11,21 @@
 // the Value share it, and nothing mutates it in place. Values serialize to
 // Bytes with a stable binary encoding (used for checkpoints and for sizing
 // simulated network traffic).
+//
+// Any Value can also be held in a shared immutable cell (Value::shared), the
+// Value analogue of SharedBytes: the cell keeps the Value and its encoded
+// size, and copies of a cell bump a reference count and copy no map. A cell
+// behaves exactly like the Value it holds for type(), every const accessor,
+// iteration, ==, encode, encoded_size and to_string; a mutable access
+// (as_map(), as_list(), set, push_back) first copies the held Value into
+// place, so other holders never see the change. Network payloads and the
+// reply log's records are cells; decode never makes one.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -27,6 +37,8 @@
 namespace rcs {
 
 class Value;
+class Payload;
+struct ValueCell;
 
 using ValueList = std::vector<Value>;
 
@@ -96,6 +108,18 @@ class Value {
   };
 
   Value() = default;
+  // GCC 12 reports a spurious -Wmaybe-uninitialized for the variant's
+  // inactive members when a temporary Value is moved or copied into place
+  // (`r.result = Value::map().set("value", i + 1);`) and the special member
+  // is inlined into the caller. Declaring them here puts that inlining site
+  // under the pragma, once for every caller.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+  Value(const Value&) = default;
+  Value(Value&&) noexcept = default;
+  Value& operator=(const Value&) = default;
+  Value& operator=(Value&&) noexcept = default;
+#pragma GCC diagnostic pop
   Value(std::nullptr_t) {}                 // NOLINT: implicit by design
   Value(bool v) : data_(v) {}              // NOLINT
   Value(std::int64_t v) : data_(v) {}      // NOLINT
@@ -113,7 +137,16 @@ class Value {
   [[nodiscard]] static Value list() { return Value(ValueList{}); }
   [[nodiscard]] static Value map() { return Value(ValueMap{}); }
 
-  [[nodiscard]] Type type() const { return static_cast<Type>(data_.index()); }
+  /// `v` in a shared immutable cell with its encoded size, computed once
+  /// here. A cell passes through unchanged.
+  [[nodiscard]] static Value shared(Value v);
+  /// True for a cell made by shared().
+  [[nodiscard]] bool is_shared() const { return data_.index() == kCellIndex; }
+
+  [[nodiscard]] Type type() const {
+    const auto index = data_.index();
+    return index < kCellIndex ? static_cast<Type>(index) : held().type();
+  }
   [[nodiscard]] static const char* type_name(Type t);
   [[nodiscard]] const char* type_name() const { return type_name(type()); }
 
@@ -176,18 +209,40 @@ class Value {
   /// JSON-like rendering for logs and diagnostics.
   [[nodiscard]] std::string to_string() const;
 
-  bool operator==(const Value&) const = default;
+  /// Compares held Values: a cell equals the Value it holds.
+  bool operator==(const Value& other) const;
 
   friend std::ostream& operator<<(std::ostream& os, const Value& v);
 
  private:
-  using Storage = std::variant<std::nullptr_t, bool, std::int64_t, double,
-                               std::string, SharedBytes, ValueList, ValueMap>;
+  friend class Payload;  // holds the cell handle itself
 
+  using Cell = std::shared_ptr<const ValueCell>;
+  using Storage = std::variant<std::nullptr_t, bool, std::int64_t, double,
+                               std::string, SharedBytes, ValueList, ValueMap,
+                               Cell>;
+  /// The Cell alternative follows the eight of Type, in Type's order.
+  static constexpr std::size_t kCellIndex = 8;
+
+  /// The Value a cell holds (null for a moved-from cell); call only on a
+  /// cell.
+  [[nodiscard]] const Value& held() const;
+  /// Replaces a cell with a copy of the Value it holds, so that a mutable
+  /// access never writes through to the other holders. False on no cell.
+  bool detach();
   [[noreturn]] void type_mismatch(Type expected) const;
   [[nodiscard]] static Value decode(ByteReader& r, int depth);
 
   Storage data_{nullptr};
+};
+
+/// What Value::shared makes and a Payload holds: an immutable Value (never
+/// itself a cell) and its encoded size.
+struct ValueCell {
+  explicit ValueCell(Value v)
+      : value(std::move(v)), encoded_size(value.encoded_size()) {}
+  Value value;
+  std::size_t encoded_size;
 };
 
 // ValueMap members that touch entries need Value complete.

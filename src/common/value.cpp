@@ -44,55 +44,96 @@ const char* Value::type_name(Type t) {
   return "unknown";
 }
 
+Value Value::shared(Value v) {
+  if (v.is_shared()) return v;
+  Value cell;
+  cell.data_ = std::make_shared<const ValueCell>(std::move(v));
+  return cell;
+}
+
+const Value& Value::held() const {
+  static const Value kNull;
+  const Cell& cell = *std::get_if<Cell>(&data_);
+  return cell ? cell->value : kNull;
+}
+
+bool Value::detach() {
+  if (!is_shared()) return false;
+  // Copy before assigning: the assignment may drop the last handle.
+  Storage copy = held().data_;
+  data_ = std::move(copy);
+  return true;
+}
+
+bool Value::operator==(const Value& other) const {
+  const Value& a = is_shared() ? held() : *this;
+  const Value& b = other.is_shared() ? other.held() : other;
+  return a.data_ == b.data_;
+}
+
 void Value::type_mismatch(Type expected) const {
   throw ValueError(strf("Value type mismatch: expected ", type_name(expected),
                         ", got ", type_name(), " (", to_string(), ")"));
 }
 
+// Each accessor reads the inline alternative first and unwraps a cell only
+// when that misses, so an inline Value pays nothing for cells.
+
 bool Value::as_bool() const {
-  if (!is_bool()) type_mismatch(Type::kBool);
-  return std::get<bool>(data_);
+  if (const auto* v = std::get_if<bool>(&data_)) return *v;
+  if (is_shared()) return held().as_bool();
+  type_mismatch(Type::kBool);
 }
 
 std::int64_t Value::as_int() const {
-  if (!is_int()) type_mismatch(Type::kInt);
-  return std::get<std::int64_t>(data_);
+  if (const auto* v = std::get_if<std::int64_t>(&data_)) return *v;
+  if (is_shared()) return held().as_int();
+  type_mismatch(Type::kInt);
 }
 
 double Value::as_double() const {
-  if (is_int()) return static_cast<double>(std::get<std::int64_t>(data_));
-  if (!is_double()) type_mismatch(Type::kDouble);
-  return std::get<double>(data_);
+  if (const auto* v = std::get_if<std::int64_t>(&data_)) {
+    return static_cast<double>(*v);
+  }
+  if (const auto* v = std::get_if<double>(&data_)) return *v;
+  if (is_shared()) return held().as_double();
+  type_mismatch(Type::kDouble);
 }
 
 const std::string& Value::as_string() const {
-  if (!is_string()) type_mismatch(Type::kString);
-  return std::get<std::string>(data_);
+  if (const auto* v = std::get_if<std::string>(&data_)) return *v;
+  if (is_shared()) return held().as_string();
+  type_mismatch(Type::kString);
 }
 
 const Bytes& Value::as_bytes() const {
-  if (!is_bytes()) type_mismatch(Type::kBytes);
-  return std::get<SharedBytes>(data_).bytes();
+  if (const auto* v = std::get_if<SharedBytes>(&data_)) return v->bytes();
+  if (is_shared()) return held().as_bytes();
+  type_mismatch(Type::kBytes);
 }
 
 const ValueList& Value::as_list() const {
-  if (!is_list()) type_mismatch(Type::kList);
-  return std::get<ValueList>(data_);
+  if (const auto* v = std::get_if<ValueList>(&data_)) return *v;
+  if (is_shared()) return held().as_list();
+  type_mismatch(Type::kList);
 }
 
 ValueList& Value::as_list() {
-  if (!is_list()) type_mismatch(Type::kList);
-  return std::get<ValueList>(data_);
+  if (auto* v = std::get_if<ValueList>(&data_)) return *v;
+  if (detach()) return as_list();
+  type_mismatch(Type::kList);
 }
 
 const ValueMap& Value::as_map() const {
-  if (!is_map()) type_mismatch(Type::kMap);
-  return std::get<ValueMap>(data_);
+  if (const auto* v = std::get_if<ValueMap>(&data_)) return *v;
+  if (is_shared()) return held().as_map();
+  type_mismatch(Type::kMap);
 }
 
 ValueMap& Value::as_map() {
-  if (!is_map()) type_mismatch(Type::kMap);
-  return std::get<ValueMap>(data_);
+  if (auto* v = std::get_if<ValueMap>(&data_)) return *v;
+  if (detach()) return as_map();
+  type_mismatch(Type::kMap);
 }
 
 bool Value::has(std::string_view key) const {
@@ -142,6 +183,10 @@ std::size_t Value::size() const {
 }
 
 void Value::encode(ByteWriter& w) const {
+  if (is_shared()) {
+    held().encode(w);
+    return;
+  }
   w.write_u8(static_cast<std::uint8_t>(type()));
   switch (type()) {
     case Type::kNull:
@@ -277,6 +322,9 @@ constexpr std::size_t varint_size(std::uint64_t v) {
 // heap: this runs once per Network::send to price the message, so it must not
 // cost a full serialization.
 std::size_t Value::encoded_size() const {
+  if (const auto* cell = std::get_if<Cell>(&data_)) {
+    return *cell ? (*cell)->encoded_size : held().encoded_size();
+  }
   switch (type()) {
     case Type::kNull:
       return 1;

@@ -49,11 +49,12 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
     }
     // The current request's reply is recorded in the reply log only after
     // this phase completes, so ship it explicitly: at-most-once must hold on
-    // the backup even if we crash right after answering the client.
+    // the backup even if we crash right after answering the client. As a
+    // cell, the backup's log records it by handle.
     data.set("pending_reply",
-             Value::map()
-                 .set("id", static_cast<std::int64_t>(ctx.id))
-                 .set("result", ctx.result));
+             Value::shared(Value::map()
+                               .set("id", static_cast<std::int64_t>(ctx.id))
+                               .set("result", ctx.result)));
     if (auto* fsim = fsim_registry()) {
       // fsim "ckpt.serialize": the capture/encode of this checkpoint fails.
       // Skip the send but wait as usual — the kernel's peer-retry loop

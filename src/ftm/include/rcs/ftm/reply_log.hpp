@@ -13,6 +13,13 @@
 // kCapacity entries, and a re-record updates its entry in place without
 // moving it.
 //
+// Every reply is held in a shared immutable cell (Value::shared): the kernel
+// makes one cell per reply, records it here and sends the same cell to the
+// client. A snapshot's entries are those cells, so exporting, shipping and
+// importing the log copy handles, never reply maps, and the checkpoint's
+// encoded size sums the cells' cached sizes. A snapshot is built sorted by
+// key, so each entry appends to its map; an import looks each key up once.
+//
 // For incremental checkpoints, every record is stamped with a monotone
 // sequence number; export_since ships only entries newer than the
 // acknowledged watermark, and import_delta refuses snapshots whose base is
@@ -22,8 +29,8 @@
 // The kernel and the bricks call the log through its ReplyLog face, the
 // only way in: the log serves no Value ops. Imports validate the whole
 // snapshot before touching the log: a snapshot whose order names a key
-// twice or a key missing from its entries is refused with FtmError and
-// leaves the log as it was.
+// twice or a key missing from its entries, or that holds more than
+// kCapacity entries, is refused with FtmError and leaves the log as it was.
 #pragma once
 
 #include <cstdint>
@@ -54,12 +61,11 @@ class ReplyLogComponent : public comp::Component, public ReplyLog {
  private:
   struct Entry {
     std::string key;
-    Value reply;
+    Value reply;  // a cell
     std::uint64_t seq{0};  // record order, for incremental export
   };
 
   [[nodiscard]] Entry* find(const std::string& key);
-  void evict_to_capacity();
   /// `state` names the driving op for the fsim "replylog.append" point
   /// ("record" for a fresh reply, "import_delta" for checkpoint import).
   void append(const std::string& key, Value reply, const char* state);

@@ -370,10 +370,12 @@ void ProtocolKernel::apply_brick_status(Ctx& ctx, BrickStatus status) {
 }
 
 void ProtocolKernel::complete(Ctx& ctx) {
-  // ctx is erased below, so its result moves into the reply.
-  Value reply = Value::map();
-  reply.set("id", static_cast<std::int64_t>(ctx.id))
-      .set("result", std::move(ctx.result));
+  // ctx is erased below, so its result moves into the reply: one cell, which
+  // the reply log records and the client is sent, both by handle.
+  Value reply = Value::shared(
+      Value::map()
+          .set("id", static_cast<std::int64_t>(ctx.id))
+          .set("result", std::move(ctx.result)));
   reply_log().record(ctx.key, reply);
   if (!ctx.forwarded && host() != nullptr) {
     host()->send(HostId{static_cast<std::uint32_t>(ctx.client)}, msg::kReply,

@@ -1,6 +1,7 @@
 #include "rcs/ftm/reply_log.hpp"
 
-#include <vector>
+#include <algorithm>
+#include <array>
 
 #include "rcs/common/error.hpp"
 #include "rcs/common/strf.hpp"
@@ -25,12 +26,28 @@ comp::ComponentTypeInfo ReplyLogComponent::type_info() {
 
 namespace {
 
-/// The entries map of an export-shaped snapshot, after checking that every
-/// key of its order names an entry, once. Nothing is applied before this
-/// passes, so a refused snapshot leaves the log untouched.
-const ValueMap& checked_entries(const Value& snapshot, const char* op) {
+/// The entries of an export-shaped snapshot, in the order its "order" names
+/// them, after checking that every key of that order names an entry, once:
+/// one lookup per key. An exporter's log never holds more than kCapacity
+/// entries, so a snapshot with more is refused as well. Nothing is applied
+/// before this passes, so a refused snapshot leaves the log untouched.
+struct NamedEntries {
+  std::array<const ValueMap::value_type*, ReplyLogComponent::kCapacity>
+      entries{};
+  std::size_t count{0};
+};
+
+NamedEntries checked_entries(const Value& snapshot, const char* op) {
   const ValueMap& entries = snapshot.at("entries").as_map();
-  std::vector<bool> named(entries.size());
+  if (entries.size() > ReplyLogComponent::kCapacity) {
+    throw FtmError(strf("replyLog ", op, ": ", entries.size(),
+                        " entries, more than the capacity of ",
+                        ReplyLogComponent::kCapacity));
+  }
+  // Bit i is set once the order named entries[i].
+  static_assert(ReplyLogComponent::kCapacity <= 64);
+  std::uint64_t named = 0;
+  NamedEntries out;
   for (const auto& key_value : snapshot.at("order").as_list()) {
     const auto& key = key_value.as_string();
     const auto it = entries.find(key);
@@ -38,14 +55,15 @@ const ValueMap& checked_entries(const Value& snapshot, const char* op) {
       throw FtmError(strf("replyLog ", op, ": order key '", key,
                           "' missing from entries"));
     }
-    const auto index = static_cast<std::size_t>(it - entries.begin());
-    if (named[index]) {
+    const std::uint64_t bit = std::uint64_t{1} << (it - entries.begin());
+    if ((named & bit) != 0) {
       throw FtmError(strf("replyLog ", op, ": order key '", key,
                           "' appears twice"));
     }
-    named[index] = true;
+    named |= bit;
+    out.entries[out.count++] = &*it;
   }
-  return entries;
+  return out;
 }
 
 }  // namespace
@@ -60,10 +78,6 @@ ReplyLogComponent::Entry* ReplyLogComponent::find(const std::string& key) {
 const Value* ReplyLogComponent::lookup(const std::string& key) const {
   const Entry* entry = const_cast<ReplyLogComponent*>(this)->find(key);
   return entry != nullptr ? &entry->reply : nullptr;
-}
-
-void ReplyLogComponent::evict_to_capacity() {
-  while (entries_.size() > kCapacity) entries_.pop_front();
 }
 
 void ReplyLogComponent::record(const std::string& key, Value reply) {
@@ -88,25 +102,33 @@ void ReplyLogComponent::append(const std::string& key, Value reply,
   }
   if (Entry* entry = find(key)) {
     // A re-record keeps its FIFO slot.
-    entry->reply = std::move(reply);
+    entry->reply = Value::shared(std::move(reply));
     entry->seq = ++record_seq_;
   } else {
-    entries_.push_back(Entry{key, std::move(reply), ++record_seq_});
+    entries_.push_back(
+        Entry{key, Value::shared(std::move(reply)), ++record_seq_});
   }
-  evict_to_capacity();
+  if (entries_.size() > kCapacity) entries_.pop_front();
 }
 
 Value ReplyLogComponent::snapshot_since(std::uint64_t after) const {
+  // The log holds at most kCapacity entries (every append evicts to it).
+  std::array<const Entry*, kCapacity> picked{};
   std::size_t count = 0;
-  for (const auto& entry : entries_) count += entry.seq > after ? 1 : 0;
-  ValueMap entries;
-  ValueList order;
-  entries.reserve(count);
-  order.reserve(count);
   for (const auto& entry : entries_) {
-    if (entry.seq <= after) continue;
-    entries.emplace(entry.key, entry.reply);
-    order.emplace_back(entry.key);
+    if (entry.seq > after) picked[count++] = &entry;
+  }
+  ValueList order;
+  order.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) order.emplace_back(picked[i]->key);
+  // Sorted by key, every insert into the entries map is an append; the
+  // records themselves are cells, so each entry copies a handle.
+  std::sort(picked.begin(), picked.begin() + count,
+            [](const Entry* a, const Entry* b) { return a->key < b->key; });
+  ValueMap entries;
+  entries.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    entries.emplace(picked[i]->key, picked[i]->reply);
   }
   Value out = Value::map();
   out.set("entries", std::move(entries)).set("order", std::move(order));
@@ -118,15 +140,15 @@ Value ReplyLogComponent::export_all() const {
 }
 
 void ReplyLogComponent::import_all(const Value& snapshot) {
-  const ValueMap& entries = checked_entries(snapshot, "import");
+  const NamedEntries named = checked_entries(snapshot, "import");
   const auto upto =
       static_cast<std::uint64_t>(snapshot.get_or("upto", Value(0)).as_int());
+  // At most kCapacity entries pass the check: nothing to evict.
   entries_.clear();
-  for (const auto& key_value : snapshot.at("order").as_list()) {
-    const auto& key = key_value.as_string();
-    entries_.push_back(Entry{key, entries.at(key), ++record_seq_});
+  for (std::size_t i = 0; i < named.count; ++i) {
+    const auto& [key, reply] = *named.entries[i];
+    entries_.push_back(Entry{key, Value::shared(reply), ++record_seq_});
   }
-  evict_to_capacity();
   // A full import realigns the incremental watermark with the exporter.
   import_mark_ = upto;
 }
@@ -151,10 +173,10 @@ bool ReplyLogComponent::import_delta(const Value& delta) {
     // its "from" and our mark is missing. Refuse; caller resyncs in full.
     return false;
   }
-  const ValueMap& entries = checked_entries(delta, "import_delta");
-  for (const auto& key_value : delta.at("order").as_list()) {
-    const auto& key = key_value.as_string();
-    append(key, entries.at(key), "import_delta");
+  const NamedEntries named = checked_entries(delta, "import_delta");
+  for (std::size_t i = 0; i < named.count; ++i) {
+    const auto& [key, reply] = *named.entries[i];
+    append(key, reply, "import_delta");
   }
   if (upto > import_mark_) import_mark_ = upto;
   return true;

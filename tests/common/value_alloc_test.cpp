@@ -4,6 +4,9 @@
 // reply is such a map, so these counts bound the request path's heap traffic.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "../alloc_counter.hpp"
 #include "rcs/common/value.hpp"
 
@@ -56,6 +59,49 @@ TEST(ValueAlloc, CopyingA64KiBBlobAllocatesNothing) {
   const Value copy = blob;  // NOLINT(performance-unnecessary-copy-initialization)
   EXPECT_EQ(test::allocations(), before);
   EXPECT_EQ(&copy.as_bytes(), &blob.as_bytes()) << "the copy shares the blob";
+}
+
+/// Allocations to copy, export and import a reply log of `n` records held
+/// in cells, in the log's shapes: the FIFO of records, the snapshot
+/// {entries: key -> reply, order: [key]}, and the importer's FIFO.
+std::size_t allocations_to_ship_a_log(std::size_t n) {
+  ValueList records;
+  for (std::size_t i = 0; i < n; ++i) {
+    records.push_back(Value::shared(
+        Value::map()
+            .set("id", i)
+            .set("result", Value::map().set("check", "ok").set("value", i))));
+  }
+  const std::size_t before = test::allocations();
+  const ValueList copy = records;
+  ValueMap entries;
+  ValueList order;
+  entries.reserve(copy.size());
+  order.reserve(copy.size());
+  for (std::size_t i = 0; i < copy.size(); ++i) {
+    const std::string key = "c1:" + std::to_string(100 + i);
+    entries.emplace(key, copy[i]);
+    order.emplace_back(key);
+  }
+  Value snapshot = Value::map();
+  snapshot.set("entries", std::move(entries)).set("order", std::move(order));
+  ValueList imported;
+  imported.reserve(n);
+  for (const auto& key : snapshot.at("order").as_list()) {
+    imported.push_back(snapshot.at("entries").at(key.as_string()));
+  }
+  const std::size_t spent = test::allocations() - before;
+  EXPECT_EQ(imported, records);
+  EXPECT_EQ(&std::as_const(imported).back().as_map(),
+            &std::as_const(records).back().as_map())
+      << "the import shares the records";
+  return spent;
+}
+
+TEST(ValueAlloc, ShippingAFullLogOfCellsAllocatesNothingPerRecord) {
+  // 32 is the reply log's capacity: a full log ships for the same
+  // allocations as a log of one record.
+  EXPECT_EQ(allocations_to_ship_a_log(32), allocations_to_ship_a_log(1));
 }
 
 TEST(ValueAlloc, ValueIsAtMostFortyBytes) {

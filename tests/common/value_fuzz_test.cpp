@@ -2,7 +2,8 @@
 // bit-identically, and corrupting any single byte of an encoding must never
 // produce a Value that silently equals the original (it either decodes to a
 // different Value or throws) — the property the fault-injection experiments
-// and package checksums rely on.
+// and package checksums rely on. The same trees held in shared cells at
+// random depths must be indistinguishable from the inline trees.
 #include <gtest/gtest.h>
 
 #include "rcs/common/error.hpp"
@@ -57,7 +58,81 @@ Value random_value(Rng& rng, int depth) {
   }
 }
 
+/// `v` rebuilt with every subtree (and `v` itself) held in a shared cell
+/// with probability 1/2, so cells sit at random depths, nested in cells.
+Value share_randomly(Rng& rng, const Value& v) {
+  Value out;
+  if (v.is_list()) {
+    ValueList list;
+    for (const auto& e : v.as_list()) list.push_back(share_randomly(rng, e));
+    out = Value(std::move(list));
+  } else if (v.is_map()) {
+    ValueMap map;
+    for (const auto& [k, e] : v.as_map()) {
+      map.emplace(k, share_randomly(rng, e));
+    }
+    out = Value(std::move(map));
+  } else {
+    out = v;
+  }
+  return rng.bernoulli(0.5) ? Value::shared(std::move(out)) : out;
+}
+
+bool holds_a_cell(const Value& v) {
+  if (v.is_shared()) return true;
+  if (v.is_list()) {
+    for (const auto& e : v.as_list()) {
+      if (holds_a_cell(e)) return true;
+    }
+  }
+  if (v.is_map()) {
+    for (const auto& [k, e] : v.as_map()) {
+      if (holds_a_cell(e)) return true;
+    }
+  }
+  return false;
+}
+
 class ValueFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(ValueFuzz, CellsAtRandomDepthsMatchTheInlineTree) {
+  Rng rng(0xCE11 + GetParam());
+  for (int i = 0; i < 200; ++i) {
+    const Value tree = random_value(rng, 3);
+    const Value shared = share_randomly(rng, tree);
+    ASSERT_EQ(shared.type(), tree.type());
+    ASSERT_EQ(shared.encode(), tree.encode()) << tree.to_string();
+    ASSERT_EQ(shared.encoded_size(), tree.encoded_size()) << tree.to_string();
+    ASSERT_EQ(shared, tree) << tree.to_string();
+    ASSERT_EQ(tree, shared) << tree.to_string();
+    ASSERT_EQ(shared.to_string(), tree.to_string());
+    // Decoding the cells' bytes gives the inline tree back, cell-free.
+    const Value decoded = Value::decode(shared.encode());
+    ASSERT_FALSE(holds_a_cell(decoded)) << tree.to_string();
+    ASSERT_EQ(decoded, tree);
+  }
+}
+
+TEST_P(ValueFuzz, MutableAccessDetachesFromEveryOtherHolder) {
+  Rng rng(0xDE7A + GetParam());
+  for (int i = 0; i < 200; ++i) {
+    const Value tree = random_value(rng, 3);
+    if (!tree.is_list() && !tree.is_map()) continue;
+    const Value cell = Value::shared(share_randomly(rng, tree));
+    const Value other = cell;  // NOLINT(performance-unnecessary-copy-initialization)
+    Value mine = cell;
+    if (mine.is_map()) {
+      mine.set("znew", 1);
+    } else {
+      mine.push_back(1);
+    }
+    ASSERT_FALSE(mine.is_shared());
+    ASSERT_NE(mine, tree);
+    ASSERT_TRUE(cell.is_shared());
+    ASSERT_EQ(cell, tree) << tree.to_string();
+    ASSERT_EQ(other, tree) << tree.to_string();
+  }
+}
 
 TEST_P(ValueFuzz, EncodeDecodeRoundTrips) {
   Rng rng(0xF00D + GetParam());

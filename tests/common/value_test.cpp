@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "rcs/common/error.hpp"
 
 namespace rcs {
@@ -98,6 +100,20 @@ TEST(Value, NestedStructure) {
   v.set("inner", inner).set("list", Value(ValueList{Value(1), Value(2)}));
   EXPECT_DOUBLE_EQ(v.at("inner").at("x").as_double(), 1.5);
   EXPECT_EQ(v.at("list").at(1).as_int(), 2);
+}
+
+TEST(Value, TemporaryMapMovesIntoAMember) {
+  // GCC 12 with the address/undefined sanitizers once rejected this move
+  // with a spurious -Wmaybe-uninitialized; the sanitized build compiles it.
+  struct Reply {
+    Value result;
+  };
+  std::vector<Reply> replies(4);
+  for (int i = 0; i < 4; ++i) {
+    Reply& r = replies[static_cast<std::size_t>(i)];
+    r.result = Value::map().set("value", i + 1);
+  }
+  EXPECT_EQ(replies.back().result.at("value").as_int(), 4);
 }
 
 TEST(Value, EqualityIsDeep) {

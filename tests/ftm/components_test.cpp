@@ -84,6 +84,53 @@ TEST_F(ReplyLogFixture, CapacityEvictsOldestFirst) {
   EXPECT_NE(lookup(strf("k", kCapacity + 1)), nullptr);
 }
 
+TEST_F(ReplyLogFixture, RecordsAreCellsThatExportsShare) {
+  record("a", Value::map().set("result", Value::map().set("value", 1)));
+  const Value* hit = lookup("a");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_TRUE(hit->is_shared());
+  const Value snapshot = reply_log().export_all();
+  const Value& exported = snapshot.at("entries").at("a");
+  EXPECT_TRUE(exported.is_shared());
+  EXPECT_EQ(&exported.as_map(), &hit->as_map()) << "exported by handle";
+
+  comp::Composite other{"other"};
+  other.add(kernel::kReplyLog, "log");
+  other.start("log");
+  ReplyLog& imported = face_of(other, "log");
+  imported.import_all(snapshot);
+  EXPECT_EQ(&imported.lookup("a")->as_map(), &hit->as_map())
+      << "imported by handle";
+}
+
+TEST_F(ReplyLogFixture, DecodedAndSharedSnapshotsImportToEqualLogs) {
+  // A full log, past capacity, in an order whose keys do not sort FIFO.
+  for (std::size_t i = 0; i < kCapacity + 3; ++i) {
+    record(strf("c", (i * 7) % 11, ":", i),
+           Value::map().set("id", i).set(
+               "result", Value::map().set("check", "ok").set("value", i)));
+  }
+  const Value shared = reply_log().export_all();
+  const Value decoded = Value::decode(shared.encode());
+  ASSERT_FALSE(decoded.at("entries").at("c0:33").is_shared());
+  ASSERT_TRUE(shared.at("entries").at("c0:33").is_shared());
+
+  comp::Composite from_cells{"cells"}, from_bytes{"bytes"};
+  for (comp::Composite* c : {&from_cells, &from_bytes}) {
+    c->add(kernel::kReplyLog, "log");
+    c->start("log");
+  }
+  face_of(from_cells, "log").import_all(shared);
+  face_of(from_bytes, "log").import_all(decoded);
+  const Value cells_export = face_of(from_cells, "log").export_all();
+  const Value bytes_export = face_of(from_bytes, "log").export_all();
+  EXPECT_EQ(cells_export, bytes_export);
+  EXPECT_EQ(cells_export.encode(), bytes_export.encode());
+  EXPECT_EQ(size_of(face_of(from_bytes, "log")), kCapacity);
+  EXPECT_EQ(cells_export.at("entries"), shared.at("entries"));
+  EXPECT_EQ(cells_export.at("order"), shared.at("order"));
+}
+
 TEST_F(ReplyLogFixture, ImportRejectsInconsistentSnapshot) {
   Value bad = Value::map();
   bad.set("entries", Value::map());
@@ -142,6 +189,25 @@ TEST_F(ReplyLogImportFixture, DuplicateOrderKeyIsRefused) {
   EXPECT_THROW(
       (void)reply_log().import_delta(snapshot({Value("x"), Value("x")})),
       FtmError);
+  expect_unchanged();
+}
+
+TEST_F(ReplyLogImportFixture, SnapshotPastCapacityIsRefused) {
+  // No exporter's log holds more than kCapacity entries.
+  ValueMap entries;
+  ValueList order;
+  for (std::size_t i = 0; i <= kCapacity; ++i) {
+    entries.emplace(strf("x", 100 + i), Value::map().set("result", 9));
+    order.emplace_back(strf("x", 100 + i));
+  }
+  Value big = Value::map();
+  big.set("entries", std::move(entries))
+      .set("order", std::move(order))
+      .set("from", 0)
+      .set("upto", 40);
+  EXPECT_THROW(reply_log().import_all(big), FtmError);
+  expect_unchanged();
+  EXPECT_THROW((void)reply_log().import_delta(big), FtmError);
   expect_unchanged();
 }
 

@@ -9,6 +9,7 @@
 
 #include "../alloc_counter.hpp"
 #include "duplex_fixture.hpp"
+#include "rcs/ftm/reply_log.hpp"
 
 namespace rcs::ftm::testing {
 namespace {
@@ -19,16 +20,24 @@ constexpr int kWarmup = 64;
 constexpr int kMeasured = 256;
 
 /// PBR with delta checkpoints: checkpoint to the backup and its ack.
-/// Measured at 48.2 allocations per request once bricks read a typed ctx
-/// and replica messages kept their sender beside the payload (74.2 before,
-/// 141.7 before the calls inside the composite were typed), plus 5%.
-constexpr double kMaxPbrAllocsPerRequest = 50.6;
+/// Measured at 40.2 allocations per request once replies became shared
+/// cells that the reply log records by handle (48.2 before; 74.2 before
+/// replica messages kept their sender beside the payload, 141.7 before the
+/// calls inside the composite were typed), plus 5%.
+constexpr double kMaxPbrAllocsPerRequest = 42.2;
+
+/// PBR with full checkpoints: the state and the whole reply log ship with
+/// every request. Measured at 50.6 allocations per request once the log's
+/// records became shared cells (182.6 when exports and imports deep-copied
+/// every reply), plus 5%.
+constexpr double kMaxPbrFullAllocsPerRequest = 53.1;
 
 /// LFR: the leader forwards each request and notifies the follower, which
 /// stashes the notification until its own pipeline reaches After. Measured
-/// at 42.8 allocations per request (66.8 with a Value ctx and a stamped copy
-/// of every replica message), plus 5%.
-constexpr double kMaxLfrAllocsPerRequest = 44.9;
+/// at 39.8 allocations per request with replies held in shared cells (42.8
+/// when the reply log deep-copied each reply; 66.8 with a Value ctx and a
+/// stamped copy of every replica message), plus 5%.
+constexpr double kMaxLfrAllocsPerRequest = 41.7;
 
 TEST_F(RequestAllocs, PbrDeltaRequestStaysWithinAllocationBudget) {
   deploy(FtmConfig::pbr());
@@ -42,6 +51,26 @@ TEST_F(RequestAllocs, PbrDeltaRequestStaysWithinAllocationBudget) {
   EXPECT_EQ(rt0.kernel().counters().deltas_sent, std::uint64_t{kWarmup + kMeasured});
   RecordProperty("allocs_per_request", std::to_string(per_request));
   EXPECT_LE(per_request, kMaxPbrAllocsPerRequest);
+}
+
+TEST_F(RequestAllocs, PbrFullRequestStaysWithinAllocationBudget) {
+  FtmConfig config = FtmConfig::pbr();
+  config.delta_checkpoint = false;
+  deploy(config);
+  // Every checkpoint then ships the state and the whole reply log, full.
+  static_assert(kWarmup > ReplyLogComponent::kCapacity);
+  for (int i = 0; i < kWarmup; ++i) roundtrip(kv_incr(strf("k", i % 8)));
+
+  const std::size_t before = rcs::test::allocations();
+  for (int i = 0; i < kMeasured; ++i) roundtrip(kv_incr(strf("k", i % 8)));
+  const double per_request =
+      static_cast<double>(rcs::test::allocations() - before) / kMeasured;
+
+  EXPECT_EQ(rt0.kernel().counters().full_checkpoints_sent,
+            std::uint64_t{kWarmup + kMeasured});
+  EXPECT_EQ(rt0.kernel().counters().deltas_sent, std::uint64_t{0});
+  RecordProperty("allocs_per_request", std::to_string(per_request));
+  EXPECT_LE(per_request, kMaxPbrFullAllocsPerRequest);
 }
 
 TEST_F(RequestAllocs, LfrRequestStaysWithinAllocationBudget) {
