@@ -48,15 +48,15 @@ class SyncAfterLfrAudit final : public ftm::SyncAfterDuplexBase {
     if (!peer_available(ctx)) return done();
     Value data = Value::map();
     data.set("key", ctx.key).set("digest", digest(ctx.result));
-    send_peer("after", "notify", std::move(data));
+    send_peer({ftm::PeerPhase::kAfter, ftm::PeerKind::kNotify, std::move(data)});
     count_event(ftm::Event::kNotification);
     return done();
   }
 
   ftm::BrickStatus on_solicited(const ftm::RequestCtx& ctx,
                                 const ftm::PeerMessage& message) override {
-    if (message.kind == "notify" &&
-        message.data.at("digest").as_int() != digest(ctx.result)) {
+    if (message.kind == ftm::PeerKind::kNotify &&
+        message.data().at("digest").as_int() != digest(ctx.result)) {
       report_fault("divergence");
     }
     audit(ctx);
@@ -64,12 +64,12 @@ class SyncAfterLfrAudit final : public ftm::SyncAfterDuplexBase {
   }
 
   ftm::BrickStatus on_unsolicited(const ftm::PeerMessage& message) override {
-    if (message.kind == "notify") return stash();
+    if (message.kind == ftm::PeerKind::kNotify) return stash();
     return handled();
   }
 
   ftm::BrickStatus forwarded_after(const ftm::RequestCtx& /*ctx*/) override {
-    return wait_for("notify");
+    return wait_for(ftm::PeerKind::kNotify);
   }
 
  private:

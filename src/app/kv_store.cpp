@@ -75,7 +75,13 @@ class KvStore final : public AppServerBase {
     const auto target = static_cast<std::size_t>(
         filler_size.is_int() ? filler_size.as_int() : 4096);
     const auto base = state.encoded_size();
-    state.set("filler", Value(Bytes(base < target ? target - base : 0, 0x5A)));
+    const std::size_t filler = base < target ? target - base : 0;
+    // Every checkpoint ships the same filler: rebuild it only when its size
+    // changes, and share it by handle otherwise.
+    if (filler_.size() != filler) {
+      filler_ = SharedBytes(Bytes(filler, 0x5A));
+    }
+    state.set("filler", Value(filler_));
     return state;
   }
 
@@ -143,6 +149,8 @@ class KvStore final : public AppServerBase {
 
  private:
   std::map<std::string, Value> data_;
+  /// The state's padding, shared by every state_get of the same size.
+  SharedBytes filler_;
   // key -> mutation_epoch() at last write; survives captures, cleared by acks.
   std::map<std::string, std::uint64_t> dirty_;
 };

@@ -131,6 +131,7 @@ class Value {
   Value(std::string_view v) : data_(std::string(v)) {}  // NOLINT
   Value(const char* v) : data_(std::string(v)) {}    // NOLINT
   Value(Bytes v) : data_(SharedBytes(std::move(v))) {}  // NOLINT
+  Value(SharedBytes v) : data_(std::move(v)) {}          // NOLINT
   Value(ValueList v) : data_(std::move(v)) {}        // NOLINT
   Value(ValueMap v) : data_(std::move(v)) {}         // NOLINT
 
@@ -236,13 +237,25 @@ class Value {
   Storage data_{nullptr};
 };
 
-/// What Value::shared makes and a Payload holds: an immutable Value (never
-/// itself a cell) and its encoded size.
-struct ValueCell {
-  explicit ValueCell(Value v)
-      : value(std::move(v)), encoded_size(value.encoded_size()) {}
-  Value value;
+/// Tag of the payload cells that hold a T: the address of a per-type object.
+template <class T>
+inline char payload_tag = 0;
+
+/// What a Payload holds: a refcounted immutable cell whose tag names the
+/// type it holds, with the exact size of its wire encoding, computed once.
+/// A ValueCell holds a Value; a TypedCell (payload.hpp) any other message.
+struct PayloadCell {
+  const void* tag;
   std::size_t encoded_size;
+};
+
+/// What Value::shared makes: an immutable Value (never itself a cell) and its
+/// encoded size.
+struct ValueCell : PayloadCell {
+  explicit ValueCell(Value v)
+      : PayloadCell{&payload_tag<Value>, v.encoded_size()},
+        value(std::move(v)) {}
+  Value value;
 };
 
 // ValueMap members that touch entries need Value complete.

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "rcs/common/error.hpp"
+#include "rcs/common/payload.hpp"
 #include "rcs/common/strf.hpp"
 
 namespace rcs {
@@ -49,6 +50,10 @@ Value Value::shared(Value v) {
   Value cell;
   cell.data_ = std::make_shared<const ValueCell>(std::move(v));
   return cell;
+}
+
+void Payload::type_mismatch() {
+  throw ValueError("Payload: the cell holds another message type");
 }
 
 const Value& Value::held() const {

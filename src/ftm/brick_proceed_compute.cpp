@@ -15,7 +15,7 @@ class ProceedCompute final : public FtmBrick {
   BrickStatus run_phase(const RequestCtx& ctx) override {
     const Value outcome = run_server(ctx.request());
     resume_after(ctx.key, outcome.at("cpu_us").as_int(), outcome.at("result"));
-    return wait_for("");  // timer wait; control().resume_after fires it
+    return wait_for_resume();  // timer wait; control().resume_after fires it
   }
   BrickStatus on_peer(const RequestCtx* /*ctx*/,
                       const PeerMessage& /*message*/) override {

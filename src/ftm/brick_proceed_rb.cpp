@@ -59,7 +59,7 @@ class ProceedRb final : public FtmBrick {
       result = alternate.at("result");
     }
     resume_after(ctx.key, cpu, std::move(result));
-    return wait_for("");
+    return wait_for_resume();
   }
 };
 

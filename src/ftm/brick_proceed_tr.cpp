@@ -65,7 +65,7 @@ class ProceedTr final : public FtmBrick {
       }
     }
     resume_after(ctx.key, cpu, std::move(result));
-    return wait_for("");
+    return wait_for_resume();
   }
 };
 

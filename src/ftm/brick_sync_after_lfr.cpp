@@ -29,7 +29,7 @@ class SyncAfterLfr final : public SyncAfterDuplexBase {
     if (!peer_available(ctx)) return done();
     Value data = Value::map();
     data.set("key", ctx.key).set("digest", digest(ctx.result));
-    send_peer("after", "notify", std::move(data));
+    send_peer({PeerPhase::kAfter, PeerKind::kNotify, std::move(data)});
     count_event(Event::kNotification);
     return done();  // fire-and-forget: the client reply is not gated
   }
@@ -37,8 +37,8 @@ class SyncAfterLfr final : public SyncAfterDuplexBase {
   BrickStatus on_solicited(const RequestCtx& ctx,
                            const PeerMessage& message) override {
     // Follower received the leader's notification for its forwarded context.
-    if (message.kind == "notify") {
-      const auto leader_digest = message.data.at("digest").as_int();
+    if (message.kind == PeerKind::kNotify) {
+      const auto leader_digest = message.data().at("digest").as_int();
       if (leader_digest != digest(ctx.result)) {
         report_fault("divergence");
       }
@@ -49,7 +49,7 @@ class SyncAfterLfr final : public SyncAfterDuplexBase {
   BrickStatus on_unsolicited(const PeerMessage& message) override {
     // A notification can overtake its forwarded request on a jittery link;
     // park it in the kernel's stash until the context reaches After.
-    if (message.kind == "notify") return stash();
+    if (message.kind == PeerKind::kNotify) return stash();
     return handled();
   }
 
@@ -69,7 +69,7 @@ class SyncAfterLfr final : public SyncAfterDuplexBase {
       // our own result rather than waiting forever.
       return done();
     }
-    return wait_for("notify");
+    return wait_for(PeerKind::kNotify);
   }
 };
 

@@ -28,101 +28,99 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
   BrickStatus master_after(const RequestCtx& ctx) override {
     const auto& group = alive_peers();
     if (group.empty() || !peer_available(ctx)) return done();  // master-alone
-    Value data = Value::map();
-    data.set("key", ctx.key);
+    Checkpoint ckpt;
+    ckpt.delta = delta_;
     if (delta_) {
       // Incremental checkpoint: only the state mutated since the backup's
       // last ack, plus the reply-log entries it has not acknowledged. A
       // retransmission (kernel retry) re-captures, which widens the delta —
       // never narrows it — so the backup can always catch up or detect a gap.
       if (wired("state")) {
-        Value ckpt = call("state", "capture_delta");
-        count_event(ckpt.at("full").as_bool() ? Event::kFullCheckpointSent
-                                              : Event::kDeltaSent);
-        data.set("ckpt", std::move(ckpt));
+        Value capture = call("state", "capture_delta");
+        count_event(capture.at("full").as_bool() ? Event::kFullCheckpointSent
+                                                 : Event::kDeltaSent);
+        ckpt.state = std::move(capture);
       }
-      data.set("rlog", reply_log().export_since());
+      ckpt.replies = reply_log().export_since();
     } else {
-      data.set("state", capture_state())
-          .set("replies", reply_log().export_all());
+      ckpt.state = capture_state();
+      ckpt.replies = reply_log().export_all();
       count_event(Event::kFullCheckpointSent);
     }
     // The current request's reply is recorded in the reply log only after
     // this phase completes, so ship it explicitly: at-most-once must hold on
     // the backup even if we crash right after answering the client. As a
     // cell, the backup's log records it by handle.
-    data.set("pending_reply",
-             Value::shared(Value::map()
-                               .set("id", static_cast<std::int64_t>(ctx.id))
-                               .set("result", ctx.result)));
+    ckpt.pending_reply =
+        Value::shared(Value::map()
+                          .set("id", static_cast<std::int64_t>(ctx.id))
+                          .set("result", ctx.result));
+    ReplicaMessage message{PeerPhase::kAfter, PeerKind::kCheckpoint, ctx.key,
+                           std::move(ckpt)};
     if (auto* fsim = fsim_registry()) {
       // fsim "ckpt.serialize": the capture/encode of this checkpoint fails.
       // Skip the send but wait as usual — the kernel's peer-retry loop
       // re-runs this phase after retry_us and re-captures (the delta only
       // widens), so the failure is masked at the cost of one retry interval.
       const fsim::Site site{delta_ ? "primary/delta" : "primary/full",
-                            data.encoded_size(), fsim_now()};
+                            body_size(message), fsim_now()};
       if (fsim->should_fail(fsim::Point::kCkptSerialize, site)) {
         trace_instant("fsim.ckpt.serialize", trace_of(ctx));
-        return wait_for_group("checkpoint_ack", static_cast<int>(group.size()));
+        return wait_for_group(PeerKind::kCheckpointAck,
+                              static_cast<int>(group.size()));
       }
     }
     if (tracing()) {
       trace_instant("ckpt.send", trace_of(ctx),
-                    static_cast<std::int64_t>(data.encoded_size()));
+                    static_cast<std::int64_t>(body_size(message)));
     }
-    send_peer("after", "checkpoint", std::move(data));
+    send_peer(std::move(message));
     count_event(Event::kCheckpointSent);
     // Wait for every live backup to acknowledge before answering the client
     // (no acknowledged request can be lost to a failover).
-    return wait_for_group("checkpoint_ack", static_cast<int>(group.size()));
+    return wait_for_group(PeerKind::kCheckpointAck,
+                          static_cast<int>(group.size()));
   }
 
   BrickStatus on_solicited(const RequestCtx& /*ctx*/,
                            const PeerMessage& message) override {
-    if (message.kind == "checkpoint_ack") {
+    if (message.kind == PeerKind::kCheckpointAck) {
       // The whole group confirmed this checkpoint: it will never need to be
       // retransmitted, so drop its dirty keys and reply-log entries from
       // future deltas. (All acks of one round echo the same seq/upto.)
-      const Value& data = message.data;
-      if (data.has("seq") && wired("state")) {
-        call("state", "ack_delta", Value::map().set("seq", data.at("seq")));
+      const auto& ack = message.body<CheckpointAck>();
+      if (ack.seq && wired("state")) {
+        call("state", "ack_delta", Value::map().set("seq", *ack.seq));
       }
-      if (data.has("upto")) {
-        reply_log().ack_export(
-            static_cast<std::uint64_t>(data.at("upto").as_int()));
-      }
+      if (ack.upto) reply_log().ack_export(*ack.upto);
       return done();
     }
     return done();  // anything else while waiting: treat as completion
   }
 
   BrickStatus on_unsolicited(const PeerMessage& message) override {
-    if (message.kind == "checkpoint") {
-      const Value& data = message.data;
-      const auto from = message.from;
-      if (data.has("ckpt") || data.has("rlog")) {
-        return apply_delta_checkpoint(data, from);
+    if (message.kind != PeerKind::kCheckpoint) return handled();
+    const auto& ckpt = message.body<Checkpoint>();
+    const auto from = message.from;
+    if (ckpt.delta) return apply_delta_checkpoint(message, ckpt);
+    // Full-state checkpoint (delta knob off on the primary).
+    if (auto* fsim = fsim_registry()) {
+      // fsim "ckpt.apply" (full path): the apply fails before any state is
+      // touched. No ack goes back, so the primary's retry loop re-sends
+      // the full snapshot — masked at the cost of one retry interval.
+      const fsim::Site site{"backup/full", body_size(message.envelope),
+                            fsim_now()};
+      if (fsim->should_fail(fsim::Point::kCkptApply, site)) {
+        trace_instant("fsim.ckpt.apply", 0, from);
+        return handled();
       }
-      // Legacy full-state checkpoint (delta knob off on the primary).
-      if (auto* fsim = fsim_registry()) {
-        // fsim "ckpt.apply" (full path): the apply fails before any state is
-        // touched. No ack goes back, so the primary's retry loop re-sends
-        // the full snapshot — masked at the cost of one retry interval.
-        const fsim::Site site{"backup/full", data.encoded_size(), fsim_now()};
-        if (fsim->should_fail(fsim::Point::kCkptApply, site)) {
-          trace_instant("fsim.ckpt.apply", 0, from);
-          return handled();
-        }
-      }
-      if (!data.at("state").is_null()) restore_state(data.at("state"));
-      reply_log().import_all(data.at("replies"));
-      record_pending_reply(data);
-      count_event(Event::kCheckpointApplied);
-      trace_instant("ckpt.apply", 0, from);
-      send_peer_to(from, "after", "checkpoint_ack",
-                   Value::map().set("key", data.at("key")));
     }
+    if (ckpt.state && !ckpt.state->is_null()) restore_state(*ckpt.state);
+    reply_log().import_all(ckpt.replies);
+    record_pending_reply(message, ckpt);
+    count_event(Event::kCheckpointApplied);
+    trace_instant("ckpt.apply", 0, from);
+    send_ack(message, CheckpointAck{});
     return handled();
   }
 
@@ -143,32 +141,40 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
     delta_ = !v.is_bool() || v.as_bool();
   }
 
-  void record_pending_reply(const Value& data) {
-    if (!data.has("pending_reply")) return;
-    reply_log().record(data.at("key").as_string(), data.at("pending_reply"));
+  void record_pending_reply(const PeerMessage& message,
+                            const Checkpoint& ckpt) {
+    reply_log().record(message.envelope.key, ckpt.pending_reply);
   }
 
-  BrickStatus apply_delta_checkpoint(const Value& data, std::int64_t from) {
-    Value ack = Value::map().set("key", data.at("key"));
+  void send_ack(const PeerMessage& message, CheckpointAck ack) {
+    send_peer_to(message.from, {PeerPhase::kAfter, PeerKind::kCheckpointAck,
+                                message.envelope.key, std::move(ack)});
+  }
+
+  BrickStatus apply_delta_checkpoint(const PeerMessage& message,
+                                     const Checkpoint& ckpt) {
+    const auto from = message.from;
+    CheckpointAck ack;
     bool ok = true;
     if (auto* fsim = fsim_registry()) {
       // fsim "ckpt.apply" (delta path): the apply fails mid-import, as if
       // this backup's state diverged. Escalate exactly like a detected gap:
       // request a full resync through the join path and withhold the ack.
-      const fsim::Site site{"backup/delta", data.encoded_size(), fsim_now()};
+      const fsim::Site site{"backup/delta", body_size(message.envelope),
+                            fsim_now()};
       if (fsim->should_fail(fsim::Point::kCkptApply, site)) {
         trace_instant("fsim.ckpt.apply", 0, from);
         ok = false;
       }
     }
-    if (ok && data.has("ckpt") && wired("state")) {
-      const Value applied = call("state", "apply_delta", data.at("ckpt"));
+    if (ok && ckpt.state && wired("state")) {
+      const Value applied = call("state", "apply_delta", *ckpt.state);
       ok = applied.at("ok").as_bool();
-      if (ok) ack.set("seq", data.at("ckpt").at("seq"));
+      if (ok) ack.seq = ckpt.state->at("seq").as_int();
     }
-    if (ok && data.has("rlog")) {
-      ok = reply_log().import_delta(data.at("rlog"));
-      if (ok) ack.set("upto", data.at("rlog").at("upto"));
+    if (ok) {
+      ok = reply_log().import_delta(ckpt.replies);
+      if (ok) ack.upto = ckpt.replies.upto;
     }
     if (!ok) {
       // We missed checkpoints (restart, loss burst, or a new primary's
@@ -179,10 +185,10 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
       control().join();
       return handled();
     }
-    record_pending_reply(data);
+    record_pending_reply(message, ckpt);
     count_event(Event::kCheckpointApplied);
     trace_instant("ckpt.apply", 0, from);
-    send_peer_to(from, "after", "checkpoint_ack", std::move(ack));
+    send_ack(message, ack);
     return handled();
   }
 

@@ -27,14 +27,14 @@ class SyncBeforeLfr final : public FtmBrick {
       // Thread the trace id into the forward so the follower's pipeline
       // spans land on the same trace as the leader's.
       if (ctx.trace != 0) data.set("trace", static_cast<std::int64_t>(ctx.trace));
-      send_peer("before", "request", std::move(data));
+      send_peer({PeerPhase::kBefore, PeerKind::kRequest, std::move(data)});
     }
     return done();
   }
 
   BrickStatus on_peer(const RequestCtx* ctx,
                       const PeerMessage& message) override {
-    if (ctx == nullptr && message.kind == "request") {
+    if (ctx == nullptr && message.kind == PeerKind::kRequest) {
       // Unsolicited forward from the leader: start our own pipeline.
       control().start_forwarded(message);
     }

@@ -25,19 +25,29 @@ comp::ComponentTypeInfo FailureDetectorComponent::type_info() {
   return info;
 }
 
-sim::Duration FailureDetectorComponent::interval() const {
-  return property("interval_us").as_int();
+void FailureDetectorComponent::read_timing() {
+  interval_ = property("interval_us").as_int();
+  timeout_ = property("timeout_us").as_int();
+  const Value grace = property("startup_grace_us");
+  grace_ = grace.is_int() ? grace.as_int() : kDefaultStartupGrace;
 }
 
-sim::Duration FailureDetectorComponent::timeout() const {
-  return property("timeout_us").as_int();
+void FailureDetectorComponent::on_property_changed(const std::string& key) {
+  if (key == "interval_us" || key == "timeout_us" ||
+      key == "startup_grace_us") {
+    read_timing();
+  }
 }
 
 void FailureDetectorComponent::on_start() {
   running_ = true;
   suspected_.clear();
   last_heard_.clear();
+  read_timing();
   if (host() == nullptr) return;  // pure unit-test composite
+  // All peers get the identical beacon: build it once, share the payload.
+  beacon_ = Payload{Value::map().set(
+      "from", static_cast<std::int64_t>(host()->id().value()))};
   start_ = host()->sim().now();
   beat();
   check();
@@ -58,23 +68,18 @@ void FailureDetectorComponent::on_stop() {
 
 void FailureDetectorComponent::beat() {
   if (!running_ || host() == nullptr) return;
-  // All peers get the identical beacon: build it once, share the payload.
-  const Payload beacon{Value::map().set(
-      "from", static_cast<std::int64_t>(host()->id().value()))};
   for (const auto peer : control().peers()) {
     if (peer < 0) continue;
     host()->send(HostId{static_cast<std::uint32_t>(peer)}, msg::kHeartbeat,
-                 beacon);
+                 beacon_);
   }
-  beat_timer_ = host()->schedule_after(interval(), [this] { beat(); }, "fd.beat");
+  beat_timer_ = host()->schedule_after(interval_, [this] { beat(); }, "fd.beat");
 }
 
 void FailureDetectorComponent::check() {
   if (!running_ || host() == nullptr) return;
   const sim::Time now = host()->sim().now();
-  const Value grace_prop = property("startup_grace_us");
-  const sim::Duration grace =
-      grace_prop.is_int() ? grace_prop.as_int() : kDefaultStartupGrace;
+  const sim::Duration grace = grace_;
   for (const auto peer : control().peers()) {
     if (peer < 0 || suspected_.contains(peer)) continue;
     const auto it = last_heard_.find(peer);
@@ -85,7 +90,7 @@ void FailureDetectorComponent::check() {
       if (now - start_ <= grace) continue;
     }
     const sim::Time heard = it != last_heard_.end() ? it->second : start_ + grace;
-    if (now - heard > timeout()) {
+    if (now - heard > timeout_) {
       suspected_.insert(peer);
       log().info("fd", host()->name(), ": peer h", peer,
                  " suspected (silent for ", now - heard, "us)");
@@ -93,7 +98,7 @@ void FailureDetectorComponent::check() {
     }
   }
   check_timer_ =
-      host()->schedule_after(interval(), [this] { check(); }, "fd.check");
+      host()->schedule_after(interval_, [this] { check(); }, "fd.check");
 }
 
 void FailureDetectorComponent::on_heartbeat(const Value& beacon) {

@@ -47,16 +47,15 @@ HistoryRecorder::HistoryRecorder(Client& client, sim::Simulation& sim)
       if (request.has("key")) record.key = request.at("key").as_string();
       if (request.has("by")) record.by = request.at("by").as_int();
     }
-    records_[id] = std::move(record);
+    records_.push_back(std::move(record));
   };
   observer.on_transmit = [this](std::uint64_t id, int attempt, HostId) {
-    const auto it = records_.find(id);
-    if (it != records_.end()) it->second.attempts = attempt;
+    if (HistoryRecord* record = find(id)) record->attempts = attempt;
   };
   observer.on_complete = [this](std::uint64_t id, const Value& reply) {
-    const auto it = records_.find(id);
-    if (it == records_.end()) return;
-    HistoryRecord& record = it->second;
+    HistoryRecord* record_ptr = find(id);
+    if (record_ptr == nullptr) return;
+    HistoryRecord& record = *record_ptr;
     record.completed = sim_.now();
     if (reply.is_map() && reply.has("error")) {
       const auto& error = reply.at("error");
@@ -73,18 +72,18 @@ HistoryRecorder::HistoryRecorder(Client& client, sim::Simulation& sim)
   client.set_observer(std::move(observer));
 }
 
-std::vector<HistoryRecord> HistoryRecorder::records() const {
-  std::vector<HistoryRecord> out;
-  out.reserve(records_.size());
-  for (const auto& [id, record] : records_) out.push_back(record);
-  return out;
+HistoryRecord* HistoryRecorder::find(std::uint64_t id) {
+  if (records_.empty() || id < records_.front().id) return nullptr;
+  const auto index = id - records_.front().id;
+  return index < records_.size() && records_[index].id == id ? &records_[index]
+                                                             : nullptr;
 }
 
 std::string HistoryRecorder::trace() const {
   std::string out =
       "history records=" + std::to_string(records_.size()) + "\n";
-  for (const auto& [id, r] : records_) {
-    out += strf("  [", id, "] op=", r.op, " key=", r.key, " sent=", r.sent,
+  for (const auto& r : records_) {
+    out += strf("  [", r.id, "] op=", r.op, " key=", r.key, " sent=", r.sent,
                 " done=", r.completed, " attempts=", r.attempts,
                 " outcome=", to_string(r.outcome));
     if (r.outcome == HistoryRecord::Outcome::kOk && r.result.is_map()) {

@@ -8,7 +8,8 @@
 //                                                       After, by slot
 //   on_peer(const RequestCtx* | null, const PeerMessage&)
 // each returning a BrickStatus — see protocol.hpp; the helpers below build
-// them (done, wait_for, again_with, fail_with; handled, stash, defer). The
+// them (done, wait_for, wait_for_resume, again_with, fail_with; handled,
+// stash, defer). The
 // ctx is typed fields (key, client, id, request(), result, forwarded, role,
 // peer_alive, expect, attempt, trace) and a message carries its sender
 // beside its payload. A brick reaches the kernel and the reply log back
@@ -44,8 +45,8 @@ class FtmBrick : public comp::Component, public Brick {
  public:
   /// Only the After slot is asked for join snapshots; a brick with nothing
   /// to ship answers an empty one and ignores the peer's.
-  Value make_join_snapshot() override { return Value::map(); }
-  void apply_join_snapshot(const Value& /*snapshot*/) override {}
+  JoinSnapshot make_join_snapshot() override { return {}; }
+  void apply_join_snapshot(const JoinSnapshot& /*snapshot*/) override {}
 
  protected:
   void* resolve_face(const comp::PortSpec& reference,
@@ -61,15 +62,19 @@ class FtmBrick : public comp::Component, public Brick {
     return answer;
   }
   [[nodiscard]] static BrickStatus done() { return status(Verdict::kDone); }
-  /// Wait for a peer message of `kind` (empty = wait for resume_after).
-  [[nodiscard]] static BrickStatus wait_for(std::string kind) {
-    return wait_for_group(std::move(kind), 1);
+  /// Wait for a peer message of `kind`.
+  [[nodiscard]] static BrickStatus wait_for(PeerKind kind) {
+    return wait_for_group(kind, 1);
+  }
+  /// Wait for the kernel's resume_after (a compute timer).
+  [[nodiscard]] static BrickStatus wait_for_resume() {
+    return wait_for_group(PeerKind::kNone, 1);
   }
   /// Wait for `count` matching peer messages, one per group member
   /// (checkpoint acks from N backups). count <= 0 completes immediately.
-  [[nodiscard]] static BrickStatus wait_for_group(std::string kind, int count) {
+  [[nodiscard]] static BrickStatus wait_for_group(PeerKind kind, int count) {
     BrickStatus wait = status(Verdict::kWait);
-    wait.expect = std::move(kind);
+    wait.expect = kind;
     wait.expect_count = count;
     return wait;
   }
@@ -103,13 +108,12 @@ class FtmBrick : public comp::Component, public Brick {
     return ctx.peer_alive && ctx.role != Role::kAlone;
   }
 
-  void send_peer(std::string_view phase, std::string_view kind, Value data) {
-    control().send_peer(phase, kind, std::move(data));
+  void send_peer(ReplicaMessage message) {
+    control().send_peer(std::move(message));
   }
 
-  void send_peer_to(std::int64_t host, std::string_view phase,
-                    std::string_view kind, Value data) {
-    control().send_peer_to(host, phase, kind, std::move(data));
+  void send_peer_to(std::int64_t host, ReplicaMessage message) {
+    control().send_peer_to(host, std::move(message));
   }
 
   /// Live members of the replica group, from the kernel.

@@ -6,7 +6,9 @@
 // crash and triggers recovery, §3.2.1). Suspicion is reported to the protocol
 // kernel through the control reference, typed as its ProtocolControl face; a
 // later heartbeat from a restarted peer reports recovery. The runtime hands
-// each beacon to on_heartbeat; the detector serves no Value ops.
+// each beacon to on_heartbeat; the detector serves no Value ops. The timing
+// properties are read on start and when set, and the beacon is built once
+// per start, so a beat or a check allocates nothing.
 #pragma once
 
 #include <map>
@@ -39,6 +41,7 @@ class FailureDetectorComponent : public comp::Component {
  protected:
   void on_start() override;
   void on_stop() override;
+  void on_property_changed(const std::string& key) override;
   void* resolve_face(const comp::PortSpec& reference,
                      comp::Component& target) override {
     return typed_face(reference, target);
@@ -47,8 +50,8 @@ class FailureDetectorComponent : public comp::Component {
  private:
   void beat();
   void check();
-  [[nodiscard]] sim::Duration interval() const;
-  [[nodiscard]] sim::Duration timeout() const;
+  /// Read interval_us, timeout_us and startup_grace_us.
+  void read_timing();
   /// The protocol kernel, whose replica group is beaten to and watched.
   [[nodiscard]] ProtocolControl& control() {
     return face<ProtocolControl>("control");
@@ -58,6 +61,11 @@ class FailureDetectorComponent : public comp::Component {
 
   bool running_{false};
   sim::Time start_{0};
+  sim::Duration interval_{kDefaultInterval};
+  sim::Duration timeout_{kDefaultTimeout};
+  sim::Duration grace_{kDefaultStartupGrace};
+  /// {"from": this host's id}, shared by every beat.
+  Payload beacon_;
   std::map<std::int64_t, sim::Time> last_heard_;
   std::set<std::int64_t> suspected_;
   // Pending self-rescheduling timers; cancelled on stop/destruction so a

@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -68,13 +67,20 @@ class HistoryRecorder {
  public:
   HistoryRecorder(Client& client, sim::Simulation& sim);
 
-  [[nodiscard]] std::vector<HistoryRecord> records() const;
+  /// One record per request sent, in id order.
+  [[nodiscard]] const std::vector<HistoryRecord>& records() const {
+    return records_;
+  }
   /// Canonical text form of the history; byte-identical across replays.
   [[nodiscard]] std::string trace() const;
 
  private:
+  /// The record of request `id`, or null if it was sent before recording.
+  [[nodiscard]] HistoryRecord* find(std::uint64_t id);
+
   sim::Simulation& sim_;
-  std::map<std::uint64_t, HistoryRecord> records_;
+  /// Dense: the client's ids run consecutively from the first one recorded.
+  std::vector<HistoryRecord> records_;
 };
 
 struct InvariantReport {

@@ -23,9 +23,11 @@
 // contract is typed too: a brick reads a RequestCtx, gets replica messages
 // as a PeerMessage and answers a BrickStatus. Callers outside the composite
 // (the runtime, the node agent) use the same C++ methods: the kernel, the
-// reply log, the failure detector and the bricks serve no Value ops. Value
-// stays for what crosses the wire (request, reply, replica payloads) and for
-// the application's rcs.Server and rcs.StateManager.
+// reply log, the failure detector and the bricks serve no Value ops. Replica
+// messages are typed envelopes (replica_message.hpp) whose PBR checkpoint,
+// ack and rejoin bodies are structs. Value stays for the client's request
+// and reply, for the other replica-message bodies and for the application's
+// rcs.Server and rcs.StateManager.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +40,7 @@
 #include "rcs/common/payload.hpp"
 #include "rcs/common/value.hpp"
 #include "rcs/component/ports.hpp"
+#include "rcs/ftm/replica_message.hpp"
 #include "rcs/sim/time.hpp"
 
 namespace rcs::comp {
@@ -69,13 +72,13 @@ namespace rcs::ftm::msg {
 inline const MsgType kRequest{"ftm.request"};
 /// replica -> client: {"id": u64, "result": value} or {"id", "error": str}
 inline const MsgType kReply{"ftm.reply"};
-/// replica <-> replica: {"phase": "before"|"after"|"ctrl", "kind": str,
-/// "key"?: str, "data": value}. The sender is not in the payload: the
-/// runtime hands the kernel the shared payload and Message::from side by
-/// side (ProtocolKernel::deliver_peer), and the kernel parses it once into a
-/// PeerMessage for the bricks.
+/// replica <-> replica: a typed ReplicaMessage (replica_message.hpp), sized
+/// as {"data": body, "key"?: str, "kind": str, "phase": str}. The sender is
+/// not in the payload: the runtime hands the kernel the shared payload and
+/// Message::from side by side (ProtocolKernel::deliver_peer), and the kernel
+/// gives the bricks a PeerMessage that reads the envelope in place.
 inline const MsgType kReplica{"ftm.replica"};
-/// replica <-> replica failure detection beacon: {"role": str}
+/// replica <-> replica failure detection beacon: {"from": sender host id}
 inline const MsgType kHeartbeat{"ftm.heartbeat"};
 
 }  // namespace rcs::ftm::msg
@@ -125,9 +128,9 @@ struct RequestCtx {
   Role role{Role::kPrimary};
   /// Some member of the replica group is not suspected by the detector.
   bool peer_alive{false};
-  /// The peer-message kind the context waits for ("" when not waiting on a
-  /// peer), and how many times the waiting phase was re-run.
-  std::string expect;
+  /// The peer-message kind the context waits for (kNone when not waiting on
+  /// a peer), and how many times the waiting phase was re-run.
+  PeerKind expect{PeerKind::kNone};
   int attempt{0};
   /// End-to-end trace id minted by the client (0 = untraced).
   std::uint64_t trace{0};
@@ -139,15 +142,34 @@ struct RequestCtx {
   const Value* request_{nullptr};
 };
 
-/// A replica message {phase, kind, key?, data} as the kernel parsed it on
-/// delivery, with the host the network delivered it from. The views and
-/// `data` point into `payload`, which stays alive for the whole call.
+/// A delivered replica message: the envelope, read in place from the shared
+/// payload, with the host the network delivered it from. The references
+/// stay valid for the whole call.
 struct PeerMessage {
-  std::string_view phase;  // "before" | "exec" | "after" | "ctrl"
-  std::string_view kind;
+  /// Throws ValueError if `payload` holds no ReplicaMessage.
+  PeerMessage(const Payload& payload, std::int64_t from)
+      : envelope(payload.get<ReplicaMessage>()),
+        phase(envelope.phase),
+        kind(envelope.kind),
+        key(envelope.key),
+        from(from),
+        payload(payload) {}
+
+  /// The Value body (LFR request and notify, exec_req / exec_result, abort,
+  /// join); throws FtmError for a typed one.
+  [[nodiscard]] const Value& data() const { return envelope.data(); }
+  /// The typed body (Checkpoint, CheckpointAck, JoinSnapshot); throws
+  /// FtmError if the message carries another.
+  template <class T>
+  [[nodiscard]] const T& body() const {
+    return envelope.body_as<T>();
+  }
+
+  const ReplicaMessage& envelope;
+  PeerPhase phase;
+  PeerKind kind;
   std::string_view key;  // "" when the message names no request
   std::int64_t from{-1};
-  const Value& data;  // null when the message carries none
   /// The shared payload itself, for a brick that hands the message on
   /// (ProtocolControl::start_forwarded) without copying it.
   const Payload& payload;
@@ -159,7 +181,7 @@ struct PeerMessage {
 struct BrickStatus {
   enum class Verdict : std::uint8_t {
     kDone,     // phase complete; advance (with `result`, if set)
-    kWait,     // park until `expect_count` peers sent `expect` ("" = resume)
+    kWait,     // park until `expect_count` peers sent `expect` (kNone: resume)
     kAgain,    // re-run the current phase (assertion recovery)
     kFail,     // abort; the client gets an error reply with `error`
     kHandled,  // unsolicited message dealt with (or ignored)
@@ -168,7 +190,7 @@ struct BrickStatus {
   };
   Verdict verdict{Verdict::kHandled};
   std::optional<Value> result;
-  std::string expect;
+  PeerKind expect{PeerKind::kNone};
   int expect_count{1};
   std::string error;
 };
@@ -186,8 +208,8 @@ class Brick {
                               const PeerMessage& message) = 0;
   /// Rejoin: the master's state and reply log for a restarted replica, and
   /// its application on that replica. Only the After slot is asked.
-  virtual Value make_join_snapshot() = 0;
-  virtual void apply_join_snapshot(const Value& snapshot) = 0;
+  virtual JoinSnapshot make_join_snapshot() = 0;
+  virtual void apply_join_snapshot(const JoinSnapshot& snapshot) = 0;
 
  protected:
   ~Brick() = default;
@@ -205,16 +227,14 @@ struct InFlight {
 /// detector reach back through their "control" reference.
 class ProtocolControl {
  public:
-  /// The replica group, and its members not suspected by the detector. The
-  /// live list is the kernel's own, valid until the group's liveness next
-  /// changes.
-  [[nodiscard]] virtual std::vector<std::int64_t> peers() const = 0;
+  /// The replica group, and its members not suspected by the detector. Both
+  /// lists are the kernel's own: the group is valid until the "peers"
+  /// property next changes, the live list until the group's liveness does.
+  [[nodiscard]] virtual const std::vector<std::int64_t>& peers() const = 0;
   [[nodiscard]] virtual const std::vector<std::int64_t>& alive_peers() const = 0;
-  /// Send {phase, kind, key?, data} to every live peer, or to one.
-  virtual void send_peer(std::string_view phase, std::string_view kind,
-                         Value data) = 0;
-  virtual void send_peer_to(std::int64_t peer, std::string_view phase,
-                            std::string_view kind, Value data) = 0;
+  /// Send `message` to every live peer (one shared payload), or to one.
+  virtual void send_peer(ReplicaMessage message) = 0;
+  virtual void send_peer_to(std::int64_t peer, ReplicaMessage message) = 0;
   /// Complete the waiting phase of `key` with `result` after `delay`.
   virtual void resume_after(const std::string& key, sim::Duration delay,
                             Value result) = 0;
@@ -224,7 +244,7 @@ class ProtocolControl {
   virtual void report_fault(const std::string& kind) = 0;
   [[nodiscard]] virtual InFlight peek(const std::string& key) const = 0;
   /// Start a pipeline for the request the leader forwarded in `message`
-  /// (its data is {key, client, id, request, trace?}).
+  /// (its data() is {key, client, id, request, trace?}).
   virtual void start_forwarded(const PeerMessage& message) = 0;
   /// Ask the master for a full state and reply-log snapshot.
   virtual void join() = 0;
@@ -235,22 +255,22 @@ class ProtocolControl {
   ~ProtocolControl() = default;
 };
 
-/// Face of rcs.ReplyLog (see reply_log.hpp for the snapshot shapes).
+/// Face of rcs.ReplyLog (see reply_log.hpp).
 class ReplyLog {
  public:
   /// The reply recorded for `key`, or null; valid until the next record or
   /// import.
   [[nodiscard]] virtual const Value* lookup(const std::string& key) const = 0;
   virtual void record(const std::string& key, Value reply) = 0;
-  /// Full snapshot {entries, order, upto}, and its replacement of the log.
-  [[nodiscard]] virtual Value export_all() const = 0;
-  virtual void import_all(const Value& snapshot) = 0;
-  /// Incremental snapshot {entries, order, from, upto} of the entries the
-  /// peer has not acknowledged; the acknowledgement; and its import, which
-  /// is false when the snapshot starts past what this log has seen.
-  [[nodiscard]] virtual Value export_since() const = 0;
+  /// Every record, and their replacement of the log.
+  [[nodiscard]] virtual ReplySnapshot export_all() const = 0;
+  virtual void import_all(const ReplySnapshot& snapshot) = 0;
+  /// The records the peer has not acknowledged (from = its watermark); the
+  /// acknowledgement; and their import, which is false when the snapshot
+  /// starts past what this log has seen.
+  [[nodiscard]] virtual ReplySnapshot export_since() const = 0;
   virtual void ack_export(std::uint64_t upto) = 0;
-  [[nodiscard]] virtual bool import_delta(const Value& delta) = 0;
+  [[nodiscard]] virtual bool import_delta(const ReplySnapshot& delta) = 0;
 
  protected:
   ~ReplyLog() = default;

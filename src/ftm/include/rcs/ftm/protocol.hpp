@@ -16,8 +16,8 @@
 //   wait   - brick expects `expect_count` peer messages of kind `expect`; the
 //            kernel parks the context, counts each sender once, and resumes
 //            it when the group answered (a stashed early copy counts too),
-//            feeding the last message to the brick's on_peer. With no
-//            `expect` the context waits for resume_after.
+//            feeding the last message to the brick's on_peer. With `expect`
+//            kNone the context waits for resume_after.
 //   again  - re-run the current phase (used by assertion recovery)
 //   fail   - abort with `error`; the client gets an error reply
 // An unsolicited peer message (no context waits for it) goes to its phase's
@@ -27,9 +27,10 @@
 //
 // The runtime delivers traffic through deliver_client and deliver_peer: the
 // shared network payload and, for replica messages, the sender beside it.
-// The kernel parses a replica message once into a PeerMessage; the stash,
-// the deferred list and the quiescence buffers hold the payload handle, not
-// a copy. The kernel calls the bricks and the reply log through their C++
+// A replica payload is a typed ReplicaMessage (replica_message.hpp), which
+// the kernel hands the bricks in place as a PeerMessage; the stash, the
+// deferred list and the quiescence buffers hold the payload handle, not a
+// copy. The kernel calls the bricks and the reply log through their C++
 // faces, resolved when the wires are made. Bricks and the failure detector
 // reach the kernel back through their "control" reference, typed as the
 // ProtocolControl face this class implements (send_peer, resume_after,
@@ -129,7 +130,7 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   /// quiescence gate, join and peer_suspected throw ComponentError when the
   /// kernel is not started, as invoke does.
   void deliver_client(const Payload& payload);
-  /// A replica message {phase, kind, key?, data} from host `from`.
+  /// A replica message (a ReplicaMessage payload) from host `from`.
   void deliver_peer(const Payload& payload, std::int64_t from);
 
   // --- Quiescence gate (§5.3) ---------------------------------------------
@@ -140,16 +141,14 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   void unblock();
 
   // --- ProtocolControl face (bricks, failure detector) --------------------
-  [[nodiscard]] std::vector<std::int64_t> peers() const override {
+  [[nodiscard]] const std::vector<std::int64_t>& peers() const override {
     return peers_;
   }
   [[nodiscard]] const std::vector<std::int64_t>& alive_peers() const override {
     return alive_peers_;
   }
-  void send_peer(std::string_view phase, std::string_view kind,
-                 Value data) override;
-  void send_peer_to(std::int64_t peer, std::string_view phase,
-                    std::string_view kind, Value data) override;
+  void send_peer(ReplicaMessage message) override;
+  void send_peer_to(std::int64_t peer, ReplicaMessage message) override;
   void resume_after(const std::string& key, sim::Duration delay,
                     Value result) override;
   void count_event(Event event) override;
@@ -280,7 +279,7 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   std::map<std::string, Ctx, std::less<>> pending_;
   /// Early peer messages stashed until a context starts waiting for them,
   /// keyed by (request key, message kind). Keeps the bricks stateless.
-  std::map<std::pair<std::string, std::string>, HeldMessage> stash_;
+  std::map<std::pair<std::string, PeerKind>, HeldMessage> stash_;
   /// Unsolicited messages a brick asked to postpone until the local pipeline
   /// for their key finishes (e.g. an exec_req racing the local execution).
   std::map<std::string, std::vector<HeldMessage>> deferred_;

@@ -9,16 +9,16 @@
 // a bounded window, so the oldest entries are dead weight — and the log
 // travels inside every PBR checkpoint, so a tight bound keeps checkpoint
 // traffic close to the state size. With a bound that small the log is one
-// flat FIFO of {key, reply, seq} entries: a lookup or a record scans at most
-// kCapacity entries, and a re-record updates its entry in place without
-// moving it.
+// fixed ring of kCapacity {key, reply, seq} entries, oldest first: a lookup
+// or a record scans at most kCapacity entries, a re-record updates its entry
+// in place without moving it, and no record or import allocates a slot.
 //
 // Every reply is held in a shared immutable cell (Value::shared): the kernel
 // makes one cell per reply, records it here and sends the same cell to the
-// client. A snapshot's entries are those cells, so exporting, shipping and
-// importing the log copy handles, never reply maps, and the checkpoint's
-// encoded size sums the cells' cached sizes. A snapshot is built sorted by
-// key, so each entry appends to its map; an import looks each key up once.
+// client. A ReplySnapshot (replica_message.hpp) lists the records oldest
+// first as {key, cell}, so exporting, shipping and importing the log copy
+// handles, never reply maps, and the checkpoint's encoded size sums the
+// cells' cached sizes.
 //
 // For incremental checkpoints, every record is stamped with a monotone
 // sequence number; export_since ships only entries newer than the
@@ -27,14 +27,13 @@
 // export/import through the join path).
 //
 // The kernel and the bricks call the log through its ReplyLog face, the
-// only way in: the log serves no Value ops. Imports validate the whole
-// snapshot before touching the log: a snapshot whose order names a key
-// twice or a key missing from its entries, or that holds more than
-// kCapacity entries, is refused with FtmError and leaves the log as it was.
+// only way in: the log serves no Value ops. A snapshot comes from a peer's
+// log, so it names each key once; one that holds more than kCapacity
+// records is refused with FtmError and leaves the log as it was.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "rcs/component/component.hpp"
@@ -52,11 +51,11 @@ class ReplyLogComponent : public comp::Component, public ReplyLog {
   // ReplyLog face.
   [[nodiscard]] const Value* lookup(const std::string& key) const override;
   void record(const std::string& key, Value reply) override;
-  [[nodiscard]] Value export_all() const override;
-  void import_all(const Value& snapshot) override;
-  [[nodiscard]] Value export_since() const override;
+  [[nodiscard]] ReplySnapshot export_all() const override;
+  void import_all(const ReplySnapshot& snapshot) override;
+  [[nodiscard]] ReplySnapshot export_since() const override;
   void ack_export(std::uint64_t upto) override;
-  [[nodiscard]] bool import_delta(const Value& delta) override;
+  [[nodiscard]] bool import_delta(const ReplySnapshot& delta) override;
 
  private:
   struct Entry {
@@ -65,14 +64,26 @@ class ReplyLogComponent : public comp::Component, public ReplyLog {
     std::uint64_t seq{0};  // record order, for incremental export
   };
 
+  /// The i-th entry, oldest first (i < size_).
+  [[nodiscard]] Entry& at(std::size_t i) {
+    return ring_[(head_ + i) % kCapacity];
+  }
+  [[nodiscard]] const Entry& at(std::size_t i) const {
+    return ring_[(head_ + i) % kCapacity];
+  }
   [[nodiscard]] Entry* find(const std::string& key);
+  void pop_oldest();
   /// `state` names the driving op for the fsim "replylog.append" point
   /// ("record" for a fresh reply, "import_delta" for checkpoint import).
   void append(const std::string& key, Value reply, const char* state);
-  /// {entries, order} of the entries newer than `after`.
-  [[nodiscard]] Value snapshot_since(std::uint64_t after) const;
+  /// The records newer than `after`, oldest first.
+  [[nodiscard]] ReplySnapshot snapshot_since(std::uint64_t after) const;
+  /// Refuse a snapshot no peer's log could have made.
+  static void check_capacity(const ReplySnapshot& snapshot, const char* op);
 
-  std::deque<Entry> entries_;      // FIFO: oldest first
+  std::array<Entry, kCapacity> ring_;
+  std::size_t head_{0};            // slot of the oldest entry
+  std::size_t size_{0};
   std::uint64_t record_seq_{0};    // stamp of the newest record
   std::uint64_t export_acked_{0};  // primary: highest seq the peer acked
   std::uint64_t import_mark_{0};   // backup: highest seq imported so far

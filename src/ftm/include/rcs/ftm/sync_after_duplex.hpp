@@ -20,8 +20,8 @@ class SyncAfterDuplexBase : public FtmBrick {
                       const PeerMessage& message) override;
   /// Anchor a rejoining replica: application state (with its checkpoint
   /// stream position) and the reply log.
-  Value make_join_snapshot() override;
-  void apply_join_snapshot(const Value& snapshot) override;
+  JoinSnapshot make_join_snapshot() override;
+  void apply_join_snapshot(const JoinSnapshot& snapshot) override;
 
  protected:
   explicit SyncAfterDuplexBase(bool with_assertion)

@@ -21,23 +21,6 @@ std::string request_key(std::int64_t client, std::uint64_t id) {
 void take_result(BrickStatus& status, RequestCtx& ctx) {
   if (status.result) ctx.result = std::move(*status.result);
 }
-
-// A replica payload {phase, kind, key?, data?}, parsed once on delivery.
-PeerMessage parse_peer_message(const Payload& payload, std::int64_t from) {
-  static const Value kNoData;
-  const Value& fields = payload.value();
-  const ValueMap& map = fields.as_map();
-  const auto key = map.find("key");
-  const auto data = map.find("data");
-  return PeerMessage{
-      fields.at("phase").as_string(),
-      fields.at("kind").as_string(),
-      key != map.end() ? std::string_view(key->second.as_string())
-                       : std::string_view(),
-      from,
-      data != map.end() ? data->second : kNoData,
-      payload};
-}
 }  // namespace
 
 comp::ComponentTypeInfo ProtocolKernel::type_info() {
@@ -108,7 +91,7 @@ void ProtocolKernel::cancel_peer_retry(Ctx& ctx) {
 
 void ProtocolKernel::on_peer_retry(Ctx& ctx) {
   ctx.retry_timer = TimerId{};
-  if (!ctx.waiting || ctx.expect.empty()) return;
+  if (!ctx.waiting || ctx.expect == PeerKind::kNone) return;
   // Re-run the waiting phase: the brick re-sends its peer message (a lost
   // checkpoint/exec request) or decides to give up (ctx.attempt counts).
   ++ctx.attempt;
@@ -328,10 +311,10 @@ void ProtocolKernel::apply_brick_status(Ctx& ctx, BrickStatus status) {
       ctx.waiting = true;
       // With an expected kind the context waits for peer messages; without
       // one it waits for resume_after (e.g. a compute timer).
-      ctx.expect = std::move(status.expect);
+      ctx.expect = status.expect;
       ctx.expect_remaining = status.expect_count;
       ctx.acked_peers.clear();
-      if (ctx.expect.empty()) return;
+      if (ctx.expect == PeerKind::kNone) return;
       if (ctx.expect_remaining <= 0) {  // nobody to wait for after all
         ctx.waiting = false;
         advance_phase(ctx);
@@ -345,7 +328,7 @@ void ProtocolKernel::apply_brick_status(Ctx& ctx, BrickStatus status) {
         if (stashed != stash_.end()) {
           const HeldMessage held = std::move(stashed->second);
           stash_.erase(stashed);
-          if (feed_waiting(ctx, parse_peer_message(held.payload, held.from))) {
+          if (feed_waiting(ctx, PeerMessage(held.payload, held.from))) {
             return;
           }
         }
@@ -399,7 +382,8 @@ void ProtocolKernel::fail_request(Ctx& ctx, const std::string& error) {
     // the request died here, or its context leaks (and quiescence never
     // drains).
     if (any_peer_alive()) {
-      send_peer("ctrl", "abort", Value::map().set("key", ctx.key));
+      send_peer({PeerPhase::kCtrl, PeerKind::kAbort,
+                 Value::map().set("key", ctx.key)});
     }
   }
   finish_and_erase(ctx.key);
@@ -428,8 +412,8 @@ void ProtocolKernel::finish_and_erase(std::string key) {
 
 void ProtocolKernel::handle_peer_message(const Payload& payload,
                                          std::int64_t from) {
-  const PeerMessage message = parse_peer_message(payload, from);
-  if (message.phase == "ctrl") {
+  const PeerMessage message(payload, from);
+  if (message.phase == PeerPhase::kCtrl) {
     handle_ctrl(message);
     return;
   }
@@ -445,10 +429,10 @@ void ProtocolKernel::handle_peer_message(const Payload& payload,
   // directly (apply a checkpoint, serve an exec request, start a forwarded
   // pipeline) or ask the kernel to stash the message for a context that has
   // not reached the waiting phase yet.
-  const int slot = message.phase == "before" ? 0 : message.phase == "exec" ? 1 : 2;
+  const int slot = static_cast<int>(message.phase);  // before, exec, after
   switch (brick(slot).on_peer(nullptr, message).verdict) {
     case BrickStatus::Verdict::kStash:
-      stash_[{std::string(message.key), std::string(message.kind)}] =
+      stash_[{std::string(message.key), message.kind}] =
           HeldMessage{payload, from};
       break;
     case BrickStatus::Verdict::kDefer:
@@ -476,16 +460,11 @@ bool ProtocolKernel::feed_waiting(Ctx& ctx, const PeerMessage& message) {
   return true;
 }
 
-void ProtocolKernel::send_peer(std::string_view phase, std::string_view kind,
-                               Value data) {
+void ProtocolKernel::send_peer(ReplicaMessage message) {
   if (host() == nullptr || alive_peers_.empty()) return;
-  Value payload = Value::map();
-  payload.set("phase", phase).set("kind", kind);
-  if (data.is_map() && data.has("key")) payload.set("key", data.at("key"));
-  payload.set("data", std::move(data));
-  // One shared payload for the whole fan-out: with N backups the Value tree
-  // is built (and its wire size computed) once, not N times.
-  const Payload shared{std::move(payload)};
+  // One shared payload for the whole fan-out: with N backups the message is
+  // built (and its wire size computed) once, not N times.
+  const Payload shared = make_payload(std::move(message));
   for (const auto peer : alive_peers_) {
     if (peer < 0) continue;
     host()->send(HostId{static_cast<std::uint32_t>(peer)}, msg::kReplica,
@@ -493,15 +472,10 @@ void ProtocolKernel::send_peer(std::string_view phase, std::string_view kind,
   }
 }
 
-void ProtocolKernel::send_peer_to(std::int64_t peer, std::string_view phase,
-                                  std::string_view kind, Value data) {
+void ProtocolKernel::send_peer_to(std::int64_t peer, ReplicaMessage message) {
   if (peer < 0 || host() == nullptr) return;
-  Value payload = Value::map();
-  payload.set("phase", phase).set("kind", kind);
-  if (data.is_map() && data.has("key")) payload.set("key", data.at("key"));
-  payload.set("data", std::move(data));
   host()->send(HostId{static_cast<std::uint32_t>(peer)}, msg::kReplica,
-               std::move(payload));
+               make_payload(std::move(message)));
 }
 
 // ---------------------------------------------------------------------------
@@ -558,7 +532,9 @@ void ProtocolKernel::peer_suspected(std::int64_t peer) {
   // survivors or finish master-alone).
   std::vector<std::string> waiting_keys;
   for (const auto& [key, ctx] : pending_) {
-    if (ctx.waiting && !ctx.expect.empty()) waiting_keys.push_back(key);
+    if (ctx.waiting && ctx.expect != PeerKind::kNone) {
+      waiting_keys.push_back(key);
+    }
   }
   for (const auto& key : waiting_keys) {
     const auto pending = pending_.find(key);
@@ -574,15 +550,14 @@ void ProtocolKernel::peer_recovered(std::int64_t peer) {
 }
 
 void ProtocolKernel::handle_ctrl(const PeerMessage& message) {
-  const std::string_view kind = message.kind;
-  const Value& data = message.data;
+  const PeerKind kind = message.kind;
   const std::int64_t from = message.from;
-  if (kind == "abort") {
+  if (kind == PeerKind::kAbort) {
     // The master failed this request; drop our forwarded context for it
     // (nothing to record, nothing to reply). If the forward itself has not
     // arrived yet (reordered on a jittery link), remember the abort so the
     // late forward is not started.
-    const auto& key = data.at("key").as_string();
+    const auto& key = message.data().at("key").as_string();
     const auto it = pending_.find(key);
     if (it != pending_.end() && it->second.forwarded) {
       finish_and_erase(it->first);
@@ -592,27 +567,28 @@ void ProtocolKernel::handle_ctrl(const PeerMessage& message) {
     }
     return;
   }
-  if (kind == "join") {
+  if (kind == PeerKind::kJoin) {
     // A restarted replica asks to rejoin as backup; only the master answers,
     // shipping its state and reply log.
     if (role_ != Role::kPrimary && role_ != Role::kAlone) return;
     if (from >= 0) set_peer_alive(from, true);
-    send_peer_to(from, "ctrl", "join_ack", brick(2).make_join_snapshot());
+    send_peer_to(from, {PeerPhase::kCtrl, PeerKind::kJoinAck,
+                        brick(2).make_join_snapshot()});
     set_role(Role::kPrimary);
     return;
   }
-  if (kind == "join_ack") {
+  if (kind == PeerKind::kJoinAck) {
     if (from >= 0) set_peer_alive(from, true);
     if (tracer_ != nullptr && tracer_->enabled() && host() != nullptr) {
       tracer_->instant(host()->id().value(), rejoin_span_name_, 0,
                        host()->sim().now(), from);
     }
-    brick(2).apply_join_snapshot(data);
+    brick(2).apply_join_snapshot(message.body<JoinSnapshot>());
     set_property("master", Value(from));
     set_role(Role::kBackup);
     return;
   }
-  throw FtmError(strf("protocol: unknown ctrl kind '", kind, "'"));
+  throw FtmError(strf("protocol: unknown ctrl kind '", to_string(kind), "'"));
 }
 
 // ---------------------------------------------------------------------------
@@ -664,7 +640,7 @@ void ProtocolKernel::start_forwarded(const PeerMessage& message) {
     buffered_forwarded_.push_back(message.payload);
     return;
   }
-  start_request(message.payload, message.data, /*forwarded=*/true);
+  start_request(message.payload, message.data(), /*forwarded=*/true);
 }
 
 InFlight ProtocolKernel::peek(const std::string& key) const {
@@ -697,7 +673,7 @@ void ProtocolKernel::count_event(Event event) {
 
 void ProtocolKernel::join() {
   ensure_started("control");
-  send_peer("ctrl", "join", Value::map());
+  send_peer({PeerPhase::kCtrl, PeerKind::kJoin, Value::map()});
 }
 
 // ---------------------------------------------------------------------------
@@ -732,7 +708,8 @@ void ProtocolKernel::drain_buffers() {
       buffered_forwarded_.push_back(payload);
       continue;
     }
-    start_request(payload, payload->at("data"), /*forwarded=*/true);
+    start_request(payload, payload.get<ReplicaMessage>().data(),
+                  /*forwarded=*/true);
   }
   auto requests = std::move(buffered_requests_);
   buffered_requests_.clear();

@@ -5,43 +5,43 @@ namespace rcs::ftm {
 BrickStatus SyncAfterDuplexBase::on_peer(const RequestCtx* ctx,
                                          const PeerMessage& message) {
   if (ctx != nullptr) {
-    if (message.kind == "exec_result") return handle_exec_result(message);
+    if (message.kind == PeerKind::kExecResult) return handle_exec_result(message);
     return on_solicited(*ctx, message);
   }
-  if (message.kind == "exec_req") return handle_exec_request(message);
+  if (message.kind == PeerKind::kExecReq) return handle_exec_request(message);
   return on_unsolicited(message);
 }
 
-Value SyncAfterDuplexBase::make_join_snapshot() {
+JoinSnapshot SyncAfterDuplexBase::make_join_snapshot() {
   // Anchor the joiner into the current delta stream: the snapshot carries
   // the capture-side (stream, seq) so checkpoints captured concurrently
   // with the join re-apply idempotently on the joiner.
-  Value snapshot = Value::map();
+  JoinSnapshot snapshot;
   if (wired("state")) {
-    Value full = call("state", "export_full");
-    snapshot.set("state", full.at("state"))
-        .set("ckpt_stream", full.at("stream"))
-        .set("ckpt_seq", full.at("seq"));
+    const Value full = call("state", "export_full");
+    snapshot.state = full.at("state");
+    snapshot.ckpt_stream = full.at("stream").as_int();
+    snapshot.ckpt_seq = full.at("seq").as_int();
   } else {
-    snapshot.set("state", Value{});
+    snapshot.state = Value{};
   }
-  snapshot.set("replies", reply_log().export_all());
+  snapshot.replies = reply_log().export_all();
   return snapshot;
 }
 
-void SyncAfterDuplexBase::apply_join_snapshot(const Value& snapshot) {
-  if (snapshot.has("state") && !snapshot.at("state").is_null()) {
-    if (snapshot.has("ckpt_seq") && wired("state")) {
+void SyncAfterDuplexBase::apply_join_snapshot(const JoinSnapshot& snapshot) {
+  if (snapshot.state && !snapshot.state->is_null()) {
+    if (snapshot.ckpt_seq && snapshot.ckpt_stream && wired("state")) {
       call("state", "import_full",
            Value::map()
-               .set("state", snapshot.at("state"))
-               .set("stream", snapshot.at("ckpt_stream"))
-               .set("seq", snapshot.at("ckpt_seq")));
+               .set("state", *snapshot.state)
+               .set("stream", *snapshot.ckpt_stream)
+               .set("seq", *snapshot.ckpt_seq));
     } else {
-      restore_state(snapshot.at("state"));
+      restore_state(*snapshot.state);
     }
   }
-  if (snapshot.has("replies")) reply_log().import_all(snapshot.at("replies"));
+  if (snapshot.replies) reply_log().import_all(*snapshot.replies);
 }
 
 BrickStatus SyncAfterDuplexBase::run_phase(const RequestCtx& ctx) {
@@ -60,8 +60,9 @@ BrickStatus SyncAfterDuplexBase::run_phase(const RequestCtx& ctx) {
             peers[static_cast<std::size_t>(ctx.attempt) % peers.size()];
         Value data = Value::map();
         data.set("key", ctx.key).set("request", ctx.request());
-        send_peer_to(target, "after", "exec_req", std::move(data));
-        return wait_for("exec_result");
+        send_peer_to(target,
+                     {PeerPhase::kAfter, PeerKind::kExecReq, std::move(data)});
+        return wait_for(PeerKind::kExecResult);
       }
       return fail_with("assertion failed and no peer for re-execution");
     }
@@ -90,7 +91,7 @@ BrickStatus SyncAfterDuplexBase::handle_exec_request(
   // The peer's assertion failed; execute the request here and return our
   // result (plus our state, so a stateful primary can realign after its
   // faulty execution). The response goes to the asker only.
-  const Value& data = message.data;
+  const Value& data = message.data();
   const auto asker = message.from;
   if (!with_assertion_ || !wired("server")) {
     // A mixed-configuration window (mid-transition) or a misdirected exec
@@ -98,7 +99,8 @@ BrickStatus SyncAfterDuplexBase::handle_exec_request(
     // crashing; the peer fails the request safely.
     Value refusal = Value::map();
     refusal.set("key", data.at("key")).set("ok", false);
-    send_peer_to(asker, "after", "exec_result", std::move(refusal));
+    send_peer_to(asker, {PeerPhase::kAfter, PeerKind::kExecResult,
+                        std::move(refusal)});
     return handled();
   }
 
@@ -128,14 +130,15 @@ BrickStatus SyncAfterDuplexBase::handle_exec_request(
         .set("ok", ok)
         .set("result", local_result)
         .set("state", capture_state());
-    send_peer_to(asker, "after", "exec_result", std::move(reply));
+    send_peer_to(asker, {PeerPhase::kAfter, PeerKind::kExecResult,
+                         std::move(reply)});
     return handled();
   }
   // At-most-once for re-executions: a retransmitted exec_req (its response
   // was lost) must answer from the recorded outcome, not execute again.
   const std::string exec_key = "exec:" + key;
   if (const Value* served = reply_log().lookup(exec_key)) {
-    send_peer_to(asker, "after", "exec_result", *served);
+    send_peer_to(asker, {PeerPhase::kAfter, PeerKind::kExecResult, *served});
     return handled();
   }
 
@@ -150,13 +153,14 @@ BrickStatus SyncAfterDuplexBase::handle_exec_request(
       .set("result", outcome.at("result"))
       .set("state", capture_state());
   reply_log().record(exec_key, reply);
-  send_peer_to(asker, "after", "exec_result", std::move(reply));
+  send_peer_to(asker,
+               {PeerPhase::kAfter, PeerKind::kExecResult, std::move(reply)});
   return handled();
 }
 
 BrickStatus SyncAfterDuplexBase::handle_exec_result(
     const PeerMessage& message) {
-  const Value& data = message.data;
+  const Value& data = message.data();
   if (!data.at("ok").as_bool()) {
     report_fault("both_replicas_faulty");
     return fail_with("assertion failed and peer could not re-execute");

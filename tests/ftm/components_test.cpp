@@ -24,7 +24,20 @@ struct ReplyLogFixture : ::testing::Test {
     return dynamic_cast<ReplyLog&>(composite.child(name));
   }
   static std::size_t size_of(const ReplyLog& log) {
-    return log.export_all().at("order").as_list().size();
+    return log.export_all().records.size();
+  }
+  /// A snapshot's keys, oldest record first.
+  static std::vector<std::string> keys_of(const ReplySnapshot& snapshot) {
+    std::vector<std::string> keys;
+    for (const auto& record : snapshot.records) keys.push_back(record.key);
+    return keys;
+  }
+  static const Value* reply_in(const ReplySnapshot& snapshot,
+                               const std::string& key) {
+    for (const auto& record : snapshot.records) {
+      if (record.key == key) return &record.reply;
+    }
+    return nullptr;
   }
 
   ReplyLog& reply_log() { return face_of(root, "log"); }
@@ -62,7 +75,9 @@ TEST_F(ReplyLogFixture, RecordOverwritesSameKeyWithoutGrowth) {
 TEST_F(ReplyLogFixture, ExportImportRoundTrip) {
   record("a", Value::map().set("result", 1));
   record("b", Value::map().set("result", 2));
-  const Value snapshot = reply_log().export_all();
+  const ReplySnapshot snapshot = reply_log().export_all();
+  EXPECT_EQ(keys_of(snapshot), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(snapshot.upto, 2u);
 
   comp::Composite other{"other"};
   other.add(kernel::kReplyLog, "log");
@@ -89,10 +104,11 @@ TEST_F(ReplyLogFixture, RecordsAreCellsThatExportsShare) {
   const Value* hit = lookup("a");
   ASSERT_NE(hit, nullptr);
   EXPECT_TRUE(hit->is_shared());
-  const Value snapshot = reply_log().export_all();
-  const Value& exported = snapshot.at("entries").at("a");
-  EXPECT_TRUE(exported.is_shared());
-  EXPECT_EQ(&exported.as_map(), &hit->as_map()) << "exported by handle";
+  const ReplySnapshot snapshot = reply_log().export_all();
+  const Value* exported = reply_in(snapshot, "a");
+  ASSERT_NE(exported, nullptr);
+  EXPECT_TRUE(exported->is_shared());
+  EXPECT_EQ(&exported->as_map(), &hit->as_map()) << "exported by handle";
 
   comp::Composite other{"other"};
   other.add(kernel::kReplyLog, "log");
@@ -110,10 +126,12 @@ TEST_F(ReplyLogFixture, DecodedAndSharedSnapshotsImportToEqualLogs) {
            Value::map().set("id", i).set(
                "result", Value::map().set("check", "ok").set("value", i)));
   }
-  const Value shared = reply_log().export_all();
-  const Value decoded = Value::decode(shared.encode());
-  ASSERT_FALSE(decoded.at("entries").at("c0:33").is_shared());
-  ASSERT_TRUE(shared.at("entries").at("c0:33").is_shared());
+  const ReplySnapshot shared = reply_log().export_all();
+  // The same records with replies decoded from their bytes: no cells.
+  ReplySnapshot decoded = shared;
+  for (auto& r : decoded.records) r.reply = Value::decode(r.reply.encode());
+  ASSERT_FALSE(reply_in(decoded, "c0:33")->is_shared());
+  ASSERT_TRUE(reply_in(shared, "c0:33")->is_shared());
 
   comp::Composite from_cells{"cells"}, from_bytes{"bytes"};
   for (comp::Composite* c : {&from_cells, &from_bytes}) {
@@ -122,23 +140,21 @@ TEST_F(ReplyLogFixture, DecodedAndSharedSnapshotsImportToEqualLogs) {
   }
   face_of(from_cells, "log").import_all(shared);
   face_of(from_bytes, "log").import_all(decoded);
-  const Value cells_export = face_of(from_cells, "log").export_all();
-  const Value bytes_export = face_of(from_bytes, "log").export_all();
-  EXPECT_EQ(cells_export, bytes_export);
-  EXPECT_EQ(cells_export.encode(), bytes_export.encode());
+  EXPECT_TRUE(face_of(from_bytes, "log").lookup("c0:33")->is_shared())
+      << "an import records each reply as a cell";
+  const ReplySnapshot cells_export = face_of(from_cells, "log").export_all();
+  const ReplySnapshot bytes_export = face_of(from_bytes, "log").export_all();
   EXPECT_EQ(size_of(face_of(from_bytes, "log")), kCapacity);
-  EXPECT_EQ(cells_export.at("entries"), shared.at("entries"));
-  EXPECT_EQ(cells_export.at("order"), shared.at("order"));
+  EXPECT_EQ(keys_of(cells_export), keys_of(shared));
+  EXPECT_EQ(keys_of(bytes_export), keys_of(shared));
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    EXPECT_EQ(cells_export.records[i].reply, shared.records[i].reply);
+    EXPECT_EQ(bytes_export.records[i].reply, shared.records[i].reply);
+  }
+  EXPECT_EQ(cells_export.upto, bytes_export.upto);
 }
 
-TEST_F(ReplyLogFixture, ImportRejectsInconsistentSnapshot) {
-  Value bad = Value::map();
-  bad.set("entries", Value::map());
-  bad.set("order", Value(ValueList{Value("ghost")}));
-  EXPECT_THROW(reply_log().import_all(bad), FtmError);
-}
-
-// --- Imports are validated whole before anything is applied ---------------
+// --- An import refuses what no peer's log makes, before applying anything --
 
 struct ReplyLogImportFixture : ReplyLogFixture {
   ReplyLogImportFixture() {
@@ -147,64 +163,27 @@ struct ReplyLogImportFixture : ReplyLogFixture {
     before = reply_log().export_all();
   }
 
-  static Value snapshot(ValueList order) {
-    Value out = Value::map();
-    out.set("entries", Value::map().set("x", Value::map().set("result", 9)))
-        .set("order", Value(std::move(order)))
-        .set("from", 0)
-        .set("upto", 5);
-    return out;
-  }
-
   void expect_unchanged() {
     EXPECT_EQ(size(), 2u);
     EXPECT_NE(lookup("a"), nullptr);
     EXPECT_NE(lookup("b"), nullptr);
-    EXPECT_EQ(lookup("x"), nullptr);
-    EXPECT_EQ(reply_log().export_all(), before);
+    EXPECT_EQ(lookup("x100"), nullptr);
+    const ReplySnapshot now = reply_log().export_all();
+    EXPECT_EQ(keys_of(now), keys_of(before));
+    EXPECT_EQ(now.upto, before.upto);
   }
 
-  Value before;
+  ReplySnapshot before;
 };
 
-TEST_F(ReplyLogImportFixture, ImportWithMissingKeyLeavesLogUnchanged) {
-  EXPECT_THROW(reply_log().import_all(snapshot({Value("x"), Value("ghost")})),
-               FtmError);
-  expect_unchanged();
-}
-
-TEST_F(ReplyLogImportFixture, ImportDeltaWithMissingKeyRecordsNothing) {
-  EXPECT_THROW(
-      (void)reply_log().import_delta(snapshot({Value("x"), Value("ghost")})),
-      FtmError);
-  expect_unchanged();
-}
-
-TEST_F(ReplyLogImportFixture, DuplicateOrderKeyIsRefused) {
-  // Two FIFO slots for one entry would let an eviction drop the live entry
-  // and the next export name a key it has no entry for.
-  EXPECT_THROW(reply_log().import_all(snapshot({Value("x"), Value("x")})),
-               FtmError);
-  expect_unchanged();
-  EXPECT_THROW(
-      (void)reply_log().import_delta(snapshot({Value("x"), Value("x")})),
-      FtmError);
-  expect_unchanged();
-}
-
 TEST_F(ReplyLogImportFixture, SnapshotPastCapacityIsRefused) {
-  // No exporter's log holds more than kCapacity entries.
-  ValueMap entries;
-  ValueList order;
+  // No exporter's log holds more than kCapacity records.
+  ReplySnapshot big;
   for (std::size_t i = 0; i <= kCapacity; ++i) {
-    entries.emplace(strf("x", 100 + i), Value::map().set("result", 9));
-    order.emplace_back(strf("x", 100 + i));
+    big.records.push_back(
+        {strf("x", 100 + i), Value::shared(Value::map().set("result", 9))});
   }
-  Value big = Value::map();
-  big.set("entries", std::move(entries))
-      .set("order", std::move(order))
-      .set("from", 0)
-      .set("upto", 40);
+  big.upto = 40;
   EXPECT_THROW(reply_log().import_all(big), FtmError);
   expect_unchanged();
   EXPECT_THROW((void)reply_log().import_delta(big), FtmError);
@@ -221,10 +200,10 @@ TEST_F(ReplyLogFixture, ReRecordKeepsFifoSlot) {
   record("c", Value::map().set("result", 4));  // evicts a, the oldest slot
   EXPECT_EQ(lookup("a"), nullptr);
   EXPECT_NE(lookup("k1"), nullptr);
-  const Value order = reply_log().export_all().at("order");
-  ASSERT_EQ(order.as_list().size(), kCapacity);
-  EXPECT_EQ(order.as_list().front(), Value("k1"));
-  EXPECT_EQ(order.as_list().back(), Value("c"));
+  const auto order = keys_of(reply_log().export_all());
+  ASSERT_EQ(order.size(), kCapacity);
+  EXPECT_EQ(order.front(), "k1");
+  EXPECT_EQ(order.back(), "c");
 }
 
 // --- Typed wires -----------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "duplex_fixture.hpp"
+#include "rcs/ftm/reply_log.hpp"
 
 namespace rcs::ftm::testing {
 namespace {
@@ -206,6 +207,78 @@ TEST_F(Fixture, LfrKeepsBandwidthLowButBothReplicasCompute) {
               static_cast<double>(h1.meter().cpu_used()),
               static_cast<double>(h0.meter().cpu_used()) * 0.2);
 }
+
+// --- The backup's reply log is the primary's, through every import path ----
+
+/// The reply log of `rt`, as the kernel and the bricks call it.
+ReplyLog& reply_log_of(FtmRuntime& rt) {
+  return dynamic_cast<ReplyLog&>(rt.composite().child("replyLog"));
+}
+
+/// The keys and the counter values of a log's records, oldest first.
+std::vector<std::string> records_of(FtmRuntime& rt) {
+  std::vector<std::string> out;
+  for (const auto& record : reply_log_of(rt).export_all().records) {
+    out.push_back(strf(record.key, "=",
+                       record.reply.at("result").at("value").as_int()));
+  }
+  return out;
+}
+
+/// The records of `count` increments of "ctr" numbered from `first`, the
+/// last kCapacity of them.
+std::vector<std::string> increments(std::uint64_t client, int first,
+                                    int count) {
+  std::vector<std::string> out;
+  const int last = first + count - 1;
+  const int start =
+      std::max(first, last - static_cast<int>(ReplyLogComponent::kCapacity) + 1);
+  for (int i = start; i <= last; ++i) out.push_back(strf("c", client, ":", i, "=", i));
+  return out;
+}
+
+class ReplyLogImports : public DuplexFixture,
+                        public ::testing::WithParamInterface<bool> {};
+
+TEST_P(ReplyLogImports, FullDeltaCrashAndRejoinKeepTheLogsEqual) {
+  FtmConfig config = FtmConfig::pbr();
+  config.delta_checkpoint = GetParam();
+  deploy(config);
+  const auto client = hc.id().value();
+  // Past capacity: the oldest records are evicted on both sides alike.
+  constexpr int kFirst = 40;
+  for (int i = 0; i < kFirst; ++i) (void)roundtrip(kv_incr("ctr"));
+  EXPECT_EQ(records_of(rt0), increments(client, 1, kFirst));
+  EXPECT_EQ(records_of(rt1), records_of(rt0)) << "checkpoint imports";
+
+  // The backup crashes; the primary serves alone, and its log moves on.
+  inject.crash_at(h1.id(), sim.now() + 5 * sim::kMillisecond);
+  sim.run_for(400 * sim::kMillisecond);
+  ASSERT_EQ(rt0.kernel().role(), Role::kAlone);
+  for (int i = 0; i < 3; ++i) (void)roundtrip(kv_incr("ctr"));
+
+  // It restarts and rejoins: the join snapshot imports the whole log.
+  h1.restart();
+  auto persisted = FtmRuntime::load_persisted(h1);
+  ASSERT_TRUE(persisted.has_value());
+  persisted->role = Role::kBackup;
+  rt1.deploy(*persisted);
+  rt1.request_rejoin();
+  sim.run_for(500 * sim::kMillisecond);
+  ASSERT_EQ(rt1.kernel().role(), Role::kBackup);
+  EXPECT_EQ(records_of(rt1), increments(client, 1, kFirst + 3))
+      << "join import";
+
+  // Checkpoints after the rejoin keep both logs in step.
+  for (int i = 0; i < 5; ++i) (void)roundtrip(kv_incr("ctr"));
+  EXPECT_EQ(records_of(rt0), increments(client, 1, kFirst + 8));
+  EXPECT_EQ(records_of(rt1), records_of(rt0));
+}
+
+INSTANTIATE_TEST_SUITE_P(DeltaAndFull, ReplyLogImports, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "Delta" : "Full";
+                         });
 
 TEST_F(Fixture, StablStorageRecordsActiveConfiguration) {
   deploy(FtmConfig::lfr_tr());

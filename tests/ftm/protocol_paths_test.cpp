@@ -239,10 +239,8 @@ TEST_F(Fixture, DeferredExecRequestIsAnsweredToItsAsker) {
 TEST_F(Fixture, DeliveryToAStoppedKernelThrows) {
   deploy(FtmConfig::pbr());
   rt1.composite().stop("protocol");
-  const Payload message{Value::map()
-                            .set("phase", "after")
-                            .set("kind", "checkpoint")
-                            .set("data", Value::map())};
+  const Payload message = make_payload(
+      {PeerPhase::kAfter, PeerKind::kCheckpoint, "c1:1", Checkpoint{}});
   EXPECT_THROW(rt1.kernel().deliver_peer(message, h0.id().value()),
                ComponentError);
   const Payload request{Value::map()
@@ -258,7 +256,7 @@ TEST_F(Fixture, DeliveryToAStoppedKernelThrows) {
 class ParkingProceed final : public FtmBrick {
  public:
   BrickStatus run_phase(const RequestCtx& /*ctx*/) override {
-    return wait_for("");
+    return wait_for_resume();
   }
   BrickStatus on_peer(const RequestCtx* /*ctx*/,
                       const PeerMessage& /*message*/) override {
@@ -271,12 +269,12 @@ class ParkingProceed final : public FtmBrick {
 class AckCountingAfter final : public FtmBrick {
  public:
   BrickStatus run_phase(const RequestCtx& /*ctx*/) override {
-    return wait_for_group("checkpoint_ack", 2);
+    return wait_for_group(PeerKind::kCheckpointAck, 2);
   }
   BrickStatus on_peer(const RequestCtx* ctx,
                       const PeerMessage& message) override {
     if (ctx == nullptr) {
-      return message.kind == "checkpoint_ack" ? stash() : handled();
+      return message.kind == PeerKind::kCheckpointAck ? stash() : handled();
     }
     ++solicited;
     last_from = message.from;
@@ -330,11 +328,8 @@ TEST(EarlyAcks, StashedCheckpointAckCountsOncePerPeer) {
       Value::map().set("client", 9).set("id", 1).set("request", Value::map())});
   ASSERT_EQ(kernel.in_flight(), 1u);  // parked in Proceed
   const auto ack = [&](std::int64_t from) {
-    kernel.deliver_peer(Payload{Value::map()
-                                    .set("phase", "after")
-                                    .set("kind", "checkpoint_ack")
-                                    .set("key", "c9:1")
-                                    .set("data", Value::map().set("key", "c9:1"))},
+    kernel.deliver_peer(make_payload({PeerPhase::kAfter, PeerKind::kCheckpointAck,
+                                      "c9:1", CheckpointAck{}}),
                         from);
   };
   ack(1);  // early: the context is not waiting yet, so it is stashed

@@ -1,0 +1,285 @@
+// Typed replica messages against the Value maps they stand for: for random
+// envelopes, checkpoints (full and delta), acks and rejoin snapshots, the
+// typed walk must give the same bytes and the same size as Value::encode of
+// the equivalent map, as the sender of the Value map built it. The network
+// prices a replica message by this size, so any slip here would move every
+// traffic figure and digest.
+#include <gtest/gtest.h>
+
+#include "rcs/common/error.hpp"
+#include "rcs/common/rng.hpp"
+#include "rcs/common/strf.hpp"
+#include "rcs/ftm/interfaces.hpp"
+
+namespace rcs::ftm::testing {
+namespace {
+
+// --- The Value maps the typed messages stand for -------------------------
+
+Value snapshot_value(const ReplySnapshot& snapshot, bool delta) {
+  ValueMap entries;
+  ValueList order;
+  for (const auto& record : snapshot.records) {
+    entries.emplace(record.key, record.reply);
+    order.emplace_back(record.key);
+  }
+  Value out = Value::map();
+  out.set("entries", std::move(entries)).set("order", std::move(order));
+  if (delta) out.set("from", static_cast<std::int64_t>(snapshot.from));
+  out.set("upto", static_cast<std::int64_t>(snapshot.upto));
+  return out;
+}
+
+Value body_value(const std::string& key, const Checkpoint& ckpt) {
+  Value data = Value::map();
+  data.set("key", key);
+  if (ckpt.delta) {
+    if (ckpt.state) data.set("ckpt", *ckpt.state);
+    data.set("rlog", snapshot_value(ckpt.replies, /*delta=*/true));
+  } else {
+    data.set("state", *ckpt.state)
+        .set("replies", snapshot_value(ckpt.replies, /*delta=*/false));
+  }
+  data.set("pending_reply", ckpt.pending_reply);
+  return data;
+}
+
+Value body_value(const std::string& key, const CheckpointAck& ack) {
+  Value data = Value::map().set("key", key);
+  if (ack.seq) data.set("seq", *ack.seq);
+  if (ack.upto) data.set("upto", static_cast<std::int64_t>(*ack.upto));
+  return data;
+}
+
+Value body_value(const std::string& /*key*/, const JoinSnapshot& join) {
+  Value data = Value::map();
+  if (join.state) data.set("state", *join.state);
+  if (join.ckpt_stream) data.set("ckpt_stream", *join.ckpt_stream);
+  if (join.ckpt_seq) data.set("ckpt_seq", *join.ckpt_seq);
+  if (join.replies) {
+    data.set("replies", snapshot_value(*join.replies, /*delta=*/false));
+  }
+  return data;
+}
+
+Value body_value(const std::string& /*key*/, const Value& data) { return data; }
+
+Value envelope_value(const ReplicaMessage& message) {
+  Value data = std::visit(
+      [&](const auto& body) { return body_value(message.key, body); },
+      message.body);
+  Value payload = Value::map();
+  payload.set("phase", to_string(message.phase))
+      .set("kind", to_string(message.kind));
+  if (data.is_map() && data.has("key")) payload.set("key", data.at("key"));
+  payload.set("data", std::move(data));
+  return payload;
+}
+
+void expect_same_encoding(const ReplicaMessage& message) {
+  const Value equivalent = envelope_value(message);
+  EXPECT_EQ(encode(message), equivalent.encode());
+  EXPECT_EQ(encoded_size(message), equivalent.encoded_size());
+  EXPECT_EQ(body_size(message), equivalent.at("data").encoded_size());
+  EXPECT_EQ(make_payload(message).encoded_size(), equivalent.encoded_size());
+}
+
+// --- Random messages -----------------------------------------------------
+
+/// A string whose length straddles a varint boundary now and then.
+std::string random_text(Rng& rng, char first) {
+  static constexpr std::int64_t kLengths[] = {0, 1, 6, 126, 127, 128, 129, 300};
+  const auto length = kLengths[rng.uniform_int(0, 7)];
+  std::string text(1, first);
+  for (std::int64_t i = 1; i < length; ++i) {
+    text += static_cast<char>(rng.uniform_int(0, 255));
+  }
+  return text;
+}
+
+std::int64_t random_int(Rng& rng) {
+  return rng.bernoulli(0.5) ? rng.uniform_int(0, 300)
+                            : static_cast<std::int64_t>(rng.next_u64());
+}
+
+/// An application state: a few entries and a filler whose size straddles
+/// the one- and two-byte varint boundaries.
+Value random_state(Rng& rng) {
+  static constexpr std::int64_t kFillers[] = {0, 127, 128, 16383, 16384, 4000};
+  Value entries = Value::map();
+  for (std::int64_t i = rng.uniform_int(0, 4); i > 0; --i) {
+    entries.set(random_text(rng, 'k'), random_int(rng));
+  }
+  return Value::map()
+      .set("entries", std::move(entries))
+      .set("filler",
+           Bytes(static_cast<std::size_t>(kFillers[rng.uniform_int(0, 5)]),
+                 0x5A));
+}
+
+Value random_reply(Rng& rng) {
+  Value reply = Value::map()
+                    .set("id", random_int(rng))
+                    .set("result", Value::map().set("value", random_int(rng)));
+  return rng.bernoulli(0.7) ? Value::shared(std::move(reply)) : reply;
+}
+
+/// 0 to 32 records with distinct keys, in an order that does not sort.
+ReplySnapshot random_snapshot(Rng& rng) {
+  ReplySnapshot snapshot;
+  const auto count = rng.uniform_int(0, 32);
+  for (std::int64_t i = 0; i < count; ++i) {
+    snapshot.records.push_back(
+        {strf(random_text(rng, 'c'), "#", (i * 7) % 33, ":", i),
+         random_reply(rng)});
+  }
+  snapshot.from = static_cast<std::uint64_t>(random_int(rng));
+  snapshot.upto = static_cast<std::uint64_t>(random_int(rng));
+  return snapshot;
+}
+
+Checkpoint random_checkpoint(Rng& rng, bool delta) {
+  Checkpoint ckpt;
+  ckpt.delta = delta;
+  if (!delta) {
+    ckpt.state = rng.bernoulli(0.2) ? Value{} : random_state(rng);
+  } else if (rng.bernoulli(0.7)) {
+    ckpt.state = Value::map()
+                     .set("full", false)
+                     .set("seq", random_int(rng))
+                     .set("delta", random_state(rng));
+  }
+  ckpt.replies = random_snapshot(rng);
+  if (!delta) ckpt.replies.from = 0;
+  ckpt.pending_reply = random_reply(rng);
+  return ckpt;
+}
+
+JoinSnapshot random_join(Rng& rng) {
+  JoinSnapshot join;
+  if (rng.bernoulli(0.2)) return join;  // a brick with nothing to ship
+  join.state = rng.bernoulli(0.3) ? Value{} : random_state(rng);
+  if (rng.bernoulli(0.6)) {
+    join.ckpt_stream = random_int(rng);
+    join.ckpt_seq = random_int(rng);
+  }
+  join.replies = random_snapshot(rng);
+  join.replies->from = 0;
+  return join;
+}
+
+constexpr std::uint64_t kSeeds[] = {1, 2, 3, 17, 2024};
+constexpr int kRounds = 40;
+
+TEST(ReplicaMessageEncoding, CheckpointsMatchTheirValueMaps) {
+  for (const auto seed : kSeeds) {
+    Rng rng(seed);
+    for (int round = 0; round < kRounds; ++round) {
+      SCOPED_TRACE(strf("seed ", seed, " round ", round));
+      const bool delta = rng.bernoulli(0.5);
+      expect_same_encoding({PeerPhase::kAfter, PeerKind::kCheckpoint,
+                            random_text(rng, 'c'),
+                            random_checkpoint(rng, delta)});
+    }
+  }
+}
+
+TEST(ReplicaMessageEncoding, AcksMatchTheirValueMaps) {
+  for (const auto seed : kSeeds) {
+    Rng rng(seed);
+    for (int round = 0; round < kRounds; ++round) {
+      SCOPED_TRACE(strf("seed ", seed, " round ", round));
+      CheckpointAck ack;
+      if (rng.bernoulli(0.5)) ack.seq = random_int(rng);
+      if (rng.bernoulli(0.5)) {
+        ack.upto = static_cast<std::uint64_t>(random_int(rng));
+      }
+      expect_same_encoding({PeerPhase::kAfter, PeerKind::kCheckpointAck,
+                            random_text(rng, 'c'), ack});
+    }
+  }
+}
+
+TEST(ReplicaMessageEncoding, JoinSnapshotsMatchTheirValueMaps) {
+  for (const auto seed : kSeeds) {
+    Rng rng(seed);
+    for (int round = 0; round < kRounds; ++round) {
+      SCOPED_TRACE(strf("seed ", seed, " round ", round));
+      expect_same_encoding(
+          {PeerPhase::kCtrl, PeerKind::kJoinAck, random_join(rng)});
+    }
+  }
+}
+
+TEST(ReplicaMessageEncoding, ValueBodiesMatchTheirValueMaps) {
+  for (const auto seed : kSeeds) {
+    Rng rng(seed);
+    for (int round = 0; round < kRounds; ++round) {
+      SCOPED_TRACE(strf("seed ", seed, " round ", round));
+      Value data = Value::map().set("request", random_state(rng));
+      if (rng.bernoulli(0.7)) data.set("key", random_text(rng, 'c'));
+      const auto phase = static_cast<PeerPhase>(rng.uniform_int(0, 3));
+      const auto kind = static_cast<PeerKind>(rng.uniform_int(1, 9));
+      expect_same_encoding({phase, kind, std::move(data)});
+    }
+  }
+  // Bodies that are not maps, or empty ones, name no request.
+  expect_same_encoding({PeerPhase::kCtrl, PeerKind::kJoin, Value::map()});
+  expect_same_encoding({PeerPhase::kCtrl, PeerKind::kAbort, Value(7)});
+}
+
+TEST(ReplicaMessageEncoding, SnapshotEntriesEncodeInKeyOrder) {
+  // FIFO order is not key order: the bytes sort the entries, the list keeps
+  // the FIFO order.
+  ReplySnapshot snapshot;
+  for (const char* key : {"c9:1", "c10:2", "c1:3"}) {
+    snapshot.records.push_back({key, Value::shared(Value::map().set("id", 1))});
+  }
+  const ReplicaMessage message{
+      PeerPhase::kCtrl, PeerKind::kJoinAck,
+      JoinSnapshot{Value{}, std::nullopt, std::nullopt, snapshot}};
+  const Value decoded = Value::decode(encode(message));
+  const Value& replies = decoded.at("data").at("replies");
+  ASSERT_EQ(replies.at("entries").size(), 3u);
+  EXPECT_EQ(replies.at("entries").as_map().begin()->first, "c10:2");
+  EXPECT_EQ(replies.at("order").at(0).as_string(), "c9:1");
+  EXPECT_EQ(replies.at("order").at(2).as_string(), "c1:3");
+}
+
+// --- Tag checks on access ------------------------------------------------
+
+TEST(ReplicaPayload, TypedAccessIsTagChecked) {
+  const Payload typed = make_payload(
+      {PeerPhase::kAfter, PeerKind::kCheckpointAck, "c1:1", CheckpointAck{}});
+  ASSERT_NE(typed.get_if<ReplicaMessage>(), nullptr);
+  EXPECT_EQ(typed.get_if<Value>(), nullptr);
+  EXPECT_THROW((void)typed.value(), ValueError);
+
+  const Payload plain{Value::map().set("from", 1)};
+  EXPECT_EQ(plain.get_if<ReplicaMessage>(), nullptr);
+  EXPECT_THROW((void)plain.get<ReplicaMessage>(), ValueError);
+  EXPECT_EQ(plain->at("from").as_int(), 1);
+}
+
+TEST(ReplicaPayload, PeerMessageHandsOutTheBodyItCarries) {
+  const Payload payload = make_payload(
+      {PeerPhase::kAfter, PeerKind::kCheckpointAck, "c4:2", CheckpointAck{3, 5}});
+  const PeerMessage message(payload, 1);
+  EXPECT_EQ(message.phase, PeerPhase::kAfter);
+  EXPECT_EQ(message.kind, PeerKind::kCheckpointAck);
+  EXPECT_EQ(message.key, "c4:2");
+  EXPECT_EQ(message.from, 1);
+  EXPECT_EQ(message.body<CheckpointAck>().upto, 5u);
+  EXPECT_THROW((void)message.body<Checkpoint>(), FtmError);
+  EXPECT_THROW((void)message.data(), FtmError);
+
+  const Payload forward = make_payload(
+      {PeerPhase::kBefore, PeerKind::kRequest, Value::map().set("key", "c4:3")});
+  const PeerMessage request(forward, 0);
+  EXPECT_EQ(request.key, "c4:3");
+  EXPECT_EQ(request.data().at("key").as_string(), "c4:3");
+  EXPECT_THROW((void)request.body<CheckpointAck>(), FtmError);
+}
+
+}  // namespace
+}  // namespace rcs::ftm::testing

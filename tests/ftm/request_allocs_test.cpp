@@ -20,24 +20,26 @@ constexpr int kWarmup = 64;
 constexpr int kMeasured = 256;
 
 /// PBR with delta checkpoints: checkpoint to the backup and its ack.
-/// Measured at 40.2 allocations per request once replies became shared
-/// cells that the reply log records by handle (48.2 before; 74.2 before
-/// replica messages kept their sender beside the payload, 141.7 before the
-/// calls inside the composite were typed), plus 5%.
-constexpr double kMaxPbrAllocsPerRequest = 42.2;
+/// Measured at 32.0 allocations per request once replica messages became
+/// typed envelopes with struct checkpoint and ack bodies (40.2 with Value
+/// map envelopes and snapshots; 48.2 before replies became shared cells,
+/// 74.2 before replica messages kept their sender beside the payload, 141.7
+/// before the calls inside the composite were typed), plus 5%.
+constexpr double kMaxPbrAllocsPerRequest = 33.6;
 
 /// PBR with full checkpoints: the state and the whole reply log ship with
-/// every request. Measured at 50.6 allocations per request once the log's
-/// records became shared cells (182.6 when exports and imports deep-copied
+/// every request. Measured at 35.0 allocations per request with typed
+/// envelopes, snapshots and a ring-buffer reply log (50.6 with Value map
+/// envelopes and snapshots; 182.6 when exports and imports deep-copied
 /// every reply), plus 5%.
-constexpr double kMaxPbrFullAllocsPerRequest = 53.1;
+constexpr double kMaxPbrFullAllocsPerRequest = 36.8;
 
 /// LFR: the leader forwards each request and notifies the follower, which
 /// stashes the notification until its own pipeline reaches After. Measured
-/// at 39.8 allocations per request with replies held in shared cells (42.8
-/// when the reply log deep-copied each reply; 66.8 with a Value ctx and a
-/// stamped copy of every replica message), plus 5%.
-constexpr double kMaxLfrAllocsPerRequest = 41.7;
+/// at 36.0 allocations per request with typed envelopes (39.8 with Value map
+/// envelopes; 42.8 when the reply log deep-copied each reply; 66.8 with a
+/// Value ctx and a stamped copy of every replica message), plus 5%.
+constexpr double kMaxLfrAllocsPerRequest = 37.8;
 
 TEST_F(RequestAllocs, PbrDeltaRequestStaysWithinAllocationBudget) {
   deploy(FtmConfig::pbr());
