@@ -9,6 +9,7 @@
 #include "rcs/app/apps.hpp"
 #include "rcs/component/composite.hpp"
 #include "rcs/component/package.hpp"
+#include "rcs/ftm/interfaces.hpp"
 #include "rcs/ftm/registration.hpp"
 #include "rcs/ftm/script_builder.hpp"
 #include "rcs/script/interpreter.hpp"
@@ -115,17 +116,18 @@ void BM_ComponentAddWireStartStopRemove(benchmark::State& state) {
 }
 BENCHMARK(BM_ComponentAddWireStartStopRemove);
 
-/// One Value op through invoke(): the application server's `process`, the
-/// Value boundary the FTM's bricks call (here hostless, so no CPU charge).
+/// One call of the application through its rcs.Server face, as a proceed
+/// brick makes it: the kv store's `process` (here hostless, so no CPU
+/// charge), resolved once as the composite resolves a wire.
 void BM_DynamicInvocation(benchmark::State& state) {
   setup();
   comp::Composite composite("bench");
   composite.add(app::kKvStore, "server");
   composite.start("server");
-  const Value args = Value::map().set(
-      "request", Value::map().set("op", "get").set("key", "k"));
+  auto& server = dynamic_cast<ftm::Server&>(composite.child("server"));
+  const Value request = Value::map().set("op", "get").set("key", "k");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(composite.invoke("server", "srv", "process", args));
+    benchmark::DoNotOptimize(server.process(request));
   }
 }
 BENCHMARK(BM_DynamicInvocation);

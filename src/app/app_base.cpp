@@ -9,63 +9,34 @@
 
 namespace rcs::app {
 
-Value AppServerBase::on_invoke(const std::string& service,
-                               const std::string& op, const Value& args) {
-  if (service == "srv") {
-    if (op == "process" || op == "process_alt") {
-      const Value& request = args.at("request");
-      Value result = op == "process" ? compute(request)
-                                     : compute_alternate(request);
-      sim::Duration cpu = cpu_per_request();
-      if (host() != nullptr) {
-        cpu = host()->charge_compute(cpu);
-        // Hardware value faults strike the computation's output.
-        result = sim::FaultInjector::apply(*host(), std::move(result),
+ftm::Execution AppServerBase::process(const Value& request) {
+  return finish(compute(request));
+}
+
+ftm::Execution AppServerBase::process_alternate(const Value& request) {
+  return finish(compute_alternate(request));
+}
+
+ftm::Execution AppServerBase::finish(Value result) {
+  ftm::Execution out{std::move(result), cpu_per_request_};
+  if (host() != nullptr) {
+    out.cpu = host()->charge_compute(out.cpu);
+    // Hardware value faults strike the computation's output.
+    out.result = sim::FaultInjector::apply(*host(), std::move(out.result),
                                            host()->sim().rng());
-      }
-      Value out = Value::map();
-      out.set("result", std::move(result))
-          .set("cpu_us", static_cast<std::int64_t>(cpu));
-      return out;
-    }
-    throw FtmError(strf("app.srv: unknown op '", op, "'"));
   }
-  if (service == "state") {
-    if (op == "get") return state_get();
-    if (op == "set") {
-      state_set(args);
-      return {};
-    }
-    if (op == "capture_delta") return capture_delta();
-    if (op == "ack_delta") {
-      ack_delta(static_cast<std::uint64_t>(args.at("seq").as_int()));
-      return {};
-    }
-    if (op == "apply_delta") return apply_delta(args);
-    if (op == "export_full") return export_full();
-    if (op == "import_full") {
-      import_full(args);
-      return {};
-    }
-    if (op == "delta_info") {
-      Value info = Value::map();
-      info.set("stream", static_cast<std::int64_t>(stream_))
-          .set("capture_seq", static_cast<std::int64_t>(capture_seq_))
-          .set("acked_seq", static_cast<std::int64_t>(acked_seq_))
-          .set("applied_stream", static_cast<std::int64_t>(applied_stream_))
-          .set("applied_seq", static_cast<std::int64_t>(applied_seq_))
-          .set("delta_capable", supports_state_delta());
-      return info;
-    }
-    throw FtmError(strf("app.state: unknown op '", op, "'"));
-  }
-  if (service == "assert") {
-    if (op == "check") {
-      return Value(assertion(args.at("request"), args.at("result")));
-    }
-    throw FtmError(strf("app.assert: unknown op '", op, "'"));
-  }
-  throw FtmError(strf("app: unknown service '", service, "'"));
+  return out;
+}
+
+void AppServerBase::on_start() { read_cpu_per_request(); }
+
+void AppServerBase::on_property_changed(const std::string& key) {
+  if (key == "cpu_us") read_cpu_per_request();
+}
+
+void AppServerBase::read_cpu_per_request() {
+  const Value v = property("cpu_us");
+  cpu_per_request_ = v.is_int() ? v.as_int() : kDefaultCpuPerRequest;
 }
 
 std::uint64_t AppServerBase::make_stream_id() {
@@ -83,21 +54,18 @@ std::uint64_t AppServerBase::make_stream_id() {
          (stream_nonce_ & 0xFFFFu);
 }
 
-Value AppServerBase::capture_delta() {
+ftm::StateCapture AppServerBase::capture_delta() {
   if (stream_ == 0) stream_ = make_stream_id();
   ++capture_seq_;
-  Value out = Value::map();
-  out.set("stream", static_cast<std::int64_t>(stream_))
-      .set("seq", static_cast<std::int64_t>(capture_seq_))
-      .set("base", static_cast<std::int64_t>(acked_seq_));
-  if (supports_state_delta()) {
-    out.set("full", false).set("delta", delta_capture());
-  } else {
-    // No fine-grained tracking: a "delta" is the whole state, but it still
-    // rides the sequence protocol so gap detection and resync keep working.
-    out.set("full", true).set("state", state_get());
-  }
-  return out;
+  ftm::StateCapture capture;
+  capture.stream = stream_;
+  capture.seq = capture_seq_;
+  capture.base = acked_seq_;
+  // Without fine-grained tracking a "delta" is the whole state, but it still
+  // rides the sequence protocol so gap detection and resync keep working.
+  capture.full = !supports_state_delta();
+  capture.state = capture.full ? state_get() : delta_capture();
+  return capture;
 }
 
 void AppServerBase::ack_delta(std::uint64_t seq) {
@@ -105,55 +73,53 @@ void AppServerBase::ack_delta(std::uint64_t seq) {
   delta_ack(seq);
 }
 
-Value AppServerBase::apply_delta(const Value& ckpt) {
-  const auto stream = static_cast<std::uint64_t>(ckpt.at("stream").as_int());
-  const auto seq = static_cast<std::uint64_t>(ckpt.at("seq").as_int());
-  const auto base = static_cast<std::uint64_t>(ckpt.at("base").as_int());
-  Value out = Value::map();
-  if (ckpt.at("full").as_bool()) {
-    state_set(ckpt.at("state"));
+ftm::DeltaApply AppServerBase::apply_delta(const ftm::StateCapture& capture) {
+  if (capture.full) {
+    state_set(capture.state);
     delta_clear();
-    applied_stream_ = stream;
-    applied_seq_ = seq;
-    return out.set("ok", true);
+    applied_stream_ = capture.stream;
+    applied_seq_ = capture.seq;
+    return ftm::DeltaApply::kApplied;
   }
-  const bool same_stream = applied_stream_ == stream;
-  if (same_stream && seq <= applied_seq_) {
+  const bool same_stream = applied_stream_ == capture.stream;
+  if (same_stream && capture.seq <= applied_seq_) {
     // Retransmission of a checkpoint we already hold (link jitter can
     // reorder): ack again, apply nothing.
-    return out.set("ok", true).set("duplicate", true);
+    return ftm::DeltaApply::kDuplicate;
   }
   // A fresh backup (never applied anything) may adopt a delta stream from its
   // genesis: both sides started from the same deploy-time state.
   const bool genesis = applied_stream_ == 0 && applied_seq_ == 0;
-  if ((same_stream || genesis) && base <= applied_seq_) {
-    delta_apply(ckpt.at("delta"));
-    applied_stream_ = stream;
-    applied_seq_ = seq;
-    return out.set("ok", true);
+  if ((same_stream || genesis) && capture.base <= applied_seq_) {
+    delta_apply(capture.state);
+    applied_stream_ = capture.stream;
+    applied_seq_ = capture.seq;
+    return ftm::DeltaApply::kApplied;
   }
   // Unknown stream (new primary after promotion) or a gap (we missed
   // checkpoints): only a full resync through the join path can recover.
-  return out.set("ok", false).set("resync", true);
+  return ftm::DeltaApply::kResync;
 }
 
-Value AppServerBase::export_full() {
+ftm::JoinSnapshot AppServerBase::export_full() {
   // Join snapshots anchor the joiner into the CURRENT delta stream: ship the
   // state together with (stream, capture_seq) so overlapping deltas that were
   // already captured apply idempotently on top.
   if (stream_ == 0) stream_ = make_stream_id();
-  Value out = Value::map();
-  out.set("state", state_get())
-      .set("stream", static_cast<std::int64_t>(stream_))
-      .set("seq", static_cast<std::int64_t>(capture_seq_));
-  return out;
+  ftm::JoinSnapshot snapshot;
+  snapshot.state = state_get();
+  snapshot.ckpt_stream = static_cast<std::int64_t>(stream_);
+  snapshot.ckpt_seq = static_cast<std::int64_t>(capture_seq_);
+  return snapshot;
 }
 
-void AppServerBase::import_full(const Value& args) {
-  state_set(args.at("state"));
+void AppServerBase::import_full(const ftm::JoinSnapshot& snapshot) {
+  ensure(snapshot.state && snapshot.ckpt_stream && snapshot.ckpt_seq,
+         "import_full: the snapshot names no state and stream position");
+  state_set(*snapshot.state);
   delta_clear();
-  applied_stream_ = static_cast<std::uint64_t>(args.at("stream").as_int());
-  applied_seq_ = static_cast<std::uint64_t>(args.at("seq").as_int());
+  applied_stream_ = static_cast<std::uint64_t>(*snapshot.ckpt_stream);
+  applied_seq_ = static_cast<std::uint64_t>(*snapshot.ckpt_seq);
   // This node is (re)joining as a backup: its own capture side restarts on a
   // fresh stream if it is ever promoted.
   stream_ = 0;
@@ -171,11 +137,6 @@ void AppServerBase::state_set(const Value& /*state*/) {
 
 bool AppServerBase::assertion(const Value& /*request*/, const Value& /*result*/) {
   return true;
-}
-
-sim::Duration AppServerBase::cpu_per_request() const {
-  const Value v = property("cpu_us");
-  return v.is_int() ? v.as_int() : kDefaultCpuPerRequest;
 }
 
 Value AppServerBase::with_checksum(Value result) {

@@ -1,12 +1,16 @@
 // Application server components.
 //
 // An application is the FTM composite's `server` child (the base level of
-// the paper's two-layer architecture, §2). It provides:
-//   - "srv"   (rcs.Server):       process {request} -> {result, cpu_us}
-//   - "state" (rcs.StateManager): get -> state, set(state)   [if accessible]
-//   - "assert"(rcs.Assertion):    check {request, result} -> bool [if provided]
+// the paper's two-layer architecture, §2). It provides three services, each
+// reached through its C++ face (ftm/interfaces.hpp), which the bricks
+// resolve when their wires are made:
+//   - "srv"   (rcs.Server):       process(request) -> {result, cpu}
+//   - "state" (rcs.StateManager): get_state, set_state      [if accessible]
+//   - "assert"(rcs.Assertion):    check(request, result) -> bool [if provided]
+// It serves no Value ops; the request, result, state and delta it handles
+// are Values.
 //
-// The state service also implements the incremental-checkpoint protocol used
+// The state face also implements the incremental-checkpoint protocol used
 // by the PBR syncAfter brick: capture_delta / ack_delta on the primary side,
 // apply_delta on the backup side, and export_full / import_full for join
 // snapshots. All sequence bookkeeping lives here (generic); applications that
@@ -20,8 +24,8 @@
 // only applies deltas from the stream it is tracking and asks for a full
 // resync on a gap or an unknown stream — promotion and rejoin stay correct.
 //
-// process() runs the primary variant; process_alt the diversified alternate
-// (recovery blocks). Both charge the host's CPU meter and pass
+// process() runs the primary variant; process_alternate the diversified
+// alternate (recovery blocks). Both charge the host's CPU meter and pass
 // the result through the host's hardware-fault state — this is where injected
 // transient/permanent value faults corrupt computations (§2's FT dimension).
 // The assertion is the paper's "application defined assertion" hook: a safety
@@ -34,13 +38,35 @@
 
 #include "rcs/component/component.hpp"
 #include "rcs/ftm/app_spec.hpp"
+#include "rcs/ftm/interfaces.hpp"
 #include "rcs/sim/time.hpp"
 
 namespace rcs::app {
 
-class AppServerBase : public comp::Component {
+class AppServerBase : public comp::Component,
+                      public ftm::Server,
+                      public ftm::StateManager,
+                      public ftm::Assertion {
  public:
   static constexpr sim::Duration kDefaultCpuPerRequest = 5 * sim::kMillisecond;
+
+  // --- rcs.Server -------------------------------------------------------
+  ftm::Execution process(const Value& request) final;
+  ftm::Execution process_alternate(const Value& request) final;
+
+  // --- rcs.StateManager -------------------------------------------------
+  Value get_state() final { return state_get(); }
+  void set_state(const Value& state) final { state_set(state); }
+  ftm::StateCapture capture_delta() final;
+  void ack_delta(std::uint64_t seq) final;
+  ftm::DeltaApply apply_delta(const ftm::StateCapture& capture) final;
+  ftm::JoinSnapshot export_full() final;
+  void import_full(const ftm::JoinSnapshot& snapshot) final;
+
+  // --- rcs.Assertion ----------------------------------------------------
+  bool check(const Value& request, const Value& result) final {
+    return assertion(request, result);
+  }
 
   /// Attach a content checksum to a result map so that generic executable
   /// assertions can detect value corruption (the "check" member).
@@ -49,8 +75,10 @@ class AppServerBase : public comp::Component {
   [[nodiscard]] static bool checksum_ok(const Value& result);
 
  protected:
-  Value on_invoke(const std::string& service, const std::string& op,
-                  const Value& args) final;
+  /// Properties are read when they are set and on start, not per request.
+  /// An override calls the base first.
+  void on_start() override;
+  void on_property_changed(const std::string& key) override;
 
   /// Business logic: request -> raw result (before fault injection).
   virtual Value compute(const Value& request) = 0;
@@ -87,16 +115,15 @@ class AppServerBase : public comp::Component {
   /// Safety assertion over a (request, result) pair; default accepts all.
   virtual bool assertion(const Value& request, const Value& result);
 
-  /// CPU cost of one request on the reference host (property-overridable).
-  [[nodiscard]] sim::Duration cpu_per_request() const;
-
  private:
-  Value capture_delta();
-  Value apply_delta(const Value& ckpt);
-  void ack_delta(std::uint64_t seq);
-  Value export_full();
-  void import_full(const Value& args);
+  /// Charge the request's CPU and pass its result through the host's
+  /// hardware-fault state.
+  ftm::Execution finish(Value result);
+  void read_cpu_per_request();
   [[nodiscard]] std::uint64_t make_stream_id();
+
+  /// CPU cost of one request on the reference host (the "cpu_us" property).
+  sim::Duration cpu_per_request_{kDefaultCpuPerRequest};
 
   // Capture side (primary).
   std::uint64_t stream_{0};       // 0 = not capturing yet; lazily assigned

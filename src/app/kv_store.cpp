@@ -22,14 +22,23 @@ namespace {
 
 class KvStore final : public AppServerBase {
  protected:
+  void on_start() override {
+    AppServerBase::on_start();
+    read_primary_bug();
+    read_state_size();
+  }
+
+  void on_property_changed(const std::string& key) override {
+    AppServerBase::on_property_changed(key);
+    if (key == "primary_bug") read_primary_bug();
+    if (key == "state_size") read_state_size();
+  }
+
   Value compute(const Value& request) override {
     // The "primary_bug" property plants a development fault in THIS variant
     // only: increments come out negated — wrong, checksummed, and caught
     // only by a semantic acceptance test (the recovery-blocks scenario).
-    const bool buggy = property("primary_bug").is_bool() &&
-                       property("primary_bug").as_bool();
-    Value result = execute(request, buggy);
-    return with_checksum(std::move(result));
+    return with_checksum(execute(request, primary_bug_));
   }
 
   Value compute_alternate(const Value& request) override {
@@ -67,15 +76,12 @@ class KvStore final : public AppServerBase {
   Value state_get() override {
     Value entries = Value::map();
     for (const auto& [key, value] : data_) entries.set(key, value);
-    const auto filler_size = property("state_size");
     Value state = Value::map();
     state.set("entries", std::move(entries));
     // Pad to the configured state size so checkpoints cost realistic
     // bandwidth (the R dimension of PBR vs LFR in Table 1).
-    const auto target = static_cast<std::size_t>(
-        filler_size.is_int() ? filler_size.as_int() : 4096);
     const auto base = state.encoded_size();
-    const std::size_t filler = base < target ? target - base : 0;
+    const std::size_t filler = base < state_size_ ? state_size_ - base : 0;
     // Every checkpoint ships the same filler: rebuild it only when its size
     // changes, and share it by handle otherwise.
     if (filler_.size() != filler) {
@@ -89,14 +95,26 @@ class KvStore final : public AppServerBase {
     // A wholesale replacement (TR snapshot restore, exec_result adoption,
     // full checkpoint) invalidates fine-grained knowledge: conservatively
     // mark the union of old and new keys dirty, so the next delta capture
-    // ships every key this reset may have changed or removed.
+    // ships every key this reset may have changed or removed. The map is
+    // replaced in place, one merge walk over both key orders: keys in both
+    // states are assigned, gone ones erased, new ones inserted.
     const auto epoch = mutation_epoch();
-    for (const auto& [key, value] : data_) dirty_[key] = epoch;
-    data_.clear();
+    auto slot = data_.begin();
+    const auto drop = [&] {
+      dirty_[slot->first] = epoch;
+      slot = data_.erase(slot);
+    };
     for (const auto& [key, value] : state.at("entries").as_map()) {
-      data_[key] = value;
+      while (slot != data_.end() && slot->first < key) drop();
+      if (slot != data_.end() && slot->first == key) {
+        slot->second = value;
+      } else {
+        slot = data_.emplace_hint(slot, key, value);
+      }
       dirty_[key] = epoch;
+      ++slot;
     }
+    while (slot != data_.end()) drop();
   }
 
   // --- Incremental checkpointing -------------------------------------------
@@ -148,7 +166,19 @@ class KvStore final : public AppServerBase {
   }
 
  private:
+  void read_primary_bug() {
+    const Value v = property("primary_bug");
+    primary_bug_ = v.is_bool() && v.as_bool();
+  }
+  void read_state_size() {
+    const Value v = property("state_size");
+    state_size_ = static_cast<std::size_t>(v.is_int() ? v.as_int() : 4096);
+  }
+
   std::map<std::string, Value> data_;
+  /// The "primary_bug" and "state_size" properties, read when set.
+  bool primary_bug_{false};
+  std::size_t state_size_{4096};
   /// The state's padding, shared by every state_get of the same size.
   SharedBytes filler_;
   // key -> mutation_epoch() at last write; survives captures, cleared by acks.

@@ -337,7 +337,8 @@ void NodeAgent::handle_monolithic(const Value& request, HostId engine) {
     // transitions avoid (§6.1).
     Value state;
     if (params.app.state_access) {
-      state = runtime_.composite().invoke("server", "state", "get", {});
+      state = ftm::state_manager_of(runtime_.composite().child("server"))
+                  .get_state();
     }
     const auto state_bytes = static_cast<sim::Duration>(state.encoded_size());
     const sim::Duration state_cost = cost_.jittered(
@@ -388,7 +389,8 @@ void NodeAgent::handle_monolithic(const Value& request, HostId engine) {
             const auto stats = runtime_.deploy(params);
             attach_kernel_listeners();
             if (!state.is_null()) {
-              runtime_.composite().invoke("server", "state", "set", state);
+              ftm::state_manager_of(runtime_.composite().child("server"))
+                  .set_state(state);
             }
             const sim::Duration script_cost = cost_.jittered(
                 static_cast<sim::Duration>(stats.ops) * cost_.script_op,

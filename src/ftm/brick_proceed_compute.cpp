@@ -13,8 +13,8 @@ namespace {
 class ProceedCompute final : public FtmBrick {
  public:
   BrickStatus run_phase(const RequestCtx& ctx) override {
-    const Value outcome = run_server(ctx.request());
-    resume_after(ctx.key, outcome.at("cpu_us").as_int(), outcome.at("result"));
+    Execution outcome = run_server(ctx.request());
+    resume_after(ctx.key, outcome.cpu, std::move(outcome.result));
     return wait_for_resume();  // timer wait; control().resume_after fires it
   }
   BrickStatus on_peer(const RequestCtx* /*ctx*/,

@@ -25,38 +25,31 @@ class ProceedRb final : public FtmBrick {
   }
 
  private:
-  bool accept(const Value& request, const Value& result) {
-    return call("assertion", "check",
-                Value::map().set("request", request).set("result", result))
-        .as_bool();
-  }
-
   BrickStatus process(const RequestCtx& ctx) {
     const Value& request = ctx.request();
     const bool has_state = wired("state");
 
     Value snapshot;
-    if (has_state) snapshot = call("state", "get");
+    if (has_state) snapshot = state_manager().get_state();
 
-    const Value primary = run_server(request);
-    std::int64_t cpu = primary.at("cpu_us").as_int();
+    Execution primary = run_server(request);
+    sim::Duration cpu = primary.cpu;
 
     Value result;
-    if (accept(request, primary.at("result"))) {
-      result = primary.at("result");
+    if (check_assertion(request, primary.result)) {
+      result = std::move(primary.result);
     } else {
       // Acceptance test rejected the primary variant: restore the state and
       // fall back to the alternate.
       report_fault("acceptance_failed");
-      if (has_state) call("state", "set", snapshot);
-      const Value alternate =
-          call("server", "process_alt", Value::map().set("request", request));
-      cpu += alternate.at("cpu_us").as_int();
-      if (!accept(request, alternate.at("result"))) {
+      if (has_state) state_manager().set_state(snapshot);
+      Execution alternate = face<Server>("server").process_alternate(request);
+      cpu += alternate.cpu;
+      if (!check_assertion(request, alternate.result)) {
         report_fault("both_variants_rejected");
         return fail_with("recovery blocks: both variants failed acceptance");
       }
-      result = alternate.at("result");
+      result = std::move(alternate.result);
     }
     resume_after(ctx.key, cpu, std::move(result));
     return wait_for_resume();

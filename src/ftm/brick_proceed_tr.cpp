@@ -30,31 +30,31 @@ class ProceedTr final : public FtmBrick {
     // Capture state before the first execution (Table 2, Before column for
     // TR; folded into proceed per §5.2).
     Value snapshot;
-    if (has_state) snapshot = call("state", "get");
+    if (has_state) snapshot = state_manager().get_state();
 
-    const Value first = run_server(request);
-    std::int64_t cpu = first.at("cpu_us").as_int();
+    Execution first = run_server(request);
+    sim::Duration cpu = first.cpu;
 
-    if (has_state) call("state", "set", snapshot);
-    const Value second = run_server(request);
-    cpu += second.at("cpu_us").as_int();
+    if (has_state) state_manager().set_state(snapshot);
+    Execution second = run_server(request);
+    cpu += second.cpu;
 
     Value result;
-    if (digest(first.at("result")) == digest(second.at("result"))) {
-      result = second.at("result");
+    if (digest(first.result) == digest(second.result)) {
+      result = std::move(second.result);
     } else {
       // Results differ: transient fault suspected. Third run, majority vote.
       report_fault("tr_mismatch");
-      if (has_state) call("state", "set", snapshot);
-      const Value third = run_server(request);
-      cpu += third.at("cpu_us").as_int();
-      const auto d1 = digest(first.at("result"));
-      const auto d2 = digest(second.at("result"));
-      const auto d3 = digest(third.at("result"));
+      if (has_state) state_manager().set_state(snapshot);
+      const Execution third = run_server(request);
+      cpu += third.cpu;
+      const auto d1 = digest(first.result);
+      const auto d2 = digest(second.result);
+      const auto d3 = digest(third.result);
       if (d3 == d1) {
-        result = first.at("result");
+        result = std::move(first.result);
       } else if (d3 == d2) {
-        result = second.at("result");
+        result = std::move(second.result);
       } else {
         // Three distinct results: the fault is not transient (permanent
         // fault or non-deterministic application) — report the evidence to

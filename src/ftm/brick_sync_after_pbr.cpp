@@ -36,10 +36,9 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
       // retransmission (kernel retry) re-captures, which widens the delta —
       // never narrows it — so the backup can always catch up or detect a gap.
       if (wired("state")) {
-        Value capture = call("state", "capture_delta");
-        count_event(capture.at("full").as_bool() ? Event::kFullCheckpointSent
-                                                 : Event::kDeltaSent);
-        ckpt.state = std::move(capture);
+        ckpt.capture = state_manager().capture_delta();
+        count_event(ckpt.capture->full ? Event::kFullCheckpointSent
+                                       : Event::kDeltaSent);
       }
       ckpt.replies = reply_log().export_since();
     } else {
@@ -90,7 +89,7 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
       // future deltas. (All acks of one round echo the same seq/upto.)
       const auto& ack = message.body<CheckpointAck>();
       if (ack.seq && wired("state")) {
-        call("state", "ack_delta", Value::map().set("seq", *ack.seq));
+        state_manager().ack_delta(static_cast<std::uint64_t>(*ack.seq));
       }
       if (ack.upto) reply_log().ack_export(*ack.upto);
       return done();
@@ -167,10 +166,9 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
         ok = false;
       }
     }
-    if (ok && ckpt.state && wired("state")) {
-      const Value applied = call("state", "apply_delta", *ckpt.state);
-      ok = applied.at("ok").as_bool();
-      if (ok) ack.seq = ckpt.state->at("seq").as_int();
+    if (ok && ckpt.capture && wired("state")) {
+      ok = state_manager().apply_delta(*ckpt.capture) != DeltaApply::kResync;
+      if (ok) ack.seq = static_cast<std::int64_t>(ckpt.capture->seq);
     }
     if (ok) {
       ok = reply_log().import_delta(ckpt.replies);

@@ -14,7 +14,9 @@
 // peer_alive, expect, attempt, trace) and a message carries its sender
 // beside its payload. A brick reaches the kernel and the reply log back
 // through its "control" and "replyLog" references, typed as the
-// ProtocolControl and ReplyLog faces; the helpers below wrap them. Bricks
+// ProtocolControl and ReplyLog faces, and the application through its
+// "server", "state" and "assertion" references, typed as the Server,
+// StateManager and Assertion faces; the helpers below wrap them. Bricks
 // serve no Value ops. On group-membership changes and retransmission
 // timeouts the kernel simply re-runs the waiting phase (ctx.attempt counts
 // them), so bricks stay stateless.
@@ -129,10 +131,16 @@ class FtmBrick : public comp::Component, public Brick {
     control().resume_after(key, delay_us, std::move(result));
   }
 
-  /// Run the application once through the server reference; returns the
-  /// {"result", "cpu_us"} pair produced by the server component.
-  [[nodiscard]] Value run_server(const Value& request) {
-    return call("server", "process", Value::map().set("request", request));
+  // --- The application, through the typed references -----------------------
+  /// Run the application once through the server reference.
+  [[nodiscard]] Execution run_server(const Value& request) {
+    return face<Server>("server").process(request);
+  }
+  [[nodiscard]] StateManager& state_manager() {
+    return face<StateManager>("state");
+  }
+  [[nodiscard]] bool check_assertion(const Value& request, const Value& result) {
+    return face<Assertion>("assertion").check(request, result);
   }
 
   /// Content digest for result comparison (LFR notification, TR votes).

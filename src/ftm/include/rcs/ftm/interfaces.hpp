@@ -15,19 +15,20 @@
 // Interfaces are the typed contracts on the wires; message types are the
 // host-level network message names.
 //
-// Inside the composite the kernel, the bricks, the reply log and the failure
-// detector call each other as C++ objects: rcs.ProtocolControl and
-// rcs.ReplyLog each have a face below and the three brick interfaces share
-// one, which the caller resolves when a script makes the wire (typed_face)
-// and then calls virtually, with no Value argument maps. The kernel↔brick
-// contract is typed too: a brick reads a RequestCtx, gets replica messages
-// as a PeerMessage and answers a BrickStatus. Callers outside the composite
-// (the runtime, the node agent) use the same C++ methods: the kernel, the
-// reply log, the failure detector and the bricks serve no Value ops. Replica
-// messages are typed envelopes (replica_message.hpp) whose PBR checkpoint,
-// ack and rejoin bodies are structs. Value stays for the client's request
-// and reply, for the other replica-message bodies and for the application's
-// rcs.Server and rcs.StateManager.
+// The bricks, the kernel, the reply log, the failure detector and the
+// application call each other as C++ objects: rcs.ProtocolControl,
+// rcs.ReplyLog, rcs.Server, rcs.StateManager and rcs.Assertion each have a
+// face below and the three brick interfaces share one, which the caller
+// resolves when a script makes the wire (typed_face) and then calls
+// virtually, with no Value argument maps. The kernel↔brick contract is
+// typed too: a brick reads a RequestCtx, gets replica messages as a
+// PeerMessage and answers a BrickStatus. Callers outside the composite (the
+// runtime, the node agent) use the same C++ methods: no component of the
+// composite serves Value ops. Replica messages are typed envelopes
+// (replica_message.hpp) whose PBR checkpoint, state capture, ack and rejoin
+// bodies are structs. Value stays for the client's request and reply, for
+// the other replica-message bodies, and for what the application computes
+// and keeps: its requests, results, state and deltas.
 #pragma once
 
 #include <cstdint>
@@ -276,11 +277,77 @@ class ReplyLog {
   ~ReplyLog() = default;
 };
 
+/// One execution of the application: its result, and the CPU time the host
+/// charged for it.
+struct Execution {
+  Value result;
+  sim::Duration cpu{0};
+};
+
+/// Face of rcs.Server: the application's business logic, the base level of
+/// the paper's two-layer architecture (§2).
+class Server {
+ public:
+  /// Run `request` through the primary variant, or through the diversified
+  /// alternate (recovery blocks). Injected value faults strike the result.
+  virtual Execution process(const Value& request) = 0;
+  virtual Execution process_alternate(const Value& request) = 0;
+
+ protected:
+  ~Server() = default;
+};
+
+/// What a backup did with the capture of a delta checkpoint.
+enum class DeltaApply : std::uint8_t {
+  kApplied,    // merged into the state (ack it)
+  kDuplicate,  // a retransmission of one already applied (ack it again)
+  kResync,     // a gap or an unknown stream: only a full resync recovers
+};
+
+/// Face of rcs.StateManager: the application's state, whole and as the
+/// delta-checkpoint stream (app_base.hpp describes the protocol).
+class StateManager {
+ public:
+  [[nodiscard]] virtual Value get_state() = 0;
+  virtual void set_state(const Value& state) = 0;
+  /// Primary: everything mutated since the last acknowledged capture, and
+  /// the acknowledgement of capture `seq` by the whole group.
+  [[nodiscard]] virtual StateCapture capture_delta() = 0;
+  virtual void ack_delta(std::uint64_t seq) = 0;
+  /// Backup: apply a capture of the primary's stream.
+  [[nodiscard]] virtual DeltaApply apply_delta(const StateCapture& capture) = 0;
+  /// Rejoin: the whole state anchored in the capture stream (a
+  /// JoinSnapshot's state, ckpt_stream and ckpt_seq), and its adoption by
+  /// the joiner, which restarts its own capture side.
+  [[nodiscard]] virtual JoinSnapshot export_full() = 0;
+  virtual void import_full(const JoinSnapshot& snapshot) = 0;
+
+ protected:
+  ~StateManager() = default;
+};
+
+/// Face of rcs.Assertion: the application-defined safety property over a
+/// (request, result) pair (§3.2.1), the meta level's hook into the base.
+class Assertion {
+ public:
+  [[nodiscard]] virtual bool check(const Value& request,
+                                   const Value& result) = 0;
+
+ protected:
+  ~Assertion() = default;
+};
+
 /// Component::resolve_face for the FTM's components: the face a reference
-/// of `reference.interface_name` calls on `target` — Brick, ProtocolControl
-/// or ReplyLog — or null for the application's interfaces, reached through
-/// Value ops, and for the kernel's unused "detector" reference.
+/// of `reference.interface_name` calls on `target` — Brick,
+/// ProtocolControl, ReplyLog, Server, StateManager or Assertion — or null
+/// for the kernel's unused "detector" reference.
 /// Throws ComponentError if the target lacks the face.
 void* typed_face(const comp::PortSpec& reference, comp::Component& target);
+
+/// The StateManager face of a composite's application, for a caller outside
+/// the composite (the node agent's monolithic state transfer). Throws
+/// ComponentError if `server` is stopped, declares no "state" service or
+/// lacks the face.
+[[nodiscard]] StateManager& state_manager_of(comp::Component& server);
 
 }  // namespace rcs::ftm

@@ -3,9 +3,10 @@
 // Every ftm.replica message is one ReplicaMessage, built once by the sender
 // and shared by handle (Payload::typed) with every receiver: the pipeline
 // phase it is for, its kind, the request key it names and a body. The
-// bodies of the PBR checkpoint, its ack and the rejoin snapshot are C++
-// structs, read field by field; every other kind (LFR request and notify,
-// exec_req / exec_result, abort, join) carries a Value body.
+// bodies of the PBR checkpoint (with the state manager's capture), its ack
+// and the rejoin snapshot are C++ structs, read field by field; every other
+// kind (LFR request and notify, exec_req / exec_result, abort, join) carries
+// a Value body.
 //
 // Nothing is serialized on the simulated wire, but the network prices each
 // message at the size of its encoding: a message costs, byte for byte, what
@@ -16,7 +17,10 @@
 //   envelope      {data: body, key?: str, kind: str, phase: str}
 //                 ("key" when the message names a request: its key)
 //   checkpoint    full:  {key, pending_reply, replies: snapshot, state}
-//                 delta: {ckpt?, key, pending_reply, rlog: delta snapshot}
+//                 delta: {ckpt?: capture, key, pending_reply,
+//                         rlog: delta snapshot}
+//   capture       {base, delta, full: false, seq, stream}
+//                 {base, full: true, seq, state, stream}
 //   checkpoint_ack {key, seq?, upto?}
 //   join_ack      {ckpt_seq?, ckpt_stream?, replies?: snapshot, state?}
 //   snapshot      {entries: {key: reply}, order: [key], upto}
@@ -74,13 +78,28 @@ struct ReplySnapshot {
   std::uint64_t upto{0};
 };
 
+/// A state manager's capture for a delta checkpoint: its place in the
+/// primary's capture stream and what changed since the acknowledged `base`.
+/// An application that tracks no dirty keys captures its whole state
+/// instead (`full`), under the same sequence numbers.
+struct StateCapture {
+  std::uint64_t stream{0};
+  std::uint64_t seq{0};
+  std::uint64_t base{0};
+  bool full{false};
+  /// The whole state ("state") when full, else the delta ("delta").
+  Value state;
+};
+
 /// Body of a PBR checkpoint.
 struct Checkpoint {
   bool delta{false};
   /// Full: the application state ("state", null when no state manager is
-  /// wired). Delta: the state manager's capture ("ckpt"), absent when none
-  /// is wired.
+  /// wired).
   std::optional<Value> state;
+  /// Delta: the state manager's capture ("ckpt"), absent when none is
+  /// wired.
+  std::optional<StateCapture> capture;
   /// Full: the whole reply log ("replies"). Delta: the records the backup
   /// has not acknowledged ("rlog").
   ReplySnapshot replies;

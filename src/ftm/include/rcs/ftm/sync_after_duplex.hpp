@@ -43,7 +43,6 @@ class SyncAfterDuplexBase : public FtmBrick {
   [[nodiscard]] bool with_assertion() const { return with_assertion_; }
 
   // --- Shared helpers -------------------------------------------------------
-  [[nodiscard]] bool check_assertion(const Value& request, const Value& result);
   /// Read the application state if the state manager is wired.
   [[nodiscard]] Value capture_state();
   void restore_state(const Value& state);

@@ -42,7 +42,24 @@ void* typed_face(const comp::PortSpec& reference, comp::Component& target) {
   if (name == iface::kReplyLog) {
     return require_face<ReplyLog>(reference, target);
   }
+  if (name == iface::kServer) return require_face<Server>(reference, target);
+  if (name == iface::kStateManager) {
+    return require_face<StateManager>(reference, target);
+  }
+  if (name == iface::kAssertion) {
+    return require_face<Assertion>(reference, target);
+  }
   return nullptr;
+}
+
+StateManager& state_manager_of(comp::Component& server) {
+  const comp::PortSpec reference{"state", iface::kStateManager};
+  if (server.info().find_service(reference.name) == nullptr ||
+      !server.started()) {
+    throw ComponentError(strf("'", server.name(), "' (", server.type_name(),
+                              ") serves no started rcs.StateManager"));
+  }
+  return *require_face<StateManager>(reference, server);
 }
 
 }  // namespace rcs::ftm

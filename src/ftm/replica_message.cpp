@@ -86,6 +86,7 @@ class SizeSink {
   void key(std::string_view k) { size_ += varint_size(k.size()) + k.size(); }
   void string(std::string_view s) { size_ += 1 + varint_size(s.size()) + s.size(); }
   void integer(std::int64_t /*v*/) { size_ += 1 + 8; }
+  void boolean(bool /*v*/) { size_ += 2; }
   void value(const Value& v) { size_ += v.encoded_size(); }
 
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -110,6 +111,10 @@ class ByteSink {
   void integer(std::int64_t v) {
     out_.write_u8(static_cast<std::uint8_t>(Value::Type::kInt));
     out_.write_i64(v);
+  }
+  void boolean(bool v) {
+    out_.write_u8(static_cast<std::uint8_t>(Value::Type::kBool));
+    out_.write_u8(v ? 1 : 0);
   }
   void value(const Value& v) { v.encode(out_); }
 
@@ -156,13 +161,33 @@ void walk(Sink& sink, const ReplySnapshot& snapshot, bool delta) {
 }
 
 template <class Sink>
+void walk(Sink& sink, const StateCapture& capture) {
+  sink.map(5);
+  sink.key("base");
+  sink.integer(static_cast<std::int64_t>(capture.base));
+  if (!capture.full) {
+    sink.key("delta");
+    sink.value(capture.state);
+  }
+  sink.key("full");
+  sink.boolean(capture.full);
+  sink.key("seq");
+  sink.integer(static_cast<std::int64_t>(capture.seq));
+  if (capture.full) {
+    sink.key("state");
+    sink.value(capture.state);
+  }
+  sink.key("stream");
+  sink.integer(static_cast<std::int64_t>(capture.stream));
+}
+
+template <class Sink>
 void walk(Sink& sink, const std::string& key, const Checkpoint& ckpt) {
-  const bool has_state = ckpt.state.has_value();
-  sink.map(3 + (has_state ? 1 : 0));
   if (ckpt.delta) {
-    if (has_state) {
+    sink.map(3 + (ckpt.capture ? 1 : 0));
+    if (ckpt.capture) {
       sink.key("ckpt");
-      sink.value(*ckpt.state);
+      walk(sink, *ckpt.capture);
     }
     sink.key("key");
     sink.string(key);
@@ -172,6 +197,8 @@ void walk(Sink& sink, const std::string& key, const Checkpoint& ckpt) {
     walk(sink, ckpt.replies, /*delta=*/true);
     return;
   }
+  const bool has_state = ckpt.state.has_value();
+  sink.map(3 + (has_state ? 1 : 0));
   sink.key("key");
   sink.string(key);
   sink.key("pending_reply");

@@ -18,10 +18,7 @@ JoinSnapshot SyncAfterDuplexBase::make_join_snapshot() {
   // with the join re-apply idempotently on the joiner.
   JoinSnapshot snapshot;
   if (wired("state")) {
-    const Value full = call("state", "export_full");
-    snapshot.state = full.at("state");
-    snapshot.ckpt_stream = full.at("stream").as_int();
-    snapshot.ckpt_seq = full.at("seq").as_int();
+    snapshot = state_manager().export_full();
   } else {
     snapshot.state = Value{};
   }
@@ -32,11 +29,7 @@ JoinSnapshot SyncAfterDuplexBase::make_join_snapshot() {
 void SyncAfterDuplexBase::apply_join_snapshot(const JoinSnapshot& snapshot) {
   if (snapshot.state && !snapshot.state->is_null()) {
     if (snapshot.ckpt_seq && snapshot.ckpt_stream && wired("state")) {
-      call("state", "import_full",
-           Value::map()
-               .set("state", *snapshot.state)
-               .set("stream", *snapshot.ckpt_stream)
-               .set("seq", *snapshot.ckpt_seq));
+      state_manager().import_full(snapshot);
     } else {
       restore_state(*snapshot.state);
     }
@@ -70,20 +63,13 @@ BrickStatus SyncAfterDuplexBase::run_phase(const RequestCtx& ctx) {
   return master_after(ctx);
 }
 
-bool SyncAfterDuplexBase::check_assertion(const Value& request,
-                                          const Value& result) {
-  return call("assertion", "check",
-              Value::map().set("request", request).set("result", result))
-      .as_bool();
-}
-
 Value SyncAfterDuplexBase::capture_state() {
   if (!wired("state")) return {};
-  return call("state", "get");
+  return state_manager().get_state();
 }
 
 void SyncAfterDuplexBase::restore_state(const Value& state) {
-  if (wired("state")) call("state", "set", state);
+  if (wired("state")) state_manager().set_state(state);
 }
 
 BrickStatus SyncAfterDuplexBase::handle_exec_request(
@@ -142,15 +128,15 @@ BrickStatus SyncAfterDuplexBase::handle_exec_request(
     return handled();
   }
 
-  const Value outcome = run_server(data.at("request"));
+  Execution outcome = run_server(data.at("request"));
   bool ok = true;
   if (with_assertion_) {
-    ok = check_assertion(data.at("request"), outcome.at("result"));
+    ok = check_assertion(data.at("request"), outcome.result);
   }
   Value reply = Value::map();
   reply.set("key", data.at("key"))
       .set("ok", ok)
-      .set("result", outcome.at("result"))
+      .set("result", std::move(outcome.result))
       .set("state", capture_state());
   reply_log().record(exec_key, reply);
   send_peer_to(asker,

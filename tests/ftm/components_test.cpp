@@ -258,7 +258,7 @@ TEST_F(TypedWireFixture, RewiredReplyLogTakesTheNextRecord) {
   EXPECT_EQ(size_of("replyLog"), logged);
 }
 
-// --- One call path: the common parts and the bricks serve no Value ops -----
+// --- One call path: no component of the composite serves Value ops --------
 
 using ValueOpFixture = DuplexFixture;
 
@@ -266,9 +266,9 @@ TEST_F(ValueOpFixture, CommonPartsAndBricksRefuseValueOps) {
   deploy(FtmConfig::pbr());
   comp::Composite& ftm = rt0.composite();
   for (const auto& name : ftm.children()) {
-    if (name == "server") continue;  // the application stays Value
     for (const auto& service : ftm.child(name).info().services) {
-      for (const char* op : {"info", "size", "peer_alive"}) {
+      for (const char* op :
+           {"info", "size", "peer_alive", "process", "get", "check"}) {
         EXPECT_THROW(ftm.invoke(name, service.name, op, {}), ComponentError)
             << name << "." << service.name << " " << op;
       }

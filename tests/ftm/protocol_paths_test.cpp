@@ -57,7 +57,8 @@ TEST_F(Fixture, AbortOvertakingForwardIsRemembered) {
 
   EXPECT_EQ(rt1.kernel().in_flight(), 0u) << "aborted forward never started";
   // The follower state must not contain the aborted increment.
-  const Value state = rt1.composite().invoke("server", "state", "get", {});
+  const Value state =
+      state_manager_of(rt1.composite().child("server")).get_state();
   EXPECT_FALSE(state.at("entries").has("ctr"));
 }
 

@@ -1,5 +1,6 @@
 // Typed replica messages against the Value maps they stand for: for random
-// envelopes, checkpoints (full and delta), acks and rejoin snapshots, the
+// envelopes, checkpoints (full and delta, with the state manager's capture
+// as a delta or as the full-state fallback), acks and rejoin snapshots, the
 // typed walk must give the same bytes and the same size as Value::encode of
 // the equivalent map, as the sender of the Value map built it. The network
 // prices a replica message by this size, so any slip here would move every
@@ -30,11 +31,26 @@ Value snapshot_value(const ReplySnapshot& snapshot, bool delta) {
   return out;
 }
 
+/// The capture map the application's state manager built before captures
+/// were typed.
+Value capture_value(const StateCapture& capture) {
+  Value out = Value::map();
+  out.set("stream", static_cast<std::int64_t>(capture.stream))
+      .set("seq", static_cast<std::int64_t>(capture.seq))
+      .set("base", static_cast<std::int64_t>(capture.base));
+  if (!capture.full) {
+    out.set("full", false).set("delta", capture.state);
+  } else {
+    out.set("full", true).set("state", capture.state);
+  }
+  return out;
+}
+
 Value body_value(const std::string& key, const Checkpoint& ckpt) {
   Value data = Value::map();
   data.set("key", key);
   if (ckpt.delta) {
-    if (ckpt.state) data.set("ckpt", *ckpt.state);
+    if (ckpt.capture) data.set("ckpt", capture_value(*ckpt.capture));
     data.set("rlog", snapshot_value(ckpt.replies, /*delta=*/true));
   } else {
     data.set("state", *ckpt.state)
@@ -138,16 +154,36 @@ ReplySnapshot random_snapshot(Rng& rng) {
   return snapshot;
 }
 
+/// A KV-style delta: changed entries and the keys that are gone.
+Value random_delta(Rng& rng) {
+  Value gone = Value::list();
+  for (std::int64_t i = rng.uniform_int(0, 3); i > 0; --i) {
+    gone.push_back(random_text(rng, 'g'));
+  }
+  return Value::map()
+      .set("entries", random_state(rng).at("entries"))
+      .set("gone", std::move(gone));
+}
+
+/// A capture: a delta, or the whole state from an application that tracks
+/// no dirty keys, at stream positions of any size.
+StateCapture random_capture(Rng& rng) {
+  StateCapture capture;
+  capture.stream = static_cast<std::uint64_t>(random_int(rng));
+  capture.seq = static_cast<std::uint64_t>(random_int(rng));
+  capture.base = static_cast<std::uint64_t>(random_int(rng));
+  capture.full = rng.bernoulli(0.4);
+  capture.state = capture.full ? random_state(rng) : random_delta(rng);
+  return capture;
+}
+
 Checkpoint random_checkpoint(Rng& rng, bool delta) {
   Checkpoint ckpt;
   ckpt.delta = delta;
   if (!delta) {
     ckpt.state = rng.bernoulli(0.2) ? Value{} : random_state(rng);
   } else if (rng.bernoulli(0.7)) {
-    ckpt.state = Value::map()
-                     .set("full", false)
-                     .set("seq", random_int(rng))
-                     .set("delta", random_state(rng));
+    ckpt.capture = random_capture(rng);
   }
   ckpt.replies = random_snapshot(rng);
   if (!delta) ckpt.replies.from = 0;
@@ -180,6 +216,35 @@ TEST(ReplicaMessageEncoding, CheckpointsMatchTheirValueMaps) {
       expect_same_encoding({PeerPhase::kAfter, PeerKind::kCheckpoint,
                             random_text(rng, 'c'),
                             random_checkpoint(rng, delta)});
+    }
+  }
+}
+
+TEST(ReplicaMessageEncoding, StateCapturesMatchTheirCaptureMaps) {
+  // Every delta checkpoint carries a capture: deltas and full-state
+  // fallbacks, with states whose size straddles the one-, two- and
+  // three-byte varint boundaries of their filler and of the checkpoint map.
+  for (const auto seed : kSeeds) {
+    Rng rng(seed);
+    for (int round = 0; round < kRounds; ++round) {
+      SCOPED_TRACE(strf("seed ", seed, " round ", round));
+      Checkpoint ckpt = random_checkpoint(rng, /*delta=*/true);
+      ckpt.capture = random_capture(rng);
+      expect_same_encoding({PeerPhase::kAfter, PeerKind::kCheckpoint,
+                            random_text(rng, 'c'), std::move(ckpt)});
+    }
+  }
+  // The smallest and the largest stream positions, both shapes, empty
+  // states.
+  for (const bool full : {false, true}) {
+    for (const std::uint64_t position : {std::uint64_t{0}, ~std::uint64_t{0}}) {
+      Checkpoint ckpt;
+      ckpt.delta = true;
+      ckpt.capture = StateCapture{position, position, position, full,
+                                  full ? Value::map() : Value{}};
+      ckpt.pending_reply = Value::shared(Value::map().set("id", 1));
+      expect_same_encoding(
+          {PeerPhase::kAfter, PeerKind::kCheckpoint, "c1:1", std::move(ckpt)});
     }
   }
 }

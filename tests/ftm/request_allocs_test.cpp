@@ -1,10 +1,11 @@
 // Allocation gates of the request path: heap allocations per request on a
 // two-replica deployment, counted after warm-up. A request crosses the whole
-// FTM composite — kernel pipeline, typed brick / control / reply-log calls,
-// the replica messages and their delivery — so a regression anywhere on that
-// path (a Value map where a typed call was, a copy of a replica message)
-// shows up here. Allocation counts are deterministic for a given build, so
-// the gates are exact where a timing gate would be flaky.
+// FTM composite — kernel pipeline, typed brick / control / reply-log /
+// application calls, the replica messages and their delivery — so a
+// regression anywhere on that path (a Value map where a typed call was, a
+// copy of a replica message) shows up here. Allocation counts are
+// deterministic for a given build, so the gates are exact where a timing
+// gate would be flaky.
 #include <gtest/gtest.h>
 
 #include "../alloc_counter.hpp"
@@ -20,26 +21,29 @@ constexpr int kWarmup = 64;
 constexpr int kMeasured = 256;
 
 /// PBR with delta checkpoints: checkpoint to the backup and its ack.
-/// Measured at 32.0 allocations per request once replica messages became
-/// typed envelopes with struct checkpoint and ack bodies (40.2 with Value
-/// map envelopes and snapshots; 48.2 before replies became shared cells,
-/// 74.2 before replica messages kept their sender beside the payload, 141.7
-/// before the calls inside the composite were typed), plus 5%.
-constexpr double kMaxPbrAllocsPerRequest = 33.6;
+/// Measured at 23.0 allocations per request once the bricks called the
+/// application through its typed faces (32.0 with string-dispatched Value
+/// ops into the app; 40.2 with Value map envelopes and snapshots; 48.2
+/// before replies became shared cells, 74.2 before replica messages kept
+/// their sender beside the payload, 141.7 before the calls inside the
+/// composite were typed), plus 5%.
+constexpr double kMaxPbrAllocsPerRequest = 24.2;
 
 /// PBR with full checkpoints: the state and the whole reply log ship with
-/// every request. Measured at 35.0 allocations per request with typed
-/// envelopes, snapshots and a ring-buffer reply log (50.6 with Value map
-/// envelopes and snapshots; 182.6 when exports and imports deep-copied
-/// every reply), plus 5%.
-constexpr double kMaxPbrFullAllocsPerRequest = 36.8;
+/// every request. Measured at 23.0 allocations per request with typed
+/// application faces and a backup that replaces its KV map in place (35.0
+/// with Value ops into the app and a map rebuilt on every checkpoint; 50.6
+/// with Value map envelopes and snapshots; 182.6 when exports and imports
+/// deep-copied every reply), plus 5%.
+constexpr double kMaxPbrFullAllocsPerRequest = 24.2;
 
 /// LFR: the leader forwards each request and notifies the follower, which
 /// stashes the notification until its own pipeline reaches After. Measured
-/// at 36.0 allocations per request with typed envelopes (39.8 with Value map
-/// envelopes; 42.8 when the reply log deep-copied each reply; 66.8 with a
-/// Value ctx and a stamped copy of every replica message), plus 5%.
-constexpr double kMaxLfrAllocsPerRequest = 37.8;
+/// at 28.0 allocations per request with typed application faces (36.0 with
+/// Value ops into the app; 39.8 with Value map envelopes; 42.8 when the
+/// reply log deep-copied each reply; 66.8 with a Value ctx and a stamped
+/// copy of every replica message), plus 5%.
+constexpr double kMaxLfrAllocsPerRequest = 29.5;
 
 TEST_F(RequestAllocs, PbrDeltaRequestStaysWithinAllocationBudget) {
   deploy(FtmConfig::pbr());
