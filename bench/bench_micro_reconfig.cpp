@@ -118,8 +118,9 @@ BENCHMARK(BM_ComponentAddWireStartStopRemove);
 
 /// One call of the application through its rcs.Server face, as a proceed
 /// brick makes it: the kv store's `process` (here hostless, so no CPU
-/// charge), resolved once as the composite resolves a wire.
-void BM_DynamicInvocation(benchmark::State& state) {
+/// charge), resolved once as the composite resolves a wire. Components call
+/// each other only through such faces.
+void BM_ServerProcess(benchmark::State& state) {
   setup();
   comp::Composite composite("bench");
   composite.add(app::kKvStore, "server");
@@ -130,7 +131,7 @@ void BM_DynamicInvocation(benchmark::State& state) {
     benchmark::DoNotOptimize(server.process(request));
   }
 }
-BENCHMARK(BM_DynamicInvocation);
+BENCHMARK(BM_ServerProcess);
 
 void BM_ValueEncodeDecodeCheckpoint(benchmark::State& state) {
   Value checkpoint = Value::map();

@@ -27,8 +27,9 @@
 //                     drain. A queue thousands of times deeper than any
 //                     benchmark workload's (those peak at a few hundred).
 //
-// Allocations are counted by a global operator-new hook; steady-state counts
-// are taken after a warmup so one-time pool growth is excluded.
+// Allocations are counted by the global operator-new hook of
+// tests/alloc_counter.cpp; steady-state counts are taken after a warmup so
+// one-time pool growth is excluded.
 //
 // Output: one JSON object per line on stdout. Counts (iterations, events,
 // peak_pending, allocs/iter) are byte-deterministic across runs of the same
@@ -37,81 +38,19 @@
 // the cmp gate does not pass.
 //
 //   bench_sim [--quick] [--timing]
-#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "rcs/common/logging.hpp"
 #include "rcs/common/value.hpp"
 #include "rcs/sim/simulation.hpp"
-
-// ---------------------------------------------------------------------------
-// Allocation counting: every path through the global operator new family
-// bumps one counter. Delegating to malloc keeps the hook semantics-free.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-void count_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-}
-
-void* counted_alloc(std::size_t size) {
-  count_alloc(size);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  count_alloc(size);
-  return std::malloc(size == 0 ? 1 : size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  count_alloc(size);
-  return std::malloc(size == 0 ? 1 : size);
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  count_alloc(size);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -138,8 +77,8 @@ class Window {
  public:
   explicit Window(Simulation& sim)
       : sim_(sim),
-        allocs_(g_allocs.load(std::memory_order_relaxed)),
-        alloc_bytes_(g_alloc_bytes.load(std::memory_order_relaxed)),
+        allocs_(test::allocations()),
+        alloc_bytes_(test::allocated_bytes()),
         events_(sim.loop().processed()),
         wall_(std::chrono::steady_clock::now()) {}
 
@@ -148,8 +87,8 @@ class Window {
     m.wall_seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - wall_)
                          .count();
-    m.allocs = g_allocs.load(std::memory_order_relaxed) - allocs_;
-    m.alloc_bytes = g_alloc_bytes.load(std::memory_order_relaxed) - alloc_bytes_;
+    m.allocs = test::allocations() - allocs_;
+    m.alloc_bytes = test::allocated_bytes() - alloc_bytes_;
     m.events = sim_.loop().processed() - events_;
     m.iterations = iterations;
     m.peak_pending = sim_.loop().peak_pending();

@@ -7,8 +7,7 @@
 //   - "srv"   (rcs.Server):       process(request) -> {result, cpu}
 //   - "state" (rcs.StateManager): get_state, set_state      [if accessible]
 //   - "assert"(rcs.Assertion):    check(request, result) -> bool [if provided]
-// It serves no Value ops; the request, result, state and delta it handles
-// are Values.
+// The request, result, state and delta it handles are Values.
 //
 // The state face also implements the incremental-checkpoint protocol used
 // by the PBR syncAfter brick: capture_delta / ack_delta on the primary side,

@@ -1,10 +1,10 @@
 // Dynamic value model.
 //
-// The reflective component layer dispatches operations dynamically
-// (invoke(op, Value) -> Value) so that reconfiguration scripts can rewire
-// assemblies at runtime without the C++ type system pinning the architecture;
-// Value is the argument/result type of that dynamic plane. It also backs
-// component properties, checkpoints, and network message payloads.
+// Value is the data that crosses the system's dynamic edges: a client's
+// request and reply, what the application computes and keeps (its results,
+// state and deltas), component properties and script bindings, and network
+// message payloads. Components call each other through typed C++ faces, not
+// through Values (see rcs/component/component.hpp).
 //
 // A Value is null, a bool, an int64, a double, a string, a byte blob, a list,
 // or a string-keyed map. A byte blob is held by SharedBytes handle: copies of

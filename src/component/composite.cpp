@@ -226,10 +226,4 @@ Status Composite::validate() const {
   return Status::ok();
 }
 
-Value Composite::invoke(const std::string& instance_name,
-                        const std::string& service, const std::string& op,
-                        const Value& args) {
-  return child(instance_name).invoke(service, op, args);
-}
-
 }  // namespace rcs::comp

@@ -8,7 +8,9 @@
 //   - integrity validation (every started component's required references
 //     wired to existing components with matching interfaces).
 // The RScript interpreter drives exactly this API, journaling inverse
-// operations for transactional rollback.
+// operations for transactional rollback. A composite makes no calls of its
+// own: a child calls another through the typed face of a wire
+// (Component::face), and a caller outside holds a child's C++ face.
 #pragma once
 
 #include <map>
@@ -67,8 +69,8 @@ class Composite {
 
   /// Connect from.reference -> to.service. Both components must exist, the
   /// ports must be declared, interfaces must match, and the reference must
-  /// not already be wired. Binds the reference to `to` directly, so a call
-  /// through it does no lookup.
+  /// not already be wired. Binds the reference to `to` and to the face the
+  /// caller's resolve_face gives, so a call through it does no lookup.
   void wire(const std::string& from, const std::string& reference,
             const std::string& to, const std::string& service);
   /// Disconnect a reference. Throws if it is not wired.
@@ -94,15 +96,11 @@ class Composite {
   ///    matching interfaces (guaranteed by construction, revalidated here).
   [[nodiscard]] Status validate() const;
 
-  /// Invoke an operation on a started child's service.
-  Value invoke(const std::string& instance_name, const std::string& service,
-               const std::string& op, const Value& args);
-
  private:
   std::string name_;
   Env env_;
   // The wires live in the children: each component's per-reference binding
-  // slots (see Component::call).
+  // slots (see Component::face).
   std::map<std::string, std::unique_ptr<Component>> children_;
 };
 

@@ -16,8 +16,8 @@
 // through its "control" and "replyLog" references, typed as the
 // ProtocolControl and ReplyLog faces, and the application through its
 // "server", "state" and "assertion" references, typed as the Server,
-// StateManager and Assertion faces; the helpers below wrap them. Bricks
-// serve no Value ops. On group-membership changes and retransmission
+// StateManager and Assertion faces; the helpers below wrap them. On
+// group-membership changes and retransmission
 // timeouts the kernel simply re-runs the waiting phase (ctx.attempt counts
 // them), so bricks stay stateless.
 //

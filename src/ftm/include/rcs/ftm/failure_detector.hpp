@@ -6,7 +6,7 @@
 // crash and triggers recovery, §3.2.1). Suspicion is reported to the protocol
 // kernel through the control reference, typed as its ProtocolControl face; a
 // later heartbeat from a restarted peer reports recovery. The runtime hands
-// each beacon to on_heartbeat; the detector serves no Value ops. The timing
+// each beacon to on_heartbeat. The timing
 // properties are read on start and when set, and the beacon is built once
 // per start, so a beat or a check allocates nothing.
 #pragma once
@@ -35,7 +35,7 @@ class FailureDetectorComponent : public comp::Component {
   ~FailureDetectorComponent() override;
 
   /// A heartbeat beacon {from} arrived: the peer it names is alive. Throws
-  /// ComponentError when the detector is not started, as invoke does.
+  /// ComponentError when the detector is not started, as a wire's face does.
   void on_heartbeat(const Value& beacon);
 
  protected:

@@ -23,8 +23,7 @@
 // virtually, with no Value argument maps. The kernel↔brick contract is
 // typed too: a brick reads a RequestCtx, gets replica messages as a
 // PeerMessage and answers a BrickStatus. Callers outside the composite (the
-// runtime, the node agent) use the same C++ methods: no component of the
-// composite serves Value ops. Replica messages are typed envelopes
+// runtime, the node agent) use the same C++ methods. Replica messages are typed envelopes
 // (replica_message.hpp) whose PBR checkpoint, state capture, ack and rejoin
 // bodies are structs. Value stays for the client's request and reply, for
 // the other replica-message bodies, and for what the application computes

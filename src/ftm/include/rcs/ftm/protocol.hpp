@@ -36,7 +36,7 @@
 // ProtocolControl face this class implements (send_peer, resume_after,
 // count_event, report_fault, peek, start_forwarded, join, ...). Callers
 // outside the composite — the runtime, the node agent, tests — call the same
-// C++ methods: the kernel serves no Value ops.
+// C++ methods.
 #pragma once
 
 #include <deque>
@@ -128,7 +128,7 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   // --- Network entries (the runtime's message handlers) -------------------
   /// A client request {client, id, request, trace?}. These entries, the
   /// quiescence gate, join and peer_suspected throw ComponentError when the
-  /// kernel is not started, as invoke does.
+  /// kernel is not started, as a wire's face does.
   void deliver_client(const Payload& payload);
   /// A replica message (a ReplicaMessage payload) from host `from`.
   void deliver_peer(const Payload& payload, std::int64_t from);
@@ -160,7 +160,7 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   void peer_recovered(std::int64_t peer) override;
 
  protected:
-  // Services, none with Value ops:
+  // Services:
   //   "client"  (rcs.ClientPort):      deliver_client
   //   "peer"    (rcs.PeerPort):        deliver_peer
   //   "control" (rcs.ProtocolControl): the face above, quiesce and unblock

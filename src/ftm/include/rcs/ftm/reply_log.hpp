@@ -27,7 +27,7 @@
 // export/import through the join path).
 //
 // The kernel and the bricks call the log through its ReplyLog face, the
-// only way in: the log serves no Value ops. A snapshot comes from a peer's
+// only way in. A snapshot comes from a peer's
 // log, so it names each key once; one that holds more than kCapacity
 // records is refused with FtmError and leaves the log as it was.
 #pragma once

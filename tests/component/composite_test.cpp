@@ -13,6 +13,9 @@
 namespace rcs::comp {
 namespace {
 
+using testing::echo_of;
+using testing::kUnwired;
+using testing::kUpper;
 using testing::LifecycleSpy;
 using testing::make_full_registry;
 
@@ -46,21 +49,6 @@ TEST_F(CompositeFixture, HostLibraryGatesInstantiation) {
   EXPECT_THROW(gated.add("test.upper", "missing"), ComponentError);
 }
 
-TEST_F(CompositeFixture, InvokeRequiresStartedComponent) {
-  root.add("test.echo", "echo");
-  EXPECT_THROW(root.invoke("echo", "svc", "op", {}), ComponentError);
-  root.start("echo");
-  const Value out = root.invoke("echo", "svc", "ping", Value(1));
-  EXPECT_EQ(out.at("op").as_string(), "ping");
-  EXPECT_EQ(out.at("args").as_int(), 1);
-}
-
-TEST_F(CompositeFixture, InvokeRejectsUndeclaredService) {
-  root.add("test.echo", "echo");
-  root.start("echo");
-  EXPECT_THROW(root.invoke("echo", "nosvc", "op", {}), ComponentError);
-}
-
 TEST_F(CompositeFixture, StartRequiresRequiredReferencesWired) {
   root.add("test.forwarder", "fwd");
   EXPECT_THROW(root.start("fwd"), ComponentError);
@@ -72,27 +60,31 @@ TEST_F(CompositeFixture, StartRequiresRequiredReferencesWired) {
 TEST_F(CompositeFixture, OptionalReferenceDoesNotBlockStart) {
   root.add("test.optional", "opt");
   EXPECT_NO_THROW(root.start("opt"));
-  EXPECT_EQ(root.invoke("opt", "svc", "op", {}).as_string(), "unwired");
+  EXPECT_EQ(echo_of(root, "opt").echo(1), kUnwired);
 }
 
 TEST_F(CompositeFixture, OptionalReferenceUsedWhenWired) {
   root.add("test.optional", "opt");
-  root.add("test.echo", "echo");
-  root.wire("opt", "maybe", "echo", "svc");
+  root.add("test.upper", "upper");
+  root.wire("opt", "maybe", "upper", "svc");
   root.start("opt");
-  root.start("echo");
-  EXPECT_EQ(root.invoke("opt", "svc", "hi", {}).at("op").as_string(), "hi");
+  root.start("upper");
+  EXPECT_EQ(echo_of(root, "opt").echo(1), 1 + kUpper);
+  root.unwire("opt", "maybe");
+  EXPECT_EQ(echo_of(root, "opt").echo(1), kUnwired);
 }
 
 TEST_F(CompositeFixture, CallsFlowThroughWires) {
+  // fwd -> fwd2 -> upper: only upper adds kUpper, and only once.
   root.add("test.forwarder", "fwd");
-  root.add("test.echo", "echo");
-  root.wire("fwd", "next", "echo", "svc");
-  root.start("echo");
+  root.add("test.forwarder", "fwd2");
+  root.add("test.upper", "upper");
+  root.wire("fwd", "next", "fwd2", "svc");
+  root.wire("fwd2", "next", "upper", "svc");
+  root.start("upper");
+  root.start("fwd2");
   root.start("fwd");
-  const Value out = root.invoke("fwd", "svc", "fwd-op", Value("payload"));
-  EXPECT_EQ(out.at("op").as_string(), "fwd-op");
-  EXPECT_EQ(out.at("args").as_string(), "payload");
+  EXPECT_EQ(echo_of(root, "fwd").echo(7), 7 + kUpper);
 }
 
 TEST_F(CompositeFixture, RewiringRedirectsCallsWithoutTouchingCaller) {
@@ -103,13 +95,16 @@ TEST_F(CompositeFixture, RewiringRedirectsCallsWithoutTouchingCaller) {
   root.start("echo");
   root.start("upper");
   root.start("fwd");
-  EXPECT_TRUE(root.invoke("fwd", "svc", "x", {}).is_map());
+  EXPECT_EQ(echo_of(root, "fwd").echo(1), 1);
 
   // The differential-transition move: swap the wire target while the caller
   // stays started and untouched.
   root.unwire("fwd", "next");
   root.wire("fwd", "next", "upper", "svc");
-  EXPECT_EQ(root.invoke("fwd", "svc", "x", {}).as_string(), "upper:x");
+  EXPECT_EQ(echo_of(root, "fwd").echo(1), 1 + kUpper);
+  root.unwire("fwd", "next");
+  root.wire("fwd", "next", "echo", "svc");
+  EXPECT_EQ(echo_of(root, "fwd").echo(1), 1);
 }
 
 TEST_F(CompositeFixture, WireRejectsInterfaceMismatch) {
@@ -146,7 +141,7 @@ TEST_F(CompositeFixture, CallThroughUnwiredReferenceThrows) {
   root.start("fwd");
   root.start("echo");
   root.unwire("fwd", "next");
-  EXPECT_THROW(root.invoke("fwd", "svc", "x", {}), ComponentError);
+  EXPECT_THROW(echo_of(root, "fwd").echo(1), ComponentError);
 }
 
 TEST_F(CompositeFixture, RemoveRequiresStoppedAndUnwired) {
@@ -227,30 +222,29 @@ TEST_F(CompositeFixture, ValidateOkOnEmptyComposite) {
 }
 
 // --- Bound references -------------------------------------------------------
-// Composite::wire binds a reference to its target component; a call is one
-// hop through that binding. These pin what the binding must keep from the
-// name-resolved wire set it replaced.
+// Composite::wire binds a reference to its target component and face; a call
+// is one hop through that binding. These pin what the binding must keep from
+// the name-resolved wire set it replaced.
 
-/// Calls through the reference named by its args (declared or not).
-class Dialer : public Component {
+/// Calls through the reference it is given (declared or not).
+class Dialer : public testing::EchoCaller {
  public:
   static ComponentTypeInfo type_info() {
-    ComponentTypeInfo info;
-    info.type_name = "test.dialer";
-    info.services = {{"svc", "I.Echo"}};
     // Declared out of name order, so wires() has to sort them.
-    info.references = {{"zeta", "I.Echo", /*required=*/false},
-                       {"alpha", "I.Echo", /*required=*/false}};
-    info.factory = [] { return std::make_unique<Dialer>(); };
-    return info;
+    return testing::test_type<Dialer>(
+        "test.dialer", {{"svc", "I.Echo"}},
+        {{"zeta", "I.Echo", /*required=*/false},
+         {"alpha", "I.Echo", /*required=*/false}});
   }
 
- protected:
-  Value on_invoke(const std::string&, const std::string& op,
-                  const Value& args) override {
-    return call(args.as_string(), op);
+  int dial(const std::string& reference, int x) {
+    return face<testing::Echo>(reference).echo(x);
   }
 };
+
+Dialer& dialer_of(Composite& root) {
+  return dynamic_cast<Dialer&>(root.child("dialer"));
+}
 
 std::string error_of(const std::function<void()>& action) {
   try {
@@ -267,15 +261,18 @@ TEST_F(CompositeFixture, RemoveAndReAddUnderTheSameNameReachesTheNewInstance) {
   root.wire("fwd", "next", "echo", "svc");
   root.start("echo");
   root.start("fwd");
-  EXPECT_TRUE(root.invoke("fwd", "svc", "x", {}).is_map());
+  EXPECT_EQ(echo_of(root, "fwd").echo(1), 1);
 
   root.stop("echo");
   root.unwire("fwd", "next");
   root.remove("echo");
+  // Park a component on the storage the old instance freed, so the new one
+  // lives elsewhere and only the new binding can lead a call to it.
+  root.add("test.echo", "parked");
   root.add("test.upper", "echo");
   root.wire("fwd", "next", "echo", "svc");
   root.start("echo");
-  EXPECT_EQ(root.invoke("fwd", "svc", "x", {}).as_string(), "upper:x");
+  EXPECT_EQ(echo_of(root, "fwd").echo(1), 1 + kUpper);
 }
 
 TEST_F(CompositeFixture, CallIntoStoppedTargetThrows) {
@@ -283,20 +280,21 @@ TEST_F(CompositeFixture, CallIntoStoppedTargetThrows) {
   root.add("test.echo", "echo");
   root.wire("fwd", "next", "echo", "svc");
   root.start("fwd");
-  EXPECT_EQ(error_of([&] { root.invoke("fwd", "svc", "x", {}); }),
+  EXPECT_EQ(error_of([&] { echo_of(root, "fwd").echo(1); }),
             "invoke on stopped component 'echo' (test.echo), service 'svc'");
   root.start("echo");
+  EXPECT_EQ(echo_of(root, "fwd").echo(1), 1);
   root.stop("echo");
-  EXPECT_THROW(root.invoke("fwd", "svc", "x", {}), ComponentError);
+  EXPECT_THROW(echo_of(root, "fwd").echo(1), ComponentError);
 }
 
 TEST_F(CompositeFixture, UnwiredAndUndeclaredReferencesKeepTheirMessages) {
   registry.register_type(Dialer::type_info());
   root.add("test.dialer", "dialer");
   root.start("dialer");
-  EXPECT_EQ(error_of([&] { root.invoke("dialer", "svc", "x", Value("alpha")); }),
+  EXPECT_EQ(error_of([&] { dialer_of(root).dial("alpha", 1); }),
             "root: call through unwired reference dialer.alpha");
-  EXPECT_EQ(error_of([&] { root.invoke("dialer", "svc", "x", Value("nope")); }),
+  EXPECT_EQ(error_of([&] { dialer_of(root).dial("nope", 1); }),
             "root: 'dialer' (test.dialer) has no reference 'nope'");
 
   root.add("test.forwarder", "fwd");
@@ -305,7 +303,7 @@ TEST_F(CompositeFixture, UnwiredAndUndeclaredReferencesKeepTheirMessages) {
   root.start("echo");
   root.start("fwd");
   root.unwire("fwd", "next");
-  EXPECT_EQ(error_of([&] { root.invoke("fwd", "svc", "x", {}); }),
+  EXPECT_EQ(error_of([&] { echo_of(root, "fwd").echo(1); }),
             "root: call through unwired reference fwd.next");
 }
 
@@ -330,31 +328,19 @@ TEST_F(CompositeFixture, WiresListInFromThenReferenceOrder) {
 }
 
 TEST_F(CompositeFixture, CallThroughBoundWireMakesNoHeapAllocation) {
-  // The allocation gate of the request path's component layer: a call from
-  // a started component through a bound wire into a LambdaComponent that
-  // returns null allocates nothing (strings built up front, outside the
-  // counted window).
-  registry.register_type(LambdaComponent::make_type(
-      "test.null", {{"svc", "I.Echo"}}, {},
-      [](const std::string&, const std::string&, const Value&) {
-        return Value{};
-      }));
+  // The allocation gate of the request path's component layer: a face call
+  // from a started component through a bound wire allocates nothing.
   root.add("test.forwarder", "fwd");
-  root.add("test.null", "sink");
+  root.add("test.echo", "sink");
   root.wire("fwd", "next", "sink", "svc");
   root.start("sink");
   root.start("fwd");
-  const std::string fwd = "fwd";
-  const std::string svc = "svc";
-  const std::string op = "a-long-operation-name-beyond-sso";
-  const Value args;
-  int nulls = 0;
+  testing::Echo& fwd = echo_of(root, "fwd");
+  int sum = 0;
   const std::size_t before = test::allocations();
-  for (int i = 0; i < 100; ++i) {
-    nulls += root.invoke(fwd, svc, op, args).is_null() ? 1 : 0;
-  }
+  for (int i = 0; i < 100; ++i) sum += fwd.echo(i);
   EXPECT_EQ(test::allocations(), before);
-  EXPECT_EQ(nulls, 100);
+  EXPECT_EQ(sum, 4950);
 }
 
 TEST_F(CompositeFixture, ChildLookupFailureThrows) {

@@ -40,14 +40,9 @@ TEST(Registry, TypeNamesAreSorted) {
 
 TEST(Registry, ReregistrationIsIdempotentFirstWins) {
   ComponentRegistry registry;
-  auto info = LambdaComponent::make_type(
-      "dup", {{"svc", "I.A"}}, {},
-      [](const std::string&, const std::string&, const Value&) { return Value(1); });
-  registry.register_type(info);
-  auto info2 = LambdaComponent::make_type(
-      "dup", {{"svc", "I.B"}}, {},
-      [](const std::string&, const std::string&, const Value&) { return Value(2); });
-  registry.register_type(info2);
+  using testing::Other;
+  registry.register_type(testing::test_type<Other>("dup", {{"svc", "I.A"}}));
+  registry.register_type(testing::test_type<Other>("dup", {{"svc", "I.B"}}));
   EXPECT_EQ(registry.info("dup").services[0].interface_name, "I.A");
 }
 

@@ -1,83 +1,120 @@
-// Shared lambda component types for component/script tests.
+// Shared component types for the component, script and ftm tests.
+//
+// Every I.Echo service a test calls implements one typed face, Echo. A caller
+// resolves it with a dynamic_cast when its wire is made, the way
+// ftm::typed_face resolves the FTM faces, and then calls it through
+// Component::face.
 #pragma once
 
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "rcs/component/component.hpp"
+#include "rcs/component/composite.hpp"
 #include "rcs/component/registry.hpp"
 
 namespace rcs::comp::testing {
 
-/// Builds a registry with small synthetic types:
-///  - "test.echo":      provides svc(I.Echo); returns {"op":op,"args":args}
-///  - "test.upper":     provides svc(I.Echo); returns "args+<op>" marker
-///  - "test.forwarder": provides svc(I.Echo), requires next(I.Echo);
-///                      forwards every call to `next`
-///  - "test.optional":  provides svc(I.Echo), optional reference maybe(I.Echo)
-///  - "test.other":     provides svc(I.Other) — interface-mismatch fodder
-inline ComponentRegistry make_test_registry() {
-  ComponentRegistry registry;
-
-  registry.register_type(LambdaComponent::make_type(
-      "test.echo", {{"svc", "I.Echo"}}, {},
-      [](const std::string&, const std::string& op, const Value& args) {
-        Value out = Value::map();
-        out.set("op", op).set("args", args);
-        return out;
-      }));
-
-  registry.register_type(LambdaComponent::make_type(
-      "test.upper", {{"svc", "I.Echo"}}, {},
-      [](const std::string&, const std::string& op, const Value&) {
-        return Value("upper:" + op);
-      }));
-
-  {
-    auto info = LambdaComponent::make_type(
-        "test.other", {{"svc", "I.Other"}}, {},
-        [](const std::string&, const std::string&, const Value&) {
-          return Value{};
-        });
-    registry.register_type(std::move(info));
-  }
-
-  return registry;
-}
-
-/// A forwarder implemented as a real subclass so it can use call().
-class Forwarder : public Component {
+/// The C++ face of I.Echo. Each implementation answers `x` its own way, so
+/// the answer tells which component a call reached.
+class Echo {
  public:
-  static ComponentTypeInfo type_info() {
-    ComponentTypeInfo info;
-    info.type_name = "test.forwarder";
-    info.services = {{"svc", "I.Echo"}};
-    info.references = {{"next", "I.Echo"}};
-    info.factory = [] { return std::make_unique<Forwarder>(); };
-    return info;
-  }
+  virtual int echo(int x) = 0;
 
  protected:
-  Value on_invoke(const std::string&, const std::string& op,
-                  const Value& args) override {
-    return call("next", op, args);
+  ~Echo() = default;
+};
+
+/// test.upper's answer is x + kUpper; test.optional answers kUnwired when
+/// its reference is not wired.
+inline constexpr int kUpper = 1000;
+inline constexpr int kUnwired = -1;
+
+/// The type info of `Impl` under `type_name`.
+template <class Impl>
+ComponentTypeInfo test_type(std::string type_name,
+                            std::vector<PortSpec> services,
+                            std::vector<PortSpec> references = {}) {
+  ComponentTypeInfo info;
+  info.type_name = std::move(type_name);
+  info.services = std::move(services);
+  info.references = std::move(references);
+  info.factory = [] { return std::make_unique<Impl>(); };
+  return info;
+}
+
+/// Child `name`'s Echo face, as a caller outside the composite holds it.
+inline Echo& echo_of(Composite& root, const std::string& name) {
+  return dynamic_cast<Echo&>(root.child(name));
+}
+
+/// A component whose references are typed as Echo: a wire resolves the
+/// target's face, or null if the target has none.
+class EchoCaller : public Component {
+ protected:
+  void* resolve_face(const PortSpec& /*reference*/,
+                     Component& target) override {
+    return dynamic_cast<Echo*>(&target);
   }
 };
 
-/// Component with an optional reference; reports whether it is wired.
-class MaybeCaller : public Component {
+/// "test.echo": answers x.
+class EchoServer : public Component, public Echo {
+ public:
+  int echo(int x) override { return x; }
+};
+
+/// "test.upper": answers x + kUpper.
+class Upper : public Component, public Echo {
+ public:
+  int echo(int x) override { return x + kUpper; }
+};
+
+/// A component with no face: "test.other", which provides svc(I.Other) as
+/// interface-mismatch fodder, and other stand-ins.
+class Other : public Component {};
+
+/// Builds a registry with small synthetic types:
+///  - "test.echo":      provides svc(I.Echo); answers x
+///  - "test.upper":     provides svc(I.Echo); answers x + kUpper
+///  - "test.other":     provides svc(I.Other)
+/// make_full_registry adds:
+///  - "test.forwarder": provides svc(I.Echo), requires next(I.Echo);
+///                      forwards every call to `next`
+///  - "test.optional":  provides svc(I.Echo), optional reference maybe(I.Echo)
+///  - "test.spy":       provides svc(I.Echo) with no face; counts hooks
+inline ComponentRegistry make_test_registry() {
+  ComponentRegistry registry;
+  registry.register_type(
+      test_type<EchoServer>("test.echo", {{"svc", "I.Echo"}}));
+  registry.register_type(test_type<Upper>("test.upper", {{"svc", "I.Echo"}}));
+  registry.register_type(test_type<Other>("test.other", {{"svc", "I.Other"}}));
+  return registry;
+}
+
+/// Forwards every call through its `next` reference.
+class Forwarder : public EchoCaller, public Echo {
  public:
   static ComponentTypeInfo type_info() {
-    ComponentTypeInfo info;
-    info.type_name = "test.optional";
-    info.services = {{"svc", "I.Echo"}};
-    info.references = {{"maybe", "I.Echo", /*required=*/false}};
-    info.factory = [] { return std::make_unique<MaybeCaller>(); };
-    return info;
+    return test_type<Forwarder>("test.forwarder", {{"svc", "I.Echo"}},
+                                {{"next", "I.Echo"}});
   }
 
- protected:
-  Value on_invoke(const std::string&, const std::string& op,
-                  const Value& args) override {
-    if (wired("maybe")) return call("maybe", op, args);
-    return Value("unwired");
+  int echo(int x) override { return face<Echo>("next").echo(x); }
+};
+
+/// Component with an optional reference; calls it only when it is wired.
+class MaybeCaller : public EchoCaller, public Echo {
+ public:
+  static ComponentTypeInfo type_info() {
+    return test_type<MaybeCaller>("test.optional", {{"svc", "I.Echo"}},
+                                  {{"maybe", "I.Echo", /*required=*/false}});
+  }
+
+  int echo(int x) override {
+    return wired("maybe") ? face<Echo>("maybe").echo(x) : kUnwired;
   }
 };
 
@@ -89,20 +126,15 @@ class LifecycleSpy : public Component {
   static int property_changes;
 
   static ComponentTypeInfo type_info() {
-    ComponentTypeInfo info;
-    info.type_name = "test.spy";
-    info.services = {{"svc", "I.Echo"}};
+    ComponentTypeInfo info =
+        test_type<LifecycleSpy>("test.spy", {{"svc", "I.Echo"}});
     info.default_properties.set("mode", "default");
-    info.factory = [] { return std::make_unique<LifecycleSpy>(); };
     return info;
   }
 
   static void reset() { starts = stops = property_changes = 0; }
 
  protected:
-  Value on_invoke(const std::string&, const std::string&, const Value&) override {
-    return Value{};
-  }
   void on_start() override { ++starts; }
   void on_stop() override { ++stops; }
   void on_property_changed(const std::string&) override { ++property_changes; }

@@ -1,8 +1,9 @@
 // Unit tests for the kernel components (reply log; failure-detector timing;
-// typed wires between the kernel, the bricks and the reply log; no Value ops
-// on the common parts or the bricks).
+// typed wires between the kernel, the bricks and the reply log; the started
+// check of the typed entries the runtime calls).
 #include <gtest/gtest.h>
 
+#include "../component/test_types.hpp"
 #include "duplex_fixture.hpp"
 #include "rcs/ftm/bricks.hpp"
 #include "rcs/ftm/failure_detector.hpp"
@@ -208,22 +209,40 @@ TEST_F(ReplyLogFixture, ReRecordKeepsFifoSlot) {
 
 // --- Typed wires -----------------------------------------------------------
 
-comp::ComponentTypeInfo fake_type(const char* type_name, const char* service,
-                                  const char* interface_name) {
-  return comp::LambdaComponent::make_type(
-      type_name, {{service, interface_name}}, {},
-      [](const std::string&, const std::string&, const Value&) {
-        return Value{};
-      });
+/// A stand-in common part: declares one service and implements no face.
+comp::ComponentTypeInfo faceless_type(const char* type_name,
+                                      const char* service,
+                                      const char* interface_name) {
+  return comp::testing::test_type<comp::testing::Other>(
+      type_name, {{service, interface_name}});
 }
+
+/// Types a "detector" reference as the kernel types its own: typed_face
+/// gives rcs.FailureDetector no C++ face, so the wire holds none.
+class DetectorCaller : public comp::Component {
+ public:
+  static comp::ComponentTypeInfo type_info() {
+    return comp::testing::test_type<DetectorCaller>(
+        "test.detectorCaller", {},
+        {{"detector", iface::kFailureDetector, /*required=*/false}});
+  }
+
+  void call_detector() { (void)face<FailureDetectorComponent>("detector"); }
+
+ protected:
+  void* resolve_face(const comp::PortSpec& reference,
+                     comp::Component& target) override {
+    return typed_face(reference, target);
+  }
+};
 
 TEST(TypedWires, TargetWithoutTheFaceFailsTheWire) {
   comp::ComponentRegistry registry;
   registry.register_type(FailureDetectorComponent::type_info());
   registry.register_type(sync_after_pbr_type());
   registry.register_type(
-      fake_type("test.control", "control", iface::kProtocolControl));
-  registry.register_type(fake_type("test.log", "log", iface::kReplyLog));
+      faceless_type("test.control", "control", iface::kProtocolControl));
+  registry.register_type(faceless_type("test.log", "log", iface::kReplyLog));
   comp::Composite root{"typed", comp::CompositeEnv{nullptr, nullptr, &registry}};
   root.add(kernel::kFailureDetector, "fd");
   root.add(brick::kSyncAfterPbr, "after");
@@ -236,6 +255,29 @@ TEST(TypedWires, TargetWithoutTheFaceFailsTheWire) {
   EXPECT_THROW(root.wire("after", "replyLog", "log", "log"), ComponentError);
   EXPECT_FALSE(root.is_wired("fd", "control"));
   EXPECT_FALSE(root.is_wired("after", "replyLog"));
+}
+
+TEST(TypedWires, WireWithoutAFaceRefusesFaceCalls) {
+  comp::ComponentRegistry registry;
+  registry.register_type(FailureDetectorComponent::type_info());
+  registry.register_type(DetectorCaller::type_info());
+  comp::Composite root{"typed",
+                       comp::CompositeEnv{nullptr, nullptr, &registry}};
+  root.add(kernel::kFailureDetector, "fd");
+  root.add("test.detectorCaller", "caller");
+  root.wire("caller", "detector", "fd", "fd");
+  root.start("caller");
+  EXPECT_TRUE(root.is_wired("caller", "detector"));
+  auto& caller = dynamic_cast<DetectorCaller&>(root.child("caller"));
+  try {
+    caller.call_detector();
+    FAIL() << "a call through a wire without a face did not throw";
+  } catch (const LogicError& e) {
+    EXPECT_NE(std::string(e.what()).find("reference caller.detector has no "
+                                         "typed face"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 using TypedWireFixture = DuplexFixture;
@@ -258,23 +300,9 @@ TEST_F(TypedWireFixture, RewiredReplyLogTakesTheNextRecord) {
   EXPECT_EQ(size_of("replyLog"), logged);
 }
 
-// --- One call path: no component of the composite serves Value ops --------
+// --- Typed entries from outside the composite -----------------------------
 
 using ValueOpFixture = DuplexFixture;
-
-TEST_F(ValueOpFixture, CommonPartsAndBricksRefuseValueOps) {
-  deploy(FtmConfig::pbr());
-  comp::Composite& ftm = rt0.composite();
-  for (const auto& name : ftm.children()) {
-    for (const auto& service : ftm.child(name).info().services) {
-      for (const char* op :
-           {"info", "size", "peer_alive", "process", "get", "check"}) {
-        EXPECT_THROW(ftm.invoke(name, service.name, op, {}), ComponentError)
-            << name << "." << service.name << " " << op;
-      }
-    }
-  }
-}
 
 TEST_F(ValueOpFixture, TypedEntriesOnAStoppedTargetThrow) {
   deploy(FtmConfig::pbr());

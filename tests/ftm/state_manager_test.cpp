@@ -315,8 +315,6 @@ TEST(StateManagerFace, OutsideCallersReachItOnlyWhenStartedAndDeclared) {
   EXPECT_THROW((void)state_manager_of(root.child("stateless")), ComponentError);
   root.start("kv");
   EXPECT_NO_THROW((void)state_manager_of(root.child("kv")).get_state());
-  EXPECT_THROW(root.invoke("kv", "state", "get", {}), ComponentError);
-  EXPECT_THROW(root.invoke("kv", "srv", "process", {}), ComponentError);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@ namespace {
 
 using comp::ComponentRegistry;
 using comp::Composite;
+using comp::testing::echo_of;
 
 struct InterpreterFixture : ::testing::Test {
   ComponentRegistry registry = comp::testing::make_full_registry();
@@ -55,12 +56,12 @@ TEST_F(InterpreterFixture, AddWireStartPipeline) {
                                              root);
   EXPECT_EQ(stats.ops, 5);
   EXPECT_EQ(stats.by_verb.at("add"), 2);
-  EXPECT_EQ(root.invoke("fwd", "svc", "ping", Value(1)).at("op").as_string(),
-            "ping");
+  EXPECT_EQ(echo_of(root, "fwd").echo(1), 1);
 }
 
 TEST_F(InterpreterFixture, DifferentialReplacementScript) {
   deploy_pipeline();
+  EXPECT_EQ(echo_of(root, "fwd").echo(1), 1);
   // The paper's canonical move (§5.2): replace one brick, leave the rest.
   Interpreter::run_source(R"(
     script replace_echo_with_upper {
@@ -74,7 +75,7 @@ TEST_F(InterpreterFixture, DifferentialReplacementScript) {
   )",
                           root);
   EXPECT_FALSE(root.has("echo"));
-  EXPECT_EQ(root.invoke("fwd", "svc", "x", {}).as_string(), "upper:x");
+  EXPECT_EQ(echo_of(root, "fwd").echo(1), 1 + comp::testing::kUpper);
   EXPECT_TRUE(root.child("fwd").started()) << "common part untouched";
 }
 
@@ -145,7 +146,7 @@ TEST_F(InterpreterFixture, FailedScriptRollsBackEverything) {
                                        root),
                ScriptException);
   EXPECT_EQ(snapshot(), before) << "all-or-nothing: architecture unchanged";
-  EXPECT_EQ(root.invoke("fwd", "svc", "x", Value(1)).at("op").as_string(), "x");
+  EXPECT_EQ(echo_of(root, "fwd").echo(1), 1);
 }
 
 TEST_F(InterpreterFixture, FailedRewireRollsBackToTheOldTarget) {
@@ -162,7 +163,7 @@ TEST_F(InterpreterFixture, FailedRewireRollsBackToTheOldTarget) {
                ScriptException);
   EXPECT_EQ(snapshot(), before);
   // The rolled-back binding reaches echo again, not the removed upper.
-  EXPECT_EQ(root.invoke("fwd", "svc", "x", Value(1)).at("op").as_string(), "x");
+  EXPECT_EQ(echo_of(root, "fwd").echo(1), 1);
 }
 
 TEST_F(InterpreterFixture, RequireFailureMidScriptRollsBack) {
