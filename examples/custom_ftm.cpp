@@ -39,6 +39,7 @@ class SyncAfterLfrAudit final : public ftm::SyncAfterDuplexBase {
     info.code_size = 15'000;
     info.source_file = "examples/custom_ftm.cpp";
     info.factory = [] { return std::make_unique<SyncAfterLfrAudit>(); };
+    kSlots.check(info);  // the reference order SyncAfterDuplexBase calls by
     return info;
   }
 

@@ -141,8 +141,7 @@ bool AppServerBase::assertion(const Value& /*request*/, const Value& /*result*/)
 
 Value AppServerBase::with_checksum(Value result) {
   ensure(result.is_map(), "with_checksum: result must be a map");
-  result.as_map().erase("check");
-  const auto digest = static_cast<std::int64_t>(xxh64(result.encode()));
+  const auto digest = static_cast<std::int64_t>(content_digest(result, "check"));
   result.set("check", digest);
   return result;
 }
@@ -151,9 +150,8 @@ bool AppServerBase::checksum_ok(const Value& result) {
   if (!result.is_map() || !result.has("check")) return false;
   const Value& check = result.at("check");
   if (!check.is_int()) return false;
-  Value stripped = result;
-  stripped.as_map().erase("check");
-  return check.as_int() == static_cast<std::int64_t>(xxh64(stripped.encode()));
+  return check.as_int() ==
+         static_cast<std::int64_t>(content_digest(result, "check"));
 }
 
 std::vector<comp::PortSpec> app_services(bool state_access, bool has_assertion) {

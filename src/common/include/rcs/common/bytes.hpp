@@ -64,6 +64,8 @@ class ByteWriter {
   void write_bytes(const Bytes& b);
 
   [[nodiscard]] const Bytes& buffer() const { return buffer_; }
+  /// Empty the buffer, keeping its capacity for the next encode.
+  void clear() { buffer_.clear(); }
   [[nodiscard]] Bytes take() { return std::move(buffer_); }
   [[nodiscard]] std::size_t size() const { return buffer_.size(); }
 

@@ -237,6 +237,14 @@ class Value {
   Storage data_{nullptr};
 };
 
+/// XXH64 of `value`'s encoding, or, for a map with a `without` member, of
+/// the map's encoding as if that member were erased: the content digest
+/// that seals application results and that replicas compare. It encodes
+/// into a buffer kept per thread, so a call allocates nothing once that
+/// buffer has grown.
+[[nodiscard]] std::uint64_t content_digest(const Value& value,
+                                           std::string_view without = {});
+
 /// Tag of the payload cells that hold a T: the address of a per-type object.
 template <class T>
 inline char payload_tag = 0;

@@ -236,6 +236,24 @@ Bytes Value::encode() const {
   return w.take();
 }
 
+std::uint64_t content_digest(const Value& value, std::string_view without) {
+  thread_local ByteWriter out;
+  out.clear();
+  if (!without.empty() && value.is_map() && value.has(without)) {
+    const ValueMap& map = value.as_map();
+    out.write_u8(static_cast<std::uint8_t>(Value::Type::kMap));
+    out.write_varint(map.size() - 1);
+    for (const auto& [k, v] : map) {
+      if (k == without) continue;
+      out.write_string(k);
+      v.encode(out);
+    }
+  } else {
+    value.encode(out);
+  }
+  return xxh64(out.buffer());
+}
+
 Value Value::decode(ByteReader& r) { return decode(r, 0); }
 
 Value Value::decode(ByteReader& r, int depth) {

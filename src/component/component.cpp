@@ -25,46 +25,27 @@ void Component::ensure_started(const std::string& service) const {
   }
 }
 
-void* Component::bound_face(std::string_view reference) const {
+void* Component::bound_face(std::size_t slot) const {
   ensure(composite_ != nullptr, "component '", name_,
          "' is not inside a composite");
-  const Binding* slot = binding(reference);
-  if (slot == nullptr) {
-    throw ComponentError(strf(composite_->name(), ": '", name_, "' (",
-                              type_name(), ") has no reference '", reference,
-                              "'"));
-  }
-  if (slot->target == nullptr) {
+  ensure(slot < bindings_.size(), "'", name_, "' (", type_name(),
+         ") has no reference slot ", slot);
+  const Binding& binding = bindings_[slot];
+  const std::string& reference = info_->references[slot].name;
+  if (binding.target == nullptr) {
     throw ComponentError(strf(composite_->name(),
                               ": call through unwired reference ", name_, ".",
                               reference));
   }
-  ensure(slot->face != nullptr, "reference ", name_, ".", reference,
+  ensure(binding.face != nullptr, "reference ", name_, ".", reference,
          " has no typed face");
-  slot->target->ensure_started(slot->service);
-  return slot->face;
+  binding.target->ensure_started(binding.service);
+  return binding.face;
 }
 
 void* Component::resolve_face(const PortSpec& /*reference*/,
                               Component& /*target*/) {
   return nullptr;
-}
-
-bool Component::wired(std::string_view reference) const {
-  const Binding* slot = composite_ != nullptr ? binding(reference) : nullptr;
-  return slot != nullptr && slot->target != nullptr;
-}
-
-Component::Binding* Component::binding(std::string_view reference) {
-  const auto& references = info_->references;
-  for (std::size_t i = 0; i < references.size(); ++i) {
-    if (references[i].name == reference) return &bindings_[i];
-  }
-  return nullptr;
-}
-
-const Component::Binding* Component::binding(std::string_view reference) const {
-  return const_cast<Component*>(this)->binding(reference);
 }
 
 }  // namespace rcs::comp

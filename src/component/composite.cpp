@@ -120,14 +120,13 @@ void Composite::wire(const std::string& from, const std::string& reference,
 }
 
 void Composite::unwire(const std::string& from, const std::string& reference) {
-  const auto it = children_.find(from);
-  Component::Binding* slot =
-      it == children_.end() ? nullptr : it->second->binding(reference);
-  if (slot == nullptr || slot->target == nullptr) {
+  if (!is_wired(from, reference)) {
     throw ComponentError(strf(name_, ": reference ", from, ".", reference,
                               " is not wired"));
   }
-  *slot = {};
+  Component& c = *children_.at(from);
+  c.bindings_[c.info().find_reference(reference) - c.info().references.data()] =
+      {};
   log().trace("comp", name_, ": unwire ", from, ".", reference);
 }
 
@@ -191,7 +190,10 @@ std::vector<WireInfo> Composite::wires() const {
 bool Composite::is_wired(const std::string& from,
                          const std::string& reference) const {
   const auto it = children_.find(from);
-  return it != children_.end() && it->second->wired(reference);
+  if (it == children_.end()) return false;
+  const ComponentTypeInfo& info = it->second->info();
+  const PortSpec* spec = info.find_reference(reference);
+  return spec != nullptr && it->second->wired(spec - info.references.data());
 }
 
 Status Composite::validate() const {

@@ -9,14 +9,15 @@
 //
 // A reference is typed: the caller names the C++ face it expects of the
 // target (resolve_face), the composite resolves it once when it makes the
-// wire, and every call is then a virtual call through face<F>(reference)
-// with no Value arguments. The lookup is still per call, through the
-// reference's binding, so a rewired reference reaches its new target on the
-// next call.
+// wire, and every call is then a virtual call through face<F>(slot) with no
+// Value arguments. A slot is the reference's index in the type's
+// ComponentTypeInfo::references, which each type declares as constants and
+// checks when it is registered. The lookup is still per call, through the
+// slot's binding, so a rewired reference reaches its new target on the next
+// call.
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "rcs/common/value.hpp"
@@ -62,8 +63,11 @@ class Component {
   virtual void on_stop() {}
   virtual void on_property_changed(const std::string& /*key*/) {}
 
-  /// True if the reference is currently wired (for optional references).
-  [[nodiscard]] bool wired(std::string_view reference) const;
+  /// True if the reference in `slot` is currently wired (for optional
+  /// references); false for a slot the type does not declare.
+  [[nodiscard]] bool wired(std::size_t slot) const {
+    return slot < bindings_.size() && bindings_[slot].target != nullptr;
+  }
 
   /// The C++ face this component calls `reference` through, resolved on
   /// the target of a wire being made. Composite::wire calls it once per
@@ -73,12 +77,13 @@ class Component {
   /// to refuse a target that lacks the face, which fails the wire.
   virtual void* resolve_face(const PortSpec& reference, Component& target);
 
-  /// The bound target of a typed reference, as the face resolve_face gave
-  /// for its wire. Throws ComponentError if the reference is unwired or its
-  /// target is stopped, and LogicError if the wire holds no face.
+  /// The bound target of the reference in `slot`, as the face resolve_face
+  /// gave for its wire. Throws ComponentError if the reference is unwired
+  /// or its target is stopped, and LogicError if the type declares no such
+  /// slot or the wire holds no face.
   template <class Face>
-  [[nodiscard]] Face& face(std::string_view reference) {
-    return *static_cast<Face*>(bound_face(reference));
+  [[nodiscard]] Face& face(std::size_t slot) {
+    return *static_cast<Face*>(bound_face(slot));
   }
 
   /// Throws ComponentError unless the component is started: the check
@@ -98,13 +103,8 @@ class Component {
     void* face{nullptr};  // resolve_face's answer for this wire
   };
 
-  /// The slot of a declared reference, or null if the type has none by that
-  /// name.
-  [[nodiscard]] Binding* binding(std::string_view reference);
-  [[nodiscard]] const Binding* binding(std::string_view reference) const;
-
   /// face()'s untyped core.
-  [[nodiscard]] void* bound_face(std::string_view reference) const;
+  [[nodiscard]] void* bound_face(std::size_t slot) const;
 
   std::string name_;
   const ComponentTypeInfo* info_{nullptr};

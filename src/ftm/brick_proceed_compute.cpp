@@ -12,6 +12,11 @@ namespace {
 
 class ProceedCompute final : public FtmBrick {
  public:
+  /// In proceed_compute_type's reference order.
+  static constexpr BrickSlots kSlots{.control = 0, .server = 1};
+
+  ProceedCompute() : FtmBrick(kSlots) {}
+
   BrickStatus run_phase(const RequestCtx& ctx) override {
     Execution outcome = run_server(ctx.request());
     resume_after(ctx.key, outcome.cpu, std::move(outcome.result));
@@ -36,6 +41,7 @@ comp::ComponentTypeInfo proceed_compute_type() {
   info.code_size = 8'000;
   info.source_file = "src/ftm/brick_proceed_compute.cpp";
   info.factory = [] { return std::make_unique<ProceedCompute>(); };
+  ProceedCompute::kSlots.check(info);
   return info;
 }
 

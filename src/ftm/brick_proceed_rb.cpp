@@ -18,6 +18,12 @@ namespace {
 
 class ProceedRb final : public FtmBrick {
  public:
+  /// In proceed_rb_type's reference order.
+  static constexpr BrickSlots kSlots{
+      .control = 0, .server = 1, .state = 3, .assertion = 2};
+
+  ProceedRb() : FtmBrick(kSlots) {}
+
   BrickStatus run_phase(const RequestCtx& ctx) override { return process(ctx); }
   BrickStatus on_peer(const RequestCtx* /*ctx*/,
                       const PeerMessage& /*message*/) override {
@@ -27,7 +33,7 @@ class ProceedRb final : public FtmBrick {
  private:
   BrickStatus process(const RequestCtx& ctx) {
     const Value& request = ctx.request();
-    const bool has_state = wired("state");
+    const bool has_state = state_wired();
 
     Value snapshot;
     if (has_state) snapshot = state_manager().get_state();
@@ -43,7 +49,7 @@ class ProceedRb final : public FtmBrick {
       // fall back to the alternate.
       report_fault("acceptance_failed");
       if (has_state) state_manager().set_state(snapshot);
-      Execution alternate = face<Server>("server").process_alternate(request);
+      Execution alternate = server().process_alternate(request);
       cpu += alternate.cpu;
       if (!check_assertion(request, alternate.result)) {
         report_fault("both_variants_rejected");
@@ -71,6 +77,7 @@ comp::ComponentTypeInfo proceed_rb_type() {
   info.code_size = 15'000;
   info.source_file = "src/ftm/brick_proceed_rb.cpp";
   info.factory = [] { return std::make_unique<ProceedRb>(); };
+  ProceedRb::kSlots.check(info);
   return info;
 }
 

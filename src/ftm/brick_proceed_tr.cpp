@@ -16,6 +16,11 @@ namespace {
 
 class ProceedTr final : public FtmBrick {
  public:
+  /// In proceed_tr_type's reference order.
+  static constexpr BrickSlots kSlots{.control = 0, .server = 1, .state = 2};
+
+  ProceedTr() : FtmBrick(kSlots) {}
+
   BrickStatus run_phase(const RequestCtx& ctx) override { return process(ctx); }
   BrickStatus on_peer(const RequestCtx* /*ctx*/,
                       const PeerMessage& /*message*/) override {
@@ -25,7 +30,7 @@ class ProceedTr final : public FtmBrick {
  private:
   BrickStatus process(const RequestCtx& ctx) {
     const Value& request = ctx.request();
-    const bool has_state = wired("state");
+    const bool has_state = state_wired();
 
     // Capture state before the first execution (Table 2, Before column for
     // TR; folded into proceed per §5.2).
@@ -83,6 +88,7 @@ comp::ComponentTypeInfo proceed_tr_type() {
   info.code_size = 16'000;
   info.source_file = "src/ftm/brick_proceed_tr.cpp";
   info.factory = [] { return std::make_unique<ProceedTr>(); };
+  ProceedTr::kSlots.check(info);
   return info;
 }
 

@@ -93,6 +93,7 @@ comp::ComponentTypeInfo make_type(const char* type_name, bool with_assertion) {
   info.factory = [with_assertion] {
     return std::make_unique<SyncAfterLfr>(with_assertion);
   };
+  SyncAfterDuplexBase::kSlots.check(info);
   return info;
 }
 

@@ -27,6 +27,7 @@ comp::ComponentTypeInfo sync_after_noop_type() {
   info.code_size = 6'000;
   info.source_file = "src/ftm/brick_sync_after_noop.cpp";
   info.factory = [] { return std::make_unique<SyncAfterNoop>(); };
+  BrickSlots{}.check(info);
   return info;
 }
 

@@ -35,7 +35,7 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
       // last ack, plus the reply-log entries it has not acknowledged. A
       // retransmission (kernel retry) re-captures, which widens the delta —
       // never narrows it — so the backup can always catch up or detect a gap.
-      if (wired("state")) {
+      if (state_wired()) {
         ckpt.capture = state_manager().capture_delta();
         count_event(ckpt.capture->full ? Event::kFullCheckpointSent
                                        : Event::kDeltaSent);
@@ -48,12 +48,10 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
     }
     // The current request's reply is recorded in the reply log only after
     // this phase completes, so ship it explicitly: at-most-once must hold on
-    // the backup even if we crash right after answering the client. As a
-    // cell, the backup's log records it by handle.
-    ckpt.pending_reply =
-        Value::shared(Value::map()
-                          .set("id", static_cast<std::int64_t>(ctx.id))
-                          .set("result", ctx.result));
+    // the backup even if we crash right after answering the client. It is
+    // ctx's reply cell, which the backup's log, the primary's log and the
+    // client reply all hold by handle.
+    ckpt.pending_reply = ctx.reply();
     ReplicaMessage message{PeerPhase::kAfter, PeerKind::kCheckpoint, ctx.key,
                            std::move(ckpt)};
     if (auto* fsim = fsim_registry()) {
@@ -88,7 +86,7 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
       // retransmitted, so drop its dirty keys and reply-log entries from
       // future deltas. (All acks of one round echo the same seq/upto.)
       const auto& ack = message.body<CheckpointAck>();
-      if (ack.seq && wired("state")) {
+      if (ack.seq && state_wired()) {
         state_manager().ack_delta(static_cast<std::uint64_t>(*ack.seq));
       }
       if (ack.upto) reply_log().ack_export(*ack.upto);
@@ -166,7 +164,7 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
         ok = false;
       }
     }
-    if (ok && ckpt.capture && wired("state")) {
+    if (ok && ckpt.capture && state_wired()) {
       ok = state_manager().apply_delta(*ckpt.capture) != DeltaApply::kResync;
       if (ok) ack.seq = static_cast<std::int64_t>(ckpt.capture->seq);
     }
@@ -217,6 +215,7 @@ comp::ComponentTypeInfo make_type(const char* type_name, bool with_assertion) {
   info.factory = [with_assertion] {
     return std::make_unique<SyncAfterPbr>(with_assertion);
   };
+  SyncAfterDuplexBase::kSlots.check(info);
   return info;
 }
 

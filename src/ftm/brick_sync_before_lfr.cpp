@@ -54,6 +54,7 @@ comp::ComponentTypeInfo sync_before_lfr_type() {
   info.code_size = 12'000;
   info.source_file = "src/ftm/brick_sync_before_lfr.cpp";
   info.factory = [] { return std::make_unique<SyncBeforeLfr>(); };
+  BrickSlots{}.check(info);
   return info;
 }
 

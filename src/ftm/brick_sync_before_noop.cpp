@@ -28,6 +28,7 @@ comp::ComponentTypeInfo sync_before_noop_type() {
   info.code_size = 6'000;
   info.source_file = "src/ftm/brick_sync_before_noop.cpp";
   info.factory = [] { return std::make_unique<SyncBeforeNoop>(); };
+  BrickSlots{}.check(info);
   return info;
 }
 

@@ -56,11 +56,16 @@ void Client::finish_span(std::uint64_t id, const Pending& pending) {
 void Client::send(Value request, ReplyCallback callback) {
   const auto id = next_id_++;
   Pending pending;
-  pending.request = std::move(request);
+  // The one envelope of this request: every attempt sends this payload.
+  pending.envelope = make_payload(ClientRequest{
+      static_cast<std::int64_t>(host_.id().value()), id,
+      tracer_->enabled() ? trace_id(id) : 0, std::move(request)});
   pending.callback = std::move(callback);
   pending.first_sent = host_.sim().now();
   pending.target = preferred_target_;
-  if (observer_.on_send) observer_.on_send(id, pending.request);
+  if (observer_.on_send) {
+    observer_.on_send(id, pending.envelope.get<ClientRequest>().request);
+  }
   pending_.emplace(id, std::move(pending));
   ++stats_.sent;
   transmit(id);
@@ -85,14 +90,7 @@ void Client::transmit(std::uint64_t id) {
   if (observer_.on_transmit) {
     observer_.on_transmit(id, pending.attempts, target);
   }
-  Value payload = Value::map();
-  payload.set("client", static_cast<std::int64_t>(host_.id().value()))
-      .set("id", static_cast<std::int64_t>(id))
-      .set("request", pending.request);
-  if (tracer_->enabled()) {
-    payload.set("trace", static_cast<std::int64_t>(trace_id(id)));
-  }
-  host_.send(target, msg::kRequest, std::move(payload));
+  host_.send(target, msg::kRequest, pending.envelope);
   sim::Duration wait = backoff_delay(pending.attempts);
   if (options_.backoff_jitter > 0.0) {
     const double factor =

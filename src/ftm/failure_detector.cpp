@@ -22,6 +22,7 @@ comp::ComponentTypeInfo FailureDetectorComponent::type_info() {
   info.code_size = 26'000;
   info.source_file = "src/ftm/failure_detector.cpp";
   info.factory = [] { return std::make_unique<FailureDetectorComponent>(); };
+  check_slots(info, {{kControl, "control"}});
   return info;
 }
 

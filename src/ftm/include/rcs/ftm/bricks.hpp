@@ -16,7 +16,8 @@
 // through its "control" and "replyLog" references, typed as the
 // ProtocolControl and ReplyLog faces, and the application through its
 // "server", "state" and "assertion" references, typed as the Server,
-// StateManager and Assertion faces; the helpers below wrap them. On
+// StateManager and Assertion faces; the helpers below wrap them, calling
+// each reference by the slot its type declares in BrickSlots. On
 // group-membership changes and retransmission
 // timeouts the kernel simply re-runs the waiting phase (ctx.attempt counts
 // them), so bricks stay stateless.
@@ -41,6 +42,27 @@
 
 namespace rcs::ftm {
 
+/// Where a brick type declares each reference the FtmBrick helpers call: its
+/// index in the type's ComponentTypeInfo::references, or kAbsent.
+struct BrickSlots {
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
+  std::size_t control{0};
+  std::size_t reply_log{kAbsent};
+  std::size_t server{kAbsent};
+  std::size_t state{kAbsent};
+  std::size_t assertion{kAbsent};
+
+  /// The check a brick type's slots get when the type is registered (see
+  /// check_slots).
+  void check(const comp::ComponentTypeInfo& info) const {
+    check_slots(info, {{control, "control"},
+                       {reply_log, "replyLog"},
+                       {server, "server"},
+                       {state, "state"},
+                       {assertion, "assertion"}});
+  }
+};
+
 /// Common helpers for brick implementations. Bricks keep NO per-request
 /// state: everything flows through the RequestCtx and the kernel's stash.
 class FtmBrick : public comp::Component, public Brick {
@@ -51,6 +73,10 @@ class FtmBrick : public comp::Component, public Brick {
   void apply_join_snapshot(const JoinSnapshot& /*snapshot*/) override {}
 
  protected:
+  /// A brick whose type declares its references in `slots`; only "control",
+  /// in slot 0, by default.
+  explicit FtmBrick(const BrickSlots& slots = {}) : slots_(slots) {}
+
   void* resolve_face(const comp::PortSpec& reference,
                      comp::Component& target) override {
     return typed_face(reference, target);
@@ -100,9 +126,11 @@ class FtmBrick : public comp::Component, public Brick {
 
   // --- Kernel and reply log, through the typed references ------------------
   [[nodiscard]] ProtocolControl& control() {
-    return face<ProtocolControl>("control");
+    return face<ProtocolControl>(slots_.control);
   }
-  [[nodiscard]] ReplyLog& reply_log() { return face<ReplyLog>("replyLog"); }
+  [[nodiscard]] ReplyLog& reply_log() {
+    return face<ReplyLog>(slots_.reply_log);
+  }
   [[nodiscard]] static bool is_master(const RequestCtx& ctx) {
     return ctx.role == Role::kPrimary || ctx.role == Role::kAlone;
   }
@@ -132,20 +160,25 @@ class FtmBrick : public comp::Component, public Brick {
   }
 
   // --- The application, through the typed references -----------------------
+  [[nodiscard]] Server& server() { return face<Server>(slots_.server); }
+  /// True when the server reference, optional for some bricks, is wired.
+  [[nodiscard]] bool server_wired() const { return wired(slots_.server); }
   /// Run the application once through the server reference.
   [[nodiscard]] Execution run_server(const Value& request) {
-    return face<Server>("server").process(request);
+    return server().process(request);
   }
   [[nodiscard]] StateManager& state_manager() {
-    return face<StateManager>("state");
+    return face<StateManager>(slots_.state);
   }
+  /// True when the optional state manager is wired.
+  [[nodiscard]] bool state_wired() const { return wired(slots_.state); }
   [[nodiscard]] bool check_assertion(const Value& request, const Value& result) {
-    return face<Assertion>("assertion").check(request, result);
+    return face<Assertion>(slots_.assertion).check(request, result);
   }
 
   /// Content digest for result comparison (LFR notification, TR votes).
   [[nodiscard]] static std::int64_t digest(const Value& value) {
-    return static_cast<std::int64_t>(xxh64(value.encode()));
+    return static_cast<std::int64_t>(content_digest(value));
   }
 
   // --- Fault simulation -----------------------------------------------------
@@ -186,6 +219,9 @@ class FtmBrick : public comp::Component, public Brick {
     tracer.instant(host()->id().value(), tracer.intern(name), trace,
                    host()->sim().now(), arg);
   }
+
+ private:
+  BrickSlots slots_;
 };
 
 /// Component type registrations for every brick.

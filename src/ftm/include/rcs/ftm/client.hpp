@@ -3,8 +3,10 @@
 // Issues requests to the replicated server with retransmission and failover:
 // a request that times out is resent (same id — the reply log's at-most-once
 // semantics absorb duplicates) to the next replica in the list, so the client
-// rides out master crashes and transitions transparently. Collects the
-// end-to-end latency statistics the benchmarks report.
+// rides out master crashes and transitions transparently. Each request is
+// one typed ClientRequest payload, built when it is sent; a retransmission
+// sends the same payload again. Collects the end-to-end latency statistics
+// the benchmarks report.
 #pragma once
 
 #include <functional>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "rcs/common/ids.hpp"
+#include "rcs/common/payload.hpp"
 #include "rcs/common/rng.hpp"
 #include "rcs/common/value.hpp"
 #include "rcs/obs/metrics.hpp"
@@ -103,7 +106,8 @@ class Client {
 
  private:
   struct Pending {
-    Value request;
+    /// The request's ClientRequest payload, sent as is on every attempt.
+    Payload envelope;
     ReplyCallback callback;
     sim::Time first_sent{0};
     int attempts{0};

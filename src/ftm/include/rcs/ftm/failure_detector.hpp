@@ -52,9 +52,11 @@ class FailureDetectorComponent : public comp::Component {
   void check();
   /// Read interval_us, timeout_us and startup_grace_us.
   void read_timing();
-  /// The protocol kernel, whose replica group is beaten to and watched.
+  /// The protocol kernel, whose replica group is beaten to and watched,
+  /// through the one reference slot.
+  static constexpr std::size_t kControl = 0;
   [[nodiscard]] ProtocolControl& control() {
-    return face<ProtocolControl>("control");
+    return face<ProtocolControl>(kControl);
   }
 
   void cancel_timers();

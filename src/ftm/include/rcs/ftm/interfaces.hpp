@@ -23,17 +23,20 @@
 // virtually, with no Value argument maps. The kernel↔brick contract is
 // typed too: a brick reads a RequestCtx, gets replica messages as a
 // PeerMessage and answers a BrickStatus. Callers outside the composite (the
-// runtime, the node agent) use the same C++ methods. Replica messages are typed envelopes
-// (replica_message.hpp) whose PBR checkpoint, state capture, ack and rejoin
-// bodies are structs. Value stays for the client's request and reply, for
-// the other replica-message bodies, and for what the application computes
-// and keeps: its requests, results, state and deltas.
+// runtime, the node agent) use the same C++ methods. The client's request
+// and every replica message are typed envelopes (replica_message.hpp); the
+// PBR checkpoint, state capture, ack and rejoin bodies are structs. Value
+// stays for the client's reply, for the other replica-message bodies, and
+// for what the application computes and keeps: its requests, results,
+// state and deltas.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "rcs/common/intern.hpp"
@@ -45,6 +48,7 @@
 
 namespace rcs::comp {
 class Component;
+struct ComponentTypeInfo;
 }
 
 namespace rcs::ftm::iface {
@@ -68,7 +72,10 @@ namespace rcs::ftm::msg {
 // Message types are interned once at startup: hot senders pass a 4-byte id,
 // not a string, and routing on the receiving host is an array index.
 
-/// client -> replica: {"client": u32, "id": u64, "request": value}
+/// client -> replica: a typed ClientRequest (replica_message.hpp), sized as
+/// {"client": u32, "id": u64, "request": value, "trace"?: u64}. The client
+/// builds it once per request and sends the same payload on every attempt;
+/// the kernel reads its fields in place (ProtocolKernel::deliver_client).
 inline const MsgType kRequest{"ftm.request"};
 /// replica -> client: {"id": u64, "result": value} or {"id", "error": str}
 inline const MsgType kReply{"ftm.reply"};
@@ -137,9 +144,19 @@ struct RequestCtx {
 
   /// The client's request, read in place from the payload the kernel holds.
   [[nodiscard]] const Value& request() const { return *request_; }
+  /// The reply {id, result} as one shared cell, built on first use and
+  /// kept until the kernel changes the result: the checkpoint's
+  /// pending_reply, the reply log and the client all hold this cell.
+  [[nodiscard]] const Value& reply() const {
+    if (reply_.is_null()) reply_ = reply_cell(id, result);
+    return reply_;
+  }
 
  protected:
+  [[nodiscard]] static Value reply_cell(std::uint64_t id, Value result);
+
   const Value* request_{nullptr};
+  mutable Value reply_;  // null until reply() builds it
 };
 
 /// A delivered replica message: the envelope, read in place from the shared
@@ -342,6 +359,14 @@ class Assertion {
 /// for the kernel's unused "detector" reference.
 /// Throws ComponentError if the target lacks the face.
 void* typed_face(const comp::PortSpec& reference, comp::Component& target);
+
+/// Throws LogicError unless `info` declares each named reference in its
+/// slot, or, for a slot past its references, declares none by that name.
+/// face<F>(slot) trusts a type's slot constants, so each type checks them
+/// here when it is registered.
+void check_slots(
+    const comp::ComponentTypeInfo& info,
+    std::initializer_list<std::pair<std::size_t, std::string_view>> slots);
 
 /// The StateManager face of a composite's application, for a caller outside
 /// the composite (the node agent's monolithic state transfer). Throws

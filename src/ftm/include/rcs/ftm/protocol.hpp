@@ -126,7 +126,7 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   }
 
   // --- Network entries (the runtime's message handlers) -------------------
-  /// A client request {client, id, request, trace?}. These entries, the
+  /// A client request (a ClientRequest payload). These entries, the
   /// quiescence gate, join and peer_suspected throw ComponentError when the
   /// kernel is not started, as a wire's face does.
   void deliver_client(const Payload& payload);
@@ -188,6 +188,22 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
       source = payload;
       request_ = &request;
     }
+    /// Every write of the result drops the reply cell built from the old
+    /// one.
+    void set_result(Value value) {
+      result = std::move(value);
+      reply_ = Value{};
+    }
+    /// A status's optional result becomes the result.
+    void take_result(BrickStatus& status) {
+      if (status.result) set_result(std::move(*status.result));
+    }
+    /// The reply cell, leaving ctx without it (and without its result when
+    /// no brick built the cell).
+    [[nodiscard]] Value take_reply() {
+      return reply_.is_null() ? reply_cell(id, std::move(result))
+                              : std::move(reply_);
+    }
 
     Payload source;
     int phase{0};  // 0=before 1=proceed 2=after 3=done
@@ -213,10 +229,13 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   void handle_peer_message(const Payload& payload, std::int64_t from);
 
   // Pipeline machinery.
-  /// Start the pipeline for `fields` = {client, id, request, trace?}, read
-  /// in place from `source`.
-  void start_request(const Payload& source, const Value& fields,
-                     bool forwarded);
+  /// Start the pipeline for request `id` of `client`; `request` is read in
+  /// place from `source`, the ClientRequest or forward payload it came in.
+  void start_request(const Payload& source, std::int64_t client,
+                     std::uint64_t id, std::uint64_t trace,
+                     const Value& request, bool forwarded);
+  /// start_request for a forward (a ReplicaMessage payload) from the leader.
+  void start_forwarded_request(const Payload& payload);
   /// Close the span of the phase `ctx` is in (when tracing) and step to the
   /// next phase. Every phase transition funnels through here.
   void advance_phase(Ctx& ctx);
@@ -236,12 +255,12 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   void finish_and_erase(std::string key);
   /// ctx with role and peer_alive brought up to date, for a brick call.
   const RequestCtx& brick_ctx(Ctx& ctx) const;
-  [[nodiscard]] const char* phase_reference(int phase) const;
+  /// Reference slots, in type_info's order: a phase's brick sits in the
+  /// slot numbered like the phase.
+  enum Slot : std::size_t { kBefore, kExec, kAfter, kReplyLog };
   /// The brick wired for a phase (0..2), through its typed face.
-  [[nodiscard]] Brick& brick(int phase) {
-    return face<Brick>(phase_reference(phase));
-  }
-  [[nodiscard]] ReplyLog& reply_log() { return face<ReplyLog>("replyLog"); }
+  [[nodiscard]] Brick& brick(int phase);
+  [[nodiscard]] ReplyLog& reply_log() { return face<ReplyLog>(kReplyLog); }
 
   // Peer group / failover. The replica group is the "peers" property (list
   // of host ids) plus the "master" property; liveness is tracked per peer.

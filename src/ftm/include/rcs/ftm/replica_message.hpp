@@ -1,4 +1,5 @@
-// Replica messages: what one replica of an FTM sends another.
+// Replica messages: what one replica of an FTM sends another, and the
+// client request that starts a replica's pipeline.
 //
 // Every ftm.replica message is one ReplicaMessage, built once by the sender
 // and shared by handle (Payload::typed) with every receiver: the pipeline
@@ -25,6 +26,8 @@
 //   join_ack      {ckpt_seq?, ckpt_stream?, replies?: snapshot, state?}
 //   snapshot      {entries: {key: reply}, order: [key], upto}
 //   delta snapshot {entries, from, order, upto}
+//   client request {client, id, request, trace?}
+//                 ("trace" when the client records traces: its trace id)
 //
 // Map keys encode in byte order, as Value maps do. A snapshot's records are
 // kept in FIFO order; only encode(), which writes bytes, sorts the entries,
@@ -156,6 +159,16 @@ struct ReplicaMessage {
   [[noreturn]] void body_mismatch() const;
 };
 
+/// A client request (msg::kRequest): built once by the client and sent by
+/// handle on every attempt, read field by field by the kernel.
+struct ClientRequest {
+  std::int64_t client{0};  // the client's host id, where the reply goes
+  std::uint64_t id{0};     // per client, reused by every retransmission
+  /// End-to-end trace id, 0 when untraced (the encoding has no "trace").
+  std::uint64_t trace{0};
+  Value request;
+};
+
 /// Exact size of the message's encoding (what the network charges).
 [[nodiscard]] std::size_t encoded_size(const ReplicaMessage& message);
 /// Exact size of its "data" member alone.
@@ -165,5 +178,9 @@ struct ReplicaMessage {
 
 /// The message in a shared payload cell, sized once.
 [[nodiscard]] Payload make_payload(ReplicaMessage message);
+
+[[nodiscard]] std::size_t encoded_size(const ClientRequest& request);
+[[nodiscard]] Bytes encode(const ClientRequest& request);
+[[nodiscard]] Payload make_payload(ClientRequest request);
 
 }  // namespace rcs::ftm

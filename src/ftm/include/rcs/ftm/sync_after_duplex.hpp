@@ -15,6 +15,11 @@ namespace rcs::ftm {
 
 class SyncAfterDuplexBase : public FtmBrick {
  public:
+  /// The reference order of every duplex syncAfter type: control, replyLog,
+  /// state, then, for an asserting variant, server and assertion.
+  static constexpr BrickSlots kSlots{
+      .control = 0, .reply_log = 1, .server = 3, .state = 2, .assertion = 4};
+
   BrickStatus run_phase(const RequestCtx& ctx) override;
   BrickStatus on_peer(const RequestCtx* ctx,
                       const PeerMessage& message) override;
@@ -25,7 +30,7 @@ class SyncAfterDuplexBase : public FtmBrick {
 
  protected:
   explicit SyncAfterDuplexBase(bool with_assertion)
-      : with_assertion_(with_assertion) {}
+      : FtmBrick(kSlots), with_assertion_(with_assertion) {}
 
   /// Strategy-specific agreement action for the master side: done after a
   /// fire-and-forget, wait for an ack.

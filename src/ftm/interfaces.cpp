@@ -1,5 +1,7 @@
 #include "rcs/ftm/interfaces.hpp"
 
+#include <algorithm>
+
 #include "rcs/common/error.hpp"
 #include "rcs/common/strf.hpp"
 #include "rcs/component/component.hpp"
@@ -11,6 +13,12 @@ Role role_from_string(const std::string& text) {
   if (text == "backup") return Role::kBackup;
   if (text == "alone") return Role::kAlone;
   throw FtmError(strf("unknown role '", text, "'"));
+}
+
+Value RequestCtx::reply_cell(std::uint64_t id, Value result) {
+  return Value::shared(Value::map()
+                           .set("id", static_cast<std::int64_t>(id))
+                           .set("result", std::move(result)));
 }
 
 namespace {
@@ -50,6 +58,21 @@ void* typed_face(const comp::PortSpec& reference, comp::Component& target) {
     return require_face<Assertion>(reference, target);
   }
   return nullptr;
+}
+
+void check_slots(
+    const comp::ComponentTypeInfo& info,
+    std::initializer_list<std::pair<std::size_t, std::string_view>> slots) {
+  const auto& references = info.references;
+  for (const auto& [slot, name] : slots) {
+    const auto it =
+        std::find_if(references.begin(), references.end(),
+                     [name = name](const auto& ref) { return ref.name == name; });
+    const bool ok = it != references.end()
+                        ? static_cast<std::size_t>(it - references.begin()) == slot
+                        : slot >= references.size();
+    ensure(ok, info.type_name, ": reference '", name, "' is not in slot ", slot);
+  }
 }
 
 StateManager& state_manager_of(comp::Component& server) {

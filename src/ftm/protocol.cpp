@@ -16,11 +16,6 @@ namespace {
 std::string request_key(std::int64_t client, std::uint64_t id) {
   return "c" + std::to_string(client) + ":" + std::to_string(id);
 }
-
-// A status's optional result becomes ctx's result.
-void take_result(BrickStatus& status, RequestCtx& ctx) {
-  if (status.result) ctx.result = std::move(*status.result);
-}
 }  // namespace
 
 comp::ComponentTypeInfo ProtocolKernel::type_info() {
@@ -46,6 +41,10 @@ comp::ComponentTypeInfo ProtocolKernel::type_info() {
   info.code_size = 64'000;
   info.source_file = "src/ftm/protocol.cpp";
   info.factory = [] { return std::make_unique<ProtocolKernel>(); };
+  check_slots(info, {{kBefore, "before"},
+                     {kExec, "exec"},
+                     {kAfter, "after"},
+                     {kReplyLog, "replyLog"}});
   return info;
 }
 
@@ -215,13 +214,23 @@ void ProtocolKernel::handle_client_request(const Payload& payload) {
     counters_.buffered = std::max<std::uint64_t>(counters_.buffered, buffered());
     return;
   }
-  start_request(payload, payload.value(), /*forwarded=*/false);
+  const ClientRequest& request = payload.get<ClientRequest>();
+  start_request(payload, request.client, request.id, request.trace,
+                request.request, /*forwarded=*/false);
 }
 
-void ProtocolKernel::start_request(const Payload& source, const Value& fields,
-                                   bool forwarded) {
-  const auto client = fields.at("client").as_int();
-  const auto id = static_cast<std::uint64_t>(fields.at("id").as_int());
+void ProtocolKernel::start_forwarded_request(const Payload& payload) {
+  // The leader's forward {key, client, id, request, trace?}, read in place.
+  const Value& data = payload.get<ReplicaMessage>().data();
+  start_request(payload, data.at("client").as_int(),
+                static_cast<std::uint64_t>(data.at("id").as_int()),
+                static_cast<std::uint64_t>(data.get_or("trace", Value(0)).as_int()),
+                data.at("request"), /*forwarded=*/true);
+}
+
+void ProtocolKernel::start_request(const Payload& source, std::int64_t client,
+                                   std::uint64_t id, std::uint64_t trace,
+                                   const Value& request, bool forwarded) {
   const std::string key = request_key(client, id);
 
   if (pending_.contains(key)) return;  // already in flight
@@ -257,10 +266,9 @@ void ProtocolKernel::start_request(const Payload& source, const Value& fields,
   ctx.client = client;
   ctx.id = id;
   ctx.forwarded = forwarded;
-  ctx.hold(source, fields.at("request"));
+  ctx.hold(source, request);
   if (tracer_ != nullptr && tracer_->enabled()) {
-    ctx.trace =
-        static_cast<std::uint64_t>(fields.get_or("trace", Value(0)).as_int());
+    ctx.trace = trace;
     ctx.phase_start = host()->sim().now();
   }
   advance(ctx);
@@ -270,13 +278,11 @@ void ProtocolKernel::start_request(const Payload& source, const Value& fields,
 // Pipeline
 // ---------------------------------------------------------------------------
 
-const char* ProtocolKernel::phase_reference(int phase) const {
-  switch (phase) {
-    case 0: return "before";
-    case 1: return "exec";
-    case 2: return "after";
-    default: throw LogicError(strf("no brick for phase ", phase));
+Brick& ProtocolKernel::brick(int phase) {
+  if (phase < 0 || phase > static_cast<int>(kAfter)) {
+    throw LogicError(strf("no brick for phase ", phase));
   }
+  return face<Brick>(static_cast<std::size_t>(phase));
 }
 
 const RequestCtx& ProtocolKernel::brick_ctx(Ctx& ctx) const {
@@ -292,7 +298,7 @@ void ProtocolKernel::advance(Ctx& ctx) {
       apply_brick_status(ctx, std::move(status));
       return;
     }
-    take_result(status, ctx);
+    ctx.take_result(status);
     advance_phase(ctx);
   }
   complete(ctx);
@@ -302,12 +308,12 @@ void ProtocolKernel::apply_brick_status(Ctx& ctx, BrickStatus status) {
   using Verdict = BrickStatus::Verdict;
   switch (status.verdict) {
     case Verdict::kDone:
-      take_result(status, ctx);
+      ctx.take_result(status);
       advance_phase(ctx);
       advance(ctx);
       return;
     case Verdict::kWait: {
-      take_result(status, ctx);
+      ctx.take_result(status);
       ctx.waiting = true;
       // With an expected kind the context waits for peer messages; without
       // one it waits for resume_after (e.g. a compute timer).
@@ -337,7 +343,7 @@ void ProtocolKernel::apply_brick_status(Ctx& ctx, BrickStatus status) {
       return;
     }
     case Verdict::kAgain:
-      take_result(status, ctx);
+      ctx.take_result(status);
       advance(ctx);
       return;
     case Verdict::kFail:
@@ -353,12 +359,10 @@ void ProtocolKernel::apply_brick_status(Ctx& ctx, BrickStatus status) {
 }
 
 void ProtocolKernel::complete(Ctx& ctx) {
-  // ctx is erased below, so its result moves into the reply: one cell, which
-  // the reply log records and the client is sent, both by handle.
-  Value reply = Value::shared(
-      Value::map()
-          .set("id", static_cast<std::int64_t>(ctx.id))
-          .set("result", std::move(ctx.result)));
+  // One cell, which the reply log records and the client is sent, both by
+  // handle: the one a brick built (a checkpoint's pending_reply), else one
+  // built here, moving the result out of ctx, which is erased below.
+  Value reply = ctx.take_reply();
   reply_log().record(ctx.key, reply);
   if (!ctx.forwarded && host() != nullptr) {
     host()->send(HostId{static_cast<std::uint32_t>(ctx.client)}, msg::kReply,
@@ -601,7 +605,7 @@ void ProtocolKernel::resume(const std::string& key, Value result) {
   Ctx& ctx = it->second;
   cancel_peer_retry(ctx);
   ctx.waiting = false;
-  ctx.result = std::move(result);
+  ctx.set_result(std::move(result));
   advance_phase(ctx);
   advance(ctx);
 }
@@ -640,7 +644,7 @@ void ProtocolKernel::start_forwarded(const PeerMessage& message) {
     buffered_forwarded_.push_back(message.payload);
     return;
   }
-  start_request(message.payload, message.data(), /*forwarded=*/true);
+  start_forwarded_request(message.payload);
 }
 
 InFlight ProtocolKernel::peek(const std::string& key) const {
@@ -708,8 +712,7 @@ void ProtocolKernel::drain_buffers() {
       buffered_forwarded_.push_back(payload);
       continue;
     }
-    start_request(payload, payload.get<ReplicaMessage>().data(),
-                  /*forwarded=*/true);
+    start_forwarded_request(payload);
   }
   auto requests = std::move(buffered_requests_);
   buffered_requests_.clear();

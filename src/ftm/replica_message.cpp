@@ -275,6 +275,31 @@ void walk(Sink& sink, const ReplicaMessage& message) {
   sink.string(to_string(message.phase));
 }
 
+template <class Sink>
+void walk(Sink& sink, const ClientRequest& request) {
+  const bool traced = request.trace != 0;
+  sink.map(traced ? 4 : 3);
+  sink.key("client");
+  sink.integer(request.client);
+  sink.key("id");
+  sink.integer(static_cast<std::int64_t>(request.id));
+  sink.key("request");
+  sink.value(request.request);
+  if (traced) {
+    sink.key("trace");
+    sink.integer(static_cast<std::int64_t>(request.trace));
+  }
+}
+
+template <class Message>
+Bytes encode_walk(const Message& message) {
+  ByteWriter out;
+  out.reserve(encoded_size(message));
+  ByteSink sink(out);
+  walk(sink, message);
+  return out.take();
+}
+
 }  // namespace
 
 std::size_t encoded_size(const ReplicaMessage& message) {
@@ -289,17 +314,24 @@ std::size_t body_size(const ReplicaMessage& message) {
   return sink.size();
 }
 
-Bytes encode(const ReplicaMessage& message) {
-  ByteWriter out;
-  out.reserve(encoded_size(message));
-  ByteSink sink(out);
-  walk(sink, message);
-  return out.take();
-}
+Bytes encode(const ReplicaMessage& message) { return encode_walk(message); }
 
 Payload make_payload(ReplicaMessage message) {
   const std::size_t size = encoded_size(message);
   return Payload::typed(std::move(message), size);
+}
+
+std::size_t encoded_size(const ClientRequest& request) {
+  SizeSink sink;
+  walk(sink, request);
+  return sink.size();
+}
+
+Bytes encode(const ClientRequest& request) { return encode_walk(request); }
+
+Payload make_payload(ClientRequest request) {
+  const std::size_t size = encoded_size(request);
+  return Payload::typed(std::move(request), size);
 }
 
 }  // namespace rcs::ftm

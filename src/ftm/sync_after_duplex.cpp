@@ -17,7 +17,7 @@ JoinSnapshot SyncAfterDuplexBase::make_join_snapshot() {
   // the capture-side (stream, seq) so checkpoints captured concurrently
   // with the join re-apply idempotently on the joiner.
   JoinSnapshot snapshot;
-  if (wired("state")) {
+  if (state_wired()) {
     snapshot = state_manager().export_full();
   } else {
     snapshot.state = Value{};
@@ -28,7 +28,7 @@ JoinSnapshot SyncAfterDuplexBase::make_join_snapshot() {
 
 void SyncAfterDuplexBase::apply_join_snapshot(const JoinSnapshot& snapshot) {
   if (snapshot.state && !snapshot.state->is_null()) {
-    if (snapshot.ckpt_seq && snapshot.ckpt_stream && wired("state")) {
+    if (snapshot.ckpt_seq && snapshot.ckpt_stream && state_wired()) {
       state_manager().import_full(snapshot);
     } else {
       restore_state(*snapshot.state);
@@ -64,12 +64,12 @@ BrickStatus SyncAfterDuplexBase::run_phase(const RequestCtx& ctx) {
 }
 
 Value SyncAfterDuplexBase::capture_state() {
-  if (!wired("state")) return {};
+  if (!state_wired()) return {};
   return state_manager().get_state();
 }
 
 void SyncAfterDuplexBase::restore_state(const Value& state) {
-  if (wired("state")) state_manager().set_state(state);
+  if (state_wired()) state_manager().set_state(state);
 }
 
 BrickStatus SyncAfterDuplexBase::handle_exec_request(
@@ -79,7 +79,7 @@ BrickStatus SyncAfterDuplexBase::handle_exec_request(
   // faulty execution). The response goes to the asker only.
   const Value& data = message.data();
   const auto asker = message.from;
-  if (!with_assertion_ || !wired("server")) {
+  if (!with_assertion_ || !server_wired()) {
     // A mixed-configuration window (mid-transition) or a misdirected exec
     // request: this brick cannot re-execute safely. Refuse instead of
     // crashing; the peer fails the request safely.

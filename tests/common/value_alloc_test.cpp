@@ -104,6 +104,25 @@ TEST(ValueAlloc, ShippingAFullLogOfCellsAllocatesNothingPerRecord) {
   EXPECT_EQ(allocations_to_ship_a_log(32), allocations_to_ship_a_log(1));
 }
 
+TEST(ValueAlloc, ContentDigestIsTheEncodingsHashAndAllocatesNothing) {
+  // A sealed application result, as AppServerBase::with_checksum builds it.
+  Value result = Value::map();
+  result.set("check", 1).set("key", "k").set("value", 41).set(
+      "blob", Bytes(300, 0x5A));
+  Value stripped = result;
+  stripped.as_map().erase("check");
+  EXPECT_EQ(content_digest(result), xxh64(result.encode()));
+  EXPECT_EQ(content_digest(result, "check"), xxh64(stripped.encode()));
+  EXPECT_EQ(content_digest(stripped, "check"), xxh64(stripped.encode()));
+  EXPECT_EQ(content_digest(Value(7), "check"), xxh64(Value(7).encode()));
+  EXPECT_EQ(content_digest(Value::shared(result), "check"),
+            xxh64(stripped.encode()));
+
+  const std::size_t before = test::allocations();
+  for (int i = 0; i < 10; ++i) (void)content_digest(result, "check");
+  EXPECT_EQ(test::allocations(), before);
+}
+
 TEST(ValueAlloc, ValueIsAtMostFortyBytes) {
   // The map alternative is a vector, no longer the widest member.
   EXPECT_LE(sizeof(Value), 40u);

@@ -226,20 +226,24 @@ TEST_F(CompositeFixture, ValidateOkOnEmptyComposite) {
 // is one hop through that binding. These pin what the binding must keep from
 // the name-resolved wire set it replaced.
 
-/// Calls through the reference it is given (declared or not).
+/// Calls through the reference slot it is given (declared or not).
 class Dialer : public testing::EchoCaller {
  public:
+  // Declared out of name order, so wires() has to sort them.
+  static constexpr std::size_t kZeta = 0;
+  static constexpr std::size_t kAlpha = 1;
+
   static ComponentTypeInfo type_info() {
-    // Declared out of name order, so wires() has to sort them.
     return testing::test_type<Dialer>(
         "test.dialer", {{"svc", "I.Echo"}},
         {{"zeta", "I.Echo", /*required=*/false},
          {"alpha", "I.Echo", /*required=*/false}});
   }
 
-  int dial(const std::string& reference, int x) {
-    return face<testing::Echo>(reference).echo(x);
+  int dial(std::size_t slot, int x) {
+    return face<testing::Echo>(slot).echo(x);
   }
+  [[nodiscard]] bool dialable(std::size_t slot) const { return wired(slot); }
 };
 
 Dialer& dialer_of(Composite& root) {
@@ -292,10 +296,15 @@ TEST_F(CompositeFixture, UnwiredAndUndeclaredReferencesKeepTheirMessages) {
   registry.register_type(Dialer::type_info());
   root.add("test.dialer", "dialer");
   root.start("dialer");
-  EXPECT_EQ(error_of([&] { dialer_of(root).dial("alpha", 1); }),
+  EXPECT_EQ(error_of([&] { dialer_of(root).dial(Dialer::kAlpha, 1); }),
             "root: call through unwired reference dialer.alpha");
-  EXPECT_EQ(error_of([&] { dialer_of(root).dial("nope", 1); }),
+  // An undeclared reference is refused by name when a wire names it, and
+  // by slot when a call does.
+  root.add("test.echo", "target");
+  EXPECT_EQ(error_of([&] { root.wire("dialer", "nope", "target", "svc"); }),
             "root: 'dialer' (test.dialer) has no reference 'nope'");
+  EXPECT_THROW(dialer_of(root).dial(2, 1), LogicError);
+  EXPECT_FALSE(dialer_of(root).dialable(2));
 
   root.add("test.forwarder", "fwd");
   root.add("test.echo", "echo");
@@ -325,6 +334,10 @@ TEST_F(CompositeFixture, WiresListInFromThenReferenceOrder) {
   EXPECT_FALSE(root.is_wired("dialer", "nope"));
   EXPECT_FALSE(root.is_wired("ghost", "zeta"));
   EXPECT_THROW(root.remove("upper"), ComponentError);  // wired as target
+  // Each slot reaches the target wired to its reference.
+  for (const char* name : {"upper", "echo", "dialer"}) root.start(name);
+  EXPECT_EQ(dialer_of(root).dial(Dialer::kZeta, 1), 1 + kUpper);
+  EXPECT_EQ(dialer_of(root).dial(Dialer::kAlpha, 1), 1);
 }
 
 TEST_F(CompositeFixture, CallThroughBoundWireMakesNoHeapAllocation) {

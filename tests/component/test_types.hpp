@@ -102,7 +102,9 @@ class Forwarder : public EchoCaller, public Echo {
                                 {{"next", "I.Echo"}});
   }
 
-  int echo(int x) override { return face<Echo>("next").echo(x); }
+  static constexpr std::size_t kNext = 0;  // the one reference slot
+
+  int echo(int x) override { return face<Echo>(kNext).echo(x); }
 };
 
 /// Component with an optional reference; calls it only when it is wired.
@@ -113,8 +115,10 @@ class MaybeCaller : public EchoCaller, public Echo {
                                   {{"maybe", "I.Echo", /*required=*/false}});
   }
 
+  static constexpr std::size_t kMaybe = 0;  // the one reference slot
+
   int echo(int x) override {
-    return wired("maybe") ? face<Echo>("maybe").echo(x) : kUnwired;
+    return wired(kMaybe) ? face<Echo>(kMaybe).echo(x) : kUnwired;
   }
 };
 

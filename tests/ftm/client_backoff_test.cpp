@@ -4,25 +4,12 @@
 // riding out real message loss (a 30% drop-rate link here).
 #include <gtest/gtest.h>
 
+#include "client_request.hpp"
 #include "rcs/ftm/client.hpp"
-#include "rcs/ftm/interfaces.hpp"
 #include "rcs/sim/simulation.hpp"
 
 namespace rcs::ftm::testing {
 namespace {
-
-/// Echo server: answers every request (including retransmissions) with a
-/// well-formed reply — the network is the only source of loss.
-void install_echo_server(sim::Host& server) {
-  server.register_handler(msg::kRequest, [&server](const sim::Message& m) {
-    Value reply = Value::map();
-    reply.set("id", m.payload->at("id"))
-        .set("result", Value::map().set("echo", m.payload->at("request")));
-    server.send(HostId{static_cast<std::uint32_t>(
-                    m.payload->at("client").as_int())},
-                msg::kReply, std::move(reply));
-  });
-}
 
 /// Drive `count` sequential requests; returns total retransmissions.
 std::uint64_t run_workload(Client& client, sim::Simulation& sim, int count) {

@@ -7,7 +7,9 @@
 #include "duplex_fixture.hpp"
 #include "rcs/ftm/bricks.hpp"
 #include "rcs/ftm/failure_detector.hpp"
+#include "rcs/ftm/protocol.hpp"
 #include "rcs/ftm/reply_log.hpp"
+#include "rcs/ftm/sync_after_duplex.hpp"
 
 namespace rcs::ftm::testing {
 namespace {
@@ -227,7 +229,7 @@ class DetectorCaller : public comp::Component {
         {{"detector", iface::kFailureDetector, /*required=*/false}});
   }
 
-  void call_detector() { (void)face<FailureDetectorComponent>("detector"); }
+  void call_detector() { (void)face<FailureDetectorComponent>(0); }
 
  protected:
   void* resolve_face(const comp::PortSpec& reference,
@@ -235,6 +237,21 @@ class DetectorCaller : public comp::Component {
     return typed_face(reference, target);
   }
 };
+
+TEST(TypedWires, SlotConstantsAreCheckedAgainstTheDeclaredOrder) {
+  // face<F>(slot) trusts a type's slot constants, so registration checks
+  // them: each named reference sits in its slot, and one the type does not
+  // declare lies past its references.
+  comp::ComponentTypeInfo info = sync_after_pbr_assert_type();
+  EXPECT_NO_THROW(SyncAfterDuplexBase::kSlots.check(info));
+  EXPECT_NO_THROW(SyncAfterDuplexBase::kSlots.check(sync_after_pbr_type()));
+  std::swap(info.references[0], info.references[1]);
+  EXPECT_THROW(SyncAfterDuplexBase::kSlots.check(info), LogicError);
+  EXPECT_THROW(check_slots(sync_after_noop_type(), {{0, "replyLog"}}),
+               LogicError);
+  EXPECT_THROW(check_slots(sync_after_pbr_type(), {{7, "state"}}), LogicError);
+  EXPECT_NO_THROW(check_slots(ProtocolKernel::type_info(), {{1, "exec"}}));
+}
 
 TEST(TypedWires, TargetWithoutTheFaceFailsTheWire) {
   comp::ComponentRegistry registry;

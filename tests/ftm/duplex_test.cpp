@@ -2,6 +2,7 @@
 // crash failover, state continuity, rejoin (§3.2.1 and §5.3).
 #include <gtest/gtest.h>
 
+#include "client_request.hpp"
 #include "duplex_fixture.hpp"
 #include "rcs/ftm/reply_log.hpp"
 
@@ -64,11 +65,8 @@ TEST_F(Fixture, RetransmissionIsServedFromReplyLog) {
   deploy(FtmConfig::pbr());
   (void)roundtrip(kv_incr("ctr"));
   // Manually retransmit the same request id straight to the primary.
-  Value payload = Value::map();
-  payload.set("client", static_cast<std::int64_t>(hc.id().value()))
-      .set("id", 1)
-      .set("request", kv_incr("ctr"));
-  hc.send(h0.id(), msg::kRequest, payload);
+  hc.send(h0.id(), msg::kRequest,
+          client_request(hc.id(), 1, kv_incr("ctr")));
   sim.run_for(sim::kSecond);
   // The increment must NOT have been applied twice.
   const Value got = roundtrip(kv_get("ctr"));
@@ -129,11 +127,8 @@ TEST_F(Fixture, AtMostOnceHoldsAcrossFailover) {
   sim.run_for(400 * sim::kMillisecond);
   ASSERT_EQ(rt1.kernel().role(), Role::kAlone);
 
-  Value payload = Value::map();
-  payload.set("client", static_cast<std::int64_t>(hc.id().value()))
-      .set("id", 1)
-      .set("request", kv_incr("ctr"));
-  hc.send(h1.id(), msg::kRequest, payload);
+  hc.send(h1.id(), msg::kRequest,
+          client_request(hc.id(), 1, kv_incr("ctr")));
   sim.run_for(sim::kSecond);
   EXPECT_GE(rt1.kernel().counters().duplicates_served, 1u);
 

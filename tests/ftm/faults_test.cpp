@@ -3,8 +3,10 @@
 // the monitoring engine.
 #include <gtest/gtest.h>
 
+#include "client_request.hpp"
 #include "duplex_fixture.hpp"
 #include "rcs/app/app_base.hpp"
+#include "rcs/ftm/reply_log.hpp"
 
 namespace rcs::ftm::testing {
 namespace {
@@ -77,6 +79,25 @@ TEST_F(Fixture, APbrMasksTransientViaReexecutionOnBackup) {
   EXPECT_TRUE(result_checksum_ok(reply));
   EXPECT_EQ(reply.at("result").at("value").as_int(), 1);
   EXPECT_EQ(rt0.kernel().counters().assertion_failures, 1u);
+}
+
+TEST_F(Fixture, APbrReexecutedResultReachesClientAndBothLogs) {
+  // The primary's own result is replaced by the backup's re-execution: the
+  // client, the primary's reply log and the backup's record of the
+  // checkpoint's pending_reply must all hold the final result.
+  deploy(FtmConfig::a_pbr());
+  h0.faults().transient_pending = 1;
+  const Value reply = roundtrip(kv_incr("ctr"));
+  ASSERT_TRUE(result_checksum_ok(reply)) << reply.to_string();
+  ASSERT_EQ(rt0.kernel().counters().assertion_failures, 1u);
+  const std::string key = strf("c", hc.id().value(), ":1");
+  for (FtmRuntime* rt : {&rt0, &rt1}) {
+    const auto& log =
+        dynamic_cast<const ReplyLogComponent&>(rt->composite().child("replyLog"));
+    const Value* logged = log.lookup(key);
+    ASSERT_NE(logged, nullptr) << rt->host().name();
+    EXPECT_EQ(logged->at("result"), reply.at("result")) << rt->host().name();
+  }
 }
 
 TEST_F(Fixture, ALfrMasksTransientViaReexecutionOnFollower) {
@@ -256,11 +277,8 @@ TEST_F(Fixture, DeltaFailoverServesLastAckedRequestExactlyOnce) {
   ASSERT_EQ(rt1.kernel().role(), Role::kAlone);
 
   // Retransmit the last acknowledged request id straight to the survivor.
-  Value payload = Value::map();
-  payload.set("client", static_cast<std::int64_t>(hc.id().value()))
-      .set("id", 5)
-      .set("request", kv_incr("ctr"));
-  hc.send(h1.id(), msg::kRequest, payload);
+  hc.send(h1.id(), msg::kRequest,
+          client_request(hc.id(), 5, kv_incr("ctr")));
   sim.run_for(sim::kSecond);
   EXPECT_GE(rt1.kernel().counters().duplicates_served, 1u);
 

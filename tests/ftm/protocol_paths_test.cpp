@@ -5,6 +5,7 @@
 // sender that travels beside a replica payload.
 #include <gtest/gtest.h>
 
+#include "client_request.hpp"
 #include "duplex_fixture.hpp"
 #include "rcs/ftm/bricks.hpp"
 #include "rcs/ftm/protocol.hpp"
@@ -19,10 +20,7 @@ TEST_F(Fixture, DuplicateWhileInFlightIsSuppressed) {
   deploy(FtmConfig::pbr());
   // First copy starts processing (compute takes 5ms); a duplicate arriving
   // mid-flight must neither restart the pipeline nor produce two replies.
-  Value payload = Value::map();
-  payload.set("client", static_cast<std::int64_t>(hc.id().value()))
-      .set("id", 77)
-      .set("request", kv_incr("ctr"));
+  const Payload payload = client_request(hc.id(), 77, kv_incr("ctr"));
   hc.send(h0.id(), msg::kRequest, payload);
   sim.run_for(3 * sim::kMillisecond);
   ASSERT_EQ(rt0.kernel().in_flight(), 1u);
@@ -148,10 +146,7 @@ TEST_F(Fixture, PromotionMidPipelineServesBufferedClient) {
   deploy(FtmConfig::pbr());
   // Client request arrives at the backup while the primary is alive: it is
   // ignored; after promotion the SAME id must be served.
-  Value payload = Value::map();
-  payload.set("client", static_cast<std::int64_t>(hc.id().value()))
-      .set("id", 500)
-      .set("request", kv_incr("ctr"));
+  const Payload payload = client_request(hc.id(), 500, kv_incr("ctr"));
   hc.send(h1.id(), msg::kRequest, payload);
   sim.run_for(100 * sim::kMillisecond);
   EXPECT_EQ(rt1.kernel().counters().replies, 0u);
@@ -244,10 +239,7 @@ TEST_F(Fixture, DeliveryToAStoppedKernelThrows) {
       {PeerPhase::kAfter, PeerKind::kCheckpoint, "c1:1", Checkpoint{}});
   EXPECT_THROW(rt1.kernel().deliver_peer(message, h0.id().value()),
                ComponentError);
-  const Payload request{Value::map()
-                            .set("client", std::int64_t{hc.id().value()})
-                            .set("id", 1)
-                            .set("request", kv_incr("ctr"))};
+  const Payload request = client_request(hc.id(), 1, kv_incr("ctr"));
   EXPECT_THROW(rt1.kernel().deliver_client(request), ComponentError);
 }
 
@@ -298,35 +290,52 @@ comp::ComponentTypeInfo test_brick_type(const char* type_name,
   return info;
 }
 
-TEST(EarlyAcks, StashedCheckpointAckCountsOncePerPeer) {
+/// A hostless kernel, its reply log and a Before no-op, with the Proceed
+/// and After test bricks it is given, in a two-peer group.
+template <class Proceed, class After>
+struct HostlessKernel {
+  HostlessKernel() {
+    registry.register_type(ProtocolKernel::type_info());
+    registry.register_type(ReplyLogComponent::type_info());
+    registry.register_type(sync_before_noop_type());
+    registry.register_type(
+        test_brick_type<Proceed>("test.proceed", iface::kProceed));
+    registry.register_type(
+        test_brick_type<After>("test.after", iface::kSyncAfter));
+    root.add(kernel::kProtocol, "protocol");
+    root.add(kernel::kReplyLog, "log");
+    root.add(brick::kSyncBeforeNoop, "before");
+    root.add("test.proceed", "exec");
+    root.add("test.after", "after");
+    for (const char* slot : {"before", "exec", "after"}) {
+      root.wire("protocol", slot, slot, "in");
+      root.wire(slot, "control", "protocol", "control");
+    }
+    root.wire("protocol", "replyLog", "log", "log");
+    root.set_property("protocol", "peers",
+                      Value(ValueList{Value(1), Value(2)}));
+    for (const char* name : {"log", "before", "exec", "after", "protocol"}) {
+      root.start(name);
+    }
+  }
+
   comp::ComponentRegistry registry;
-  registry.register_type(ProtocolKernel::type_info());
-  registry.register_type(ReplyLogComponent::type_info());
-  registry.register_type(sync_before_noop_type());
-  registry.register_type(
-      test_brick_type<ParkingProceed>("test.proceed", iface::kProceed));
-  registry.register_type(
-      test_brick_type<AckCountingAfter>("test.after", iface::kSyncAfter));
-  comp::Composite root{"acks", comp::CompositeEnv{nullptr, nullptr, &registry}};
-  root.add(kernel::kProtocol, "protocol");
-  root.add(kernel::kReplyLog, "log");
-  root.add(brick::kSyncBeforeNoop, "before");
-  root.add("test.proceed", "exec");
-  root.add("test.after", "after");
-  for (const char* slot : {"before", "exec", "after"}) {
-    root.wire("protocol", slot, slot, "in");
-    root.wire(slot, "control", "protocol", "control");
+  comp::Composite root{"hostless",
+                       comp::CompositeEnv{nullptr, nullptr, &registry}};
+  ProtocolKernel& kernel() {
+    return dynamic_cast<ProtocolKernel&>(root.child("protocol"));
   }
-  root.wire("protocol", "replyLog", "log", "log");
-  root.set_property("protocol", "peers", Value(ValueList{Value(1), Value(2)}));
-  for (const char* name : {"log", "before", "exec", "after", "protocol"}) {
-    root.start(name);
+  ReplyLogComponent& log() {
+    return dynamic_cast<ReplyLogComponent&>(root.child("log"));
   }
-  auto& kernel = dynamic_cast<ProtocolKernel&>(root.child("protocol"));
+};
+
+TEST(EarlyAcks, StashedCheckpointAckCountsOncePerPeer) {
+  HostlessKernel<ParkingProceed, AckCountingAfter> hostless;
+  ProtocolKernel& kernel = hostless.kernel();
   AckCountingAfter::solicited = 0;
 
-  kernel.deliver_client(Payload{
-      Value::map().set("client", 9).set("id", 1).set("request", Value::map())});
+  kernel.deliver_client(client_request(HostId{9}, 1, Value::map()));
   ASSERT_EQ(kernel.in_flight(), 1u);  // parked in Proceed
   const auto ack = [&](std::int64_t from) {
     kernel.deliver_peer(make_payload({PeerPhase::kAfter, PeerKind::kCheckpointAck,
@@ -343,6 +352,62 @@ TEST(EarlyAcks, StashedCheckpointAckCountsOncePerPeer) {
   EXPECT_EQ(AckCountingAfter::solicited, 1);
   EXPECT_EQ(AckCountingAfter::last_from, 2);
   EXPECT_EQ(kernel.in_flight(), 0u);
+}
+
+// --- One reply cell per result ---------------------------------------------
+
+/// Proceed brick that builds the reply cell before its result exists, then
+/// waits for the test to resume it with one.
+class CellBuildingProceed final : public FtmBrick {
+ public:
+  BrickStatus run_phase(const RequestCtx& ctx) override {
+    early = ctx.reply();
+    return wait_for_resume();
+  }
+  BrickStatus on_peer(const RequestCtx* /*ctx*/,
+                      const PeerMessage& /*message*/) override {
+    return handled();
+  }
+
+  inline static Value early;
+};
+
+/// After brick that builds the reply cell, then replaces the result once
+/// and re-runs, as assertion recovery does (again_with).
+class RecomputingAfter final : public FtmBrick {
+ public:
+  BrickStatus run_phase(const RequestCtx& ctx) override {
+    cells.push_back(ctx.reply());
+    if (cells.size() == 1) return again_with(Value(2));
+    return done();
+  }
+  BrickStatus on_peer(const RequestCtx* /*ctx*/,
+                      const PeerMessage& /*message*/) override {
+    return handled();
+  }
+
+  inline static std::vector<Value> cells;
+};
+
+TEST(ReplyCell, EveryResultWriteDropsTheCellBuiltBeforeIt) {
+  HostlessKernel<CellBuildingProceed, RecomputingAfter> hostless;
+  RecomputingAfter::cells.clear();
+
+  hostless.kernel().deliver_client(client_request(HostId{9}, 4, Value::map()));
+  EXPECT_TRUE(CellBuildingProceed::early.at("result").is_null());
+  hostless.kernel().resume_after("c9:4", 0, Value(1));  // resume's result
+
+  const auto& cells = RecomputingAfter::cells;
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].at("result"), Value(1)) << "resume kept a stale cell";
+  EXPECT_EQ(cells[1].at("result"), Value(2)) << "again kept a stale cell";
+  EXPECT_EQ(cells[1].at("id").as_int(), 4);
+  EXPECT_EQ(hostless.kernel().in_flight(), 0u);
+  // The log records the last cell the brick built, by handle.
+  const Value* logged = hostless.log().lookup("c9:4");
+  ASSERT_NE(logged, nullptr);
+  EXPECT_TRUE(logged->is_shared());
+  EXPECT_EQ(&logged->at("result"), &cells[1].at("result"));
 }
 
 TEST_F(Fixture, CountersExposedThroughControlStats) {

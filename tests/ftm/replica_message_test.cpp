@@ -4,7 +4,8 @@
 // typed walk must give the same bytes and the same size as Value::encode of
 // the equivalent map, as the sender of the Value map built it. The network
 // prices a replica message by this size, so any slip here would move every
-// traffic figure and digest.
+// traffic figure and digest. The client's request envelope is held to the
+// map the client sent before it was typed, the same way.
 #include <gtest/gtest.h>
 
 #include "rcs/common/error.hpp"
@@ -309,6 +310,71 @@ TEST(ReplicaMessageEncoding, SnapshotEntriesEncodeInKeyOrder) {
   EXPECT_EQ(replies.at("entries").as_map().begin()->first, "c10:2");
   EXPECT_EQ(replies.at("order").at(0).as_string(), "c9:1");
   EXPECT_EQ(replies.at("order").at(2).as_string(), "c1:3");
+}
+
+// --- Client requests ------------------------------------------------------
+
+/// The map Client::transmit built before requests were typed.
+Value request_value(const ClientRequest& request) {
+  Value payload = Value::map();
+  payload.set("client", request.client)
+      .set("id", static_cast<std::int64_t>(request.id))
+      .set("request", request.request);
+  if (request.trace != 0) {
+    payload.set("trace", static_cast<std::int64_t>(request.trace));
+  }
+  return payload;
+}
+
+void expect_same_encoding(const ClientRequest& request) {
+  const Value equivalent = request_value(request);
+  EXPECT_EQ(encode(request), equivalent.encode());
+  EXPECT_EQ(encoded_size(request), equivalent.encoded_size());
+  EXPECT_EQ(make_payload(request).encoded_size(), equivalent.encoded_size());
+}
+
+TEST(ClientRequestEncoding, RequestsMatchTheirValueMaps) {
+  for (const auto seed : kSeeds) {
+    Rng rng(seed);
+    for (int round = 0; round < kRounds; ++round) {
+      SCOPED_TRACE(strf("seed ", seed, " round ", round));
+      ClientRequest request;
+      request.client = rng.uniform_int(0, 300);
+      request.id = static_cast<std::uint64_t>(random_int(rng));
+      // Traced or not: a trace id is never 0.
+      if (rng.bernoulli(0.5)) {
+        request.trace = static_cast<std::uint64_t>(random_int(rng)) | 1;
+      }
+      request.request = rng.bernoulli(0.5)
+                            ? random_state(rng)
+                            : Value::map()
+                                  .set("op", "incr")
+                                  .set("key", random_text(rng, 'k'))
+                                  .set("by", random_int(rng));
+      expect_same_encoding(request);
+    }
+  }
+}
+
+TEST(ClientRequestEncoding, EdgeRequestsMatchTheirValueMaps) {
+  // Extreme ids and trace ids, and requests that are no map or a cell.
+  for (const std::uint64_t n : {std::uint64_t{1}, ~std::uint64_t{0}}) {
+    expect_same_encoding({0, n, n, Value{}});
+    expect_same_encoding({-1, n, 0, Value(7)});
+  }
+  expect_same_encoding(
+      {3, 4, 5, Value::shared(Value::map().set("op", "get").set("key", "k"))});
+}
+
+TEST(ClientRequestEncoding, PayloadCarriesTheTypedRequest) {
+  const Payload payload = make_payload(ClientRequest{9, 2, 0, Value(1)});
+  const ClientRequest* request = payload.get_if<ClientRequest>();
+  ASSERT_NE(request, nullptr);
+  EXPECT_EQ(request->client, 9);
+  EXPECT_EQ(request->id, 2u);
+  EXPECT_EQ(request->request, Value(1));
+  EXPECT_EQ(payload.get_if<ReplicaMessage>(), nullptr);
+  EXPECT_THROW((void)payload.value(), ValueError);
 }
 
 // --- Tag checks on access ------------------------------------------------

@@ -3,7 +3,8 @@
 // FTM composite — kernel pipeline, typed brick / control / reply-log /
 // application calls, the replica messages and their delivery — so a
 // regression anywhere on that path (a Value map where a typed call was, a
-// copy of a replica message) shows up here. Allocation counts are
+// copy of a replica message, a client envelope rebuilt per attempt) shows
+// up here. Allocation counts are
 // deterministic for a given build, so the gates are exact where a timing
 // gate would be flaky.
 #include <gtest/gtest.h>
@@ -21,29 +22,33 @@ constexpr int kWarmup = 64;
 constexpr int kMeasured = 256;
 
 /// PBR with delta checkpoints: checkpoint to the backup and its ack.
-/// Measured at 23.0 allocations per request once the bricks called the
-/// application through its typed faces (32.0 with string-dispatched Value
-/// ops into the app; 40.2 with Value map envelopes and snapshots; 48.2
-/// before replies became shared cells, 74.2 before replica messages kept
-/// their sender beside the payload, 141.7 before the calls inside the
-/// composite were typed), plus 5%.
-constexpr double kMaxPbrAllocsPerRequest = 24.2;
+/// Measured at 18.0 allocations per request once the client sent one typed
+/// envelope per request, the checkpoint and the kernel shared one reply
+/// cell, references were called by slot and content digests encoded into
+/// a reused buffer (23.0 with typed application faces; 32.0 with
+/// string-dispatched Value ops into the app; 40.2 with Value map envelopes
+/// and snapshots; 48.2 before replies became shared cells, 74.2 before
+/// replica messages kept their sender beside the payload, 141.7 before the
+/// calls inside the composite were typed), plus 5%.
+constexpr double kMaxPbrAllocsPerRequest = 18.9;
 
 /// PBR with full checkpoints: the state and the whole reply log ship with
-/// every request. Measured at 23.0 allocations per request with typed
-/// application faces and a backup that replaces its KV map in place (35.0
+/// every request. Measured at 18.0 allocations per request with a typed
+/// client envelope and one reply cell per request (23.0 with typed
+/// application faces and a backup that replaces its KV map in place; 35.0
 /// with Value ops into the app and a map rebuilt on every checkpoint; 50.6
 /// with Value map envelopes and snapshots; 182.6 when exports and imports
 /// deep-copied every reply), plus 5%.
-constexpr double kMaxPbrFullAllocsPerRequest = 24.2;
+constexpr double kMaxPbrFullAllocsPerRequest = 18.9;
 
 /// LFR: the leader forwards each request and notifies the follower, which
 /// stashes the notification until its own pipeline reaches After. Measured
-/// at 28.0 allocations per request with typed application faces (36.0 with
-/// Value ops into the app; 39.8 with Value map envelopes; 42.8 when the
-/// reply log deep-copied each reply; 66.8 with a Value ctx and a stamped
-/// copy of every replica message), plus 5%.
-constexpr double kMaxLfrAllocsPerRequest = 29.5;
+/// at 22.0 allocations per request with a typed client envelope and digests
+/// encoded into a reused buffer (28.0 with typed application faces; 36.0
+/// with Value ops into the app; 39.8 with Value map envelopes; 42.8 when
+/// the reply log deep-copied each reply; 66.8 with a Value ctx and a
+/// stamped copy of every replica message), plus 5%.
+constexpr double kMaxLfrAllocsPerRequest = 23.1;
 
 TEST_F(RequestAllocs, PbrDeltaRequestStaysWithinAllocationBudget) {
   deploy(FtmConfig::pbr());
@@ -103,6 +108,30 @@ TEST_F(RequestAllocs, LfrRequestStaysWithinAllocationBudget) {
   EXPECT_EQ(stashed, kMeasured) << "notifications did not take the stash path";
   RecordProperty("allocs_per_request", std::to_string(per_request));
   EXPECT_LE(per_request, kMaxLfrAllocsPerRequest);
+}
+
+TEST(ClientEnvelope, RetransmissionSendsTheSamePayloadCell) {
+  // A server that never answers: the client retransmits, and every attempt
+  // must carry the envelope built when the request was sent, not a copy.
+  sim::Simulation sim(3);
+  sim::Host& server = sim.add_host("server");
+  sim::Host& client_host = sim.add_host("client");
+  std::vector<const ClientRequest*> seen;
+  server.register_handler(msg::kRequest, [&seen](const sim::Message& m) {
+    seen.push_back(&m.payload.get<ClientRequest>());
+  });
+  Client client{client_host, {server.id()}};
+  client.send(Value::map().set("op", "get").set("key", "k"));
+  sim.run_for(2 * sim::kSecond);
+
+  ASSERT_GE(seen.size(), 3u);
+  EXPECT_EQ(client.stats().retries, seen.size() - 1);
+  for (const ClientRequest* request : seen) {
+    EXPECT_EQ(request, seen.front()) << "a retransmission built a new envelope";
+  }
+  EXPECT_EQ(seen.front()->id, 1u);
+  EXPECT_EQ(seen.front()->client,
+            static_cast<std::int64_t>(client_host.id().value()));
 }
 
 }  // namespace

@@ -9,25 +9,15 @@
 #include <tuple>
 #include <vector>
 
+#include "../ftm/client_request.hpp"
 #include "rcs/ftm/client.hpp"
-#include "rcs/ftm/interfaces.hpp"
 #include "rcs/sim/simulation.hpp"
 
 namespace rcs::load::testing {
 namespace {
 
 using ftm::Client;
-
-void install_echo_server(sim::Host& server) {
-  server.register_handler(ftm::msg::kRequest, [&server](const sim::Message& m) {
-    Value reply = Value::map();
-    reply.set("id", m.payload->at("id"))
-        .set("result", Value::map().set("echo", m.payload->at("request")));
-    server.send(HostId{static_cast<std::uint32_t>(
-                    m.payload->at("client").as_int())},
-                ftm::msg::kReply, std::move(reply));
-  });
-}
+using ftm::testing::install_echo_server;
 
 /// One (re)transmission as the observer saw it.
 struct Transmit {
