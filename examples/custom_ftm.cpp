@@ -48,8 +48,10 @@ class SyncAfterLfrAudit final : public ftm::SyncAfterDuplexBase {
     audit(ctx);
     if (!peer_available(ctx)) return done();
     Value data = Value::map();
-    data.set("key", ctx.key).set("digest", digest(ctx.result));
-    send_peer({ftm::PeerPhase::kAfter, ftm::PeerKind::kNotify, std::move(data)});
+    data.set("key", ftm::KeyText(ctx.key).view())
+        .set("digest", digest(ctx.result));
+    send_peer({ftm::PeerPhase::kAfter, ftm::PeerKind::kNotify, ctx.key,
+               std::move(data)});
     count_event(ftm::Event::kNotification);
     return done();
   }
@@ -80,7 +82,7 @@ class SyncAfterLfrAudit final : public ftm::SyncAfterDuplexBase {
     Value trail = host()->stable().get("audit.trail");
     if (!trail.is_list()) trail = Value::list();
     trail.push_back(Value::map()
-                        .set("key", ctx.key)
+                        .set("key", ftm::KeyText(ctx.key).view())
                         .set("digest", digest(ctx.result)));
     host()->stable().put("audit.trail", trail);
   }

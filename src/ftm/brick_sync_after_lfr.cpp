@@ -28,8 +28,8 @@ class SyncAfterLfr final : public SyncAfterDuplexBase {
   BrickStatus master_after(const RequestCtx& ctx) override {
     if (!peer_available(ctx)) return done();
     Value data = Value::map();
-    data.set("key", ctx.key).set("digest", digest(ctx.result));
-    send_peer({PeerPhase::kAfter, PeerKind::kNotify, std::move(data)});
+    data.set("key", KeyText(ctx.key).view()).set("digest", digest(ctx.result));
+    send_peer({PeerPhase::kAfter, PeerKind::kNotify, ctx.key, std::move(data)});
     count_event(Event::kNotification);
     return done();  // fire-and-forget: the client reply is not gated
   }

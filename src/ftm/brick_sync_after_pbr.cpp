@@ -140,12 +140,12 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
 
   void record_pending_reply(const PeerMessage& message,
                             const Checkpoint& ckpt) {
-    reply_log().record(message.envelope.key, ckpt.pending_reply);
+    reply_log().record(*message.key, ckpt.pending_reply);
   }
 
   void send_ack(const PeerMessage& message, CheckpointAck ack) {
     send_peer_to(message.from, {PeerPhase::kAfter, PeerKind::kCheckpointAck,
-                                message.envelope.key, std::move(ack)});
+                                *message.key, std::move(ack)});
   }
 
   BrickStatus apply_delta_checkpoint(const PeerMessage& message,

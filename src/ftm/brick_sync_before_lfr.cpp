@@ -20,14 +20,15 @@ class SyncBeforeLfr final : public FtmBrick {
     if (ctx.forwarded) return done();
     if (is_master(ctx) && peer_available(ctx)) {
       Value data = Value::map();
-      data.set("key", ctx.key)
-          .set("client", ctx.client)
-          .set("id", static_cast<std::int64_t>(ctx.id))
+      data.set("key", KeyText(ctx.key).view())
+          .set("client", ctx.key.client)
+          .set("id", static_cast<std::int64_t>(ctx.key.id))
           .set("request", ctx.request());
       // Thread the trace id into the forward so the follower's pipeline
       // spans land on the same trace as the leader's.
       if (ctx.trace != 0) data.set("trace", static_cast<std::int64_t>(ctx.trace));
-      send_peer({PeerPhase::kBefore, PeerKind::kRequest, std::move(data)});
+      send_peer(
+          {PeerPhase::kBefore, PeerKind::kRequest, ctx.key, std::move(data)});
     }
     return done();
   }

@@ -155,7 +155,7 @@ class FtmBrick : public comp::Component, public Brick {
 
   void count_event(Event event) { control().count_event(event); }
 
-  void resume_after(const std::string& key, std::int64_t delay_us, Value result) {
+  void resume_after(const RequestKey& key, std::int64_t delay_us, Value result) {
     control().resume_after(key, delay_us, std::move(result));
   }
 

@@ -25,10 +25,13 @@
 // PeerMessage and answers a BrickStatus. Callers outside the composite (the
 // runtime, the node agent) use the same C++ methods. The client's request
 // and every replica message are typed envelopes (replica_message.hpp); the
-// PBR checkpoint, state capture, ack and rejoin bodies are structs. Value
-// stays for the client's reply, for the other replica-message bodies, and
-// for what the application computes and keeps: its requests, results,
-// state and deltas.
+// PBR checkpoint, state capture, ack and rejoin bodies are structs. A
+// request is named by a RequestKey, its (client, id) integers, in the
+// contexts, the kernel's tables, the envelopes and the reply log; its text
+// "c<client>:<id>" is written only on the wire and in log lines
+// (request_key.hpp). Value stays for the client's reply, for the other
+// replica-message bodies, and for what the application computes and keeps:
+// its requests, results, state and deltas.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +47,7 @@
 #include "rcs/common/value.hpp"
 #include "rcs/component/ports.hpp"
 #include "rcs/ftm/replica_message.hpp"
+#include "rcs/ftm/request_key.hpp"
 #include "rcs/sim/time.hpp"
 
 namespace rcs::comp {
@@ -80,7 +84,8 @@ inline const MsgType kRequest{"ftm.request"};
 /// replica -> client: {"id": u64, "result": value} or {"id", "error": str}
 inline const MsgType kReply{"ftm.reply"};
 /// replica <-> replica: a typed ReplicaMessage (replica_message.hpp), sized
-/// as {"data": body, "key"?: str, "kind": str, "phase": str}. The sender is
+/// as {"data": body, "key"?: str, "kind": str, "phase": str}, where "key" is
+/// the text of the RequestKey the message names. The sender is
 /// not in the payload: the runtime hands the kernel the shared payload and
 /// Message::from side by side (ProtocolKernel::deliver_peer), and the kernel
 /// gives the bricks a PeerMessage that reads the envelope in place.
@@ -125,9 +130,10 @@ enum class Event : std::uint8_t {
 /// holds it. The kernel refreshes role and peer_alive before each brick
 /// call; bricks only read it (they keep no per-request state of their own).
 struct RequestCtx {
-  std::string key;  // "c<client>:<id>", the reply-log key
-  std::int64_t client{-1};
-  std::uint64_t id{0};
+  /// The client's host id, where the reply goes, and the client's request
+  /// id: the request's name in the kernel's tables, the reply log and the
+  /// replica messages about it.
+  RequestKey key;
   /// The result so far: the Proceed phase's output once it is done.
   Value result;
   /// A follower's pipeline for a request its leader forwarded.
@@ -148,7 +154,7 @@ struct RequestCtx {
   /// kept until the kernel changes the result: the checkpoint's
   /// pending_reply, the reply log and the client all hold this cell.
   [[nodiscard]] const Value& reply() const {
-    if (reply_.is_null()) reply_ = reply_cell(id, result);
+    if (reply_.is_null()) reply_ = reply_cell(key.id, result);
     return reply_;
   }
 
@@ -185,7 +191,9 @@ struct PeerMessage {
   const ReplicaMessage& envelope;
   PeerPhase phase;
   PeerKind kind;
-  std::string_view key;  // "" when the message names no request
+  /// The request the message names. The kernel hands a brick only messages
+  /// that name one.
+  std::optional<RequestKey> key;
   std::int64_t from{-1};
   /// The shared payload itself, for a brick that hands the message on
   /// (ProtocolControl::start_forwarded) without copying it.
@@ -253,13 +261,13 @@ class ProtocolControl {
   virtual void send_peer(ReplicaMessage message) = 0;
   virtual void send_peer_to(std::int64_t peer, ReplicaMessage message) = 0;
   /// Complete the waiting phase of `key` with `result` after `delay`.
-  virtual void resume_after(const std::string& key, sim::Duration delay,
+  virtual void resume_after(const RequestKey& key, sim::Duration delay,
                             Value result) = 0;
   virtual void count_event(Event event) = 0;
   /// A detected fault ("divergence", "assertion_failed", ...), for the
   /// counters and the fault listener.
   virtual void report_fault(const std::string& kind) = 0;
-  [[nodiscard]] virtual InFlight peek(const std::string& key) const = 0;
+  [[nodiscard]] virtual InFlight peek(const RequestKey& key) const = 0;
   /// Start a pipeline for the request the leader forwarded in `message`
   /// (its data() is {key, client, id, request, trace?}).
   virtual void start_forwarded(const PeerMessage& message) = 0;
@@ -277,8 +285,8 @@ class ReplyLog {
  public:
   /// The reply recorded for `key`, or null; valid until the next record or
   /// import.
-  [[nodiscard]] virtual const Value* lookup(const std::string& key) const = 0;
-  virtual void record(const std::string& key, Value reply) = 0;
+  [[nodiscard]] virtual const Value* lookup(const RequestKey& key) const = 0;
+  virtual void record(const RequestKey& key, Value reply) = 0;
   /// Every record, and their replacement of the log.
   [[nodiscard]] virtual ReplySnapshot export_all() const = 0;
   virtual void import_all(const ReplySnapshot& snapshot) = 0;

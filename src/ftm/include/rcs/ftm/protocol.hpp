@@ -149,11 +149,11 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   }
   void send_peer(ReplicaMessage message) override;
   void send_peer_to(std::int64_t peer, ReplicaMessage message) override;
-  void resume_after(const std::string& key, sim::Duration delay,
+  void resume_after(const RequestKey& key, sim::Duration delay,
                     Value result) override;
   void count_event(Event event) override;
   void report_fault(const std::string& kind) override;
-  [[nodiscard]] InFlight peek(const std::string& key) const override;
+  [[nodiscard]] InFlight peek(const RequestKey& key) const override;
   void start_forwarded(const PeerMessage& message) override;
   void join() override;
   void peer_suspected(std::int64_t peer) override;
@@ -201,7 +201,7 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
     /// The reply cell, leaving ctx without it (and without its result when
     /// no brick built the cell).
     [[nodiscard]] Value take_reply() {
-      return reply_.is_null() ? reply_cell(id, std::move(result))
+      return reply_.is_null() ? reply_cell(key.id, std::move(result))
                               : std::move(reply_);
     }
 
@@ -247,12 +247,12 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   /// did (ctx may be gone then), false while ctx keeps waiting.
   bool feed_waiting(Ctx& ctx, const PeerMessage& message);
   /// Complete ctx's timer wait (resume_after) with `result`.
-  void resume(const std::string& key, Value result);
+  void resume(const RequestKey& key, Value result);
   void complete(Ctx& ctx);
   void fail_request(Ctx& ctx, const std::string& error);
   // Takes the key BY VALUE: callers pass ctx.key, which lives inside
   // the map entry being erased.
-  void finish_and_erase(std::string key);
+  void finish_and_erase(RequestKey key);
   /// ctx with role and peer_alive brought up to date, for a brick call.
   const RequestCtx& brick_ctx(Ctx& ctx) const;
   /// Reference slots, in type_info's order: a phase's brick sits in the
@@ -295,16 +295,17 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   std::vector<std::int64_t> alive_peers_;
   sim::Duration retry_interval_{kDefaultRetryInterval};
   bool blocked_{false};
-  std::map<std::string, Ctx, std::less<>> pending_;
+  /// In-flight requests by key. A node map: a Ctx never moves.
+  std::map<RequestKey, Ctx> pending_;
   /// Early peer messages stashed until a context starts waiting for them,
   /// keyed by (request key, message kind). Keeps the bricks stateless.
-  std::map<std::pair<std::string, PeerKind>, HeldMessage> stash_;
+  std::map<std::pair<RequestKey, PeerKind>, HeldMessage> stash_;
   /// Unsolicited messages a brick asked to postpone until the local pipeline
   /// for their key finishes (e.g. an exec_req racing the local execution).
-  std::map<std::string, std::vector<HeldMessage>> deferred_;
+  std::map<RequestKey, std::vector<HeldMessage>> deferred_;
   /// Abort notices that overtook their forwarded request on the wire; the
   /// matching forwarded pipeline must not be started. Bounded FIFO.
-  std::deque<std::string> aborted_keys_;
+  std::deque<RequestKey> aborted_keys_;
   std::deque<Payload> buffered_requests_;   // client payloads while blocked
   std::deque<Payload> buffered_forwarded_;  // forward messages while blocked
   /// Outstanding resume_after timers with what they resume; cancelled on
@@ -312,7 +313,7 @@ class ProtocolKernel : public comp::Component, public ProtocolControl {
   /// dead kernel. The closure carries only the handle, so it stays inline.
   struct PendingResume {
     TimerId timer{};
-    std::string key;
+    RequestKey key;
     Value result;
   };
   std::map<std::uint64_t, PendingResume> resume_timers_;

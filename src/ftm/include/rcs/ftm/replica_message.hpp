@@ -3,11 +3,11 @@
 //
 // Every ftm.replica message is one ReplicaMessage, built once by the sender
 // and shared by handle (Payload::typed) with every receiver: the pipeline
-// phase it is for, its kind, the request key it names and a body. The
-// bodies of the PBR checkpoint (with the state manager's capture), its ack
-// and the rejoin snapshot are C++ structs, read field by field; every other
-// kind (LFR request and notify, exec_req / exec_result, abort, join) carries
-// a Value body.
+// phase it is for, its kind, the request it names (a RequestKey the sender
+// gives, whatever the body) and a body. The bodies of the PBR checkpoint
+// (with the state manager's capture), its ack and the rejoin snapshot are
+// C++ structs, read field by field; every other kind (LFR request and
+// notify, exec_req / exec_result, abort, join) carries a Value body.
 //
 // Nothing is serialized on the simulated wire, but the network prices each
 // message at the size of its encoding: a message costs, byte for byte, what
@@ -29,19 +29,25 @@
 //   client request {client, id, request, trace?}
 //                 ("trace" when the client records traces: its trace id)
 //
+// A request key ("key", the snapshot's entries and order) is two integers
+// in every struct; it is text only at the sinks, which count and write it
+// as "c<client>:<id>" (request_key.hpp).
+//
 // Map keys encode in byte order, as Value maps do. A snapshot's records are
 // kept in FIFO order; only encode(), which writes bytes, sorts the entries,
-// since a map's size does not depend on the order of its keys.
+// since a map's size does not depend on the order of its keys. It sorts
+// them by their text, which is not the keys' numeric order (c10:1 < c9:1,
+// c1:10 < c1:9).
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <variant>
 #include <vector>
 
 #include "rcs/common/payload.hpp"
 #include "rcs/common/value.hpp"
+#include "rcs/ftm/request_key.hpp"
 
 namespace rcs::ftm {
 
@@ -70,7 +76,7 @@ enum class PeerKind : std::uint8_t {
 /// they cover. Only the log makes one, so no key appears twice.
 struct ReplySnapshot {
   struct Record {
-    std::string key;
+    RequestKey key;
     Value reply;  // a cell, shared with the exporting log
   };
   std::vector<Record> records;
@@ -129,12 +135,14 @@ struct JoinSnapshot {
 struct ReplicaMessage {
   using Body = std::variant<Value, Checkpoint, CheckpointAck, JoinSnapshot>;
 
-  /// A Value body; the message names the request of its "key" member.
+  /// A Value body that names no request (join).
   ReplicaMessage(PeerPhase phase, PeerKind kind, Value data);
-  /// A typed body naming the request `key`.
-  ReplicaMessage(PeerPhase phase, PeerKind kind, std::string key,
+  /// A body naming the request `key`. A Value body that also carries the
+  /// key as its "key" member keeps it there as text.
+  ReplicaMessage(PeerPhase phase, PeerKind kind, RequestKey key, Value data);
+  ReplicaMessage(PeerPhase phase, PeerKind kind, RequestKey key,
                  Checkpoint body);
-  ReplicaMessage(PeerPhase phase, PeerKind kind, std::string key,
+  ReplicaMessage(PeerPhase phase, PeerKind kind, RequestKey key,
                  CheckpointAck body);
   /// A rejoin snapshot, which names no request.
   ReplicaMessage(PeerPhase phase, PeerKind kind, JoinSnapshot body);
@@ -150,9 +158,9 @@ struct ReplicaMessage {
 
   PeerPhase phase;
   PeerKind kind;
-  /// The request the message names ("key" on the wire, as request keys are
-  /// never empty), or "" when it names none.
-  std::string key;
+  /// The request the message names ("key" on the wire, as its text), if
+  /// any.
+  std::optional<RequestKey> key;
   Body body;
 
  private:

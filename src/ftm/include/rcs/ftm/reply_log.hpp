@@ -1,9 +1,14 @@
 // Reply log: at-most-once request semantics.
 //
-// One of the FTM composite's common parts (Fig. 6). Maps request keys
-// ("c<client>:<id>") to the reply already sent, so a retransmitted request is
-// answered from the log instead of re-executed. The log is part of the PBR
-// checkpoint (export/import) so at-most-once survives failover.
+// One of the FTM composite's common parts (Fig. 6). Maps request keys to the
+// reply already sent, so a retransmitted request is answered from the log
+// instead of re-executed. The log is part of the PBR checkpoint
+// (export/import) so at-most-once survives failover.
+//
+// A key is a RequestKey, the request's (client, id) integers: a lookup
+// compares integers. The text "c<client>:<id>" exists only on the wire,
+// where a snapshot's encoding writes it (replica_message.cpp), and in log
+// lines.
 //
 // Bounded at kCapacity entries with FIFO eviction: clients retransmit within
 // a bounded window, so the oldest entries are dead weight — and the log
@@ -11,7 +16,7 @@
 // traffic close to the state size. With a bound that small the log is one
 // fixed ring of kCapacity {key, reply, seq} entries, oldest first: a lookup
 // or a record scans at most kCapacity entries, a re-record updates its entry
-// in place without moving it, and no record or import allocates a slot.
+// in place without moving it, and no lookup, record or import allocates.
 //
 // Every reply is held in a shared immutable cell (Value::shared): the kernel
 // makes one cell per reply, records it here and sends the same cell to the
@@ -34,7 +39,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "rcs/component/component.hpp"
 #include "rcs/ftm/interfaces.hpp"
@@ -49,8 +53,8 @@ class ReplyLogComponent : public comp::Component, public ReplyLog {
   [[nodiscard]] static comp::ComponentTypeInfo type_info();
 
   // ReplyLog face.
-  [[nodiscard]] const Value* lookup(const std::string& key) const override;
-  void record(const std::string& key, Value reply) override;
+  [[nodiscard]] const Value* lookup(const RequestKey& key) const override;
+  void record(const RequestKey& key, Value reply) override;
   [[nodiscard]] ReplySnapshot export_all() const override;
   void import_all(const ReplySnapshot& snapshot) override;
   [[nodiscard]] ReplySnapshot export_since() const override;
@@ -59,7 +63,7 @@ class ReplyLogComponent : public comp::Component, public ReplyLog {
 
  private:
   struct Entry {
-    std::string key;
+    RequestKey key;
     Value reply;  // a cell
     std::uint64_t seq{0};  // record order, for incremental export
   };
@@ -71,11 +75,11 @@ class ReplyLogComponent : public comp::Component, public ReplyLog {
   [[nodiscard]] const Entry& at(std::size_t i) const {
     return ring_[(head_ + i) % kCapacity];
   }
-  [[nodiscard]] Entry* find(const std::string& key);
+  [[nodiscard]] Entry* find(const RequestKey& key);
   void pop_oldest();
   /// `state` names the driving op for the fsim "replylog.append" point
   /// ("record" for a fresh reply, "import_delta" for checkpoint import).
-  void append(const std::string& key, Value reply, const char* state);
+  void append(const RequestKey& key, Value reply, const char* state);
   /// The records newer than `after`, oldest first.
   [[nodiscard]] ReplySnapshot snapshot_since(std::uint64_t after) const;
   /// Refuse a snapshot no peer's log could have made.

@@ -13,8 +13,13 @@
 namespace rcs::ftm {
 
 namespace {
-std::string request_key(std::int64_t client, std::uint64_t id) {
-  return "c" + std::to_string(client) + ":" + std::to_string(id);
+/// The request a peer message names; throws FtmError if it names none.
+const RequestKey& named_request(const PeerMessage& message) {
+  if (!message.key) {
+    throw FtmError(strf("protocol: replica message '", to_string(message.kind),
+                        "' names no request"));
+  }
+  return *message.key;
 }
 }  // namespace
 
@@ -231,7 +236,7 @@ void ProtocolKernel::start_forwarded_request(const Payload& payload) {
 void ProtocolKernel::start_request(const Payload& source, std::int64_t client,
                                    std::uint64_t id, std::uint64_t trace,
                                    const Value& request, bool forwarded) {
-  const std::string key = request_key(client, id);
+  const RequestKey key{client, id};
 
   if (pending_.contains(key)) return;  // already in flight
 
@@ -244,15 +249,16 @@ void ProtocolKernel::start_request(const Payload& source, std::int64_t client,
     }
   }
 
-  // At-most-once: answer retransmissions from the reply log.
+  // At-most-once: answer retransmissions from the reply log. Every record
+  // under a request's own key is the {id, result} cell its first reply
+  // sent (complete, or a checkpoint's pending_reply, also when imported),
+  // so the client gets that cell again, by handle.
   if (const Value* logged = reply_log().lookup(key)) {
     ++counters_.duplicates_served;
     if (!forwarded) {
-      Value reply = *logged;
-      reply.set("id", static_cast<std::int64_t>(id));
       if (host() != nullptr) {
         host()->send(HostId{static_cast<std::uint32_t>(client)}, msg::kReply,
-                     std::move(reply));
+                     *logged);
       }
       ++counters_.replies;
     }
@@ -263,8 +269,6 @@ void ProtocolKernel::start_request(const Payload& source, std::int64_t client,
   ensure(inserted, "duplicate pending ctx");
   Ctx& ctx = it->second;
   ctx.key = key;
-  ctx.client = client;
-  ctx.id = id;
   ctx.forwarded = forwarded;
   ctx.hold(source, request);
   if (tracer_ != nullptr && tracer_->enabled()) {
@@ -365,8 +369,8 @@ void ProtocolKernel::complete(Ctx& ctx) {
   Value reply = ctx.take_reply();
   reply_log().record(ctx.key, reply);
   if (!ctx.forwarded && host() != nullptr) {
-    host()->send(HostId{static_cast<std::uint32_t>(ctx.client)}, msg::kReply,
-                 std::move(reply));
+    host()->send(HostId{static_cast<std::uint32_t>(ctx.key.client)},
+                 msg::kReply, std::move(reply));
     ++counters_.replies;
   }
   finish_and_erase(ctx.key);
@@ -377,23 +381,23 @@ void ProtocolKernel::fail_request(Ctx& ctx, const std::string& error) {
              error);
   if (!ctx.forwarded && host() != nullptr) {
     Value reply = Value::map();
-    reply.set("id", static_cast<std::int64_t>(ctx.id)).set("error", error);
-    host()->send(HostId{static_cast<std::uint32_t>(ctx.client)}, msg::kReply,
-                 std::move(reply));
+    reply.set("id", static_cast<std::int64_t>(ctx.key.id)).set("error", error);
+    host()->send(HostId{static_cast<std::uint32_t>(ctx.key.client)},
+                 msg::kReply, std::move(reply));
     ++counters_.error_replies;
     // Under an active strategy the follower runs its own pipeline for this
     // request and is waiting for our agreement message; it must learn that
     // the request died here, or its context leaks (and quiescence never
     // drains).
     if (any_peer_alive()) {
-      send_peer({PeerPhase::kCtrl, PeerKind::kAbort,
-                 Value::map().set("key", ctx.key)});
+      send_peer({PeerPhase::kCtrl, PeerKind::kAbort, ctx.key,
+                 Value::map().set("key", KeyText(ctx.key).view())});
     }
   }
   finish_and_erase(ctx.key);
 }
 
-void ProtocolKernel::finish_and_erase(std::string key) {
+void ProtocolKernel::finish_and_erase(RequestKey key) {
   {
     const auto it = pending_.find(key);
     if (it != pending_.end()) cancel_peer_retry(it->second);
@@ -422,7 +426,8 @@ void ProtocolKernel::handle_peer_message(const Payload& payload,
     return;
   }
 
-  const auto it = pending_.find(message.key);
+  const RequestKey& key = named_request(message);
+  const auto it = pending_.find(key);
   if (it != pending_.end() && it->second.waiting &&
       it->second.expect == message.kind) {
     feed_waiting(it->second, message);
@@ -436,11 +441,10 @@ void ProtocolKernel::handle_peer_message(const Payload& payload,
   const int slot = static_cast<int>(message.phase);  // before, exec, after
   switch (brick(slot).on_peer(nullptr, message).verdict) {
     case BrickStatus::Verdict::kStash:
-      stash_[{std::string(message.key), message.kind}] =
-          HeldMessage{payload, from};
+      stash_[{key, message.kind}] = HeldMessage{payload, from};
       break;
     case BrickStatus::Verdict::kDefer:
-      deferred_[std::string(message.key)].push_back(HeldMessage{payload, from});
+      deferred_[key].push_back(HeldMessage{payload, from});
       break;
     default:
       break;
@@ -533,13 +537,16 @@ void ProtocolKernel::peer_suspected(std::int64_t peer) {
 
   // Contexts parked on a response from the dead peer must not wait forever:
   // re-run their phase against the new group (bricks re-broadcast to the
-  // survivors or finish master-alone).
-  std::vector<std::string> waiting_keys;
+  // survivors or finish master-alone), in the byte order of their keys'
+  // texts: the order of the re-sent messages is part of the recorded
+  // behaviour (benchmark/baselines.txt).
+  std::vector<RequestKey> waiting_keys;
   for (const auto& [key, ctx] : pending_) {
     if (ctx.waiting && ctx.expect != PeerKind::kNone) {
       waiting_keys.push_back(key);
     }
   }
+  std::sort(waiting_keys.begin(), waiting_keys.end(), text_less);
   for (const auto& key : waiting_keys) {
     const auto pending = pending_.find(key);
     if (pending != pending_.end()) rerun_waiting_phase(pending->second);
@@ -561,7 +568,7 @@ void ProtocolKernel::handle_ctrl(const PeerMessage& message) {
     // (nothing to record, nothing to reply). If the forward itself has not
     // arrived yet (reordered on a jittery link), remember the abort so the
     // late forward is not started.
-    const auto& key = message.data().at("key").as_string();
+    const RequestKey& key = named_request(message);
     const auto it = pending_.find(key);
     if (it != pending_.end() && it->second.forwarded) {
       finish_and_erase(it->first);
@@ -599,7 +606,7 @@ void ProtocolKernel::handle_ctrl(const PeerMessage& message) {
 // ProtocolControl face (bricks, failure detector)
 // ---------------------------------------------------------------------------
 
-void ProtocolKernel::resume(const std::string& key, Value result) {
+void ProtocolKernel::resume(const RequestKey& key, Value result) {
   const auto it = pending_.find(key);
   if (it == pending_.end()) return;
   Ctx& ctx = it->second;
@@ -610,7 +617,7 @@ void ProtocolKernel::resume(const std::string& key, Value result) {
   advance(ctx);
 }
 
-void ProtocolKernel::resume_after(const std::string& key, sim::Duration delay,
+void ProtocolKernel::resume_after(const RequestKey& key, sim::Duration delay,
                                   Value result) {
   if (host() != nullptr && host()->sim().fsim().enabled()) {
     // fsim "timer.arm": same lost-tick model as the peer-retry timer —
@@ -647,7 +654,7 @@ void ProtocolKernel::start_forwarded(const PeerMessage& message) {
   start_forwarded_request(message.payload);
 }
 
-InFlight ProtocolKernel::peek(const std::string& key) const {
+InFlight ProtocolKernel::peek(const RequestKey& key) const {
   // Lets bricks ask whether a request is already executing here and with
   // what result — an A&LFR follower answers a re-execution request from its
   // own forwarded computation instead of executing twice.

@@ -35,18 +35,19 @@ const char* to_string(PeerKind kind) {
 }
 
 ReplicaMessage::ReplicaMessage(PeerPhase phase, PeerKind kind, Value data)
-    : phase(phase), kind(kind), body(std::move(data)) {
-  const Value& value = std::get<Value>(body);
-  if (value.is_map() && value.has("key")) key = value.at("key").as_string();
-}
+    : phase(phase), kind(kind), body(std::move(data)) {}
 
-ReplicaMessage::ReplicaMessage(PeerPhase phase, PeerKind kind, std::string key,
+ReplicaMessage::ReplicaMessage(PeerPhase phase, PeerKind kind, RequestKey key,
+                               Value data)
+    : phase(phase), kind(kind), key(key), body(std::move(data)) {}
+
+ReplicaMessage::ReplicaMessage(PeerPhase phase, PeerKind kind, RequestKey key,
                                Checkpoint body)
-    : phase(phase), kind(kind), key(std::move(key)), body(std::move(body)) {}
+    : phase(phase), kind(kind), key(key), body(std::move(body)) {}
 
-ReplicaMessage::ReplicaMessage(PeerPhase phase, PeerKind kind, std::string key,
+ReplicaMessage::ReplicaMessage(PeerPhase phase, PeerKind kind, RequestKey key,
                                CheckpointAck body)
-    : phase(phase), kind(kind), key(std::move(key)), body(std::move(body)) {}
+    : phase(phase), kind(kind), key(key), body(std::move(body)) {}
 
 ReplicaMessage::ReplicaMessage(PeerPhase phase, PeerKind kind,
                                JoinSnapshot body)
@@ -75,6 +76,8 @@ constexpr std::size_t varint_size(std::uint64_t v) {
 
 // The two sinks of the one walk below. Each call mirrors a step of
 // Value::encode: a map or list header, a map key, a string, int or Value.
+// A request key goes in as a map key or a string of its text: the counting
+// sink adds the text's length, the byte sink formats it on the stack.
 
 class SizeSink {
  public:
@@ -84,7 +87,9 @@ class SizeSink {
   void map(std::size_t count) { size_ += 1 + varint_size(count); }
   void list(std::size_t count) { size_ += 1 + varint_size(count); }
   void key(std::string_view k) { size_ += varint_size(k.size()) + k.size(); }
+  void key(const RequestKey& k) { size_ += text_size(k); }
   void string(std::string_view s) { size_ += 1 + varint_size(s.size()) + s.size(); }
+  void string(const RequestKey& k) { size_ += 1 + text_size(k); }
   void integer(std::int64_t /*v*/) { size_ += 1 + 8; }
   void boolean(bool /*v*/) { size_ += 2; }
   void value(const Value& v) { size_ += v.encoded_size(); }
@@ -92,6 +97,12 @@ class SizeSink {
   [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
+  /// The key's text as a length-prefixed string.
+  static std::size_t text_size(const RequestKey& k) {
+    const std::size_t n = KeyText::size_of(k);
+    return varint_size(n) + n;
+  }
+
   std::size_t size_{0};
 };
 
@@ -104,10 +115,12 @@ class ByteSink {
   void map(std::size_t count) { header(Value::Type::kMap, count); }
   void list(std::size_t count) { header(Value::Type::kList, count); }
   void key(std::string_view k) { out_.write_string(k); }
+  void key(const RequestKey& k) { key(KeyText(k).view()); }
   void string(std::string_view s) {
     out_.write_u8(static_cast<std::uint8_t>(Value::Type::kString));
     out_.write_string(s);
   }
+  void string(const RequestKey& k) { string(KeyText(k).view()); }
   void integer(std::int64_t v) {
     out_.write_u8(static_cast<std::uint8_t>(Value::Type::kInt));
     out_.write_i64(v);
@@ -134,14 +147,22 @@ void walk(Sink& sink, const ReplySnapshot& snapshot, bool delta) {
   sink.key("entries");
   sink.map(records.size());
   if constexpr (Sink::kSortsEntries) {
-    std::vector<const ReplySnapshot::Record*> sorted;
+    // In the byte order of the keys' texts, as a map keyed by them encodes.
+    struct Entry {
+      KeyText text;
+      const Value* reply;
+    };
+    std::vector<Entry> sorted;
     sorted.reserve(records.size());
-    for (const auto& record : records) sorted.push_back(&record);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto* a, const auto* b) { return a->key < b->key; });
-    for (const auto* record : sorted) {
-      sink.key(record->key);
-      sink.value(record->reply);
+    for (const auto& record : records) {
+      sorted.push_back({KeyText(record.key), &record.reply});
+    }
+    std::sort(sorted.begin(), sorted.end(), [](const Entry& a, const Entry& b) {
+      return a.text.view() < b.text.view();
+    });
+    for (const auto& entry : sorted) {
+      sink.key(entry.text.view());
+      sink.value(*entry.reply);
     }
   } else {
     for (const auto& record : records) {
@@ -181,8 +202,12 @@ void walk(Sink& sink, const StateCapture& capture) {
   sink.integer(static_cast<std::int64_t>(capture.stream));
 }
 
+// A message's key, which the checkpoint and its ack repeat as "key" (their
+// constructors require one).
+using Key = std::optional<RequestKey>;
+
 template <class Sink>
-void walk(Sink& sink, const std::string& key, const Checkpoint& ckpt) {
+void walk(Sink& sink, const Key& key, const Checkpoint& ckpt) {
   if (ckpt.delta) {
     sink.map(3 + (ckpt.capture ? 1 : 0));
     if (ckpt.capture) {
@@ -190,7 +215,7 @@ void walk(Sink& sink, const std::string& key, const Checkpoint& ckpt) {
       walk(sink, *ckpt.capture);
     }
     sink.key("key");
-    sink.string(key);
+    sink.string(*key);
     sink.key("pending_reply");
     sink.value(ckpt.pending_reply);
     sink.key("rlog");
@@ -200,7 +225,7 @@ void walk(Sink& sink, const std::string& key, const Checkpoint& ckpt) {
   const bool has_state = ckpt.state.has_value();
   sink.map(3 + (has_state ? 1 : 0));
   sink.key("key");
-  sink.string(key);
+  sink.string(*key);
   sink.key("pending_reply");
   sink.value(ckpt.pending_reply);
   sink.key("replies");
@@ -212,10 +237,10 @@ void walk(Sink& sink, const std::string& key, const Checkpoint& ckpt) {
 }
 
 template <class Sink>
-void walk(Sink& sink, const std::string& key, const CheckpointAck& ack) {
+void walk(Sink& sink, const Key& key, const CheckpointAck& ack) {
   sink.map(1 + (ack.seq ? 1 : 0) + (ack.upto ? 1 : 0));
   sink.key("key");
-  sink.string(key);
+  sink.string(*key);
   if (ack.seq) {
     sink.key("seq");
     sink.integer(*ack.seq);
@@ -227,7 +252,7 @@ void walk(Sink& sink, const std::string& key, const CheckpointAck& ack) {
 }
 
 template <class Sink>
-void walk(Sink& sink, const std::string& /*key*/, const JoinSnapshot& join) {
+void walk(Sink& sink, const Key& /*key*/, const JoinSnapshot& join) {
   sink.map((join.ckpt_seq ? 1 : 0) + (join.ckpt_stream ? 1 : 0) +
            (join.replies ? 1 : 0) + (join.state ? 1 : 0));
   if (join.ckpt_seq) {
@@ -249,7 +274,7 @@ void walk(Sink& sink, const std::string& /*key*/, const JoinSnapshot& join) {
 }
 
 template <class Sink>
-void walk(Sink& sink, const std::string& /*key*/, const Value& data) {
+void walk(Sink& sink, const Key& /*key*/, const Value& data) {
   sink.value(data);
 }
 
@@ -261,13 +286,12 @@ void walk_body(Sink& sink, const ReplicaMessage& message) {
 
 template <class Sink>
 void walk(Sink& sink, const ReplicaMessage& message) {
-  const bool keyed = !message.key.empty();
-  sink.map(keyed ? 4 : 3);
+  sink.map(message.key ? 4 : 3);
   sink.key("data");
   walk_body(sink, message);
-  if (keyed) {
+  if (message.key) {
     sink.key("key");
-    sink.string(message.key);
+    sink.string(*message.key);
   }
   sink.key("kind");
   sink.string(to_string(message.kind));

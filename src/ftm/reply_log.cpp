@@ -21,19 +21,19 @@ comp::ComponentTypeInfo ReplyLogComponent::type_info() {
   return info;
 }
 
-ReplyLogComponent::Entry* ReplyLogComponent::find(const std::string& key) {
+ReplyLogComponent::Entry* ReplyLogComponent::find(const RequestKey& key) {
   for (std::size_t i = 0; i < size_; ++i) {
     if (at(i).key == key) return &at(i);
   }
   return nullptr;
 }
 
-const Value* ReplyLogComponent::lookup(const std::string& key) const {
+const Value* ReplyLogComponent::lookup(const RequestKey& key) const {
   const Entry* entry = const_cast<ReplyLogComponent*>(this)->find(key);
   return entry != nullptr ? &entry->reply : nullptr;
 }
 
-void ReplyLogComponent::record(const std::string& key, Value reply) {
+void ReplyLogComponent::record(const RequestKey& key, Value reply) {
   append(key, std::move(reply), "record");
 }
 
@@ -43,7 +43,7 @@ void ReplyLogComponent::pop_oldest() {
   --size_;
 }
 
-void ReplyLogComponent::append(const std::string& key, Value reply,
+void ReplyLogComponent::append(const RequestKey& key, Value reply,
                                const char* state) {
   if (host() != nullptr && host()->sim().fsim().enabled()) {
     // fsim "replylog.append": storage pressure on the at-most-once log. The
@@ -98,8 +98,8 @@ void ReplyLogComponent::check_capacity(const ReplySnapshot& snapshot,
 
 void ReplyLogComponent::import_all(const ReplySnapshot& snapshot) {
   check_capacity(snapshot, "import");
-  // The records fill the ring from slot 0, reusing each slot's key buffer;
-  // slots past them drop their handles.
+  // The records fill the ring from slot 0; slots past them drop their
+  // handles.
   head_ = 0;
   size_ = snapshot.records.size();
   for (std::size_t i = 0; i < kCapacity; ++i) {

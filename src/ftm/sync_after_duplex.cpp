@@ -52,9 +52,9 @@ BrickStatus SyncAfterDuplexBase::run_phase(const RequestCtx& ctx) {
         const auto target =
             peers[static_cast<std::size_t>(ctx.attempt) % peers.size()];
         Value data = Value::map();
-        data.set("key", ctx.key).set("request", ctx.request());
-        send_peer_to(target,
-                     {PeerPhase::kAfter, PeerKind::kExecReq, std::move(data)});
+        data.set("key", KeyText(ctx.key).view()).set("request", ctx.request());
+        send_peer_to(target, {PeerPhase::kAfter, PeerKind::kExecReq, ctx.key,
+                              std::move(data)});
         return wait_for(PeerKind::kExecResult);
       }
       return fail_with("assertion failed and no peer for re-execution");
@@ -78,6 +78,7 @@ BrickStatus SyncAfterDuplexBase::handle_exec_request(
   // result (plus our state, so a stateful primary can realign after its
   // faulty execution). The response goes to the asker only.
   const Value& data = message.data();
+  const RequestKey& key = *message.key;
   const auto asker = message.from;
   if (!with_assertion_ || !server_wired()) {
     // A mixed-configuration window (mid-transition) or a misdirected exec
@@ -85,15 +86,14 @@ BrickStatus SyncAfterDuplexBase::handle_exec_request(
     // crashing; the peer fails the request safely.
     Value refusal = Value::map();
     refusal.set("key", data.at("key")).set("ok", false);
-    send_peer_to(asker, {PeerPhase::kAfter, PeerKind::kExecResult,
-                        std::move(refusal)});
+    send_peer_to(asker, {PeerPhase::kAfter, PeerKind::kExecResult, key,
+                         std::move(refusal)});
     return handled();
   }
 
   // An LFR follower may have already executed this request through its own
   // forwarded pipeline (or even completed it): answer from that result
   // instead of executing a second time, which would double state mutations.
-  const auto& key = data.at("key").as_string();
   Value local_result;
   if (const Value* logged = reply_log().lookup(key)) {
     local_result = logged->at("result");
@@ -112,19 +112,20 @@ BrickStatus SyncAfterDuplexBase::handle_exec_request(
   if (!local_result.is_null()) {
     const bool ok = check_assertion(data.at("request"), local_result);
     Value reply = Value::map();
-    reply.set("key", key)
+    reply.set("key", data.at("key"))
         .set("ok", ok)
         .set("result", local_result)
         .set("state", capture_state());
-    send_peer_to(asker, {PeerPhase::kAfter, PeerKind::kExecResult,
+    send_peer_to(asker, {PeerPhase::kAfter, PeerKind::kExecResult, key,
                          std::move(reply)});
     return handled();
   }
   // At-most-once for re-executions: a retransmitted exec_req (its response
   // was lost) must answer from the recorded outcome, not execute again.
-  const std::string exec_key = "exec:" + key;
+  const RequestKey exec_key{key.client, key.id, /*exec=*/true};
   if (const Value* served = reply_log().lookup(exec_key)) {
-    send_peer_to(asker, {PeerPhase::kAfter, PeerKind::kExecResult, *served});
+    send_peer_to(asker,
+                 {PeerPhase::kAfter, PeerKind::kExecResult, key, *served});
     return handled();
   }
 
@@ -139,8 +140,8 @@ BrickStatus SyncAfterDuplexBase::handle_exec_request(
       .set("result", std::move(outcome.result))
       .set("state", capture_state());
   reply_log().record(exec_key, reply);
-  send_peer_to(asker,
-               {PeerPhase::kAfter, PeerKind::kExecResult, std::move(reply)});
+  send_peer_to(asker, {PeerPhase::kAfter, PeerKind::kExecResult, key,
+                       std::move(reply)});
   return handled();
 }
 

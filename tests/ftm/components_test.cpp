@@ -3,6 +3,7 @@
 // check of the typed entries the runtime calls).
 #include <gtest/gtest.h>
 
+#include "../alloc_counter.hpp"
 #include "../component/test_types.hpp"
 #include "duplex_fixture.hpp"
 #include "rcs/ftm/bricks.hpp"
@@ -30,13 +31,13 @@ struct ReplyLogFixture : ::testing::Test {
     return log.export_all().records.size();
   }
   /// A snapshot's keys, oldest record first.
-  static std::vector<std::string> keys_of(const ReplySnapshot& snapshot) {
-    std::vector<std::string> keys;
+  static std::vector<RequestKey> keys_of(const ReplySnapshot& snapshot) {
+    std::vector<RequestKey> keys;
     for (const auto& record : snapshot.records) keys.push_back(record.key);
     return keys;
   }
   static const Value* reply_in(const ReplySnapshot& snapshot,
-                               const std::string& key) {
+                               const RequestKey& key) {
     for (const auto& record : snapshot.records) {
       if (record.key == key) return &record.reply;
     }
@@ -44,10 +45,10 @@ struct ReplyLogFixture : ::testing::Test {
   }
 
   ReplyLog& reply_log() { return face_of(root, "log"); }
-  const Value* lookup(const std::string& key) {
+  const Value* lookup(const RequestKey& key) {
     return reply_log().lookup(key);
   }
-  void record(const std::string& key, Value reply) {
+  void record(const RequestKey& key, Value reply) {
     reply_log().record(key, std::move(reply));
   }
   std::size_t size() { return size_of(reply_log()); }
@@ -56,30 +57,35 @@ struct ReplyLogFixture : ::testing::Test {
 };
 
 constexpr std::size_t kCapacity = ReplyLogComponent::kCapacity;
+constexpr RequestKey kA{1, 1};
+constexpr RequestKey kB{1, 2};
+constexpr RequestKey kC{1, 3};
+/// The i-th of a run of keys apart from kA, kB and kC.
+constexpr RequestKey filler(std::size_t i) { return {2, i}; }
 
 TEST_F(ReplyLogFixture, LookupMissReportsNotFound) {
-  EXPECT_EQ(lookup("c1:1"), nullptr);
+  EXPECT_EQ(lookup(kA), nullptr);
 }
 
 TEST_F(ReplyLogFixture, RecordThenLookupHit) {
-  record("c1:1", Value::map().set("result", 42));
-  const Value* hit = lookup("c1:1");
+  record(kA, Value::map().set("result", 42));
+  const Value* hit = lookup(kA);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->at("result").as_int(), 42);
 }
 
 TEST_F(ReplyLogFixture, RecordOverwritesSameKeyWithoutGrowth) {
-  record("k", Value::map().set("result", 1));
-  record("k", Value::map().set("result", 2));
+  record(kA, Value::map().set("result", 1));
+  record(kA, Value::map().set("result", 2));
   EXPECT_EQ(size(), 1u);
-  EXPECT_EQ(lookup("k")->at("result").as_int(), 2);
+  EXPECT_EQ(lookup(kA)->at("result").as_int(), 2);
 }
 
 TEST_F(ReplyLogFixture, ExportImportRoundTrip) {
-  record("a", Value::map().set("result", 1));
-  record("b", Value::map().set("result", 2));
+  record(kA, Value::map().set("result", 1));
+  record(kB, Value::map().set("result", 2));
   const ReplySnapshot snapshot = reply_log().export_all();
-  EXPECT_EQ(keys_of(snapshot), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(keys_of(snapshot), (std::vector<RequestKey>{kA, kB}));
   EXPECT_EQ(snapshot.upto, 2u);
 
   comp::Composite other{"other"};
@@ -88,27 +94,27 @@ TEST_F(ReplyLogFixture, ExportImportRoundTrip) {
   ReplyLog& imported = face_of(other, "log");
   imported.import_all(snapshot);
   EXPECT_EQ(size_of(imported), 2u);
-  EXPECT_NE(imported.lookup("b"), nullptr);
+  EXPECT_NE(imported.lookup(kB), nullptr);
 }
 
 TEST_F(ReplyLogFixture, CapacityEvictsOldestFirst) {
   for (std::size_t i = 0; i < kCapacity + 2; ++i) {
-    record(strf("k", i), Value::map().set("result", i));
+    record(filler(i), Value::map().set("result", i));
   }
   EXPECT_EQ(size(), kCapacity);
-  EXPECT_EQ(lookup("k0"), nullptr);
-  EXPECT_EQ(lookup("k1"), nullptr);
-  EXPECT_NE(lookup("k2"), nullptr);
-  EXPECT_NE(lookup(strf("k", kCapacity + 1)), nullptr);
+  EXPECT_EQ(lookup(filler(0)), nullptr);
+  EXPECT_EQ(lookup(filler(1)), nullptr);
+  EXPECT_NE(lookup(filler(2)), nullptr);
+  EXPECT_NE(lookup(filler(kCapacity + 1)), nullptr);
 }
 
 TEST_F(ReplyLogFixture, RecordsAreCellsThatExportsShare) {
-  record("a", Value::map().set("result", Value::map().set("value", 1)));
-  const Value* hit = lookup("a");
+  record(kA, Value::map().set("result", Value::map().set("value", 1)));
+  const Value* hit = lookup(kA);
   ASSERT_NE(hit, nullptr);
   EXPECT_TRUE(hit->is_shared());
   const ReplySnapshot snapshot = reply_log().export_all();
-  const Value* exported = reply_in(snapshot, "a");
+  const Value* exported = reply_in(snapshot, kA);
   ASSERT_NE(exported, nullptr);
   EXPECT_TRUE(exported->is_shared());
   EXPECT_EQ(&exported->as_map(), &hit->as_map()) << "exported by handle";
@@ -118,14 +124,14 @@ TEST_F(ReplyLogFixture, RecordsAreCellsThatExportsShare) {
   other.start("log");
   ReplyLog& imported = face_of(other, "log");
   imported.import_all(snapshot);
-  EXPECT_EQ(&imported.lookup("a")->as_map(), &hit->as_map())
+  EXPECT_EQ(&imported.lookup(kA)->as_map(), &hit->as_map())
       << "imported by handle";
 }
 
 TEST_F(ReplyLogFixture, DecodedAndSharedSnapshotsImportToEqualLogs) {
   // A full log, past capacity, in an order whose keys do not sort FIFO.
   for (std::size_t i = 0; i < kCapacity + 3; ++i) {
-    record(strf("c", (i * 7) % 11, ":", i),
+    record(RequestKey{static_cast<std::int64_t>((i * 7) % 11), i},
            Value::map().set("id", i).set(
                "result", Value::map().set("check", "ok").set("value", i)));
   }
@@ -133,8 +139,8 @@ TEST_F(ReplyLogFixture, DecodedAndSharedSnapshotsImportToEqualLogs) {
   // The same records with replies decoded from their bytes: no cells.
   ReplySnapshot decoded = shared;
   for (auto& r : decoded.records) r.reply = Value::decode(r.reply.encode());
-  ASSERT_FALSE(reply_in(decoded, "c0:33")->is_shared());
-  ASSERT_TRUE(reply_in(shared, "c0:33")->is_shared());
+  ASSERT_FALSE(reply_in(decoded, RequestKey{0, 33})->is_shared());
+  ASSERT_TRUE(reply_in(shared, RequestKey{0, 33})->is_shared());
 
   comp::Composite from_cells{"cells"}, from_bytes{"bytes"};
   for (comp::Composite* c : {&from_cells, &from_bytes}) {
@@ -143,7 +149,7 @@ TEST_F(ReplyLogFixture, DecodedAndSharedSnapshotsImportToEqualLogs) {
   }
   face_of(from_cells, "log").import_all(shared);
   face_of(from_bytes, "log").import_all(decoded);
-  EXPECT_TRUE(face_of(from_bytes, "log").lookup("c0:33")->is_shared())
+  EXPECT_TRUE(face_of(from_bytes, "log").lookup({0, 33})->is_shared())
       << "an import records each reply as a cell";
   const ReplySnapshot cells_export = face_of(from_cells, "log").export_all();
   const ReplySnapshot bytes_export = face_of(from_bytes, "log").export_all();
@@ -161,16 +167,16 @@ TEST_F(ReplyLogFixture, DecodedAndSharedSnapshotsImportToEqualLogs) {
 
 struct ReplyLogImportFixture : ReplyLogFixture {
   ReplyLogImportFixture() {
-    record("a", Value::map().set("result", 1));
-    record("b", Value::map().set("result", 2));
+    record(kA, Value::map().set("result", 1));
+    record(kB, Value::map().set("result", 2));
     before = reply_log().export_all();
   }
 
   void expect_unchanged() {
     EXPECT_EQ(size(), 2u);
-    EXPECT_NE(lookup("a"), nullptr);
-    EXPECT_NE(lookup("b"), nullptr);
-    EXPECT_EQ(lookup("x100"), nullptr);
+    EXPECT_NE(lookup(kA), nullptr);
+    EXPECT_NE(lookup(kB), nullptr);
+    EXPECT_EQ(lookup(filler(100)), nullptr);
     const ReplySnapshot now = reply_log().export_all();
     EXPECT_EQ(keys_of(now), keys_of(before));
     EXPECT_EQ(now.upto, before.upto);
@@ -184,7 +190,7 @@ TEST_F(ReplyLogImportFixture, SnapshotPastCapacityIsRefused) {
   ReplySnapshot big;
   for (std::size_t i = 0; i <= kCapacity; ++i) {
     big.records.push_back(
-        {strf("x", 100 + i), Value::shared(Value::map().set("result", 9))});
+        {filler(100 + i), Value::shared(Value::map().set("result", 9))});
   }
   big.upto = 40;
   EXPECT_THROW(reply_log().import_all(big), FtmError);
@@ -195,18 +201,50 @@ TEST_F(ReplyLogImportFixture, SnapshotPastCapacityIsRefused) {
 
 TEST_F(ReplyLogFixture, ReRecordKeepsFifoSlot) {
   // kCapacity + 2 records: a, kCapacity - 1 fillers, a again, then c.
-  record("a", Value::map().set("result", 1));
+  record(kA, Value::map().set("result", 1));
   for (std::size_t i = 1; i < kCapacity; ++i) {
-    record(strf("k", i), Value::map().set("result", 2));
+    record(filler(i), Value::map().set("result", 2));
   }
-  record("a", Value::map().set("result", 3));  // updated in place
-  record("c", Value::map().set("result", 4));  // evicts a, the oldest slot
-  EXPECT_EQ(lookup("a"), nullptr);
-  EXPECT_NE(lookup("k1"), nullptr);
+  record(kA, Value::map().set("result", 3));  // updated in place
+  record(kC, Value::map().set("result", 4));  // evicts a, the oldest slot
+  EXPECT_EQ(lookup(kA), nullptr);
+  EXPECT_NE(lookup(filler(1)), nullptr);
   const auto order = keys_of(reply_log().export_all());
   ASSERT_EQ(order.size(), kCapacity);
-  EXPECT_EQ(order.front(), "k1");
-  EXPECT_EQ(order.back(), "c");
+  EXPECT_EQ(order.front(), filler(1));
+  EXPECT_EQ(order.back(), kC);
+}
+
+TEST_F(ReplyLogFixture, LookupAndRecordOnAFullLogAllocateNothing) {
+  // Keys are integers and every reply a cell, so a full ring answers
+  // lookups, re-records in place and evicts for a new key without touching
+  // the heap.
+  std::vector<Value> cells;
+  for (std::size_t i = 0; i < kCapacity + 8; ++i) {
+    cells.push_back(Value::shared(Value::map().set("id", i)));
+  }
+  for (std::size_t i = 0; i < kCapacity; ++i) record(filler(i), cells[i]);
+  ReplyLog& log = reply_log();
+  ASSERT_EQ(size(), kCapacity);
+
+  std::size_t hits = 0;
+  const std::size_t before = rcs::test::allocations();
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    hits += log.lookup(filler(i)) != nullptr ? 1 : 0;
+  }
+  hits += log.lookup(kA) != nullptr ? 1 : 0;  // a miss scans the whole ring
+  for (std::size_t i = 0; i < kCapacity; ++i) log.record(filler(i), cells[i]);
+  for (std::size_t i = kCapacity; i < kCapacity + 8; ++i) {
+    log.record(filler(i), cells[i]);  // evicts the oldest
+  }
+  const std::size_t spent = rcs::test::allocations() - before;
+
+  EXPECT_EQ(hits, kCapacity);
+  EXPECT_EQ(spent, 0u);
+  EXPECT_EQ(lookup(filler(7)), nullptr);
+  EXPECT_EQ(&lookup(filler(kCapacity + 7))->as_map(),
+            &std::as_const(cells[kCapacity + 7]).as_map())
+      << "recorded by handle";
 }
 
 // --- Typed wires -----------------------------------------------------------

@@ -211,24 +211,27 @@ ReplyLog& reply_log_of(FtmRuntime& rt) {
 }
 
 /// The keys and the counter values of a log's records, oldest first.
-std::vector<std::string> records_of(FtmRuntime& rt) {
-  std::vector<std::string> out;
+using Records = std::vector<std::pair<RequestKey, std::int64_t>>;
+
+Records records_of(FtmRuntime& rt) {
+  Records out;
   for (const auto& record : reply_log_of(rt).export_all().records) {
-    out.push_back(strf(record.key, "=",
-                       record.reply.at("result").at("value").as_int()));
+    out.emplace_back(record.key,
+                     record.reply.at("result").at("value").as_int());
   }
   return out;
 }
 
 /// The records of `count` increments of "ctr" numbered from `first`, the
 /// last kCapacity of them.
-std::vector<std::string> increments(std::uint64_t client, int first,
-                                    int count) {
-  std::vector<std::string> out;
+Records increments(std::int64_t client, int first, int count) {
+  Records out;
   const int last = first + count - 1;
   const int start =
       std::max(first, last - static_cast<int>(ReplyLogComponent::kCapacity) + 1);
-  for (int i = start; i <= last; ++i) out.push_back(strf("c", client, ":", i, "=", i));
+  for (int i = start; i <= last; ++i) {
+    out.emplace_back(RequestKey{client, static_cast<std::uint64_t>(i)}, i);
+  }
   return out;
 }
 

@@ -90,7 +90,7 @@ TEST_F(Fixture, APbrReexecutedResultReachesClientAndBothLogs) {
   const Value reply = roundtrip(kv_incr("ctr"));
   ASSERT_TRUE(result_checksum_ok(reply)) << reply.to_string();
   ASSERT_EQ(rt0.kernel().counters().assertion_failures, 1u);
-  const std::string key = strf("c", hc.id().value(), ":1");
+  const RequestKey key{hc.id().value(), 1};
   for (FtmRuntime* rt : {&rt0, &rt1}) {
     const auto& log =
         dynamic_cast<const ReplyLogComponent&>(rt->composite().child("replyLog"));

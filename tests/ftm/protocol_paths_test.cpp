@@ -37,23 +37,23 @@ TEST_F(Fixture, AbortOvertakingForwardIsRemembered) {
   deploy(FtmConfig::lfr());
   // Simulate the reordered-wire case directly: the abort for a key arrives
   // at the follower BEFORE the forwarded request.
-  Value abort = Value::map();
-  abort.set("phase", "ctrl").set("kind", "abort")
-      .set("data", Value::map().set("key", "c9:5"));
-  h0.send(h1.id(), msg::kReplica, std::move(abort));
+  const RequestKey key{9, 5};
+  h0.send(h1.id(), msg::kReplica,
+          make_payload({PeerPhase::kCtrl, PeerKind::kAbort, key,
+                        Value::map().set("key", "c9:5")}));
   sim.run_for(10 * sim::kMillisecond);
 
-  Value forward = Value::map();
-  forward.set("phase", "before").set("kind", "request").set("key", "c9:5");
-  forward.set("data", Value::map()
-                          .set("key", "c9:5")
-                          .set("client", 9)
-                          .set("id", 5)
-                          .set("request", kv_incr("ctr")));
-  h0.send(h1.id(), msg::kReplica, std::move(forward));
+  const Value forward = Value::map()
+                            .set("key", "c9:5")
+                            .set("client", 9)
+                            .set("id", 5)
+                            .set("request", kv_incr("ctr"));
+  h0.send(h1.id(), msg::kReplica,
+          make_payload({PeerPhase::kBefore, PeerKind::kRequest, key, forward}));
   sim.run_for(2 * sim::kSecond);
 
   EXPECT_EQ(rt1.kernel().in_flight(), 0u) << "aborted forward never started";
+  EXPECT_EQ(rt1.kernel().counters().forwarded, 1u) << "the forward arrived";
   // The follower state must not contain the aborted increment.
   const Value state =
       state_manager_of(rt1.composite().child("server")).get_state();
@@ -62,12 +62,12 @@ TEST_F(Fixture, AbortOvertakingForwardIsRemembered) {
 
 TEST_F(Fixture, LateNotifyAfterAbortedForwardDoesNotCrash) {
   deploy(FtmConfig::lfr());
-  Value notify = Value::map();
-  notify.set("phase", "after").set("kind", "notify").set("key", "c9:9");
-  notify.set("data", Value::map().set("key", "c9:9").set("digest", 123));
-  h0.send(h1.id(), msg::kReplica, std::move(notify));
+  h0.send(h1.id(), msg::kReplica,
+          make_payload({PeerPhase::kAfter, PeerKind::kNotify, RequestKey{9, 9},
+                        Value::map().set("key", "c9:9").set("digest", 123)}));
   EXPECT_NO_THROW(sim.run_for(sim::kSecond));
   EXPECT_EQ(rt1.kernel().in_flight(), 0u);
+  EXPECT_EQ(rt1.kernel().stashed(), 1u) << "the notify waits for its forward";
 }
 
 TEST_F(Fixture, FailedLeaderRequestAbortsFollowerContext) {
@@ -82,6 +82,16 @@ TEST_F(Fixture, FailedLeaderRequestAbortsFollowerContext) {
   EXPECT_TRUE(reply.has("error"));
   EXPECT_EQ(rt1.kernel().in_flight(), 0u)
       << "follower context for the failed request leaked";
+}
+
+TEST_F(Fixture, AFailedRequestIsLoggedUnderItsKeyText) {
+  // Keys are integers inside the kernel; a log line names a request by its
+  // text "c<client>:<id>".
+  deploy(FtmConfig::lfr_tr(), app::kSensor);
+  CapturingLog capture(LogLevel::kWarn);
+  client.send(Value::map().set("op", "read").set("target", 40.0));
+  sim.run_for(5 * sim::kSecond);
+  EXPECT_TRUE(capture.contains(strf("request c", hc.id().value(), ":1 failed")));
 }
 
 TEST_F(Fixture, QuiesceDrainsDespiteFailingRequests) {
@@ -236,7 +246,7 @@ TEST_F(Fixture, DeliveryToAStoppedKernelThrows) {
   deploy(FtmConfig::pbr());
   rt1.composite().stop("protocol");
   const Payload message = make_payload(
-      {PeerPhase::kAfter, PeerKind::kCheckpoint, "c1:1", Checkpoint{}});
+      {PeerPhase::kAfter, PeerKind::kCheckpoint, RequestKey{1, 1}, Checkpoint{}});
   EXPECT_THROW(rt1.kernel().deliver_peer(message, h0.id().value()),
                ComponentError);
   const Payload request = client_request(hc.id(), 1, kv_incr("ctr"));
@@ -339,11 +349,11 @@ TEST(EarlyAcks, StashedCheckpointAckCountsOncePerPeer) {
   ASSERT_EQ(kernel.in_flight(), 1u);  // parked in Proceed
   const auto ack = [&](std::int64_t from) {
     kernel.deliver_peer(make_payload({PeerPhase::kAfter, PeerKind::kCheckpointAck,
-                                      "c9:1", CheckpointAck{}}),
+                                      RequestKey{9, 1}, CheckpointAck{}}),
                         from);
   };
   ack(1);  // early: the context is not waiting yet, so it is stashed
-  kernel.resume_after("c9:1", 0, Value(7));  // Proceed done; After waits
+  kernel.resume_after({9, 1}, 0, Value(7));  // Proceed done; After waits
   EXPECT_EQ(kernel.in_flight(), 1u) << "one stashed ack completed a 2-peer wait";
   ack(1);  // a retransmission from the same peer counts nothing
   EXPECT_EQ(AckCountingAfter::solicited, 0);
@@ -395,7 +405,7 @@ TEST(ReplyCell, EveryResultWriteDropsTheCellBuiltBeforeIt) {
 
   hostless.kernel().deliver_client(client_request(HostId{9}, 4, Value::map()));
   EXPECT_TRUE(CellBuildingProceed::early.at("result").is_null());
-  hostless.kernel().resume_after("c9:4", 0, Value(1));  // resume's result
+  hostless.kernel().resume_after({9, 4}, 0, Value(1));  // resume's result
 
   const auto& cells = RecomputingAfter::cells;
   ASSERT_EQ(cells.size(), 2u);
@@ -404,7 +414,7 @@ TEST(ReplyCell, EveryResultWriteDropsTheCellBuiltBeforeIt) {
   EXPECT_EQ(cells[1].at("id").as_int(), 4);
   EXPECT_EQ(hostless.kernel().in_flight(), 0u);
   // The log records the last cell the brick built, by handle.
-  const Value* logged = hostless.log().lookup("c9:4");
+  const Value* logged = hostless.log().lookup({9, 4});
   ASSERT_NE(logged, nullptr);
   EXPECT_TRUE(logged->is_shared());
   EXPECT_EQ(&logged->at("result"), &cells[1].at("result"));

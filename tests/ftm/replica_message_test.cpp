@@ -4,9 +4,14 @@
 // typed walk must give the same bytes and the same size as Value::encode of
 // the equivalent map, as the sender of the Value map built it. The network
 // prices a replica message by this size, so any slip here would move every
-// traffic figure and digest. The client's request envelope is held to the
-// map the client sent before it was typed, the same way.
+// traffic figure and digest. A request key is the text "c<client>:<id>" in
+// those maps, as the sender wrote it before keys were integers, and a map
+// keyed by it encodes in the text's byte order, not in the keys' numeric
+// order. The client's request envelope is held to the map the client sent
+// before it was typed, the same way.
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "rcs/common/error.hpp"
 #include "rcs/common/rng.hpp"
@@ -18,12 +23,14 @@ namespace {
 
 // --- The Value maps the typed messages stand for -------------------------
 
+std::string text(const RequestKey& key) { return std::string(KeyText(key).view()); }
+
 Value snapshot_value(const ReplySnapshot& snapshot, bool delta) {
   ValueMap entries;
   ValueList order;
   for (const auto& record : snapshot.records) {
-    entries.emplace(record.key, record.reply);
-    order.emplace_back(record.key);
+    entries.emplace(text(record.key), record.reply);
+    order.emplace_back(text(record.key));
   }
   Value out = Value::map();
   out.set("entries", std::move(entries)).set("order", std::move(order));
@@ -47,9 +54,11 @@ Value capture_value(const StateCapture& capture) {
   return out;
 }
 
-Value body_value(const std::string& key, const Checkpoint& ckpt) {
+using Key = std::optional<RequestKey>;
+
+Value body_value(const Key& key, const Checkpoint& ckpt) {
   Value data = Value::map();
-  data.set("key", key);
+  data.set("key", text(*key));
   if (ckpt.delta) {
     if (ckpt.capture) data.set("ckpt", capture_value(*ckpt.capture));
     data.set("rlog", snapshot_value(ckpt.replies, /*delta=*/true));
@@ -61,14 +70,14 @@ Value body_value(const std::string& key, const Checkpoint& ckpt) {
   return data;
 }
 
-Value body_value(const std::string& key, const CheckpointAck& ack) {
-  Value data = Value::map().set("key", key);
+Value body_value(const Key& key, const CheckpointAck& ack) {
+  Value data = Value::map().set("key", text(*key));
   if (ack.seq) data.set("seq", *ack.seq);
   if (ack.upto) data.set("upto", static_cast<std::int64_t>(*ack.upto));
   return data;
 }
 
-Value body_value(const std::string& /*key*/, const JoinSnapshot& join) {
+Value body_value(const Key& /*key*/, const JoinSnapshot& join) {
   Value data = Value::map();
   if (join.state) data.set("state", *join.state);
   if (join.ckpt_stream) data.set("ckpt_stream", *join.ckpt_stream);
@@ -79,7 +88,7 @@ Value body_value(const std::string& /*key*/, const JoinSnapshot& join) {
   return data;
 }
 
-Value body_value(const std::string& /*key*/, const Value& data) { return data; }
+Value body_value(const Key& /*key*/, const Value& data) { return data; }
 
 Value envelope_value(const ReplicaMessage& message) {
   Value data = std::visit(
@@ -88,7 +97,7 @@ Value envelope_value(const ReplicaMessage& message) {
   Value payload = Value::map();
   payload.set("phase", to_string(message.phase))
       .set("kind", to_string(message.kind));
-  if (data.is_map() && data.has("key")) payload.set("key", data.at("key"));
+  if (message.key) payload.set("key", text(*message.key));
   payload.set("data", std::move(data));
   return payload;
 }
@@ -141,14 +150,25 @@ Value random_reply(Rng& rng) {
   return rng.bernoulli(0.7) ? Value::shared(std::move(reply)) : reply;
 }
 
+/// A request key whose numbers straddle digit boundaries now and then, so
+/// that their numeric and byte orders differ; `i` keeps keys distinct. Now
+/// and then a re-execution record's key.
+RequestKey random_key(Rng& rng, std::uint64_t i = 0) {
+  static constexpr std::int64_t kClients[] = {0, 1, 9, 10, 99, 100, -1};
+  const std::int64_t client = rng.bernoulli(0.7)
+                                  ? kClients[rng.uniform_int(0, 6)]
+                                  : random_int(rng);
+  const auto id = static_cast<std::uint64_t>(random_int(rng)) / 64 * 64 + i;
+  return {client, id, rng.bernoulli(0.1)};
+}
+
 /// 0 to 32 records with distinct keys, in an order that does not sort.
 ReplySnapshot random_snapshot(Rng& rng) {
   ReplySnapshot snapshot;
   const auto count = rng.uniform_int(0, 32);
   for (std::int64_t i = 0; i < count; ++i) {
     snapshot.records.push_back(
-        {strf(random_text(rng, 'c'), "#", (i * 7) % 33, ":", i),
-         random_reply(rng)});
+        {random_key(rng, static_cast<std::uint64_t>(i)), random_reply(rng)});
   }
   snapshot.from = static_cast<std::uint64_t>(random_int(rng));
   snapshot.upto = static_cast<std::uint64_t>(random_int(rng));
@@ -215,8 +235,7 @@ TEST(ReplicaMessageEncoding, CheckpointsMatchTheirValueMaps) {
       SCOPED_TRACE(strf("seed ", seed, " round ", round));
       const bool delta = rng.bernoulli(0.5);
       expect_same_encoding({PeerPhase::kAfter, PeerKind::kCheckpoint,
-                            random_text(rng, 'c'),
-                            random_checkpoint(rng, delta)});
+                            random_key(rng), random_checkpoint(rng, delta)});
     }
   }
 }
@@ -232,7 +251,7 @@ TEST(ReplicaMessageEncoding, StateCapturesMatchTheirCaptureMaps) {
       Checkpoint ckpt = random_checkpoint(rng, /*delta=*/true);
       ckpt.capture = random_capture(rng);
       expect_same_encoding({PeerPhase::kAfter, PeerKind::kCheckpoint,
-                            random_text(rng, 'c'), std::move(ckpt)});
+                            random_key(rng), std::move(ckpt)});
     }
   }
   // The smallest and the largest stream positions, both shapes, empty
@@ -244,8 +263,8 @@ TEST(ReplicaMessageEncoding, StateCapturesMatchTheirCaptureMaps) {
       ckpt.capture = StateCapture{position, position, position, full,
                                   full ? Value::map() : Value{}};
       ckpt.pending_reply = Value::shared(Value::map().set("id", 1));
-      expect_same_encoding(
-          {PeerPhase::kAfter, PeerKind::kCheckpoint, "c1:1", std::move(ckpt)});
+      expect_same_encoding({PeerPhase::kAfter, PeerKind::kCheckpoint,
+                            RequestKey{1, 1}, std::move(ckpt)});
     }
   }
 }
@@ -260,8 +279,8 @@ TEST(ReplicaMessageEncoding, AcksMatchTheirValueMaps) {
       if (rng.bernoulli(0.5)) {
         ack.upto = static_cast<std::uint64_t>(random_int(rng));
       }
-      expect_same_encoding({PeerPhase::kAfter, PeerKind::kCheckpointAck,
-                            random_text(rng, 'c'), ack});
+      expect_same_encoding(
+          {PeerPhase::kAfter, PeerKind::kCheckpointAck, random_key(rng), ack});
     }
   }
 }
@@ -283,10 +302,16 @@ TEST(ReplicaMessageEncoding, ValueBodiesMatchTheirValueMaps) {
     for (int round = 0; round < kRounds; ++round) {
       SCOPED_TRACE(strf("seed ", seed, " round ", round));
       Value data = Value::map().set("request", random_state(rng));
-      if (rng.bernoulli(0.7)) data.set("key", random_text(rng, 'c'));
       const auto phase = static_cast<PeerPhase>(rng.uniform_int(0, 3));
       const auto kind = static_cast<PeerKind>(rng.uniform_int(1, 9));
-      expect_same_encoding({phase, kind, std::move(data)});
+      if (rng.bernoulli(0.7)) {
+        // A body that names its request repeats the key's text.
+        const RequestKey key = random_key(rng);
+        data.set("key", text(key));
+        expect_same_encoding({phase, kind, key, std::move(data)});
+      } else {
+        expect_same_encoding({phase, kind, std::move(data)});
+      }
     }
   }
   // Bodies that are not maps, or empty ones, name no request.
@@ -298,7 +323,8 @@ TEST(ReplicaMessageEncoding, SnapshotEntriesEncodeInKeyOrder) {
   // FIFO order is not key order: the bytes sort the entries, the list keeps
   // the FIFO order.
   ReplySnapshot snapshot;
-  for (const char* key : {"c9:1", "c10:2", "c1:3"}) {
+  for (const RequestKey key : {RequestKey{9, 1}, RequestKey{10, 2},
+                               RequestKey{1, 3}}) {
     snapshot.records.push_back({key, Value::shared(Value::map().set("id", 1))});
   }
   const ReplicaMessage message{
@@ -310,6 +336,74 @@ TEST(ReplicaMessageEncoding, SnapshotEntriesEncodeInKeyOrder) {
   EXPECT_EQ(replies.at("entries").as_map().begin()->first, "c10:2");
   EXPECT_EQ(replies.at("order").at(0).as_string(), "c9:1");
   EXPECT_EQ(replies.at("order").at(2).as_string(), "c1:3");
+}
+
+TEST(ReplicaMessageEncoding, KeysEncodeInTheByteOrderOfTheirText) {
+  // Keys whose numeric order and text order differ: (1,9) < (1,10) <
+  // (1,100) < (9,1) < (10,1) as numbers, but "c10:1" < "c1:10" < "c1:100"
+  // < "c1:9" < "c9:1" as bytes (':' sorts after the digits). A re-execution
+  // record sorts after them all.
+  const RequestKey keys[] = {{9, 1}, {10, 1}, {1, 9}, {1, 10}, {1, 100},
+                             {1, 9, /*exec=*/true}};
+  ReplySnapshot snapshot;
+  for (const RequestKey& key : keys) {
+    snapshot.records.push_back(
+        {key, Value::shared(Value::map()
+                                .set("id", static_cast<std::int64_t>(key.id))
+                                .set("result", key.client))});
+  }
+  snapshot.upto = 9;
+  ReplySnapshot delta = snapshot;
+  delta.from = 3;
+
+  // A full snapshot (a join), a full checkpoint, a delta checkpoint.
+  expect_same_encoding({PeerPhase::kCtrl, PeerKind::kJoinAck,
+                        JoinSnapshot{Value{}, std::nullopt, std::nullopt,
+                                     snapshot}});
+  Checkpoint full;
+  full.state = Value::map();
+  full.replies = snapshot;
+  full.pending_reply = snapshot.records[3].reply;
+  expect_same_encoding(
+      {PeerPhase::kAfter, PeerKind::kCheckpoint, keys[3], std::move(full)});
+  Checkpoint incremental;
+  incremental.delta = true;
+  incremental.replies = delta;
+  incremental.pending_reply = snapshot.records[4].reply;
+  const ReplicaMessage message{PeerPhase::kAfter, PeerKind::kCheckpoint,
+                               keys[4], std::move(incremental)};
+  expect_same_encoding(message);
+
+  const Value decoded = Value::decode(encode(message));
+  EXPECT_EQ(decoded.at("key").as_string(), "c1:100");
+  EXPECT_EQ(decoded.at("data").at("key").as_string(), "c1:100");
+  std::vector<std::string> entries;
+  for (const auto& [key, reply] : decoded.at("data").at("rlog").at("entries").as_map()) {
+    entries.push_back(key);
+  }
+  EXPECT_EQ(entries, (std::vector<std::string>{"c10:1", "c1:10", "c1:100",
+                                               "c1:9", "c9:1", "exec:c1:9"}));
+  const Value& order = decoded.at("data").at("rlog").at("order");
+  ASSERT_EQ(order.size(), 6u);
+  EXPECT_EQ(order.at(0).as_string(), "c9:1") << "the list keeps FIFO order";
+  EXPECT_EQ(order.at(5).as_string(), "exec:c1:9");
+}
+
+TEST(RequestKeyText, PrintsAsTheWireText) {
+  EXPECT_EQ(text(RequestKey{7, 42}), "c7:42");
+  EXPECT_EQ(strf("request ", RequestKey{10, 1}, " failed"),
+            "request c10:1 failed");
+  EXPECT_EQ(text(RequestKey{3, 4, true}), "exec:c3:4");
+  const RequestKey widest{std::numeric_limits<std::int64_t>::min(),
+                          std::numeric_limits<std::uint64_t>::max(), true};
+  EXPECT_EQ(text(widest),
+            "exec:c-9223372036854775808:18446744073709551615");
+  for (const RequestKey key : {RequestKey{0, 0}, RequestKey{-1, 9},
+                               RequestKey{99, 100}, widest}) {
+    EXPECT_EQ(KeyText::size_of(key), text(key).size()) << key;
+  }
+  EXPECT_TRUE(text_less({10, 1}, {9, 1}));
+  EXPECT_TRUE(RequestKey({9, 1}) < RequestKey({10, 1}));
 }
 
 // --- Client requests ------------------------------------------------------
@@ -380,8 +474,8 @@ TEST(ClientRequestEncoding, PayloadCarriesTheTypedRequest) {
 // --- Tag checks on access ------------------------------------------------
 
 TEST(ReplicaPayload, TypedAccessIsTagChecked) {
-  const Payload typed = make_payload(
-      {PeerPhase::kAfter, PeerKind::kCheckpointAck, "c1:1", CheckpointAck{}});
+  const Payload typed = make_payload({PeerPhase::kAfter, PeerKind::kCheckpointAck,
+                                      RequestKey{1, 1}, CheckpointAck{}});
   ASSERT_NE(typed.get_if<ReplicaMessage>(), nullptr);
   EXPECT_EQ(typed.get_if<Value>(), nullptr);
   EXPECT_THROW((void)typed.value(), ValueError);
@@ -393,21 +487,23 @@ TEST(ReplicaPayload, TypedAccessIsTagChecked) {
 }
 
 TEST(ReplicaPayload, PeerMessageHandsOutTheBodyItCarries) {
-  const Payload payload = make_payload(
-      {PeerPhase::kAfter, PeerKind::kCheckpointAck, "c4:2", CheckpointAck{3, 5}});
+  const Payload payload =
+      make_payload({PeerPhase::kAfter, PeerKind::kCheckpointAck,
+                    RequestKey{4, 2}, CheckpointAck{3, 5}});
   const PeerMessage message(payload, 1);
   EXPECT_EQ(message.phase, PeerPhase::kAfter);
   EXPECT_EQ(message.kind, PeerKind::kCheckpointAck);
-  EXPECT_EQ(message.key, "c4:2");
+  EXPECT_EQ(message.key, (RequestKey{4, 2}));
   EXPECT_EQ(message.from, 1);
   EXPECT_EQ(message.body<CheckpointAck>().upto, 5u);
   EXPECT_THROW((void)message.body<Checkpoint>(), FtmError);
   EXPECT_THROW((void)message.data(), FtmError);
 
-  const Payload forward = make_payload(
-      {PeerPhase::kBefore, PeerKind::kRequest, Value::map().set("key", "c4:3")});
+  const Payload forward =
+      make_payload({PeerPhase::kBefore, PeerKind::kRequest, RequestKey{4, 3},
+                    Value::map().set("key", "c4:3")});
   const PeerMessage request(forward, 0);
-  EXPECT_EQ(request.key, "c4:3");
+  EXPECT_EQ(request.key, (RequestKey{4, 3}));
   EXPECT_EQ(request.data().at("key").as_string(), "c4:3");
   EXPECT_THROW((void)request.body<CheckpointAck>(), FtmError);
 }

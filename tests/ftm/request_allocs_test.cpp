@@ -9,7 +9,10 @@
 // gate would be flaky.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "../alloc_counter.hpp"
+#include "client_request.hpp"
 #include "duplex_fixture.hpp"
 #include "rcs/ftm/reply_log.hpp"
 
@@ -108,6 +111,42 @@ TEST_F(RequestAllocs, LfrRequestStaysWithinAllocationBudget) {
   EXPECT_EQ(stashed, kMeasured) << "notifications did not take the stash path";
   RecordProperty("allocs_per_request", std::to_string(per_request));
   EXPECT_LE(per_request, kMaxLfrAllocsPerRequest);
+}
+
+TEST_F(RequestAllocs, RetransmissionIsAnsweredWithTheLoggedCell) {
+  // The reply log holds each reply as the {id, result} cell the client was
+  // first sent; a retransmission gets that cell again, by handle, so
+  // serving it costs what sending any cell costs and builds no reply map.
+  deploy(FtmConfig::pbr());
+  sim::Host& probe = sim.add_host("probe");
+  std::vector<Payload> replies;
+  probe.register_handler(msg::kReply, [&replies](const sim::Message& m) {
+    replies.push_back(m.payload);
+  });
+  const Payload request = client_request(probe.id(), 5, kv_incr("ctr"));
+  probe.send(h0.id(), msg::kRequest, request);
+  sim.run_for(sim::kSecond);
+  ASSERT_EQ(replies.size(), 1u);
+  const auto& log =
+      dynamic_cast<const ReplyLogComponent&>(rt0.composite().child("replyLog"));
+  const Value* logged = log.lookup({probe.id().value(), 5});
+  ASSERT_NE(logged, nullptr);
+
+  std::size_t before = rcs::test::allocations();
+  h0.send(probe.id(), msg::kReply, *logged);
+  const std::size_t send_cost = rcs::test::allocations() - before;
+  before = rcs::test::allocations();
+  rt0.kernel().deliver_client(request);  // the retransmission
+  const std::size_t serve_cost = rcs::test::allocations() - before;
+  sim.run_for(sim::kSecond);
+
+  EXPECT_EQ(rt0.kernel().counters().duplicates_served, 1u);
+  EXPECT_EQ(serve_cost, send_cost) << "serving the duplicate built a reply";
+  ASSERT_EQ(replies.size(), 3u);
+  const Value& served = replies.back().value();
+  EXPECT_EQ(&served.as_map(), &logged->as_map()) << "the log's very cell";
+  EXPECT_EQ(served, replies.front().value());
+  EXPECT_EQ(served.at("id").as_int(), 5);
 }
 
 TEST(ClientEnvelope, RetransmissionSendsTheSamePayloadCell) {
